@@ -198,9 +198,19 @@ def _load_predictor(args, lex):
     meta, _ = read_container(args.model)
     kind = meta.get("model", "sslstm")
     if kind == "sslstm":
-        semantic = _table_or_empty(args.semantic_emb, DEFAULT_SEMANTIC_DIM, "semantic")
-        sentiment = _table_or_empty(args.sentiment_emb, DEFAULT_SENTIMENT_DIM, "sentiment")
-        model = load_checkpoint(args.model, semantic, sentiment)
+        # A missing table loads as an empty one of the checkpoint's dimension.
+        tables = {}
+        for channel in ("semantic", "sentiment"):
+            path = getattr(args, f"{channel}_emb")
+            tables[channel] = None if path is None else load_embedding_file(path, name=channel)
+        model = load_checkpoint(args.model, tables["semantic"], tables["sentiment"])
+        for channel in model.config.active_channels():
+            if tables[channel] is None:
+                print(
+                    f"warning: {args.model} uses the {channel} channel but no "
+                    f"--{channel}-emb was given; every token is out of vocabulary there",
+                    file=sys.stderr,
+                )
         return lambda conv: predict(model, conv.tokens)
     baseline = load_baseline(args.model)
     scorer = nb_predict if kind == "nb" else svm_predict
@@ -280,15 +290,9 @@ def cmd_train(args) -> None:
         patience=args.patience,
         seed=args.seed,
         channels=args.channels,
-        parallel=args.parallel,
     )
     model = init_model(model_config, semantic, sentiment, seed=args.seed)
     best, history = train(model, train_set, val_set, train_config)
-    losses = np.array([r.train_loss for r in history.records])
-    if losses.size and not np.all(np.isfinite(losses)):
-        raise NumericError(
-            f"training loss became non-finite at epoch {int(np.argmax(~np.isfinite(losses)))}"
-        )
     save_checkpoint(best, train_config, args.model)
     print(
         f"algorithm: sslstm  channels: {args.channels}  "
@@ -498,9 +502,6 @@ def build_parser() -> _Parser:
                    help="training fraction when splitting (default 0.9)")
     p.add_argument("--seed", type=int, default=_TRAIN_DEFAULTS.seed,
                    help="initialization and shuffle seed (default 0)")
-    p.add_argument("--parallel", type=int, nargs="?", const=4, default=0,
-                   metavar="N", help="evaluate batch gradients with N workers "
-                                     "(default serial; bare flag uses 4)")
     p.add_argument("--alpha", type=float, default=1.0,
                    help="additive smoothing for --algo nb (default 1.0)")
     p.add_argument("--lambda", dest="lambda_reg", type=float, default=0.005,
@@ -607,7 +608,7 @@ def main(argv=None) -> int:
     except (DataFormatError, LexiconFormatError, EmbeddingFormatError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA_FORMAT
-    except NumericError as exc:
+    except (NumericError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:

@@ -15,15 +15,12 @@ arguments.
 
 from __future__ import annotations
 
-import io
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from sslstm.dataio import _open_read, _open_write
 from sslstm.embeddings import EmbeddingTable, empty_table
 from sslstm.labels import LABELS, N_CLASSES, label_index
 from sslstm.metrics import confusion, macro_f1
@@ -74,9 +71,6 @@ class TrainConfig:
     seed: int = 0
     channels: str = "both"
     class_weights: tuple[float, float, float, float] | None = None
-    # False/0 for the serial deterministic path; True for the default worker
-    # pool, or an explicit worker count.  Results are identical either way.
-    parallel: bool | int = False
     # Optional convergence target: stop once training accuracy reaches this
     # fraction.  Used by overfitting harnesses; None disables it.
     stop_when_train_accuracy: float | None = None
@@ -94,15 +88,6 @@ class TrainConfig:
             raise ValueError(f"channels must be one of {CHANNELS}")
         if self.class_weights is not None and len(self.class_weights) != N_CLASSES:
             raise ValueError(f"class_weights needs {N_CLASSES} entries")
-        if self.parallel is not True and self.parallel is not False:
-            if not isinstance(self.parallel, int) or self.parallel < 0:
-                raise ValueError("parallel must be a boolean or a worker count >= 0")
-
-    def workers(self) -> int:
-        """Worker-pool size implied by ``parallel``; 0 means serial."""
-        if self.parallel is True:
-            return 4
-        return int(self.parallel)
 
 
 @dataclass
@@ -277,9 +262,10 @@ def train(model: SSLSTMModel, train_set, validation_set, config: TrainConfig):
     gradient of each batch, then score validation macro-F1.  The parameters
     of the best validation epoch are kept; training stops after ``patience``
     epochs without improvement (patience 0 stops at the first) or at
-    ``max_epochs``.  With ``parallel`` set, per-example gradients of a batch
-    are computed concurrently but summed in batch order, so results match
-    serial mode.
+    ``max_epochs``.  Each example's gradient is added to the batch total in
+    batch order as soon as it is computed.  A batch whose loss is not finite
+    raises :class:`FloatingPointError` naming the epoch and batch index,
+    before any update from that batch is applied.
     """
     train_set = list(train_set)
     validation_set = list(validation_set)
@@ -300,52 +286,45 @@ def train(model: SSLSTMModel, train_set, validation_set, config: TrainConfig):
     best_epoch = -1
     stale = 0
     records: list[EpochRecord] = []
-    workers = config.workers()
-    executor = ThreadPoolExecutor(max_workers=workers) if workers else None
-    try:
-        for epoch in range(config.max_epochs):
-            batches = make_batches(
-                train_set,
-                config.token_budget,
-                seed=config.seed + epoch,
-                max_len=model.config.max_seq_len,
-            )
-            loss_total = 0.0
-            for batch in batches:
-                if executor is not None:
-                    results = list(
-                        executor.map(lambda c: _example_gradient(model, c, weights), batch)
-                    )
-                else:
-                    results = [_example_gradient(model, c, weights) for c in batch]
-                loss, total = results[0]
+    for epoch in range(config.max_epochs):
+        batches = make_batches(
+            train_set,
+            config.token_budget,
+            seed=config.seed + epoch,
+            max_len=model.config.max_seq_len,
+        )
+        loss_total = 0.0
+        for index, batch in enumerate(batches):
+            loss, total = _example_gradient(model, batch[0], weights)
+            loss_total += loss
+            for conv in batch[1:]:
+                loss, grads = _example_gradient(model, conv, weights)
                 loss_total += loss
-                for loss, grads in results[1:]:
-                    loss_total += loss
-                    _accumulate_gradients(total, grads)
-                _scale_gradients(total, 1.0 / len(batch))
-                sgd_step(model, total, config.learning_rate)
-            train_loss = loss_total / len(train_set)
-            val_f1 = _val_macro_f1(model, validation_set)
-            train_acc = _accuracy(model, train_set)
-            records.append(EpochRecord(epoch, train_loss, val_f1, train_acc))
-            if val_f1 > best_f1:
-                best_f1 = val_f1
-                best_epoch = epoch
-                best = clone_model(model)
-                stale = 0
-            else:
-                stale += 1
-            if (
-                config.stop_when_train_accuracy is not None
-                and train_acc >= config.stop_when_train_accuracy
-            ):
-                break
-            if stale >= max(config.patience, 1):
-                break
-    finally:
-        if executor is not None:
-            executor.shutdown()
+                _accumulate_gradients(total, grads)
+            if not math.isfinite(loss_total):
+                raise FloatingPointError(
+                    f"training loss became non-finite at epoch {epoch}, batch {index}"
+                )
+            _scale_gradients(total, 1.0 / len(batch))
+            sgd_step(model, total, config.learning_rate)
+        train_loss = loss_total / len(train_set)
+        val_f1 = _val_macro_f1(model, validation_set)
+        train_acc = _accuracy(model, train_set)
+        records.append(EpochRecord(epoch, train_loss, val_f1, train_acc))
+        if val_f1 > best_f1:
+            best_f1 = val_f1
+            best_epoch = epoch
+            best = clone_model(model)
+            stale = 0
+        else:
+            stale += 1
+        if (
+            config.stop_when_train_accuracy is not None
+            and train_acc >= config.stop_when_train_accuracy
+        ):
+            break
+        if stale >= max(config.patience, 1):
+            break
     return best, TrainHistory(records=records, best_epoch=best_epoch)
 
 
@@ -392,29 +371,10 @@ def gradient_check(model: SSLSTMModel, example, epsilon: float = 1e-4) -> float:
     return worst
 
 
-@contextmanager
-def _open_write(sink):
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8") as fh:
-            yield fh
-    else:
-        yield sink
-
-
-@contextmanager
-def _open_read(source):
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            yield fh
-    elif isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
-        yield io.TextIOWrapper(source, encoding="utf-8")
-    else:
-        yield source
-
-
 def write_container(sink, meta: dict[str, str], tensors: dict[str, np.ndarray]) -> None:
     """Serialize meta lines and tensor blocks in the versioned text format.
-    1-D tensors are stored as single-row matrices."""
+    1-D tensors are stored as single-row matrices; floats are written at
+    ``repr`` precision, so reading them back gives the exact values."""
     with _open_write(sink) as fh:
         fh.write(f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}\n")
         for key, value in meta.items():
@@ -428,7 +388,7 @@ def write_container(sink, meta: dict[str, str], tensors: dict[str, np.ndarray]) 
             mat = np.atleast_2d(np.asarray(arr, dtype=np.float64))
             fh.write(f"tensor {name} {mat.shape[0]} {mat.shape[1]}\n")
             for row in mat:
-                fh.write(" ".join(f"{v:.9g}" for v in row) + "\n")
+                fh.write(" ".join(map(repr, row.tolist())) + "\n")
         fh.write("end\n")
 
 
@@ -439,7 +399,7 @@ def read_container(source) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     :class:`TruncatedCheckpointError` when the file loses structure or ends
     before ``end``.  Tensors come back as 2-D float64 arrays.
     """
-    with _open_read(source) as fh:
+    with _open_read(source) as (fh, _):
         lines = fh.read().split("\n")
     pos = 0
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import io
+import re
 import subprocess
 import sys
 
@@ -212,18 +213,47 @@ class TestTrainEvalPredict:
         assert main(args + ["--model", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_parallel_training_matches_serial(self, ws, tmp_path, capsys):
-        base = ["train", "--train", ws["train"],
-                "--semantic-emb", ws["semantic_emb"],
-                "--sentiment-emb", ws["sentiment_emb"],
-                "--sem-hidden", "4", "--sent-hidden", "3", "--fc-hidden", "5",
-                "--epochs", "4", "--lr", "0.1", "--token-budget", "16",
-                "--ratio", "0.75", "--seed", "2"]
-        serial = tmp_path / "serial.ckpt"
-        threaded = tmp_path / "threaded.ckpt"
-        assert main(base + ["--model", str(serial)]) == 0
-        assert main(base + ["--model", str(threaded), "--parallel", "3"]) == 0
-        assert serial.read_bytes() == threaded.read_bytes()
+    @pytest.mark.filterwarnings("ignore:divide by zero")
+    def test_non_finite_loss_stops_at_its_batch(self, ws, tmp_path, capsys, monkeypatch):
+        import sslstm.training
+
+        steps = []
+        real_step = sslstm.training.sgd_step
+        monkeypatch.setattr(
+            sslstm.training, "sgd_step", lambda *a: steps.append(1) or real_step(*a)
+        )
+        model = tmp_path / "diverged.ckpt"
+        assert main(["train", "--train", ws["train"], "--model", str(model),
+                     "--semantic-emb", ws["semantic_emb"],
+                     "--sentiment-emb", ws["sentiment_emb"],
+                     "--sem-hidden", "4", "--sent-hidden", "3", "--fc-hidden", "5",
+                     "--epochs", "50", "--lr", "1e4", "--token-budget", "8",
+                     "--ratio", "0.75"]) == 3
+        err = capsys.readouterr().err
+        found = re.search(r"non-finite at epoch (\d+), batch (\d+)", err)
+        assert found, err
+        # The first epoch of 50 stops at the failing batch: only the batches
+        # before it were applied.
+        assert found.group(1) == "0"
+        assert len(steps) == int(found.group(2))
+        assert not model.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_missing_table_warns_per_active_channel(self, ws, command, capsys):
+        base = [command, "--model", ws["sslstm_model"], "--data", ws["train"]]
+        assert main(base) == 0
+        warnings = capsys.readouterr().err.splitlines()
+        assert len(warnings) == 2
+        assert all(line.startswith("warning: ") for line in warnings)
+        assert "--semantic-emb" in warnings[0] and "--sentiment-emb" in warnings[1]
+
+        assert main(base + ["--semantic-emb", ws["semantic_emb"]]) == 0
+        warnings = capsys.readouterr().err.splitlines()
+        assert len(warnings) == 1 and "--sentiment-emb" in warnings[0]
+
+        assert main(base + ["--semantic-emb", ws["semantic_emb"],
+                            "--sentiment-emb", ws["sentiment_emb"]]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_train_summary_lines(self, ws, tmp_path, capsys):
         model = tmp_path / "m.ckpt"

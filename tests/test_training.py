@@ -7,7 +7,14 @@ from conftest import make_table
 from sslstm.dataio import Conversation
 from sslstm.embeddings import EmbeddingTable, load_embedding_file, save_embedding_file
 from sslstm.labels import LABELS
-from sslstm.neural import Gradients, ModelConfig, init_model, predict, ss_forward
+from sslstm.neural import (
+    Gradients,
+    ModelConfig,
+    init_model,
+    predict,
+    ss_backward,
+    ss_forward,
+)
 from sslstm.training import (
     CheckpointError,
     ShapeMismatchError,
@@ -362,20 +369,70 @@ class TestTrain:
 
         assert _val_macro_f1(best, val_set) == pytest.approx(best_f1, abs=1e-9)
 
-    def test_parallel_matches_serial(self):
-        train_set, val_set = keyword_dataset()
-        serial_model = keyword_model(seed=3)
-        parallel_model = keyword_model(seed=3)
-        base = dict(max_epochs=5, stop_when_train_accuracy=None, patience=5)
-        _, serial_hist = train(serial_model, train_set, val_set, self.run_config(**base))
-        _, parallel_hist = train(
-            parallel_model, train_set, val_set, self.run_config(parallel=True, **base)
+    def test_one_epoch_matches_reference_batch_sums(self):
+        vocab = ["good", "bad", "mad", "meh", "a", "b"]
+        rng = np.random.default_rng(8)
+        train_set = [
+            conv(i, " ".join(rng.choice(vocab, size=rng.integers(1, 5))), LABELS[i % 4])
+            for i in range(16)
+        ]
+        val_set = [conv(100 + i, vocab[i], LABELS[i]) for i in range(4)]
+        config = TrainConfig(
+            learning_rate=0.3,
+            token_budget=7,
+            max_epochs=1,
+            patience=1,
+            seed=5,
+            class_weights=(1.0, 2.0, 0.5, 1.5),
         )
-        assert abs(
-            serial_hist.records[-1].val_macro_f1 - parallel_hist.records[-1].val_macro_f1
-        ) < 1e-6
-        for k, v in serial_model.param_tensors().items():
-            np.testing.assert_allclose(parallel_model.param_tensors()[k], v, atol=1e-9)
+        trained, _ = train(
+            tiny_random_model(seed=6, train_embeddings=True), train_set, val_set, config
+        )
+
+        reference = tiny_random_model(seed=6, train_embeddings=True)
+        batches = make_batches(
+            train_set, config.token_budget, seed=config.seed, max_len=reference.config.max_seq_len
+        )
+        assert sum(len(batch) > 1 for batch in batches) >= 3
+        for batch in batches:
+            tensors, sem_embed, sent_embed = {}, {}, {}
+            for c in batch:
+                target = LABELS.index(c.label)
+                weight = config.class_weights[target]
+                _, cache = ss_forward(reference, c.tokens)
+                grads = ss_backward(reference, cache, target)
+                for total, part in (
+                    (tensors, grads.tensors),
+                    (sem_embed, grads.sem_embed),
+                    (sent_embed, grads.sent_embed),
+                ):
+                    for key, value in part.items():
+                        value = value * weight
+                        total[key] = total[key] + value if key in total else value
+            scale = 1.0 / len(batch)
+            mean = Gradients(
+                tensors={k: v * scale for k, v in tensors.items()},
+                sem_embed={k: v * scale for k, v in sem_embed.items()},
+                sent_embed={k: v * scale for k, v in sent_embed.items()},
+            )
+            sgd_step(reference, mean, config.learning_rate)
+
+        for name, tensor in reference.param_tensors().items():
+            np.testing.assert_array_equal(trained.param_tensors()[name], tensor)
+        initial = tiny_random_model(seed=6, train_embeddings=True)
+        moved = 0
+        for attr in ("semantic_table", "sentiment_table"):
+            for token, row in getattr(reference, attr).vectors.items():
+                np.testing.assert_array_equal(getattr(trained, attr).vectors[token], row)
+                moved += not np.array_equal(getattr(initial, attr).vectors[token], row)
+        assert moved > 0
+
+    @pytest.mark.filterwarnings("ignore:divide by zero")
+    def test_non_finite_loss_raises_at_its_batch(self):
+        train_set, val_set = keyword_dataset()
+        config = self.run_config(learning_rate=1e4, max_epochs=20)
+        with pytest.raises(FloatingPointError, match=r"at epoch 0, batch \d+$"):
+            train(keyword_model(seed=1), train_set, val_set, config)
 
     def test_zero_class_weight_freezes_training(self):
         sem, sent = keyword_tables()
@@ -536,6 +593,16 @@ class TestCheckpoint:
         p1, _ = ss_forward(model, ["good", "bad"])
         p2, _ = ss_forward(loaded, ["good", "bad"])
         np.testing.assert_allclose(p2, p1, atol=1e-6)
+
+    def test_save_load_save_is_exact(self, tmp_path):
+        model = self.build_model(seed=5)
+        first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+        save_checkpoint(model, TrainConfig(seed=5), first)
+        loaded = load_checkpoint(first, model.semantic_table, model.sentiment_table)
+        for name, tensor in model.param_tensors().items():
+            np.testing.assert_array_equal(loaded.param_tensors()[name], tensor)
+        save_checkpoint(loaded, TrainConfig(seed=5), second)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_corrupt_header(self):
         with pytest.raises(UnknownVersionError):
