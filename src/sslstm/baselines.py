@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from sslstm.labels import LABELS, N_CLASSES, label_index
-from sslstm.text_norm import EmoticonLexicon, default_lexicon, emoticon_class
+from sslstm.text_norm import EmoticonLexicon, default_lexicon, emoticon_class, surfaces
 from sslstm.training import CheckpointError, read_container, write_container
 
 NGRAM_ORDERS = (1, 2, 3)
@@ -47,15 +47,15 @@ def extract_features(tokens, lex: EmoticonLexicon | None = None) -> FeatureVecto
     happy/sad/angry emoticon occurrences; neutral emoticons are ignored."""
     if lex is None:
         lex = default_lexicon()
-    surfaces = [getattr(t, "surface", t) for t in tokens]
+    texts = surfaces(tokens)
     ngrams: dict[str, int] = {}
     for order in NGRAM_ORDERS:
-        for start in range(len(surfaces) - order + 1):
-            gram = " ".join(surfaces[start : start + order])
+        for start in range(len(texts) - order + 1):
+            gram = " ".join(texts[start : start + order])
             ngrams[gram] = ngrams.get(gram, 0) + 1
     emoticons = np.zeros(3, dtype=np.int64)
-    for token in tokens:
-        slot = _EMOTICON_SLOTS.get(emoticon_class(token, lex) or "")
+    for text in texts:
+        slot = _EMOTICON_SLOTS.get(emoticon_class(text, lex) or "")
         if slot is not None:
             emoticons[slot] += 1
     return FeatureVector(ngrams=ngrams, emoticons=emoticons)
@@ -275,7 +275,11 @@ def save_baseline(model, sink) -> None:
 
 def load_baseline(source):
     """Read back a baseline model; dispatches on ``meta model``."""
-    meta, tensors = read_container(source)
+    return baseline_from_container(*read_container(source))
+
+
+def baseline_from_container(meta: dict[str, str], tensors: dict[str, np.ndarray]):
+    """:func:`load_baseline` on an already parsed container."""
     kind = meta.get("model")
     if kind == "nb":
         vocab = _vocab_from_meta(meta.get("vocab", ""))

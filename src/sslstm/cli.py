@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import (
+    baseline_from_container,
     extract_features,
-    load_baseline,
     nb_predict,
     nb_train,
     save_baseline,
@@ -71,8 +71,8 @@ from .neural import (
     CHANNELS,
     FC_ACTIVATIONS,
     ModelConfig,
+    batch_predict,
     init_model,
-    predict,
 )
 from .text_norm import (
     LexiconFormatError,
@@ -85,7 +85,7 @@ from .training import (
     CheckpointError,
     TrainConfig,
     gradient_check,
-    load_checkpoint,
+    model_from_container,
     read_container,
     save_checkpoint,
     split_dataset,
@@ -194,8 +194,9 @@ def _require(args, flags: list[str], context: str) -> None:
 
 
 def _load_predictor(args, lex):
-    """A callable Conversation -> label for any saved model file."""
-    meta, _ = read_container(args.model)
+    """A callable list of conversations -> list of labels for any saved
+    model file."""
+    meta, tensors = read_container(args.model)
     kind = meta.get("model", "sslstm")
     if kind == "sslstm":
         # A missing table loads as an empty one of the checkpoint's dimension.
@@ -203,7 +204,7 @@ def _load_predictor(args, lex):
         for channel in ("semantic", "sentiment"):
             path = getattr(args, f"{channel}_emb")
             tables[channel] = None if path is None else load_embedding_file(path, name=channel)
-        model = load_checkpoint(args.model, tables["semantic"], tables["sentiment"])
+        model = model_from_container(meta, tensors, tables["semantic"], tables["sentiment"])
         for channel in model.config.active_channels():
             if tables[channel] is None:
                 print(
@@ -211,10 +212,10 @@ def _load_predictor(args, lex):
                     f"--{channel}-emb was given; every token is out of vocabulary there",
                     file=sys.stderr,
                 )
-        return lambda conv: predict(model, conv.tokens)
-    baseline = load_baseline(args.model)
+        return lambda convs: batch_predict(model, [conv.tokens for conv in convs])
+    baseline = baseline_from_container(meta, tensors)
     scorer = nb_predict if kind == "nb" else svm_predict
-    return lambda conv: scorer(baseline, extract_features(conv.tokens, lex))
+    return lambda convs: [scorer(baseline, extract_features(c.tokens, lex)) for c in convs]
 
 
 def _compare_predictor(args, lex):
@@ -283,6 +284,13 @@ def cmd_train(args) -> None:
         max_seq_len=args.max_seq_len,
         train_embeddings=args.train_embeddings,
     )
+    for channel in model_config.active_channels():
+        if getattr(args, f"{channel}_emb") is None:
+            print(
+                f"warning: training the {channel} channel but no --{channel}-emb "
+                f"was given; every token is out of vocabulary there",
+                file=sys.stderr,
+            )
     train_config = TrainConfig(
         learning_rate=args.lr,
         token_budget=args.token_budget,
@@ -308,13 +316,13 @@ def cmd_eval(args) -> None:
     lex = _lexicon(args)
     dataset = require_labeled(read_dataset(args.data))
     predictor = _load_predictor(args, lex)
-    predictions = [predictor(conv) for conv in dataset]
+    predictions = predictor(dataset)
     golds = [conv.label for conv in dataset]
     report = evaluate(predictions, golds)
     text = report_tsv(report) if args.format == "tsv" else format_report(report)
     if args.compare_model:
         other = _compare_predictor(args, lex)
-        other_predictions = [other(conv) for conv in dataset]
+        other_predictions = other(dataset)
         correct_a = [p == g for p, g in zip(predictions, golds)]
         correct_b = [p == g for p, g in zip(other_predictions, golds)]
         statistic, significant = mcnemar(correct_a, correct_b)
@@ -329,7 +337,7 @@ def cmd_predict(args) -> None:
     lex = _lexicon(args)
     dataset = read_dataset(args.data)
     predictor = _load_predictor(args, lex)
-    rows = [f"{conv.id}\t{predictor(conv)}" for conv in dataset]
+    rows = [f"{conv.id}\t{label}" for conv, label in zip(dataset, predictor(dataset))]
     _emit("\n".join(rows), args.output)
 
 

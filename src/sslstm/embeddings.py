@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sslstm.text_norm import Token
+from sslstm.text_norm import surface, surfaces
 
 # Fallback dimensionalities for channels constructed without a file.
 DEFAULT_SEMANTIC_DIM = 100
@@ -46,7 +46,7 @@ class EmbeddingTable:
         self._zero = np.zeros(self.dim)
 
     def __contains__(self, token) -> bool:
-        return _surface(token) in self.vectors
+        return surface(token) in self.vectors
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -55,10 +55,6 @@ class EmbeddingTable:
 def empty_table(dim: int, name: str = "") -> EmbeddingTable:
     """A table with no vocabulary; every lookup is the zero vector."""
     return EmbeddingTable(dim=dim, vectors={}, name=name)
-
-
-def _surface(token) -> str:
-    return token.surface if isinstance(token, Token) else token
 
 
 def load_embedding_file(source, name: str = "") -> EmbeddingTable:
@@ -137,7 +133,7 @@ def save_embedding_file(table: EmbeddingTable, sink, header: bool = False) -> No
 
 def lookup(table: EmbeddingTable, token) -> np.ndarray:
     """Vector for a token; the zero vector when out of vocabulary."""
-    return table.vectors.get(_surface(token), table._zero)
+    return table.vectors.get(surface(token), table._zero)
 
 
 def cosine(u, v) -> float:
@@ -159,7 +155,7 @@ def cosine(u, v) -> float:
 
 def sentence_embedding(table: EmbeddingTable, tokens) -> np.ndarray:
     """Mean of the in-vocabulary token vectors; zeros if there are none."""
-    in_vocab = [table.vectors[s] for s in (_surface(t) for t in tokens) if s in table.vectors]
+    in_vocab = [table.vectors[s] for s in surfaces(tokens) if s in table.vectors]
     if not in_vocab:
         return np.zeros(table.dim)
     return np.mean(in_vocab, axis=0)

@@ -8,6 +8,13 @@ into a 4-way softmax over (happy, sad, angry, others).
 Forward and backward passes are hand-written in float64 numpy.  The backward
 pass is exact backpropagation through time; its correctness is pinned by
 finite-difference checks in the training module and the test suite.
+
+One kernel serves every entry point.  It takes a chunk of sequences sorted
+longest first, stacks the four gates into one weight matrix per input
+(Appleyard et al. 2016, arXiv:1604.01946), computes the input projection
+of every token in one matrix product, and at each step runs only the
+sequences still going.  The single-sequence functions (``lstm_forward``,
+``ss_forward``, ``ss_backward``, ``predict``) are chunks of one.
 """
 
 from __future__ import annotations
@@ -19,10 +26,14 @@ import numpy as np
 
 from sslstm.embeddings import EmbeddingTable, lookup
 from sslstm.labels import LABELS, N_CLASSES
-from sslstm.text_norm import Token
+from sslstm.text_norm import surfaces
 
 CHANNELS = ("both", "semantic", "sentiment")
 FC_ACTIVATIONS = ("relu", "tanh")
+
+# Sequences per kernel call.  Batches and prediction sets are worked through
+# in chunks of this size, so activation memory stays bounded.
+CHUNK = 32
 
 _GATES = ("i", "f", "o", "c")
 
@@ -32,18 +43,16 @@ class StaleCacheError(ValueError):
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Piecewise form avoids exp overflow for large negative inputs.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) <= 1 never overflows.  The numerator is 1 where x >= 0 and
+    # exp(x) elsewhere, picked without a branch: max(e, 1) = 1, max(e, 0) = e.
+    e = np.exp(-np.abs(x))
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - np.max(z))
-    return e / e.sum()
+    """Softmax over the last axis (one distribution per row)."""
+    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 @dataclass
@@ -135,23 +144,56 @@ class SSLSTMModel:
 
 @dataclass
 class LSTMCache:
-    """Per-step activations of one channel, kept for backpropagation."""
+    """Per-step activations of one channel over a chunk of sequences, kept
+    for backpropagation.
 
-    xs: np.ndarray  # (T, input_dim)
-    i: np.ndarray   # (T, hidden) gate outputs
+    Rows are step-major: step 0 of every sequence, then step 1 of every
+    sequence still running, and so on.  The sequences are sorted longest
+    first, so the ``steps[t]`` sequences running at step ``t`` are always the
+    first ones.  For a single sequence the rows are just its time steps.
+    """
+
+    xs: np.ndarray  # (rows, input_dim)
+    i: np.ndarray   # (rows, hidden) gate outputs
     f: np.ndarray
     o: np.ndarray
     g: np.ndarray   # candidate cell values, tanh
     c: np.ndarray   # cell states
     h: np.ndarray   # hidden states
+    steps: list[int]
+
+
+# Output-layer activations shared by the single-example and the batch cache.
+_HEAD = ("concat", "z1", "a1", "logits", "probs")
 
 
 @dataclass
 class ForwardCache:
+    """Backward cache of one token sequence (see :func:`ss_forward`)."""
+
     tokens: list[str]
     sem: LSTMCache | None
     sent: LSTMCache | None
     concat: np.ndarray
+    z1: np.ndarray
+    a1: np.ndarray
+    logits: np.ndarray
+    probs: np.ndarray
+
+
+@dataclass
+class BatchCache:
+    """Backward cache of a list of token sequences (see :func:`batch_forward`).
+
+    Rows are sorted longest first: row ``r`` holds input sequence
+    ``order[r]``, and ``tokens`` and the head arrays follow that order.
+    """
+
+    tokens: list[list[str]]
+    order: list[int]
+    sem: LSTMCache | None
+    sent: LSTMCache | None
+    concat: np.ndarray  # (batch, concat width)
     z1: np.ndarray
     a1: np.ndarray
     logits: np.ndarray
@@ -245,6 +287,114 @@ def clone_model(model: SSLSTMModel) -> SSLSTMModel:
     return new
 
 
+def _fused(params: LSTMParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The four gates stacked in (i, f, o, c) order: W (4H, D), U (4H, H), b (4H)."""
+    W = np.concatenate([getattr(params, f"W_{gate}") for gate in _GATES])
+    U = np.concatenate([getattr(params, f"U_{gate}") for gate in _GATES])
+    b = np.concatenate([getattr(params, f"b_{gate}") for gate in _GATES])
+    return W, U, b
+
+
+def _step_starts(steps: list[int]) -> np.ndarray:
+    """First row of each step in the step-major layout."""
+    return np.concatenate(([0], np.cumsum(steps[:-1], dtype=np.int64)))
+
+
+def _lstm_run(params: LSTMParams, xs: np.ndarray, steps: list[int]) -> LSTMCache:
+    """The LSTM recurrence over step-major rows (see :class:`LSTMCache`),
+    from zero initial state.  The input projection of every row is one
+    matrix product; each step then adds the recurrent term for the
+    sequences still running."""
+    W, U, b = _fused(params)
+    H = params.hidden_dim
+    # Each step overwrites its own rows of the pre-activations with the
+    # gate outputs.
+    act = xs @ W.T + b
+    c = np.empty((xs.shape[0], H))
+    h = np.empty((xs.shape[0], H))
+    start = prev = 0
+    for t, n in enumerate(steps):
+        rows = slice(start, start + n)
+        a = act[rows]
+        if t:
+            a = a + h[prev : prev + n] @ U.T
+        act[rows, : 3 * H] = _sigmoid(a[:, : 3 * H])
+        act[rows, 3 * H :] = np.tanh(a[:, 3 * H :])
+        i_t, f_t, o_t, g_t = (act[rows, k * H : (k + 1) * H] for k in range(4))
+        c_t = i_t * g_t
+        if t:
+            c_t += f_t * c[prev : prev + n]
+        c[rows] = c_t
+        h[rows] = o_t * np.tanh(c_t)
+        prev, start = start, start + n
+    i, f, o, g = (act[:, k * H : (k + 1) * H] for k in range(4))
+    return LSTMCache(xs=xs, i=i, f=f, o=o, g=g, c=c, h=h, steps=list(steps))
+
+
+def _final_states(cache: LSTMCache, lengths: list[int]) -> np.ndarray:
+    """Last hidden state of each sequence (lengths sorted longest first);
+    zeros for an empty sequence."""
+    finals = np.zeros((len(lengths), cache.h.shape[1]))
+    running = sum(1 for n in lengths if n)
+    if running:
+        last = np.asarray(lengths[:running]) - 1
+        finals[:running] = cache.h[_step_starts(cache.steps)[last] + np.arange(running)]
+    return finals
+
+
+def _lstm_backprop(
+    params: LSTMParams, cache: LSTMCache, dh_final: np.ndarray, want_dx: bool
+) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+    """BPTT over every sequence of a chunk, given the loss gradient at each
+    sequence's final hidden state (rows in the cache's sequence order).
+
+    Each step backpropagates the sequences running at it together; the
+    weight gradients are then one product over all rows: dW = dA^T X,
+    dU = dA^T H_prev, db = sum of dA.  Returns the per-gate gradients and,
+    when ``want_dx``, the input gradient of every row."""
+    W, U, _ = _fused(params)
+    H = params.hidden_dim
+    steps = cache.steps
+    starts = _step_starts(steps)
+    tanh_c = np.tanh(cache.c)
+    dA = np.empty((cache.xs.shape[0], 4 * H))
+    dh = np.zeros_like(dh_final)
+    dc = np.zeros_like(dh_final)
+    for t in range(len(steps) - 1, -1, -1):
+        n = steps[t]
+        ending = steps[t + 1] if t + 1 < len(steps) else 0
+        # Sequences whose last step is t pick up their output gradient here.
+        dh[ending:n] = dh_final[ending:n]
+        rows = slice(starts[t], starts[t] + n)
+        i_t, f_t, o_t, g_t = cache.i[rows], cache.f[rows], cache.o[rows], cache.g[rows]
+        tc = tanh_c[rows]
+        dh_t = dh[:n]
+        do = dh_t * tc
+        dc_t = dc[:n] + dh_t * o_t * (1.0 - tc**2)
+        c_prev = cache.c[starts[t - 1] : starts[t - 1] + n] if t else 0.0
+        # Through the gate nonlinearities to the pre-activations.
+        dA[rows, :H] = dc_t * g_t * i_t * (1.0 - i_t)
+        dA[rows, H : 2 * H] = dc_t * c_prev * f_t * (1.0 - f_t)
+        dA[rows, 2 * H : 3 * H] = do * o_t * (1.0 - o_t)
+        dA[rows, 3 * H :] = dc_t * i_t * (1.0 - g_t**2)
+        dc[:n] = dc_t * f_t
+        if t:
+            dh[:n] = dA[rows] @ U
+    dW = dA.T @ cache.xs
+    db = dA.sum(axis=0)
+    # Row r of step t >= 1 follows row r - steps[t-1] of step t - 1.
+    first = steps[0] if steps else 0
+    prev_rows = np.arange(first, cache.xs.shape[0]) - np.repeat(
+        np.array(steps[:-1], dtype=np.int64), steps[1:]
+    )
+    dU = dA[first:].T @ cache.h[prev_rows]
+    grads = {}
+    for kind, full in (("W", dW), ("U", dU), ("b", db)):
+        for k, gate in enumerate(_GATES):
+            grads[f"{kind}_{gate}"] = full[k * H : (k + 1) * H]
+    return grads, (dA @ W if want_dx else None)
+
+
 def lstm_forward(params: LSTMParams, inputs) -> tuple[np.ndarray, np.ndarray, LSTMCache]:
     """Run the standard LSTM recurrence from zero initial state.
 
@@ -252,174 +402,131 @@ def lstm_forward(params: LSTMParams, inputs) -> tuple[np.ndarray, np.ndarray, LS
     empty input), and the cache needed for the backward pass.
     """
     inputs = [np.asarray(x, dtype=np.float64) for x in inputs]
-    h_dim = params.hidden_dim
     for t, x in enumerate(inputs):
         if x.shape != (params.input_dim,):
             raise ValueError(
                 f"input {t} has shape {x.shape}, expected ({params.input_dim},)"
             )
-    T = len(inputs)
-    xs = np.zeros((T, params.input_dim))
-    gates = {name: np.zeros((T, h_dim)) for name in ("i", "f", "o", "g", "c", "h")}
-    h_prev = np.zeros(h_dim)
-    c_prev = np.zeros(h_dim)
-    for t, x in enumerate(inputs):
-        i_t = _sigmoid(params.W_i @ x + params.U_i @ h_prev + params.b_i)
-        f_t = _sigmoid(params.W_f @ x + params.U_f @ h_prev + params.b_f)
-        o_t = _sigmoid(params.W_o @ x + params.U_o @ h_prev + params.b_o)
-        g_t = np.tanh(params.W_c @ x + params.U_c @ h_prev + params.b_c)
-        c_t = f_t * c_prev + i_t * g_t
-        h_t = o_t * np.tanh(c_t)
-        xs[t] = x
-        for name, val in (("i", i_t), ("f", f_t), ("o", o_t), ("g", g_t), ("c", c_t), ("h", h_t)):
-            gates[name][t] = val
-        h_prev, c_prev = h_t, c_t
-    cache = LSTMCache(xs=xs, **{k: gates[k] for k in ("i", "f", "o", "g", "c", "h")})
-    return gates["h"], h_prev, cache
+    xs = np.array(inputs).reshape(len(inputs), params.input_dim)
+    cache = _lstm_run(params, xs, [1] * len(inputs))
+    return cache.h, _final_states(cache, [len(inputs)])[0], cache
 
 
-def _lstm_backward(
-    params: LSTMParams, cache: LSTMCache, dh_final: np.ndarray, want_dx: bool
-) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
-    """BPTT for one channel given the loss gradient at the final hidden state."""
-    T = cache.xs.shape[0]
-    grads = {
-        f"{kind}_{gate}": np.zeros_like(getattr(params, f"{kind}_{gate}"))
-        for kind in ("W", "U", "b")
-        for gate in _GATES
-    }
-    dxs = np.zeros_like(cache.xs) if want_dx else None
-    dh = dh_final.copy()
-    dc = np.zeros(params.hidden_dim)
-    for t in range(T - 1, -1, -1):
-        i_t, f_t, o_t, g_t, c_t = cache.i[t], cache.f[t], cache.o[t], cache.g[t], cache.c[t]
-        c_prev = cache.c[t - 1] if t > 0 else np.zeros(params.hidden_dim)
-        h_prev = cache.h[t - 1] if t > 0 else np.zeros(params.hidden_dim)
-        tanh_c = np.tanh(c_t)
-        do = dh * tanh_c
-        dc = dc + dh * o_t * (1.0 - tanh_c**2)
-        di = dc * g_t
-        dg = dc * i_t
-        df = dc * c_prev
-        dc_prev = dc * f_t
-        # Through the gate nonlinearities to the pre-activations.
-        da = {
-            "i": di * i_t * (1.0 - i_t),
-            "f": df * f_t * (1.0 - f_t),
-            "o": do * o_t * (1.0 - o_t),
-            "c": dg * (1.0 - g_t**2),
-        }
-        dh_prev = np.zeros(params.hidden_dim)
-        x_t = cache.xs[t]
-        for gate in _GATES:
-            d = da[gate]
-            grads[f"W_{gate}"] += np.outer(d, x_t)
-            grads[f"U_{gate}"] += np.outer(d, h_prev)
-            grads[f"b_{gate}"] += d
-            dh_prev += getattr(params, f"U_{gate}").T @ d
-            if want_dx:
-                dxs[t] += getattr(params, f"W_{gate}").T @ d
-        dh = dh_prev
-        dc = dc_prev
-    return grads, dxs
+def _step_major(sequences: list[list[str]]) -> tuple[list[int], list[str]]:
+    """Per-step running counts and the tokens in step-major row order, for
+    sequences sorted longest first."""
+    longest = len(sequences[0]) if sequences else 0
+    steps = [sum(1 for seq in sequences if len(seq) > t) for t in range(longest)]
+    rows = [sequences[k][t] for t in range(longest) for k in range(steps[t])]
+    return steps, rows
 
 
-def _embed(model: SSLSTMModel, tokens) -> list[str]:
-    out = []
-    for tok in tokens[: model.config.max_seq_len]:
-        out.append(tok.surface if isinstance(tok, Token) else tok)
-    return out
-
-
-def ss_forward(model: SSLSTMModel, tokens) -> tuple[np.ndarray, ForwardCache]:
-    """Class probabilities for one token sequence, plus the backward cache."""
-    surfaces = _embed(model, tokens)
+def _channels(model: SSLSTMModel):
+    """(gradient prefix, name, active?, params, table) per channel, semantic
+    first: the concat order."""
     active = model.config.active_channels()
-    sem_cache = sent_cache = None
+    return (
+        ("sem", "semantic", "semantic" in active, model.sem, model.semantic_table),
+        ("sent", "sentiment", "sentiment" in active, model.sent, model.sentiment_table),
+    )
+
+
+def batch_forward(model: SSLSTMModel, sequences) -> tuple[np.ndarray, BatchCache]:
+    """Class probabilities for a list of token sequences, one row per
+    sequence in input order, plus the cache for :func:`batch_backward`.
+
+    Every channel runs all sequences through one kernel call, so memory
+    grows with the batch: callers pass at most :data:`CHUNK` sequences.
+    """
+    max_len = model.config.max_seq_len
+    texts = [surfaces(seq[:max_len]) for seq in sequences]
+    order = sorted(range(len(texts)), key=lambda k: -len(texts[k]))
+    tokens = [texts[k] for k in order]
+    steps, row_tokens = _step_major(tokens)
+    lengths = [len(seq) for seq in tokens]
+    caches = {"sem": None, "sent": None}
     finals = []
-    if "semantic" in active:
-        xs = [lookup(model.semantic_table, s) for s in surfaces]
-        _, h_final, sem_cache = lstm_forward(model.sem, xs)
-        finals.append(h_final)
-    if "sentiment" in active:
-        xs = [lookup(model.sentiment_table, s) for s in surfaces]
-        _, h_final, sent_cache = lstm_forward(model.sent, xs)
-        finals.append(h_final)
-    concat = np.concatenate(finals)
-    z1 = model.fc_W @ concat + model.fc_b
+    for prefix, _, active, params, table in _channels(model):
+        if active:
+            xs = np.array([lookup(table, s) for s in row_tokens])
+            caches[prefix] = _lstm_run(params, xs.reshape(len(row_tokens), table.dim), steps)
+            finals.append(_final_states(caches[prefix], lengths))
+    concat = np.concatenate(finals, axis=1)
+    z1 = concat @ model.fc_W.T + model.fc_b
     a1 = np.maximum(z1, 0.0) if model.config.fc_activation == "relu" else np.tanh(z1)
-    logits = model.out_W @ a1 + model.out_b
+    logits = a1 @ model.out_W.T + model.out_b
     probs = softmax(logits)
-    cache = ForwardCache(
-        tokens=surfaces,
-        sem=sem_cache,
-        sent=sent_cache,
+    cache = BatchCache(
+        tokens=tokens,
+        order=order,
+        sem=caches["sem"],
+        sent=caches["sent"],
         concat=concat,
         z1=z1,
         a1=a1,
         logits=logits,
         probs=probs,
     )
-    return probs, cache
+    in_order = np.empty_like(probs)
+    in_order[order] = probs
+    return in_order, cache
 
 
-def _check_cache(model: SSLSTMModel, cache: ForwardCache) -> None:
-    if cache.concat.shape != (model.concat_width(),):
+def _check_cache(model: SSLSTMModel, cache: BatchCache) -> None:
+    if cache.concat.shape[-1] != model.concat_width():
         raise StaleCacheError(
-            f"cache concat width {cache.concat.shape[0]} does not match model {model.concat_width()}"
+            f"cache concat width {cache.concat.shape[-1]} does not match model {model.concat_width()}"
         )
-    if cache.z1.shape != (model.fc_W.shape[0],):
+    if cache.z1.shape[-1] != model.fc_W.shape[0]:
         raise StaleCacheError("cache FC width does not match model")
-    active = model.config.active_channels()
-    for name, ch_cache, params in (
-        ("semantic", cache.sem, model.sem),
-        ("sentiment", cache.sent, model.sent),
-    ):
-        if name in active:
+    for prefix, name, active, params, _ in _channels(model):
+        ch_cache = getattr(cache, prefix)
+        if active:
             if ch_cache is None:
                 raise StaleCacheError(f"cache is missing the {name} channel")
             if ch_cache.xs.shape[1:] != (params.input_dim,) or ch_cache.h.shape[1:] != (params.hidden_dim,):
                 raise StaleCacheError(f"cache {name} channel shapes do not match model")
 
 
-def ss_backward(model: SSLSTMModel, cache: ForwardCache, target: int) -> Gradients:
-    """Exact cross-entropy gradients for every trainable parameter."""
-    _check_cache(model, cache)
-    target = int(target)
-    if not 0 <= target < N_CLASSES:
-        raise ValueError(f"target class out of range: {target}")
+def batch_backward(model: SSLSTMModel, cache: BatchCache, dlogits) -> Gradients:
+    """Gradients of every trainable parameter, summed over the batch, given
+    the loss gradient at each sequence's logits (rows in input order).
 
-    dlogits = cache.probs.copy()
-    dlogits[target] -= 1.0
-    d_out_W = np.outer(dlogits, cache.a1)
-    d_out_b = dlogits.copy()
-    da1 = model.out_W.T @ dlogits
+    For cross-entropy a row is ``probs - onehot(target)``, times any weight
+    the caller gives that example.
+    """
+    _check_cache(model, cache)
+    dlogits = np.asarray(dlogits, dtype=np.float64)
+    if dlogits.shape != cache.logits.shape:
+        raise ValueError(
+            f"dlogits has shape {dlogits.shape}, expected {cache.logits.shape}"
+        )
+    dlogits = dlogits[cache.order]
+    d_out_W = dlogits.T @ cache.a1
+    d_out_b = dlogits.sum(axis=0)
+    da1 = dlogits @ model.out_W
     if model.config.fc_activation == "relu":
         dz1 = da1 * (cache.z1 > 0.0)
     else:
         dz1 = da1 * (1.0 - cache.a1**2)
-    d_fc_W = np.outer(dz1, cache.concat)
-    d_fc_b = dz1.copy()
-    dconcat = model.fc_W.T @ dz1
+    d_fc_W = dz1.T @ cache.concat
+    d_fc_b = dz1.sum(axis=0)
+    dconcat = dz1 @ model.fc_W
 
     tensors: dict[str, np.ndarray] = {}
     want_dx = model.config.train_embeddings
     embed_grads: dict[str, dict[str, np.ndarray]] = {}
     offset = 0
-    active = model.config.active_channels()
-    for prefix, name, params, ch_cache, table in (
-        ("sem", "semantic", model.sem, cache.sem, model.semantic_table),
-        ("sent", "sentiment", model.sent, cache.sent, model.sentiment_table),
-    ):
-        if name in active:
-            dh_final = dconcat[offset : offset + params.hidden_dim]
+    for prefix, _, active, params, table in _channels(model):
+        if active:
+            dh_final = dconcat[:, offset : offset + params.hidden_dim]
             offset += params.hidden_dim
-            ch_grads, dxs = _lstm_backward(params, ch_cache, dh_final, want_dx)
+            ch_grads, dxs = _lstm_backprop(params, getattr(cache, prefix), dh_final, want_dx)
             if want_dx:
                 acc: dict[str, np.ndarray] = {}
-                for t, surface in enumerate(cache.tokens):
+                for surface, dx in zip(_step_major(cache.tokens)[1], dxs):
                     if surface in table.vectors:
-                        acc[surface] = acc.get(surface, 0.0) + dxs[t]
+                        acc[surface] = acc[surface] + dx if surface in acc else dx
                 embed_grads[prefix] = acc
         else:
             ch_grads = {
@@ -440,7 +547,44 @@ def ss_backward(model: SSLSTMModel, cache: ForwardCache, target: int) -> Gradien
     )
 
 
+def chunks(sequences) -> list[list[int]]:
+    """Indices of ``sequences`` in groups of at most :data:`CHUNK`, longest
+    first, so that each kernel call runs sequences of similar length."""
+    order = sorted(range(len(sequences)), key=lambda k: -len(sequences[k]))
+    return [order[start : start + CHUNK] for start in range(0, len(order), CHUNK)]
+
+
+def batch_predict(model: SSLSTMModel, sequences) -> list[str]:
+    """Most probable label of each token sequence, one kernel call per
+    :func:`chunks` group; ties break in class order (happy first)."""
+    sequences = list(sequences)
+    labels = [""] * len(sequences)
+    for group in chunks(sequences):
+        probs, _ = batch_forward(model, [sequences[k] for k in group])
+        for k, best in zip(group, np.argmax(probs, axis=1)):
+            labels[k] = LABELS[int(best)]
+    return labels
+
+
+def ss_forward(model: SSLSTMModel, tokens) -> tuple[np.ndarray, ForwardCache]:
+    """Class probabilities for one token sequence, plus the backward cache."""
+    probs, batch = batch_forward(model, [tokens])
+    head = {name: getattr(batch, name)[0] for name in _HEAD}
+    return probs[0], ForwardCache(tokens=batch.tokens[0], sem=batch.sem, sent=batch.sent, **head)
+
+
+def ss_backward(model: SSLSTMModel, cache: ForwardCache, target: int) -> Gradients:
+    """Exact cross-entropy gradients for every trainable parameter."""
+    target = int(target)
+    if not 0 <= target < N_CLASSES:
+        raise ValueError(f"target class out of range: {target}")
+    head = {name: getattr(cache, name)[None] for name in _HEAD}
+    batch = BatchCache(tokens=[cache.tokens], order=[0], sem=cache.sem, sent=cache.sent, **head)
+    dlogits = batch.probs.copy()
+    dlogits[0, target] -= 1.0
+    return batch_backward(model, batch, dlogits)
+
+
 def predict(model: SSLSTMModel, tokens) -> str:
     """Most probable label; ties break in class order (happy first)."""
-    probs, _ = ss_forward(model, tokens)
-    return LABELS[int(np.argmax(probs))]
+    return batch_predict(model, [tokens])[0]

@@ -226,19 +226,24 @@ def normalize_utterance(raw: str, lex: EmoticonLexicon | None = None) -> list[To
     return normalize_emoticons(tokenize(raw, lex), lex)
 
 
-def emoticon_class(token, lex: EmoticonLexicon | None = None) -> str | None:
-    """Class of a canonical emoticon token; None for anything else."""
-    if lex is None:
-        lex = default_lexicon()
-    surface = token.surface if isinstance(token, Token) else token
-    return lex.canonical_class.get(surface)
-
-
-def serialize_tokens(tokens) -> str:
-    """Join tokens back into a space-separated string."""
-    return " ".join(t.surface if isinstance(t, Token) else t for t in tokens)
+def surface(token) -> str:
+    """The text of a token; every function taking tokens accepts either
+    :class:`Token` objects or their plain-string surfaces."""
+    return token.surface if isinstance(token, Token) else token
 
 
 def surfaces(tokens) -> list[str]:
     """Token surfaces as plain strings."""
-    return [t.surface if isinstance(t, Token) else t for t in tokens]
+    return list(map(surface, tokens))
+
+
+def emoticon_class(token, lex: EmoticonLexicon | None = None) -> str | None:
+    """Class of a canonical emoticon token; None for anything else."""
+    if lex is None:
+        lex = default_lexicon()
+    return lex.canonical_class.get(surface(token))
+
+
+def serialize_tokens(tokens) -> str:
+    """Join tokens back into a space-separated string."""
+    return " ".join(surfaces(tokens))

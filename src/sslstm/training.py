@@ -29,9 +29,12 @@ from sslstm.neural import (
     Gradients,
     ModelConfig,
     SSLSTMModel,
+    batch_backward,
+    batch_forward,
+    batch_predict,
+    chunks,
     clone_model,
     init_model,
-    predict,
     ss_backward,
     ss_forward,
 )
@@ -205,25 +208,28 @@ def split_dataset(dataset, ratio: float, seed: int):
     return train, validation
 
 
-def _example_gradient(model, conv, weights):
-    probs, cache = ss_forward(model, conv.tokens)
-    target = label_index(conv.label)
-    loss = cross_entropy(probs, target)
-    grads = ss_backward(model, cache, target)
-    if weights is not None:
-        w = float(weights[target])
-        loss *= w
-        _scale_gradients(grads, w)
-    return loss, grads
-
-
-def _scale_gradients(grads: Gradients, factor: float) -> None:
-    for tensor in grads.tensors.values():
-        tensor *= factor
-    for embed in (grads.sem_embed, grads.sent_embed):
-        if embed:
-            for token in embed:
-                embed[token] = embed[token] * factor
+def _batch_gradient(model, batch, weights):
+    """Weighted loss sum and mean gradient of one batch, one kernel call per
+    :func:`~sslstm.neural.chunks` group.  Each example's row of the logit
+    gradient carries its class weight and 1/len(batch)."""
+    loss = 0.0
+    total = None
+    tokens = [c.tokens for c in batch]
+    for group in chunks(tokens):
+        probs, cache = batch_forward(model, [tokens[k] for k in group])
+        targets = np.array([label_index(batch[k].label) for k in group])
+        rows = np.arange(len(group))
+        w = np.ones(len(group)) if weights is None else weights[targets]
+        loss += float(np.sum(w * -np.log(probs[rows, targets])))
+        dlogits = probs.copy()
+        dlogits[rows, targets] -= 1.0
+        dlogits *= (w / len(batch))[:, None]
+        grads = batch_backward(model, cache, dlogits)
+        if total is None:
+            total = grads
+        else:
+            _accumulate_gradients(total, grads)
+    return loss, total
 
 
 def _accumulate_gradients(total: Gradients, grads: Gradients) -> None:
@@ -245,12 +251,12 @@ def _accumulate_gradients(total: Gradients, grads: Gradients) -> None:
 
 
 def _accuracy(model, dataset) -> float:
-    correct = sum(1 for c in dataset if predict(model, c.tokens) == c.label)
-    return correct / len(dataset)
+    preds = batch_predict(model, [c.tokens for c in dataset])
+    return sum(p == c.label for p, c in zip(preds, dataset)) / len(dataset)
 
 
 def _val_macro_f1(model, dataset) -> float:
-    preds = [predict(model, c.tokens) for c in dataset]
+    preds = batch_predict(model, [c.tokens for c in dataset])
     golds = [c.label for c in dataset]
     return macro_f1(confusion(preds, golds))
 
@@ -262,10 +268,11 @@ def train(model: SSLSTMModel, train_set, validation_set, config: TrainConfig):
     gradient of each batch, then score validation macro-F1.  The parameters
     of the best validation epoch are kept; training stops after ``patience``
     epochs without improvement (patience 0 stops at the first) or at
-    ``max_epochs``.  Each example's gradient is added to the batch total in
-    batch order as soon as it is computed.  A batch whose loss is not finite
-    raises :class:`FloatingPointError` naming the epoch and batch index,
-    before any update from that batch is applied.
+    ``max_epochs``.  Each batch runs through the batched kernel in chunks of
+    at most :data:`~sslstm.neural.CHUNK` conversations whose gradients are
+    summed.  A batch whose loss is not finite raises
+    :class:`FloatingPointError` naming the epoch and batch index, before any
+    update from that batch is applied.
     """
     train_set = list(train_set)
     validation_set = list(validation_set)
@@ -295,17 +302,12 @@ def train(model: SSLSTMModel, train_set, validation_set, config: TrainConfig):
         )
         loss_total = 0.0
         for index, batch in enumerate(batches):
-            loss, total = _example_gradient(model, batch[0], weights)
+            loss, total = _batch_gradient(model, batch, weights)
             loss_total += loss
-            for conv in batch[1:]:
-                loss, grads = _example_gradient(model, conv, weights)
-                loss_total += loss
-                _accumulate_gradients(total, grads)
             if not math.isfinite(loss_total):
                 raise FloatingPointError(
                     f"training loss became non-finite at epoch {epoch}, batch {index}"
                 )
-            _scale_gradients(total, 1.0 / len(batch))
             sgd_step(model, total, config.learning_rate)
         train_loss = loss_total / len(train_set)
         val_f1 = _val_macro_f1(model, validation_set)
@@ -534,7 +536,16 @@ def load_checkpoint(
     Tables omitted here come back empty (every token out-of-vocabulary), so
     predictions then reflect only the stored weights.
     """
-    meta, stored = read_container(source)
+    return model_from_container(*read_container(source), semantic_table, sentiment_table)
+
+
+def model_from_container(
+    meta: dict[str, str],
+    stored: dict[str, np.ndarray],
+    semantic_table: EmbeddingTable | None = None,
+    sentiment_table: EmbeddingTable | None = None,
+) -> SSLSTMModel:
+    """:func:`load_checkpoint` on an already parsed container."""
     if meta.get("model", "sslstm") != "sslstm":
         raise CheckpointError(f"not a classifier checkpoint (model={meta['model']!r})")
     try:

@@ -255,6 +255,27 @@ class TestTrainEvalPredict:
                             "--sentiment-emb", ws["sentiment_emb"]]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("model_key", ["sslstm_model", "nb_model", "svm_model"])
+    def test_predict_parses_the_model_file_once(self, ws, model_key, monkeypatch, capsys):
+        import sslstm.baselines
+        import sslstm.cli
+        import sslstm.training
+
+        calls = []
+        real = sslstm.training.read_container
+
+        def counting(source):
+            calls.append(source)
+            return real(source)
+
+        for module in (sslstm.cli, sslstm.training, sslstm.baselines):
+            monkeypatch.setattr(module, "read_container", counting)
+        assert main(["predict", "--model", ws[model_key], "--data", ws["train"],
+                     "--semantic-emb", ws["semantic_emb"],
+                     "--sentiment-emb", ws["sentiment_emb"]]) == 0
+        assert len(calls) == 1
+        assert len(capsys.readouterr().out.splitlines()) == 24
+
     def test_train_summary_lines(self, ws, tmp_path, capsys):
         model = tmp_path / "m.ckpt"
         assert main(["train", "--train", ws["train"], "--model", str(model),
@@ -264,6 +285,28 @@ class TestTrainEvalPredict:
         out = capsys.readouterr().out
         assert "algorithm: sslstm" in out
         assert "best validation macro-F1:" in out
+
+    def test_train_warns_per_active_channel_without_a_table(self, ws, tmp_path, capsys):
+        base = ["train", "--train", ws["train"], "--model", str(tmp_path / "m.ckpt"),
+                "--sem-hidden", "3", "--sent-hidden", "3", "--fc-hidden", "3",
+                "--epochs", "1", "--ratio", "0.75"]
+        assert main(base) == 0
+        captured = capsys.readouterr()
+        warnings = captured.err.splitlines()
+        assert len(warnings) == 2
+        assert all(line.startswith("warning: ") for line in warnings)
+        assert "--semantic-emb" in warnings[0] and "--sentiment-emb" in warnings[1]
+        silent_stdout = captured.out
+
+        assert main(base + ["--channels", "sentiment"]) == 0
+        warnings = capsys.readouterr().err.splitlines()
+        assert len(warnings) == 1 and "--sentiment-emb" in warnings[0]
+
+        assert main(base + ["--semantic-emb", ws["semantic_emb"],
+                            "--sentiment-emb", ws["sentiment_emb"]]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[0] == silent_stdout.splitlines()[0]
 
     def test_mcnemar_comparison_between_contrasting_models(self, ws, capsys):
         assert main(["eval", "--model", ws["svm_model"], "--data", ws["emotions"],

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import make_table
 from sslstm.labels import LABELS, N_CLASSES
@@ -9,6 +12,7 @@ from sslstm.neural import (
     LSTMParams,
     ModelConfig,
     StaleCacheError,
+    _sigmoid,
     clone_model,
     init_model,
     lstm_forward,
@@ -54,6 +58,29 @@ def unit_lstm(**overrides):
 def loss_of(model, tokens, target):
     probs, _ = ss_forward(model, tokens)
     return -np.log(probs[target])
+
+
+def two_branch_sigmoid(x):
+    """The masked two-branch form: 1/(1+exp(-x)) for x >= 0, else
+    exp(x)/(1+exp(x))."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@given(arrays(
+    np.float64,
+    st.integers(0, 64),
+    elements=st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([1e4, -1e4, 0.0, -0.0, 710.0, -710.0]),
+))
+def test_sigmoid_is_bit_identical_to_two_branch_formula(x):
+    got = _sigmoid(x)
+    assert got.shape == x.shape
+    np.testing.assert_array_equal(got.view(np.uint64), two_branch_sigmoid(x).view(np.uint64))
 
 
 class TestLSTMForward:
