@@ -19,7 +19,7 @@ import numpy as np
 
 from sslstm.labels import LABELS, N_CLASSES, label_index
 from sslstm.text_norm import EmoticonLexicon, default_lexicon, emoticon_class, surfaces
-from sslstm.training import CheckpointError, read_container, write_container
+from sslstm.container import CheckpointError, read_container, write_container
 
 NGRAM_ORDERS = (1, 2, 3)
 
@@ -92,12 +92,20 @@ class NBModel:
 
 
 def _dataset_features(dataset, lex):
+    """(features, target) per labeled conversation, and the n-gram
+    vocabulary in order of first appearance."""
     pairs = []
     for conv in dataset:
         if conv.label is None:
             raise ValueError(f"conversation {conv.id} has no label")
         pairs.append((extract_features(conv.tokens, lex), label_index(conv.label)))
-    return pairs
+    if not pairs:
+        raise ValueError("dataset is empty")
+    vocab: dict[str, int] = {}
+    for features, _ in pairs:
+        for gram in features.ngrams:
+            vocab.setdefault(gram, len(vocab))
+    return pairs, vocab
 
 
 def nb_train(dataset, alpha: float = 1.0, lex: EmoticonLexicon | None = None) -> NBModel:
@@ -105,13 +113,7 @@ def nb_train(dataset, alpha: float = 1.0, lex: EmoticonLexicon | None = None) ->
     conversations.  Priors are empirical label frequencies."""
     if alpha <= 0:
         raise ValueError("smoothing constant must be positive")
-    pairs = _dataset_features(dataset, lex)
-    if not pairs:
-        raise ValueError("dataset is empty")
-    vocab: dict[str, int] = {}
-    for features, _ in pairs:
-        for gram in features.ngrams:
-            vocab.setdefault(gram, len(vocab))
+    pairs, vocab = _dataset_features(dataset, lex)
     counts = np.zeros((N_CLASSES, len(vocab)))
     doc_counts = np.zeros(N_CLASSES)
     for features, target in pairs:
@@ -217,13 +219,7 @@ def svm_train(
         raise ValueError("regularization constant must be positive")
     if epochs <= 0:
         raise ValueError("epochs must be positive")
-    pairs = _dataset_features(dataset, lex)
-    if not pairs:
-        raise ValueError("dataset is empty")
-    vocab: dict[str, int] = {}
-    for features, _ in pairs:
-        for gram in features.ngrams:
-            vocab.setdefault(gram, len(vocab))
+    pairs, vocab = _dataset_features(dataset, lex)
     X = np.stack([features_to_dense(f, vocab) for f, _ in pairs])
     y = np.array([target for _, target in pairs])
     weights, bias = svm_fit_vectors(X, y, lambda_reg, epochs, seed)

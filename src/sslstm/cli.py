@@ -31,8 +31,11 @@ from .baselines import (
     svm_predict,
     svm_train,
 )
+from .container import CheckpointError, read_container
 from .dataio import (
     DataFormatError,
+    _content_lines,
+    _tsv_rows,
     read_dataset,
     read_judgments,
     require_labeled,
@@ -82,11 +85,9 @@ from .text_norm import (
     serialize_tokens,
 )
 from .training import (
-    CheckpointError,
     TrainConfig,
     gradient_check,
     model_from_container,
-    read_container,
     save_checkpoint,
     split_dataset,
     train,
@@ -133,31 +134,7 @@ def _emit(text: str, output: str | None) -> None:
 
 def _read_lines(path: str) -> list[str]:
     """Non-blank, non-comment lines of a one-utterance-per-line file."""
-    lines = []
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            lines.append(line)
-    return lines
-
-
-def _read_tsv_rows(path: str, n_fields: int) -> list[tuple[str, ...]]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != n_fields:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {n_fields} tab-separated fields, "
-                    f"got {len(fields)}"
-                )
-            rows.append(tuple(fields))
-    return rows
+    return [line for _, _, line in _content_lines(path)]
 
 
 def _lexicon(args):
@@ -205,26 +182,22 @@ def _load_predictor(args, lex):
             path = getattr(args, f"{channel}_emb")
             tables[channel] = None if path is None else load_embedding_file(path, name=channel)
         model = model_from_container(meta, tensors, tables["semantic"], tables["sentiment"])
-        for channel in model.config.active_channels():
-            if tables[channel] is None:
-                print(
-                    f"warning: {args.model} uses the {channel} channel but no "
-                    f"--{channel}-emb was given; every token is out of vocabulary there",
-                    file=sys.stderr,
-                )
+        _warn_missing_tables(args, model.config, f"{args.model} uses")
         return lambda convs: batch_predict(model, [conv.tokens for conv in convs])
     baseline = baseline_from_container(meta, tensors)
     scorer = nb_predict if kind == "nb" else svm_predict
     return lambda convs: [scorer(baseline, extract_features(c.tokens, lex)) for c in convs]
 
 
-def _compare_predictor(args, lex):
-    compare = argparse.Namespace(
-        model=args.compare_model,
-        semantic_emb=args.semantic_emb,
-        sentiment_emb=args.sentiment_emb,
-    )
-    return _load_predictor(compare, lex)
+def _warn_missing_tables(args, config: ModelConfig, doing: str) -> None:
+    """One stderr line per active channel given no --*-emb table."""
+    for channel in config.active_channels():
+        if getattr(args, f"{channel}_emb") is None:
+            print(
+                f"warning: {doing} the {channel} channel but no --{channel}-emb "
+                f"was given; every token is out of vocabulary there",
+                file=sys.stderr,
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +227,14 @@ def cmd_split(args) -> None:
 def cmd_train(args) -> None:
     lex = _lexicon(args)
     dataset = require_labeled(read_dataset(args.train))
-    if args.algo == "nb":
-        model = nb_train(dataset, alpha=args.alpha, lex=lex)
+    if args.algo != "sslstm":
+        if args.algo == "nb":
+            model = nb_train(dataset, alpha=args.alpha, lex=lex)
+        else:
+            epochs = 30 if args.epochs is None else args.epochs
+            model = svm_train(dataset, lambda_reg=args.lambda_reg, epochs=epochs, seed=args.seed, lex=lex)
         save_baseline(model, args.model)
-        print(f"algorithm: nb  examples: {len(dataset)}  vocabulary: {len(model.vocab)}")
-        return
-    if args.algo == "svm":
-        epochs = 30 if args.epochs is None else args.epochs
-        model = svm_train(
-            dataset, lambda_reg=args.lambda_reg, epochs=epochs, seed=args.seed, lex=lex
-        )
-        save_baseline(model, args.model)
-        print(f"algorithm: svm  examples: {len(dataset)}  vocabulary: {len(model.vocab)}")
+        print(f"algorithm: {args.algo}  examples: {len(dataset)}  vocabulary: {len(model.vocab)}")
         return
 
     semantic = _table_or_empty(args.semantic_emb, DEFAULT_SEMANTIC_DIM, "semantic")
@@ -284,13 +253,7 @@ def cmd_train(args) -> None:
         max_seq_len=args.max_seq_len,
         train_embeddings=args.train_embeddings,
     )
-    for channel in model_config.active_channels():
-        if getattr(args, f"{channel}_emb") is None:
-            print(
-                f"warning: training the {channel} channel but no --{channel}-emb "
-                f"was given; every token is out of vocabulary there",
-                file=sys.stderr,
-            )
+    _warn_missing_tables(args, model_config, "training")
     train_config = TrainConfig(
         learning_rate=args.lr,
         token_budget=args.token_budget,
@@ -321,7 +284,7 @@ def cmd_eval(args) -> None:
     report = evaluate(predictions, golds)
     text = report_tsv(report) if args.format == "tsv" else format_report(report)
     if args.compare_model:
-        other = _compare_predictor(args, lex)
+        other = _load_predictor(argparse.Namespace(**{**vars(args), "model": args.compare_model}), lex)
         other_predictions = other(dataset)
         correct_a = [p == g for p, g in zip(predictions, golds)]
         correct_b = [p == g for p, g in zip(other_predictions, golds)]
@@ -346,7 +309,7 @@ def cmd_embcos(args) -> None:
     if not paths:
         raise UsageError("embcos requires at least one --emb NAME=PATH")
     tables = {name: load_embedding_file(path, name=name) for name, path in paths.items()}
-    pairs = _read_tsv_rows(args.pairs, 2)
+    pairs = [fields for _, _, fields in _tsv_rows(args.pairs, 2)]
     lines = ["word1\tword2\t" + "\t".join(tables)]
     for w1, w2 in pairs:
         scores = (f"{cosine(lookup(t, w1), lookup(t, w2)):.4f}" for t in tables.values())
@@ -375,7 +338,7 @@ def cmd_mine(args) -> None:
         )
     elif args.mode == "t2":
         _require(args, ["--pairs", "--class-utterances"], "mine --mode t2")
-        pairs = make_qa_pairs(_read_tsv_rows(args.pairs, 2), lex)
+        pairs = make_qa_pairs((fields for _, _, fields in _tsv_rows(args.pairs, 2)), lex)
         class_utterances = set(_read_lines(args.class_utterances))
         candidates = mine_by_response(pairs, class_utterances, cfg, lex)
     else:
@@ -496,7 +459,8 @@ def build_parser() -> _Parser:
                    help=f"truncate utterances to this many tokens "
                         f"(default {_MODEL_DEFAULTS.max_seq_len})")
     p.add_argument("--train-embeddings", action="store_true",
-                   help="update embedding vectors during training")
+                   help="update embedding vectors during training (not saved: a "
+                        "reloaded model uses the vectors of the table files)")
     p.add_argument("--lr", type=float, default=_TRAIN_DEFAULTS.learning_rate,
                    help=f"learning rate (default {_TRAIN_DEFAULTS.learning_rate})")
     p.add_argument("--token-budget", type=int, default=_TRAIN_DEFAULTS.token_budget,

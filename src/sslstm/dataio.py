@@ -77,6 +77,27 @@ def _open_write(sink):
         yield sink
 
 
+def _content_lines(source):
+    """(label, line number, text) of each line that is neither blank nor a
+    ``#`` comment."""
+    with _open_read(source) as (fh, name):
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n").rstrip("\r")
+            if line.strip() and not line.lstrip().startswith("#"):
+                yield name, lineno, line
+
+
+def _tsv_rows(source, n_fields: int):
+    """:func:`_content_lines` split at tabs; each must have ``n_fields`` fields."""
+    for name, lineno, line in _content_lines(source):
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            raise DataFormatError(
+                f"{name}:{lineno}: expected {n_fields} tab-separated fields, got {len(fields)}"
+            )
+        yield name, lineno, fields
+
+
 def read_dataset(source) -> list[Conversation]:
     """Parse a conversation TSV into Conversation records, in file order.
 

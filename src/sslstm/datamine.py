@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import DataFormatError, _open_read, _open_write
+from .dataio import DataFormatError, _open_write, _tsv_rows
 from .embeddings import EmbeddingTable, cosine, sentence_embedding
 from .labels import EMOTION_LABELS
 from .text_norm import (
@@ -327,23 +327,11 @@ def write_judge_queue(candidates, sink) -> None:
 
 def read_judge_queue(source) -> list[Candidate]:
     """Read a judging queue written by write_judge_queue."""
-    with _open_read(source) as (fh, name):
-        candidates = []
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise DataFormatError(
-                    f"{name}:{lineno}: expected 4 tab-separated fields, got {len(fields)}"
-                )
-            utterance, score, matched, reason = fields
-            try:
-                value = float(score)
-            except ValueError:
-                raise DataFormatError(
-                    f"{name}:{lineno}: score {score!r} is not a number"
-                ) from None
-            candidates.append(Candidate(utterance, value, matched, reason))
-        return candidates
+    candidates = []
+    for name, lineno, (utterance, score, matched, reason) in _tsv_rows(source, 4):
+        try:
+            value = float(score)
+        except ValueError:
+            raise DataFormatError(f"{name}:{lineno}: score {score!r} is not a number") from None
+        candidates.append(Candidate(utterance, value, matched, reason))
+    return candidates

@@ -1,7 +1,8 @@
 """Word-embedding tables for the two model channels, plus sentence pooling.
 
 A table is loaded from a plain-text file (``token v1 v2 ... vD`` per line,
-optionally preceded by a ``COUNT DIM`` header) and is immutable afterwards.
+optionally preceded by a ``COUNT DIM`` header).  Its vocabulary is fixed
+from then on; its vectors change only when a model fine-tunes them in place.
 Out-of-vocabulary tokens look up as the all-zero vector, so they contribute
 nothing to sentence means and never crash mining or the classifier.
 """
@@ -9,10 +10,11 @@ nothing to sentence means and never crash mining or the classifier.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 
 import numpy as np
 
+from sslstm.dataio import _open_write
 from sslstm.text_norm import surface, surfaces
 
 # Fallback dimensionalities for channels constructed without a file.
@@ -24,64 +26,110 @@ class EmbeddingFormatError(ValueError):
     """Raised for malformed embedding files."""
 
 
-@dataclass
-class EmbeddingTable:
-    """token -> dense float64 vector, all of one dimensionality."""
+class _Rows(Mapping):
+    """Token -> live row of a table's matrix; assigning to a token writes its row."""
 
-    dim: int
-    vectors: dict[str, np.ndarray]
-    name: str = ""
-    source_sha256: str | None = field(default=None, repr=False)
+    def __init__(self, table: EmbeddingTable):
+        self._table = table
 
-    def __post_init__(self):
-        if self.dim <= 0:
-            raise ValueError(f"embedding dim must be positive, got {self.dim}")
-        for tok, vec in self.vectors.items():
-            vec = np.asarray(vec, dtype=np.float64)
-            if vec.shape != (self.dim,):
-                raise ValueError(f"vector for {tok!r} has shape {vec.shape}, expected ({self.dim},)")
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"vector for {tok!r} has non-finite components")
-            self.vectors[tok] = vec
-        self._zero = np.zeros(self.dim)
+    def __getitem__(self, token) -> np.ndarray:
+        return self._table.matrix[self._table.index[token]]
 
-    def __contains__(self, token) -> bool:
-        return surface(token) in self.vectors
+    def __setitem__(self, token, value) -> None:
+        self._table.matrix[self._table.index[token]] = value
+
+    def __iter__(self):
+        return iter(self._table.index)
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self._table.index)
+
+
+class EmbeddingTable:
+    """token -> dense float64 vector, all of one dimensionality.
+
+    The vectors are the rows of one ``(V, dim)`` ``matrix``; ``index`` maps
+    each token to its row, in row order.  The constructor stacks a token ->
+    vector mapping once, checking each vector's shape and finiteness.
+    """
+
+    def __init__(self, dim: int, vectors: Mapping | None = None, name: str = "",
+                 source_sha256: str | None = None):
+        if dim <= 0:
+            raise ValueError(f"embedding dim must be positive, got {dim}")
+        self.index = {tok: row for row, tok in enumerate(vectors or {})}
+        self.matrix = np.empty((len(self.index), dim))
+        for tok, row in self.index.items():
+            vec = np.asarray(vectors[tok], dtype=np.float64)
+            if vec.shape != (dim,):
+                raise ValueError(f"vector for {tok!r} has shape {vec.shape}, expected ({dim},)")
+            if not np.all(np.isfinite(vec)):
+                raise ValueError(f"vector for {tok!r} has non-finite components")
+            self.matrix[row] = vec
+        self.name = name
+        self.source_sha256 = source_sha256
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
+
+    @property
+    def vectors(self) -> _Rows:
+        """Read/write token -> row view of :attr:`matrix`."""
+        return _Rows(self)
+
+    def ids(self, tokens) -> np.ndarray:
+        """Row of each token (strings or ``Token``), -1 where out of vocabulary."""
+        get = self.index.get
+        return np.array([get(s, -1) for s in surfaces(tokens)], dtype=np.int64)
+
+    def rows(self, ids: np.ndarray) -> np.ndarray:
+        """The rows ``ids`` as a new ``(len(ids), dim)`` matrix, zero where an id is -1."""
+        out = np.zeros((len(ids), self.dim))
+        known = ids >= 0
+        out[known] = self.matrix[ids[known]]
+        return out
+
+    def __contains__(self, token) -> bool:
+        return surface(token) in self.index
+
+    def __len__(self) -> int:
+        return len(self.index)
 
 
 def empty_table(dim: int, name: str = "") -> EmbeddingTable:
     """A table with no vocabulary; every lookup is the zero vector."""
-    return EmbeddingTable(dim=dim, vectors={}, name=name)
+    return EmbeddingTable(dim=dim, name=name)
 
 
 def load_embedding_file(source, name: str = "") -> EmbeddingTable:
     """Load a table from a path or a text/byte stream.
 
     The dimensionality is inferred from the first data line; every later line
-    must agree.  Duplicate tokens, empty files, bad floats, and header
-    mismatches all raise :class:`EmbeddingFormatError` naming the line.
+    must agree.  Duplicate tokens, empty files, bad or non-finite floats, and
+    header mismatches all raise :class:`EmbeddingFormatError` naming the line.
+    ``source_sha256`` is the hash of the bytes read (of the UTF-8 encoding,
+    for a text stream).
     """
     if hasattr(source, "read"):
         data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
         label = name or getattr(source, "name", "<stream>")
     else:
         with open(source, "rb") as fh:
-            data = fh.read().decode("utf-8")
+            data = fh.read()
         label = name or str(source)
-    digest = hashlib.sha256(data.encode("utf-8")).hexdigest()
-
-    vectors: dict[str, np.ndarray] = {}
-    dim = None
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    digest = hashlib.sha256(data).hexdigest()
+    lines = data.decode("utf-8").splitlines()
+    index: dict[str, int] = {}
+    linenos: list[int] = []  # file line of each row
+    matrix = None  # room for every line, once the width is known
     declared = None
-    for lineno, line in enumerate(data.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in enumerate(lines, start=1):
         fields = line.split()
+        if not fields:
+            continue
         if lineno == 1 and len(fields) == 2:
             try:
                 declared = (int(fields[0]), int(fields[1]))
@@ -91,49 +139,53 @@ def load_embedding_file(source, name: str = "") -> EmbeddingTable:
         token, values = fields[0], fields[1:]
         if not values:
             raise EmbeddingFormatError(f"{label}:{lineno}: no values for token {token!r}")
-        if token in vectors:
+        if token in index:
             raise EmbeddingFormatError(f"{label}:{lineno}: duplicate token {token!r}")
         try:
-            vec = np.array([float(v) for v in values], dtype=np.float64)
+            vec = list(map(float, values))
         except ValueError:
             raise EmbeddingFormatError(f"{label}:{lineno}: non-numeric value in entry for {token!r}") from None
-        if dim is None:
-            dim = len(vec)
-        elif len(vec) != dim:
+        if matrix is None:
+            matrix = np.empty((len(lines), len(vec)))
+        elif len(vec) != matrix.shape[1]:
             raise EmbeddingFormatError(
-                f"{label}:{lineno}: dimension mismatch: expected {dim} values, got {len(vec)}"
+                f"{label}:{lineno}: dimension mismatch: expected {matrix.shape[1]} values, got {len(vec)}"
             )
-        if not np.all(np.isfinite(vec)):
-            raise EmbeddingFormatError(f"{label}:{lineno}: non-finite value in entry for {token!r}")
-        vectors[token] = vec
-    if not vectors:
+        matrix[len(index)] = vec
+        index[token] = len(index)
+        linenos.append(lineno)
+    if not index:
         raise EmbeddingFormatError(f"{label}: empty embedding file")
+    matrix = matrix[: len(index)]
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        row = int(bad[0])
+        raise EmbeddingFormatError(
+            f"{label}:{linenos[row]}: non-finite value in entry for {list(index)[row]!r}"
+        )
     if declared is not None:
         count, hdim = declared
-        if count != len(vectors):
-            raise EmbeddingFormatError(f"{label}: header declares {count} entries, file has {len(vectors)}")
-        if hdim != dim:
-            raise EmbeddingFormatError(f"{label}: header declares dim {hdim}, file has {dim}")
-    return EmbeddingTable(dim=dim, vectors=vectors, name=name, source_sha256=digest)
+        if count != len(index):
+            raise EmbeddingFormatError(f"{label}: header declares {count} entries, file has {len(index)}")
+        if hdim != matrix.shape[1]:
+            raise EmbeddingFormatError(f"{label}: header declares dim {hdim}, file has {matrix.shape[1]}")
+    table = EmbeddingTable(matrix.shape[1], name=name, source_sha256=digest)
+    table.index, table.matrix = index, matrix  # already checked: taken as is
+    return table
 
 
 def save_embedding_file(table: EmbeddingTable, sink, header: bool = False) -> None:
     """Write a table in the loadable format (repr-precision floats)."""
-    own = not hasattr(sink, "write")
-    fh = open(sink, "w", encoding="utf-8") if own else sink
-    try:
+    with _open_write(sink) as fh:
         if header:
-            fh.write(f"{len(table.vectors)} {table.dim}\n")
-        for token, vec in table.vectors.items():
+            fh.write(f"{len(table)} {table.dim}\n")
+        for token, vec in zip(table.index, table.matrix):
             fh.write(token + " " + " ".join(repr(float(v)) for v in vec) + "\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def lookup(table: EmbeddingTable, token) -> np.ndarray:
-    """Vector for a token; the zero vector when out of vocabulary."""
-    return table.vectors.get(surface(token), table._zero)
+    """Vector for a token (a copy of its row); the zero vector when out of vocabulary."""
+    return table.rows(table.ids([token]))[0]
 
 
 def cosine(u, v) -> float:
@@ -155,7 +207,8 @@ def cosine(u, v) -> float:
 
 def sentence_embedding(table: EmbeddingTable, tokens) -> np.ndarray:
     """Mean of the in-vocabulary token vectors; zeros if there are none."""
-    in_vocab = [table.vectors[s] for s in surfaces(tokens) if s in table.vectors]
-    if not in_vocab:
+    ids = table.ids(tokens)
+    ids = ids[ids >= 0]
+    if not ids.size:
         return np.zeros(table.dim)
-    return np.mean(in_vocab, axis=0)
+    return table.matrix[ids].mean(axis=0)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sslstm.embeddings import EmbeddingTable, lookup
+from sslstm.embeddings import EmbeddingTable
 from sslstm.labels import LABELS, N_CLASSES
 from sslstm.text_norm import surfaces
 
@@ -123,10 +123,8 @@ class SSLSTMModel:
         """Live views of every trainable tensor, in checkpoint order."""
         out: dict[str, np.ndarray] = {}
         for prefix, params in (("sem", self.sem), ("sent", self.sent)):
-            for kind in ("W", "U", "b"):
-                for gate in _GATES:
-                    name = f"{kind}_{gate}"
-                    out[f"{prefix}_{name}"] = getattr(params, name)
+            for name, tensor in vars(params).items():
+                out[f"{prefix}_{name}"] = tensor
         out["fc_W"] = self.fc_W
         out["fc_b"] = self.fc_b
         out["out_W"] = self.out_W
@@ -134,12 +132,7 @@ class SSLSTMModel:
         return out
 
     def concat_width(self) -> int:
-        width = 0
-        if "semantic" in self.config.active_channels():
-            width += self.sem.hidden_dim
-        if "sentiment" in self.config.active_channels():
-            width += self.sent.hidden_dim
-        return width
+        return sum(params.hidden_dim for _, _, active, params, _ in _channels(self) if active)
 
 
 @dataclass
@@ -204,13 +197,15 @@ class BatchCache:
 class Gradients:
     """Loss gradients keyed like :meth:`SSLSTMModel.param_tensors`.
 
-    ``sem_embed``/``sent_embed`` map token -> input-vector gradient and are
-    None unless the model is configured to fine-tune embeddings.
+    ``sem_embed``/``sent_embed`` are ``(ids, rows)``: table row ids (a row
+    may repeat) and the gradient of each, ``(len(ids), dim)``; the gradient
+    of a table row is the sum of its entries.  They are None unless the
+    model is configured to fine-tune embeddings.
     """
 
     tensors: dict[str, np.ndarray]
-    sem_embed: dict[str, np.ndarray] | None = None
-    sent_embed: dict[str, np.ndarray] | None = None
+    sem_embed: tuple[np.ndarray, np.ndarray] | None = None
+    sent_embed: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def _glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -265,7 +260,7 @@ def init_model(
 
 def clone_model(model: SSLSTMModel) -> SSLSTMModel:
     """Deep copy of all trainable state.  Embedding tables are shared unless
-    the model fine-tunes them, in which case their vectors are copied too."""
+    the model fine-tunes them, in which case their matrices are copied too."""
     new = copy.copy(model)
     new.sem = LSTMParams(**{k: v.copy() for k, v in vars(model.sem).items()})
     new.sent = LSTMParams(**{k: v.copy() for k, v in vars(model.sent).items()})
@@ -276,23 +271,15 @@ def clone_model(model: SSLSTMModel) -> SSLSTMModel:
     new.config = copy.copy(model.config)
     if model.config.train_embeddings:
         for attr in ("semantic_table", "sentiment_table"):
-            table = getattr(model, attr)
-            fresh = EmbeddingTable(
-                dim=table.dim,
-                vectors={t: v.copy() for t, v in table.vectors.items()},
-                name=table.name,
-                source_sha256=table.source_sha256,
-            )
+            fresh = copy.copy(getattr(model, attr))
+            fresh.matrix = fresh.matrix.copy()
             setattr(new, attr, fresh)
     return new
 
 
 def _fused(params: LSTMParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The four gates stacked in (i, f, o, c) order: W (4H, D), U (4H, H), b (4H)."""
-    W = np.concatenate([getattr(params, f"W_{gate}") for gate in _GATES])
-    U = np.concatenate([getattr(params, f"U_{gate}") for gate in _GATES])
-    b = np.concatenate([getattr(params, f"b_{gate}") for gate in _GATES])
-    return W, U, b
+    return tuple(np.concatenate([getattr(params, f"{kind}_{gate}") for gate in _GATES]) for kind in "WUb")
 
 
 def _step_starts(steps: list[int]) -> np.ndarray:
@@ -448,8 +435,7 @@ def batch_forward(model: SSLSTMModel, sequences) -> tuple[np.ndarray, BatchCache
     finals = []
     for prefix, _, active, params, table in _channels(model):
         if active:
-            xs = np.array([lookup(table, s) for s in row_tokens])
-            caches[prefix] = _lstm_run(params, xs.reshape(len(row_tokens), table.dim), steps)
+            caches[prefix] = _lstm_run(params, table.rows(table.ids(row_tokens)), steps)
             finals.append(_final_states(caches[prefix], lengths))
     concat = np.concatenate(finals, axis=1)
     z1 = concat @ model.fc_W.T + model.fc_b
@@ -515,7 +501,7 @@ def batch_backward(model: SSLSTMModel, cache: BatchCache, dlogits) -> Gradients:
 
     tensors: dict[str, np.ndarray] = {}
     want_dx = model.config.train_embeddings
-    embed_grads: dict[str, dict[str, np.ndarray]] = {}
+    embed_grads: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     offset = 0
     for prefix, _, active, params, table in _channels(model):
         if active:
@@ -523,17 +509,11 @@ def batch_backward(model: SSLSTMModel, cache: BatchCache, dlogits) -> Gradients:
             offset += params.hidden_dim
             ch_grads, dxs = _lstm_backprop(params, getattr(cache, prefix), dh_final, want_dx)
             if want_dx:
-                acc: dict[str, np.ndarray] = {}
-                for surface, dx in zip(_step_major(cache.tokens)[1], dxs):
-                    if surface in table.vectors:
-                        acc[surface] = acc[surface] + dx if surface in acc else dx
-                embed_grads[prefix] = acc
+                ids = table.ids(_step_major(cache.tokens)[1])
+                known = ids >= 0
+                embed_grads[prefix] = (ids[known], dxs[known])
         else:
-            ch_grads = {
-                f"{kind}_{gate}": np.zeros_like(getattr(params, f"{kind}_{gate}"))
-                for kind in ("W", "U", "b")
-                for gate in _GATES
-            }
+            ch_grads = {name: np.zeros_like(tensor) for name, tensor in vars(params).items()}
         for key, val in ch_grads.items():
             tensors[f"{prefix}_{key}"] = val
     tensors["fc_W"] = d_fc_W
@@ -542,8 +522,8 @@ def batch_backward(model: SSLSTMModel, cache: BatchCache, dlogits) -> Gradients:
     tensors["out_b"] = d_out_b
     return Gradients(
         tensors=tensors,
-        sem_embed=embed_grads.get("sem") if want_dx else None,
-        sent_embed=embed_grads.get("sent") if want_dx else None,
+        sem_embed=embed_grads.get("sem"),
+        sent_embed=embed_grads.get("sent"),
     )
 
 

@@ -5,12 +5,11 @@ batches by a token budget (total token count across member utterances, not
 utterance count), apply the mean batch gradient, early-stop on validation
 macro-F1 and keep the best-epoch parameters.
 
-Checkpoints are versioned UTF-8 text: a magic line, ``meta key=value``
-provenance (dimensions, channel setup, content hashes), then one
-``tensor NAME ROWS COLS`` block per parameter, closed by ``end``.  The
-weight tables of the embedding channels are not serialized — checkpoints
-store their dimensions and source hashes, and loading takes the tables as
-arguments.
+Checkpoints are :mod:`sslstm.container` files: ``meta`` provenance
+(dimensions, channel setup, content hashes) and one tensor per parameter.
+The weight tables of the embedding channels are not serialized, not even
+fine-tuned ones — checkpoints store their dimensions and source hashes, and
+loading takes the tables as arguments.
 """
 
 from __future__ import annotations
@@ -20,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sslstm.dataio import _open_read, _open_write
+from sslstm.container import CheckpointError, TruncatedCheckpointError, read_container, write_container
+from sslstm.container import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, UnknownVersionError  # noqa: F401
 from sslstm.embeddings import EmbeddingTable, empty_table
 from sslstm.labels import LABELS, N_CLASSES, label_index
 from sslstm.metrics import confusion, macro_f1
@@ -40,25 +40,10 @@ from sslstm.neural import (
 )
 from sslstm.text_norm import default_lexicon_sha256
 
-CHECKPOINT_MAGIC = "SSLSTM-CKPT"
-CHECKPOINT_VERSION = 1
-
 # Above this many parameters, gradient_check verifies a seeded random
 # subsample of this many coordinates instead of every coordinate.
 GRADCHECK_EXHAUSTIVE_LIMIT = 10_000
 GRADCHECK_SAMPLE = 2_000
-
-
-class CheckpointError(ValueError):
-    """Base class for malformed checkpoint files."""
-
-
-class UnknownVersionError(CheckpointError):
-    """Header is missing, malformed, or names an unsupported version."""
-
-
-class TruncatedCheckpointError(CheckpointError):
-    """File ends or loses structure before the closing ``end`` line."""
 
 
 class ShapeMismatchError(CheckpointError):
@@ -174,9 +159,9 @@ def sgd_step(model: SSLSTMModel, gradients: Gradients, learning_rate: float) -> 
             (model.semantic_table, gradients.sem_embed),
             (model.sentiment_table, gradients.sent_embed),
         ):
-            if embed:
-                for token, grad in embed.items():
-                    table.vectors[token] -= learning_rate * grad
+            if embed is not None:
+                # Unbuffered: a row named more than once moves by every entry.
+                np.subtract.at(table.matrix, embed[0], learning_rate * embed[1])
     return model
 
 
@@ -233,21 +218,14 @@ def _batch_gradient(model, batch, weights):
 
 
 def _accumulate_gradients(total: Gradients, grads: Gradients) -> None:
+    """Add ``grads`` into ``total``; embedding rows are appended, so
+    :func:`sgd_step` sums the entries of a row named in both."""
     for name, tensor in grads.tensors.items():
         total.tensors[name] += tensor
     for attr in ("sem_embed", "sent_embed"):
-        src = getattr(grads, attr)
-        if not src:
-            continue
-        dst = getattr(total, attr)
-        if dst is None:
-            dst = {}
-            setattr(total, attr, dst)
-        for token, grad in src.items():
-            if token in dst:
-                dst[token] = dst[token] + grad
-            else:
-                dst[token] = grad.copy()
+        if getattr(grads, attr) is not None:
+            parts = zip(getattr(total, attr), getattr(grads, attr))
+            setattr(total, attr, tuple(np.concatenate(pair) for pair in parts))
 
 
 def _accuracy(model, dataset) -> float:
@@ -371,109 +349,6 @@ def gradient_check(model: SSLSTMModel, example, epsilon: float = 1e-4) -> float:
         rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
         worst = max(worst, rel)
     return worst
-
-
-def write_container(sink, meta: dict[str, str], tensors: dict[str, np.ndarray]) -> None:
-    """Serialize meta lines and tensor blocks in the versioned text format.
-    1-D tensors are stored as single-row matrices; floats are written at
-    ``repr`` precision, so reading them back gives the exact values."""
-    with _open_write(sink) as fh:
-        fh.write(f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}\n")
-        for key, value in meta.items():
-            value = str(value)
-            if " " in key or "=" in key or "\n" in key:
-                raise ValueError(f"illegal meta key {key!r}")
-            if "\n" in value:
-                raise ValueError(f"meta value for {key!r} contains a newline")
-            fh.write(f"meta {key}={value}\n")
-        for name, arr in tensors.items():
-            mat = np.atleast_2d(np.asarray(arr, dtype=np.float64))
-            fh.write(f"tensor {name} {mat.shape[0]} {mat.shape[1]}\n")
-            for row in mat:
-                fh.write(" ".join(map(repr, row.tolist())) + "\n")
-        fh.write("end\n")
-
-
-def read_container(source) -> tuple[dict[str, str], dict[str, np.ndarray]]:
-    """Parse the checkpoint container; inverse of :func:`write_container`.
-
-    Raises :class:`UnknownVersionError` on a bad header and
-    :class:`TruncatedCheckpointError` when the file loses structure or ends
-    before ``end``.  Tensors come back as 2-D float64 arrays.
-    """
-    with _open_read(source) as (fh, _):
-        lines = fh.read().split("\n")
-    pos = 0
-
-    def next_line():
-        nonlocal pos
-        while pos < len(lines):
-            line = lines[pos].rstrip("\r")
-            pos += 1
-            if line:
-                return line
-        return None
-
-    header = next_line()
-    if header is None:
-        raise UnknownVersionError("empty file, expected checkpoint header")
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != CHECKPOINT_MAGIC:
-        raise UnknownVersionError(f"not a checkpoint header: {header!r}")
-    if parts[1] != str(CHECKPOINT_VERSION):
-        raise UnknownVersionError(f"unsupported checkpoint version {parts[1]!r}")
-
-    meta: dict[str, str] = {}
-    tensors: dict[str, np.ndarray] = {}
-    while True:
-        line = next_line()
-        if line is None:
-            raise TruncatedCheckpointError("file ends before the 'end' line")
-        if line == "end":
-            return meta, tensors
-        if line.startswith("meta "):
-            body = line[len("meta "):]
-            key, sep, value = body.partition("=")
-            if not sep or not key:
-                raise CheckpointError(f"malformed meta line: {line!r}")
-            meta[key] = value
-            continue
-        if line.startswith("tensor "):
-            fields = line.split()
-            if len(fields) != 4:
-                raise TruncatedCheckpointError(f"malformed tensor header: {line!r}")
-            name = fields[1]
-            if name in tensors:
-                raise CheckpointError(f"duplicate tensor {name!r}")
-            try:
-                rows, cols = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise TruncatedCheckpointError(
-                    f"malformed tensor dimensions: {line!r}"
-                ) from None
-            mat = np.zeros((rows, cols))
-            for r in range(rows):
-                row_line = next_line()
-                if row_line is None or row_line.startswith(("tensor ", "meta ")) or row_line == "end":
-                    raise TruncatedCheckpointError(
-                        f"tensor {name!r} is missing rows ({r} of {rows} read)"
-                    )
-                values = row_line.split()
-                if len(values) != cols:
-                    raise TruncatedCheckpointError(
-                        f"tensor {name!r} row {r} has {len(values)} values, expected {cols}"
-                    )
-                try:
-                    mat[r] = [float(v) for v in values]
-                except ValueError:
-                    raise TruncatedCheckpointError(
-                        f"tensor {name!r} row {r} has non-numeric values"
-                    ) from None
-            if not np.all(np.isfinite(mat)):
-                raise CheckpointError(f"tensor {name!r} contains non-finite values")
-            tensors[name] = mat
-            continue
-        raise CheckpointError(f"unrecognized checkpoint line: {line!r}")
 
 
 def save_checkpoint(model: SSLSTMModel, config: TrainConfig | None, sink) -> None:

@@ -70,10 +70,24 @@ setups = st.fixed_dictionaries({
 })
 
 
+def tables(model):
+    return {"sem": model.semantic_table, "sent": model.sentiment_table}
+
+
+def dense(table, embed):
+    """An ``(ids, rows)`` embedding gradient summed per table row, as a
+    matrix shaped like the table's."""
+    out = np.zeros_like(table.matrix)
+    if embed is not None:
+        np.add.at(out, embed[0], embed[1])
+    return out
+
+
 def reference_gradient(model, batch, weights):
     """Per-example ss_backward, each times weight/len(batch), summed."""
     loss = 0.0
-    tensors, embeds = {}, {"sem": {}, "sent": {}}
+    tensors = {}
+    embeds = {prefix: np.zeros_like(t.matrix) for prefix, t in tables(model).items()}
     for conv in batch:
         target = LABELS.index(conv.label)
         w = 1.0 if weights is None else weights[target]
@@ -83,27 +97,22 @@ def reference_gradient(model, batch, weights):
         scale = w / len(batch)
         for name, value in grads.tensors.items():
             tensors[name] = tensors.get(name, 0.0) + scale * value
-        for prefix, part in (("sem", grads.sem_embed), ("sent", grads.sent_embed)):
-            for token, value in (part or {}).items():
-                embeds[prefix][token] = embeds[prefix].get(token, 0.0) + scale * value
+        for prefix, table in tables(model).items():
+            embeds[prefix] += scale * dense(table, getattr(grads, f"{prefix}_embed"))
     return loss, tensors, embeds
 
 
-def assert_gradients_close(grads, tensors, embeds, train_embeddings):
+def assert_gradients_close(model, grads, tensors, embeds, train_embeddings):
     assert set(grads.tensors) == set(tensors)
     for name, value in tensors.items():
         np.testing.assert_allclose(grads.tensors[name], value, rtol=RTOL, atol=ATOL)
-    for prefix, got in (("sem", grads.sem_embed), ("sent", grads.sent_embed)):
+    for prefix, table in tables(model).items():
+        got = getattr(grads, f"{prefix}_embed")
         if not train_embeddings:
             assert got is None
             continue
-        # A token whose gradient rows all carry zero weight may appear in one
-        # sum and not the other; both then hold zeros.
-        for token in set(got or {}) | set(embeds[prefix]):
-            np.testing.assert_allclose(
-                (got or {}).get(token, 0.0), embeds[prefix].get(token, 0.0),
-                rtol=RTOL, atol=ATOL,
-            )
+        # Rows the batch never reached are zero on both sides.
+        np.testing.assert_allclose(dense(table, got), embeds[prefix], rtol=RTOL, atol=ATOL)
 
 
 @settings(max_examples=40, deadline=None)
@@ -116,7 +125,7 @@ def test_batch_gradient_matches_per_example_sums(batch, setup):
     loss, grads = _batch_gradient(model, batch, weights)
     ref_loss, tensors, embeds = reference_gradient(model, batch, setup["weights"])
     np.testing.assert_allclose(loss, ref_loss, rtol=RTOL, atol=ATOL)
-    assert_gradients_close(grads, tensors, embeds, setup["train_embeddings"])
+    assert_gradients_close(model, grads, tensors, embeds, setup["train_embeddings"])
 
 
 @settings(max_examples=40, deadline=None)
@@ -152,5 +161,6 @@ def test_batch_results_do_not_depend_on_batch_order(batch, setup, data):
     loss, grads = _batch_gradient(model, convs, weights)
     loss_shuffled, grads_shuffled = _batch_gradient(model, shuffled, weights)
     np.testing.assert_allclose(loss_shuffled, loss, rtol=RTOL, atol=ATOL)
-    embeds = {"sem": grads.sem_embed or {}, "sent": grads.sent_embed or {}}
-    assert_gradients_close(grads_shuffled, grads.tensors, embeds, setup["train_embeddings"])
+    embeds = {prefix: dense(table, getattr(grads, f"{prefix}_embed"))
+              for prefix, table in tables(model).items()}
+    assert_gradients_close(model, grads_shuffled, grads.tensors, embeds, setup["train_embeddings"])

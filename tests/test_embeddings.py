@@ -1,7 +1,12 @@
+import hashlib
 import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sslstm.embeddings import (
     EmbeddingFormatError,
@@ -58,6 +63,15 @@ class TestLoad:
         with pytest.raises(EmbeddingFormatError, match=":1: non-numeric"):
             load_str("a one 2.0")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_names_line(self, value):
+        with pytest.raises(EmbeddingFormatError, match=":2: non-finite value in entry for 'b'"):
+            load_str(f"a 1 2\nb {value} 3")
+
+    def test_non_finite_line_counts_header_and_blank_lines(self):
+        with pytest.raises(EmbeddingFormatError, match=":5: non-finite value in entry for 'c'"):
+            load_str("3 2\na 1 2\n\nb 3 4\nc 5 nan")
+
     def test_bytes_stream(self):
         t = load_embedding_file(io.BytesIO(b"a 1.0 2.0\n"))
         assert t.dim == 2
@@ -78,6 +92,43 @@ class TestLoad:
         save_embedding_file(t, path, header=True)
         back = load_embedding_file(path)
         np.testing.assert_array_equal(back.vectors["b"], t.vectors["b"])
+
+
+# Tokens as the loader splits them: no whitespace or line breaks (those are
+# in the Z and C categories), no surrogates.
+_TOKENS = st.text(st.characters(categories=("L", "N", "P", "S")), min_size=1, max_size=6)
+
+
+@st.composite
+def tables(draw):
+    dim = draw(st.integers(1, 5))
+    tokens = draw(st.lists(_TOKENS, min_size=1, max_size=8, unique=True))
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    rows = draw(st.lists(st.lists(floats, min_size=dim, max_size=dim),
+                         min_size=len(tokens), max_size=len(tokens)))
+    return EmbeddingTable(dim=dim, vectors=dict(zip(tokens, map(np.array, rows))))
+
+
+class TestRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(table=tables(), header=st.booleans())
+    def test_save_then_load_gives_back_the_table(self, table, header):
+        sink = io.StringIO()
+        save_embedding_file(table, sink, header=header)
+        data = sink.getvalue().encode("utf-8")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "emb.txt"
+            path.write_bytes(data)
+            back = load_embedding_file(path)
+        assert list(back.index) == list(table.index)
+        assert list(back.index.values()) == list(range(len(table)))
+        assert back.matrix.dtype == np.float64
+        assert back.matrix.tobytes() == table.matrix.tobytes()
+        for token, row in table.index.items():
+            assert lookup(back, token).tobytes() == table.matrix[row].tobytes()
+        missing = "".join(table.index) + "-missing"
+        np.testing.assert_array_equal(lookup(back, missing), np.zeros(table.dim))
+        assert back.source_sha256 == hashlib.sha256(data).hexdigest()
 
 
 class TestLookup:

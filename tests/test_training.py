@@ -8,6 +8,7 @@ from sslstm.dataio import Conversation
 from sslstm.embeddings import EmbeddingTable, load_embedding_file, save_embedding_file
 from sslstm.labels import LABELS
 from sslstm.neural import (
+    CHUNK,
     Gradients,
     ModelConfig,
     init_model,
@@ -229,7 +230,8 @@ class TestSgdStep:
         model = tiny_random_model(seed=2, train_embeddings=True)
         before = model.semantic_table.vectors["good"].copy()
         grads = zero_gradients(model)
-        grads.sem_embed = {"good": np.ones(model.semantic_table.dim)}
+        row = model.semantic_table.index["good"]
+        grads.sem_embed = (np.array([row]), np.ones((1, model.semantic_table.dim)))
         sgd_step(model, grads, learning_rate=0.1)
         np.testing.assert_allclose(
             model.semantic_table.vectors["good"], before - 0.1, atol=1e-12
@@ -395,25 +397,24 @@ class TestTrain:
         )
         assert sum(len(batch) > 1 for batch in batches) >= 3
         for batch in batches:
-            tensors, sem_embed, sent_embed = {}, {}, {}
+            tensors = {}
+            embeds = {"sem_embed": ([], []), "sent_embed": ([], [])}
             for c in batch:
                 target = LABELS.index(c.label)
                 weight = config.class_weights[target]
                 _, cache = ss_forward(reference, c.tokens)
                 grads = ss_backward(reference, cache, target)
-                for total, part in (
-                    (tensors, grads.tensors),
-                    (sem_embed, grads.sem_embed),
-                    (sent_embed, grads.sent_embed),
-                ):
-                    for key, value in part.items():
-                        value = value * weight
-                        total[key] = total[key] + value if key in total else value
+                for key, value in grads.tensors.items():
+                    value = value * weight
+                    tensors[key] = tensors[key] + value if key in tensors else value
+                for attr, (ids, rows) in embeds.items():
+                    ids.append(getattr(grads, attr)[0])
+                    rows.append(getattr(grads, attr)[1] * weight)
             scale = 1.0 / len(batch)
             mean = Gradients(
                 tensors={k: v * scale for k, v in tensors.items()},
-                sem_embed={k: v * scale for k, v in sem_embed.items()},
-                sent_embed={k: v * scale for k, v in sent_embed.items()},
+                **{attr: (np.concatenate(ids), np.concatenate(rows) * scale)
+                   for attr, (ids, rows) in embeds.items()},
             )
             sgd_step(reference, mean, config.learning_rate)
 
@@ -433,6 +434,36 @@ class TestTrain:
                 )
                 moved += not np.array_equal(getattr(initial, attr).vectors[token], row)
         assert moved > 0
+
+    def test_repeated_token_row_moves_by_its_summed_gradient(self):
+        # "good" occurs twice in every sequence of one batch that spans more
+        # than one kernel chunk, so the update names its row many times.
+        n = CHUNK + 9
+        others = ["mad", "meh", "a", "b"]
+        train_set = [conv(i, f"good {others[i % 4]} good", LABELS[i % 4]) for i in range(n)]
+        val_set = [conv(100 + i, others[i], LABELS[i]) for i in range(4)]
+        config = TrainConfig(learning_rate=0.5, token_budget=1000, max_epochs=1, patience=1, seed=3)
+        assert len(make_batches(train_set, config.token_budget, seed=config.seed)) == 1
+        trained, _ = train(
+            tiny_random_model(seed=4, train_embeddings=True), train_set, val_set, config
+        )
+
+        initial = tiny_random_model(seed=4, train_embeddings=True)
+        for attr, prefix in (("semantic_table", "sem"), ("sentiment_table", "sent")):
+            table = getattr(initial, attr)
+            row = table.index["good"]
+            summed = np.zeros(table.dim)
+            for c in train_set:
+                _, cache = ss_forward(initial, c.tokens)
+                grads = ss_backward(initial, cache, LABELS.index(c.label))
+                ids, rows = getattr(grads, f"{prefix}_embed")
+                assert list(ids).count(row) == 2
+                summed += rows[ids == row].sum(axis=0) / n
+            np.testing.assert_allclose(
+                getattr(trained, attr).matrix[row],
+                table.matrix[row] - config.learning_rate * summed,
+                rtol=1e-12, atol=1e-14,
+            )
 
     @pytest.mark.filterwarnings("ignore:divide by zero")
     def test_non_finite_loss_raises_at_its_batch(self):
