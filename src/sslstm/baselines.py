@@ -3,9 +3,10 @@
 Both consume the same hand-crafted features — contiguous 1/2/3-grams over
 normalized token surfaces plus a 3-vector of (happy, sad, angry) emoticon
 counts.  NB is a multinomial model and therefore uses only the n-gram count
-block; the dense emoticon vector joins the feature space of the SVM, which
-is trained one-vs-rest by Pegasos-style stochastic subgradient descent on
-L2-regularized hinge loss.
+block.  The SVM sees each utterance as one sparse row over the n-gram
+vocabulary plus three trailing emoticon columns, and is trained one-vs-rest
+by Pegasos stochastic subgradient descent on L2-regularized hinge loss in
+O(nnz + 4·V) memory: no n × V matrix is built.
 
 Baseline models serialize into the same versioned container as the neural
 checkpoints, tagged ``meta model=nb`` or ``meta model=svm``.
@@ -77,7 +78,7 @@ class NBModel:
         self.priors = np.asarray(self.priors, dtype=np.float64)
         if self.priors.shape != (N_CLASSES,):
             raise ValueError(f"priors must have {N_CLASSES} entries")
-        # Tolerance covers 9-significant-digit checkpoint round trips.
+        # Slack for priors rounded in hand-written model files.
         if abs(float(self.priors.sum()) - 1.0) > 1e-6:
             raise ValueError("priors must sum to 1")
         if self.alpha <= 0:
@@ -164,30 +165,42 @@ class LinearSVMModel:
             raise ValueError("weights must be finite")
 
 
-def features_to_dense(features: FeatureVector, vocab: dict[str, int]) -> np.ndarray:
-    """Dense vector over a fixed vocabulary; unknown grams are dropped and
-    the emoticon counts occupy the trailing three dimensions."""
-    x = np.zeros(len(vocab) + 3)
+def feature_row(features: FeatureVector, vocab: dict[str, int]):
+    """Sparse ``(cols, vals)`` row over a fixed vocabulary: the column of
+    each known gram with its count, then the non-zero emoticon counts in the
+    trailing columns ``V``..``V+2``; unknown grams are dropped."""
+    cols, vals = [], []
     for gram, count in features.ngrams.items():
         col = vocab.get(gram)
         if col is not None:
-            x[col] = count
-    x[len(vocab) :] = features.emoticons
-    return x
+            cols.append(col)
+            vals.append(count)
+    for slot in np.flatnonzero(features.emoticons):
+        cols.append(len(vocab) + int(slot))
+        vals.append(features.emoticons[slot])
+    return np.array(cols, dtype=np.int64), np.array(vals, dtype=np.float64)
 
 
-def svm_fit_vectors(X, y, lambda_reg: float, epochs: int, seed: int):
-    """Pegasos-style one-vs-rest training on raw feature vectors.
+def svm_fit_vectors(rows, y, dim: int, lambda_reg: float, epochs: int, seed: int):
+    """Pegasos one-vs-rest training on sparse ``(cols, vals)`` rows of width
+    ``dim``.
 
     Per visited example t (counted across epochs) the step size is
-    1/(lambda*t); every class weight row shrinks by the regularizer and
-    margin-violating rows additionally move along +/- the example.  Biases
-    are unregularized.  Returns (weights, bias).
+    1/(lambda*t): every class weight row shrinks by a factor (1 - 1/t) and
+    margin-violating rows additionally move along +/- the example.  The
+    weights are kept scaled as ``u = t*w``, which turns the shrink into a
+    no-op and the move into ``u += sign*x/lambda`` on the row's columns
+    only.  Biases are unregularized.  Returns (weights, bias).
     """
-    X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    n, dim = X.shape
-    weights = np.zeros((N_CLASSES, dim))
+    n = len(rows)
+    for cols, _ in rows:
+        if len(cols) and (cols.min() < 0 or cols.max() >= dim):
+            raise ValueError(f"feature column out of range [0, {dim})")
+        # The update below is buffered: a repeated column would move only once.
+        if len(np.unique(cols)) != len(cols):
+            raise ValueError("a feature row repeats a column")
+    u = np.zeros((N_CLASSES, dim))
     bias = np.zeros(N_CLASSES)
     signs = np.where(np.arange(N_CLASSES)[:, None] == y[None, :], 1.0, -1.0)  # (4, n)
     rng = np.random.default_rng(seed)
@@ -196,15 +209,15 @@ def svm_fit_vectors(X, y, lambda_reg: float, epochs: int, seed: int):
         for idx in rng.permutation(n):
             t += 1
             eta = 1.0 / (lambda_reg * t)
-            x = X[idx]
+            cols, vals = rows[idx]
             cls_sign = signs[:, idx]
-            margins = cls_sign * (weights @ x + bias)
+            # w_{t-1} = u/(t-1); u is still zero at t = 1, where w_0 = 0.
+            margins = cls_sign * (u[:, cols] @ vals / max(t - 1, 1) + bias)
             violating = margins < 1.0
-            weights *= 1.0 - eta * lambda_reg
             if np.any(violating):
-                weights[violating] += eta * np.outer(cls_sign[violating], x)
+                u[np.ix_(violating, cols)] += np.outer(cls_sign[violating], vals / lambda_reg)
                 bias[violating] += eta * cls_sign[violating]
-    return weights, bias
+    return u / max(t, 1), bias
 
 
 def svm_train(
@@ -220,14 +233,15 @@ def svm_train(
     if epochs <= 0:
         raise ValueError("epochs must be positive")
     pairs, vocab = _dataset_features(dataset, lex)
-    X = np.stack([features_to_dense(f, vocab) for f, _ in pairs])
+    rows = [feature_row(f, vocab) for f, _ in pairs]
     y = np.array([target for _, target in pairs])
-    weights, bias = svm_fit_vectors(X, y, lambda_reg, epochs, seed)
+    weights, bias = svm_fit_vectors(rows, y, len(vocab) + 3, lambda_reg, epochs, seed)
     return LinearSVMModel(vocab=vocab, weights=weights, bias=bias, lambda_reg=lambda_reg)
 
 
 def svm_scores(model: LinearSVMModel, features: FeatureVector) -> np.ndarray:
-    return model.weights @ features_to_dense(features, model.vocab) + model.bias
+    cols, vals = feature_row(features, model.vocab)
+    return model.weights[:, cols] @ vals + model.bias
 
 
 def svm_predict(model: LinearSVMModel, features: FeatureVector) -> str:

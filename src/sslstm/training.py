@@ -143,7 +143,8 @@ def make_batches(dataset, token_budget: int, seed: int | None, max_len: int | No
 
 def sgd_step(model: SSLSTMModel, gradients: Gradients, learning_rate: float) -> SSLSTMModel:
     """In-place update w <- w - lr*g for every parameter; plain SGD, no
-    momentum or weight decay.  All shapes are validated before any write."""
+    momentum or weight decay.  Every shape and embedding row id is validated
+    before any write."""
     tensors = model.param_tensors()
     if set(gradients.tensors) != set(tensors):
         raise ValueError("gradient tensor names do not match the model")
@@ -152,16 +153,30 @@ def sgd_step(model: SSLSTMModel, gradients: Gradients, learning_rate: float) -> 
             raise ValueError(
                 f"gradient shape mismatch for {name}: {grad.shape} vs {tensors[name].shape}"
             )
+    embeds = []
+    if model.config.train_embeddings:
+        for channel, table, embed in (
+            ("semantic", model.semantic_table, gradients.sem_embed),
+            ("sentiment", model.sentiment_table, gradients.sent_embed),
+        ):
+            if embed is None:
+                continue
+            ids, rows = embed
+            if rows.ndim != 2 or ids.shape != (len(rows),) or rows.shape[1] != table.dim:
+                raise ValueError(
+                    f"{channel} embedding gradient has {ids.shape} ids and rows of shape "
+                    f"{rows.shape}, expected one row of width {table.dim} per id"
+                )
+            if len(ids) and (ids.min() < 0 or ids.max() >= len(table)):
+                raise ValueError(
+                    f"{channel} embedding gradient names a row outside [0, {len(table)})"
+                )
+            embeds.append((table, ids, rows))
     for name, grad in gradients.tensors.items():
         tensors[name] -= learning_rate * grad
-    if model.config.train_embeddings:
-        for table, embed in (
-            (model.semantic_table, gradients.sem_embed),
-            (model.sentiment_table, gradients.sent_embed),
-        ):
-            if embed is not None:
-                # Unbuffered: a row named more than once moves by every entry.
-                np.subtract.at(table.matrix, embed[0], learning_rate * embed[1])
+    for table, ids, rows in embeds:
+        # Unbuffered: a row named more than once moves by every entry.
+        np.subtract.at(table.matrix, ids, learning_rate * rows)
     return model
 
 

@@ -1,15 +1,18 @@
 import io
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sslstm.baselines import (
     FeatureVector,
     LinearSVMModel,
     NBModel,
     extract_features,
-    features_to_dense,
+    feature_row,
     load_baseline,
     nb_predict,
     nb_scores,
@@ -21,7 +24,7 @@ from sslstm.baselines import (
     svm_train,
 )
 from sslstm.dataio import Conversation
-from sslstm.labels import LABELS
+from sslstm.labels import LABELS, N_CLASSES
 from sslstm.training import CheckpointError
 from sslstm.text_norm import normalize_utterance
 
@@ -69,6 +72,42 @@ def nb_oracle_predict(token_corpus, doc_tokens, alpha=Fraction(1)):
         if best_score is None or score > best_score:
             best_label, best_score = label, score
     return best_label
+
+
+def sparse_rows(X):
+    """``(cols, vals)`` rows of a dense matrix, zero entries left out."""
+    return [(np.flatnonzero(x), x[np.flatnonzero(x)]) for x in np.asarray(X, dtype=np.float64)]
+
+
+def fit_dense(X, y, **kwargs):
+    X = np.asarray(X, dtype=np.float64)
+    return svm_fit_vectors(sparse_rows(X), y, X.shape[1], **kwargs)
+
+
+def dense_fit_reference(X, y, lambda_reg, epochs, seed):
+    """The dense Pegasos loop: every step shrinks the whole weight matrix by
+    (1 - eta*lambda) and moves the violating rows along +/- x."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n, dim = X.shape
+    weights = np.zeros((N_CLASSES, dim))
+    bias = np.zeros(N_CLASSES)
+    signs = np.where(np.arange(N_CLASSES)[:, None] == y[None, :], 1.0, -1.0)
+    rng = np.random.default_rng(seed)
+    t = 0
+    for _ in range(epochs):
+        for idx in rng.permutation(n):
+            t += 1
+            eta = 1.0 / (lambda_reg * t)
+            x = X[idx]
+            cls_sign = signs[:, idx]
+            margins = cls_sign * (weights @ x + bias)
+            violating = margins < 1.0
+            weights *= 1.0 - eta * lambda_reg
+            if np.any(violating):
+                weights[violating] += eta * np.outer(cls_sign[violating], x)
+                bias[violating] += eta * cls_sign[violating]
+    return weights, bias
 
 
 class TestExtractFeatures:
@@ -221,7 +260,7 @@ class TestLinearSVM:
     def test_single_feature_sign_separation(self):
         X = np.array([[1.0], [-1.0], [1.0], [-1.0]])
         y = np.array([0, 1, 0, 1])
-        weights, bias = svm_fit_vectors(X, y, lambda_reg=0.01, epochs=60, seed=0)
+        weights, bias = fit_dense(X, y, lambda_reg=0.01, epochs=60, seed=0)
         for x, target in zip(X, y):
             assert int(np.argmax(weights @ x + bias)) == target
 
@@ -278,16 +317,73 @@ class TestLinearSVM:
             assert svm_predict(model, features) == svm_predict(shifted, features)
 
     def test_emoticon_dimensions_are_trailing(self):
-        features = FeatureVector(ngrams={"a": 2, "zzz": 9}, emoticons=[1, 2, 3])
-        dense = features_to_dense(features, {"a": 0, "b": 1})
-        np.testing.assert_array_equal(dense, [2, 0, 1, 2, 3])
+        features = FeatureVector(ngrams={"a": 2, "zzz": 9}, emoticons=[1, 0, 3])
+        cols, vals = feature_row(features, {"a": 0, "b": 1})
+        assert cols.dtype == np.int64 and vals.dtype == np.float64
+        np.testing.assert_array_equal(cols, [0, 2, 4])
+        np.testing.assert_array_equal(vals, [2, 1, 3])
 
     def test_emoticons_can_separate_classes(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0]] * 3)
         y = np.array([0, 1] * 3)
-        weights, bias = svm_fit_vectors(X, y, lambda_reg=0.01, epochs=60, seed=0)
+        weights, bias = fit_dense(X, y, lambda_reg=0.01, epochs=60, seed=0)
         assert int(np.argmax(weights @ np.array([1.0, 0.0]) + bias)) == 0
         assert int(np.argmax(weights @ np.array([0.0, 1.0]) + bias)) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 30),
+        dim=st.integers(1, 12),
+        epochs=st.integers(1, 4),
+        lambda_reg=st.sampled_from([0.005, 0.1, 1e3]),
+        classes=st.lists(st.integers(0, N_CLASSES - 1), min_size=1, max_size=N_CLASSES,
+                         unique=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sparse_fit_matches_dense_reference(self, n, dim, epochs, lambda_reg, classes, seed):
+        # Continuous values, about half of them zero, and some all-zero rows:
+        # integer counts can put a margin exactly on the hinge at 1.0, where
+        # the two summation orders may legitimately take different branches.
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-2.0, 2.0, size=(n, dim)) * (rng.random((n, dim)) < 0.5)
+        X[rng.random(n) < 0.2] = 0.0
+        y = rng.choice(classes, size=n)
+        rows = []
+        for cols, vals in sparse_rows(X):
+            order = rng.permutation(len(cols))  # the column order must not matter
+            rows.append((cols[order], vals[order]))
+        weights, bias = svm_fit_vectors(rows, y, dim, lambda_reg, epochs, seed)
+        ref_weights, ref_bias = dense_fit_reference(X, y, lambda_reg, epochs, seed)
+        np.testing.assert_allclose(weights, ref_weights, rtol=1e-12, atol=1e-13)
+        np.testing.assert_array_equal(bias, ref_bias)
+
+    def test_malformed_rows_rejected(self):
+        y = np.array([0])
+        bad_rows = {
+            "repeats a column": (np.array([1, 1]), np.array([1.0, 2.0])),
+            "out of range": (np.array([3]), np.array([1.0])),
+        }
+        for message, row in bad_rows.items():
+            with pytest.raises(ValueError, match=message):
+                svm_fit_vectors([row], y, 3, lambda_reg=0.1, epochs=1, seed=0)
+        with pytest.raises(ValueError, match="out of range"):
+            svm_fit_vectors([(np.array([-1]), np.array([1.0]))], y, 3, 0.1, 1, 0)
+
+    def test_training_memory_stays_sparse(self):
+        # 2,000 utterances of 8 unique tokens give 42,000 n-grams: a dense
+        # n x (V+3) float64 matrix would take 672 MB.
+        data = [
+            conv(i, " ".join(f"u{i}x{j}" for j in range(8)), LABELS[i % N_CLASSES])
+            for i in range(2000)
+        ]
+        tracemalloc.start()
+        try:
+            model = svm_train(data, epochs=2, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(data) * (len(model.vocab) + 3) * 8 > 400e6
+        assert peak < 50e6, f"traced peak {peak / 1e6:.1f} MB"
 
     def test_validation(self):
         with pytest.raises(ValueError, match="empty"):
@@ -319,9 +415,7 @@ class TestBaselineCheckpoints:
         for probe in ("good", "bad day", "zzz", ""):
             features = extract_features(probe.split())
             assert nb_predict(loaded, features) == nb_predict(model, features)
-            np.testing.assert_allclose(
-                nb_scores(loaded, features), nb_scores(model, features), atol=1e-6
-            )
+            np.testing.assert_array_equal(nb_scores(loaded, features), nb_scores(model, features))
 
     def test_svm_round_trip(self):
         data = corpus(("good good", "happy"), ("bad bad", "sad"))
@@ -336,9 +430,44 @@ class TestBaselineCheckpoints:
         assert loaded.lambda_reg == model.lambda_reg
         for probe in ("good", "bad", "good bad"):
             features = extract_features(probe.split())
-            np.testing.assert_allclose(
-                svm_scores(loaded, features), svm_scores(model, features), atol=1e-6
+            np.testing.assert_array_equal(
+                svm_scores(loaded, features), svm_scores(model, features)
             )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        docs=st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(["good", "bad", "day", "meh", ":)", ":(", ">:(", "@x"]),
+                         min_size=1, max_size=6),
+                st.sampled_from(LABELS),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        kind=st.sampled_from(["nb", "svm"]),
+        alpha=st.sampled_from([0.1, 0.5, 1.0, 3.0]),
+        lambda_reg=st.sampled_from([0.005, 0.1, 7.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_save_load_save_is_exact(self, docs, kind, alpha, lambda_reg, seed):
+        data = corpus(*[(" ".join(tokens), label) for tokens, label in docs])
+        if kind == "nb":
+            model = nb_train(data, alpha=alpha)
+            fields = ("priors", "log_likelihood", "alpha")
+        else:
+            model = svm_train(data, lambda_reg=lambda_reg, epochs=2, seed=seed)
+            fields = ("weights", "bias", "lambda_reg")
+        first = io.StringIO()
+        save_baseline(model, first)
+        loaded = load_baseline(io.StringIO(first.getvalue()))
+        assert type(loaded) is type(model)
+        assert loaded.vocab == model.vocab
+        for name in fields:
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(model, name))
+        second = io.StringIO()
+        save_baseline(loaded, second)
+        assert second.getvalue() == first.getvalue()
 
     def test_multiword_grams_survive(self):
         model = nb_train(corpus(("one two three", "happy"), ("four", "sad")))

@@ -226,6 +226,28 @@ class TestSgdStep:
         with pytest.raises(ValueError, match="tensor names"):
             sgd_step(model, grads, 0.1)
 
+    @pytest.mark.parametrize(
+        "ids, width",
+        [([0], 1), ([6], 0), ([-1], 0), ([0, 1], None)],
+        ids=["wide-row", "id-past-end", "negative-id", "fewer-rows-than-ids"],
+    )
+    def test_bad_embedding_gradient_leaves_model_untouched(self, ids, width):
+        model = tiny_random_model(seed=4, train_embeddings=True)
+        before = {k: v.copy() for k, v in model.param_tensors().items()}
+        tables = (model.semantic_table, model.sentiment_table)
+        matrices = [t.matrix.copy() for t in tables]
+        grads = zero_gradients(model)
+        grads.tensors["fc_b"][0] = 9.9
+        dim = model.semantic_table.dim
+        rows = np.ones((1, dim + width)) if width is not None else np.ones((1, dim))
+        grads.sem_embed = (np.array(ids), rows)
+        with pytest.raises(ValueError, match="semantic embedding gradient"):
+            sgd_step(model, grads, 0.1)
+        for k, v in model.param_tensors().items():
+            np.testing.assert_array_equal(v, before[k])
+        for table, matrix in zip(tables, matrices):
+            np.testing.assert_array_equal(table.matrix, matrix)
+
     def test_embedding_update(self):
         model = tiny_random_model(seed=2, train_embeddings=True)
         before = model.semantic_table.vectors["good"].copy()
