@@ -14,7 +14,7 @@ import numpy as np
 
 from sslstm.dataio import Conversation
 from sslstm.embeddings import EmbeddingTable
-from sslstm.neural import ModelConfig, init_model, predict
+from sslstm.neural import ModelConfig, batch_predict, init_model
 from sslstm.training import TrainConfig, train
 
 semantic = EmbeddingTable(dim=2, vectors={
@@ -38,7 +38,8 @@ def make_split(per_pattern, start):
 
 
 def accuracy(model, data):
-    return float(np.mean([predict(model, c.tokens) == c.label for c in data]))
+    labels = batch_predict(model, [c.tokens for c in data])
+    return float(np.mean([p == c.label for p, c in zip(labels, data)]))
 
 
 train_set = make_split(10, 0)
@@ -51,8 +52,7 @@ for channels in ("semantic", "sentiment", "both"):
     model_config = ModelConfig(channels=channels, sem_hidden=8, sent_hidden=8,
                                fc_hidden=8, max_seq_len=4)
     train_config = TrainConfig(learning_rate=0.3, token_budget=16, max_epochs=200,
-                               patience=40, seed=0, channels=channels,
-                               stop_when_train_accuracy=1.0)
+                               patience=40, seed=0, stop_when_train_accuracy=1.0)
     model = init_model(model_config, semantic, sentiment, seed=0)
     best, history = train(model, train_set, val_set, train_config)
     results[channels] = accuracy(best, val_set)

@@ -85,6 +85,8 @@ from .text_norm import (
     serialize_tokens,
 )
 from .training import (
+    GRADCHECK_EXHAUSTIVE_LIMIT,
+    GRADCHECK_SAMPLE,
     TrainConfig,
     gradient_check,
     model_from_container,
@@ -260,7 +262,6 @@ def cmd_train(args) -> None:
         max_epochs=_TRAIN_DEFAULTS.max_epochs if args.epochs is None else args.epochs,
         patience=args.patience,
         seed=args.seed,
-        channels=args.channels,
     )
     model = init_model(model_config, semantic, sentiment, seed=args.seed)
     best, history = train(model, train_set, val_set, train_config)
@@ -394,8 +395,12 @@ def cmd_gradcheck(args) -> None:
     tokens = [vocab[int(i)] for i in rng.integers(0, len(vocab), size=args.length)]
     target = int(rng.integers(0, 4))
     error = gradient_check(model, (tokens, target), epsilon=args.epsilon)
+    n_params = sum(t.size for t in model.param_tensors().values())
+    checked = f"all {n_params}"
+    if n_params > GRADCHECK_EXHAUSTIVE_LIMIT:
+        checked = f"{GRADCHECK_SAMPLE} of {n_params}"
     print(
-        f"channels: {args.channels}  parameters checked: all  "
+        f"channels: {args.channels}  parameters checked: {checked}  "
         f"max relative error: {error:.3e}  tolerance: {args.tolerance:g}"
     )
     if not np.isfinite(error) or error > args.tolerance:
@@ -444,7 +449,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True, help="where to save the fitted model")
     p.add_argument("--semantic-emb", help="semantic embedding text file")
     p.add_argument("--sentiment-emb", help="sentiment embedding text file")
-    p.add_argument("--channels", choices=CHANNELS, default=_TRAIN_DEFAULTS.channels,
+    p.add_argument("--channels", choices=CHANNELS, default=_MODEL_DEFAULTS.channels,
                    help="embedding channels to use (default both)")
     p.add_argument("--sem-hidden", type=int, default=_MODEL_DEFAULTS.sem_hidden,
                    help=f"semantic hidden units (default {_MODEL_DEFAULTS.sem_hidden})")

@@ -15,7 +15,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from sslstm.dataio import _open_write
-from sslstm.text_norm import surface, surfaces
+from sslstm.text_norm import surfaces
 
 # Fallback dimensionalities for channels constructed without a file.
 DEFAULT_SEMANTIC_DIM = 100
@@ -24,25 +24,6 @@ DEFAULT_SENTIMENT_DIM = 50
 
 class EmbeddingFormatError(ValueError):
     """Raised for malformed embedding files."""
-
-
-class _Rows(Mapping):
-    """Token -> live row of a table's matrix; assigning to a token writes its row."""
-
-    def __init__(self, table: EmbeddingTable):
-        self._table = table
-
-    def __getitem__(self, token) -> np.ndarray:
-        return self._table.matrix[self._table.index[token]]
-
-    def __setitem__(self, token, value) -> None:
-        self._table.matrix[self._table.index[token]] = value
-
-    def __iter__(self):
-        return iter(self._table.index)
-
-    def __len__(self) -> int:
-        return len(self._table.index)
 
 
 class EmbeddingTable:
@@ -73,11 +54,6 @@ class EmbeddingTable:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    @property
-    def vectors(self) -> _Rows:
-        """Read/write token -> row view of :attr:`matrix`."""
-        return _Rows(self)
-
     def ids(self, tokens) -> np.ndarray:
         """Row of each token (strings or ``Token``), -1 where out of vocabulary."""
         get = self.index.get
@@ -89,9 +65,6 @@ class EmbeddingTable:
         known = ids >= 0
         out[known] = self.matrix[ids[known]]
         return out
-
-    def __contains__(self, token) -> bool:
-        return surface(token) in self.index
 
     def __len__(self) -> int:
         return len(self.index)

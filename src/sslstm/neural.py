@@ -9,12 +9,12 @@ Forward and backward passes are hand-written in float64 numpy.  The backward
 pass is exact backpropagation through time; its correctness is pinned by
 finite-difference checks in the training module and the test suite.
 
-One kernel serves every entry point.  It takes a chunk of sequences sorted
-longest first, stacks the four gates into one weight matrix per input
-(Appleyard et al. 2016, arXiv:1604.01946), computes the input projection
-of every token in one matrix product, and at each step runs only the
-sequences still going.  The single-sequence functions (``lstm_forward``,
-``ss_forward``, ``ss_backward``, ``predict``) are chunks of one.
+One kernel serves the three entry points, :func:`batch_forward`,
+:func:`batch_backward` and :func:`batch_predict`.  It takes a chunk of
+sequences sorted longest first, stacks the four gates into one weight
+matrix per input (Appleyard et al. 2016, arXiv:1604.01946), computes the
+input projection of every token in one matrix product, and at each step
+runs only the sequences still going.  A single sequence is a batch of one.
 """
 
 from __future__ import annotations
@@ -154,24 +154,6 @@ class LSTMCache:
     c: np.ndarray   # cell states
     h: np.ndarray   # hidden states
     steps: list[int]
-
-
-# Output-layer activations shared by the single-example and the batch cache.
-_HEAD = ("concat", "z1", "a1", "logits", "probs")
-
-
-@dataclass
-class ForwardCache:
-    """Backward cache of one token sequence (see :func:`ss_forward`)."""
-
-    tokens: list[str]
-    sem: LSTMCache | None
-    sent: LSTMCache | None
-    concat: np.ndarray
-    z1: np.ndarray
-    a1: np.ndarray
-    logits: np.ndarray
-    probs: np.ndarray
 
 
 @dataclass
@@ -382,23 +364,6 @@ def _lstm_backprop(
     return grads, (dA @ W if want_dx else None)
 
 
-def lstm_forward(params: LSTMParams, inputs) -> tuple[np.ndarray, np.ndarray, LSTMCache]:
-    """Run the standard LSTM recurrence from zero initial state.
-
-    Returns the hidden-state sequence, the final hidden state (zeros for an
-    empty input), and the cache needed for the backward pass.
-    """
-    inputs = [np.asarray(x, dtype=np.float64) for x in inputs]
-    for t, x in enumerate(inputs):
-        if x.shape != (params.input_dim,):
-            raise ValueError(
-                f"input {t} has shape {x.shape}, expected ({params.input_dim},)"
-            )
-    xs = np.array(inputs).reshape(len(inputs), params.input_dim)
-    cache = _lstm_run(params, xs, [1] * len(inputs))
-    return cache.h, _final_states(cache, [len(inputs)])[0], cache
-
-
 def _step_major(sequences: list[list[str]]) -> tuple[list[int], list[str]]:
     """Per-step running counts and the tokens in step-major row order, for
     sequences sorted longest first."""
@@ -545,26 +510,3 @@ def batch_predict(model: SSLSTMModel, sequences) -> list[str]:
             labels[k] = LABELS[int(best)]
     return labels
 
-
-def ss_forward(model: SSLSTMModel, tokens) -> tuple[np.ndarray, ForwardCache]:
-    """Class probabilities for one token sequence, plus the backward cache."""
-    probs, batch = batch_forward(model, [tokens])
-    head = {name: getattr(batch, name)[0] for name in _HEAD}
-    return probs[0], ForwardCache(tokens=batch.tokens[0], sem=batch.sem, sent=batch.sent, **head)
-
-
-def ss_backward(model: SSLSTMModel, cache: ForwardCache, target: int) -> Gradients:
-    """Exact cross-entropy gradients for every trainable parameter."""
-    target = int(target)
-    if not 0 <= target < N_CLASSES:
-        raise ValueError(f"target class out of range: {target}")
-    head = {name: getattr(cache, name)[None] for name in _HEAD}
-    batch = BatchCache(tokens=[cache.tokens], order=[0], sem=cache.sem, sent=cache.sent, **head)
-    dlogits = batch.probs.copy()
-    dlogits[0, target] -= 1.0
-    return batch_backward(model, batch, dlogits)
-
-
-def predict(model: SSLSTMModel, tokens) -> str:
-    """Most probable label; ties break in class order (happy first)."""
-    return batch_predict(model, [tokens])[0]

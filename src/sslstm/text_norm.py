@@ -61,8 +61,11 @@ class EmoticonLexicon:
         raw_class: dict[str, str] = {}
         for raw, canonical, cls in entries:
             for form in (raw, canonical):
-                if not form or any(c.isspace() for c in form):
-                    raise LexiconFormatError(f"emoticon form must be non-empty and whitespace-free: {form!r}")
+                # tokenize strips variation selectors, so no text could match them.
+                if not form or any(c.isspace() or ord(c) in _VARIATION_SELECTORS for c in form):
+                    raise LexiconFormatError(
+                        f"emoticon form must be non-empty, without whitespace or variation selectors: {form!r}"
+                    )
             if cls not in EMOTICON_CLASSES:
                 raise LexiconFormatError(f"unknown emoticon class {cls!r} for {raw!r}")
             if raw in raw_to_canonical:
@@ -149,9 +152,10 @@ _WORD_RE = re.compile(r"[^\W_]+(?:['’][^\W_]+)*")
 _VARIATION_SELECTORS = dict.fromkeys((0xFE0E, 0xFE0F), None)
 
 def _drop_chunk(chunk: str) -> bool:
-    # Twitter handles and URLs.  The prefixes are chosen so that no token the
-    # scanner can emit ("@" alone, the bare word "http") matches, which keeps
-    # tokenize -> serialize -> tokenize a fixed point.
+    # Twitter handles and URLs.  The prefixes are chosen so that no word or
+    # punctuation token ("@" alone, the bare word "http") matches, and
+    # tokenize keeps a chunk that is one emoticon candidate (like "@_@"),
+    # which keeps tokenize -> serialize -> tokenize a fixed point.
     low = chunk.lower()
     if low.startswith("@"):
         return len(chunk) > 1
@@ -161,10 +165,12 @@ def _drop_chunk(chunk: str) -> bool:
 def tokenize(raw: str, lex: EmoticonLexicon | None = None) -> list[Token]:
     """Split raw text into tokens.
 
-    Word tokens are lowercased and keep internal apostrophes ("don't");
-    @-handles and URLs are dropped; emoticon candidates (lexicon raw forms,
-    including repeated-mouth runs) survive as single tokens; everything else
-    becomes one punctuation token per character.
+    Word tokens are lowercased and keep internal apostrophes ("don't"); a
+    word that changes case is scanned again lowercased, as it will be
+    written.  @-handles and URLs are dropped unless the chunk is one
+    emoticon candidate; emoticon candidates (lexicon raw forms, including
+    repeated-mouth runs) survive as single tokens; everything else becomes
+    one punctuation token per character.
     """
     if lex is None:
         lex = default_lexicon()
@@ -172,7 +178,9 @@ def tokenize(raw: str, lex: EmoticonLexicon | None = None) -> list[Token]:
     tokens: list[Token] = []
     for chunk in text.split():
         if _drop_chunk(chunk):
-            continue
+            whole = lex.match_emoticon(chunk)
+            if not whole or whole.end() < len(chunk):
+                continue
         pos = 0
         while pos < len(chunk):
             m = lex.match_emoticon(chunk, pos)
@@ -184,7 +192,12 @@ def tokenize(raw: str, lex: EmoticonLexicon | None = None) -> list[Token]:
                 continue
             m = _WORD_RE.match(chunk, pos)
             if m:
-                tokens.append(Token(m.group(0).lower(), "word"))
+                word = m.group(0)
+                if word != word.lower():
+                    # Lowercased, it may start with an emoticon or split.
+                    chunk = chunk[:pos] + word.lower() + chunk[m.end():]
+                    continue
+                tokens.append(Token(word, "word"))
                 pos = m.end()
                 continue
             tokens.append(Token(chunk[pos], "punctuation"))

@@ -20,12 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from sslstm.container import CheckpointError, TruncatedCheckpointError, read_container, write_container
-from sslstm.container import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, UnknownVersionError  # noqa: F401
 from sslstm.embeddings import EmbeddingTable, empty_table
 from sslstm.labels import LABELS, N_CLASSES, label_index
 from sslstm.metrics import confusion, macro_f1
 from sslstm.neural import (
-    CHANNELS,
     Gradients,
     ModelConfig,
     SSLSTMModel,
@@ -35,8 +33,6 @@ from sslstm.neural import (
     chunks,
     clone_model,
     init_model,
-    ss_backward,
-    ss_forward,
 )
 from sslstm.text_norm import default_lexicon_sha256
 
@@ -57,7 +53,6 @@ class TrainConfig:
     max_epochs: int = 100
     patience: int = 5
     seed: int = 0
-    channels: str = "both"
     class_weights: tuple[float, float, float, float] | None = None
     # Optional convergence target: stop once training accuracy reaches this
     # fraction.  Used by overfitting harnesses; None disables it.
@@ -72,8 +67,6 @@ class TrainConfig:
             raise ValueError("max_epochs must be positive")
         if self.patience < 0:
             raise ValueError("patience must be non-negative")
-        if self.channels not in CHANNELS:
-            raise ValueError(f"channels must be one of {CHANNELS}")
         if self.class_weights is not None and len(self.class_weights) != N_CLASSES:
             raise ValueError(f"class_weights needs {N_CLASSES} entries")
 
@@ -273,10 +266,6 @@ def train(model: SSLSTMModel, train_set, validation_set, config: TrainConfig):
         raise ValueError("training set is empty")
     if not validation_set:
         raise ValueError("validation set is empty")
-    if config.channels != model.config.channels:
-        raise ValueError(
-            f"config channels {config.channels!r} do not match model {model.config.channels!r}"
-        )
     weights = None
     if config.class_weights is not None:
         weights = np.asarray(config.class_weights, dtype=np.float64)
@@ -323,27 +312,22 @@ def train(model: SSLSTMModel, train_set, validation_set, config: TrainConfig):
     return best, TrainHistory(records=records, best_epoch=best_epoch)
 
 
-def _example_parts(example):
-    tokens = getattr(example, "tokens", None)
-    if tokens is not None:
-        return tokens, label_index(example.label)
-    tokens, target = example
-    return tokens, label_index(target)
-
-
 def gradient_check(model: SSLSTMModel, example, epsilon: float = 1e-4) -> float:
     """Max relative error between backprop and central finite differences.
 
-    ``example`` is a labeled conversation or a ``(tokens, target)`` pair.
-    Every parameter coordinate is checked (a seeded random subsample of
-    2,000 above 10,000 parameters); the relative error denominator is
-    max(|analytic|, |numeric|, 1e-8).
+    ``example`` is a ``(tokens, target)`` pair, the target a label name or
+    class index.  Every parameter coordinate is checked (a seeded random
+    subsample of 2,000 above 10,000 parameters); the relative error
+    denominator is max(|analytic|, |numeric|, 1e-8).
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    tokens, target = _example_parts(example)
-    _, cache = ss_forward(model, tokens)
-    analytic = ss_backward(model, cache, target).tensors
+    tokens, target = example
+    target = label_index(target)
+    probs, cache = batch_forward(model, [tokens])
+    dlogits = probs.copy()
+    dlogits[0, target] -= 1.0
+    analytic = batch_backward(model, cache, dlogits).tensors
     tensors = model.param_tensors()
     coords = [(name, i) for name, t in tensors.items() for i in range(t.size)]
     if len(coords) > GRADCHECK_EXHAUSTIVE_LIMIT:
@@ -355,9 +339,9 @@ def gradient_check(model: SSLSTMModel, example, epsilon: float = 1e-4) -> float:
         flat = tensors[name].reshape(-1)
         orig = flat[i]
         flat[i] = orig + epsilon
-        up = cross_entropy(ss_forward(model, tokens)[0], target)
+        up = cross_entropy(batch_forward(model, [tokens])[0][0], target)
         flat[i] = orig - epsilon
-        down = cross_entropy(ss_forward(model, tokens)[0], target)
+        down = cross_entropy(batch_forward(model, [tokens])[0][0], target)
         flat[i] = orig
         numeric = (up - down) / (2.0 * epsilon)
         a = float(analytic[name].reshape(-1)[i])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sslstm.embeddings import EmbeddingTable
+from sslstm.neural import batch_backward, batch_forward
 from sslstm.text_norm import default_lexicon
 
 
@@ -16,6 +17,20 @@ def make_table(name, vocab, dim=None, seed=0):
     dim = dim or 4
     vectors = {tok: rng.standard_normal(dim) for tok in vocab}
     return EmbeddingTable(dim=dim, vectors=vectors, name=name)
+
+
+def probs_of(model, tokens):
+    """Class probabilities of one token sequence, run as a batch of one."""
+    return batch_forward(model, [tokens])[0][0]
+
+
+def example_gradients(model, tokens, target):
+    """Cross-entropy gradients of one (tokens, target) example, run as a
+    batch of one: the logit gradient is probs - onehot(target)."""
+    probs, cache = batch_forward(model, [tokens])
+    dlogits = probs.copy()
+    dlogits[0, target] -= 1.0
+    return batch_backward(model, cache, dlogits)
 
 
 @pytest.fixture

@@ -37,7 +37,7 @@ from sslstm.datamine import Candidate
 from sslstm.embeddings import EmbeddingTable
 from sslstm.labels import LABELS
 from sslstm.metrics import dataset_stats, f1_score, fleiss_kappa, mcnemar
-from sslstm.neural import ModelConfig, init_model, predict, ss_forward
+from sslstm.neural import ModelConfig, batch_forward, batch_predict, init_model
 from sslstm.text_norm import normalize_utterance, serialize_tokens, surfaces
 from sslstm.training import TrainConfig, gradient_check, load_checkpoint, save_checkpoint, train
 
@@ -76,11 +76,11 @@ def keyword_dataset(n=50, reps=3):
 
 
 def accuracy(model, data):
-    return float(np.mean([predict(model, c.tokens) == c.label for c in data]))
+    return float(np.mean([batch_predict(model, [c.tokens])[0] == c.label for c in data]))
 
 
 def naive_sentence_vec(table, text):
-    vecs = [table.vectors[s] for s in surfaces(normalize_utterance(text)) if s in table.vectors]
+    vecs = [table.matrix[table.index[s]] for s in surfaces(normalize_utterance(text)) if s in table.index]
     if not vecs:
         return np.zeros(table.dim)
     return sum(vecs) / len(vecs)
@@ -158,7 +158,6 @@ def test_3_overfits_separable_dataset_on_every_channel():
                 max_epochs=500,
                 patience=500,
                 seed=0,
-                channels=channels,
                 stop_when_train_accuracy=1.0,
             )
             model = init_model(model_config, sem, sent, seed=0)
@@ -207,7 +206,6 @@ def test_4_dual_channel_advantage():
                     max_epochs=120 if single else 300,
                     patience=20 if single else 60,
                     seed=seed,
-                    channels=channels,
                     stop_when_train_accuracy=1.0,
                 )
                 model = init_model(model_config, sem, sent, seed=seed)
@@ -399,8 +397,8 @@ def test_9_round_trips():
         for k in range(100):
             probe = np.random.default_rng(900 + k)
             tokens = [vocab[int(i)] for i in probe.integers(0, len(vocab), size=probe.integers(1, 6))]
-            p1, _ = ss_forward(model, tokens)
-            p2, _ = ss_forward(loaded, tokens)
+            p1 = batch_forward(model, [tokens])[0][0]
+            p2 = batch_forward(loaded, [tokens])[0][0]
             np.testing.assert_allclose(p1, p2, atol=1e-6)
 
         # dataset text survives a read/write cycle byte for byte

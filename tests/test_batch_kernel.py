@@ -1,7 +1,9 @@
-"""Property tests: the batched LSTM kernel against per-example calls.
+"""Property tests: the batched LSTM kernel on whole batches against the
+same kernel on one sequence at a time.
 
-``ss_forward``/``ss_backward`` run one sequence at a time; the batch entry
-points run whole chunks.  Both go through the same kernel but sum in a
+The reference runs each example as a batch of one (``batch_forward`` /
+``batch_backward`` on a one-element list) and sums the results; the code
+under test runs whole chunks.  Both go through the same kernel but sum in a
 different order, so they agree to a float tolerance, not bit for bit.  The
 independent references for the maths itself are the finite-difference
 checks and ``test_neural.py::TestLSTMForward::test_matches_naive_recurrence``.
@@ -20,11 +22,10 @@ from sslstm.neural import (
     CHUNK,
     FC_ACTIVATIONS,
     ModelConfig,
+    batch_backward,
     batch_forward,
     batch_predict,
     init_model,
-    ss_backward,
-    ss_forward,
 )
 from sslstm.text_norm import Token
 from sslstm.training import _batch_gradient
@@ -84,16 +85,18 @@ def dense(table, embed):
 
 
 def reference_gradient(model, batch, weights):
-    """Per-example ss_backward, each times weight/len(batch), summed."""
+    """Per-example gradients (batches of one), each times weight/len(batch), summed."""
     loss = 0.0
     tensors = {}
     embeds = {prefix: np.zeros_like(t.matrix) for prefix, t in tables(model).items()}
     for conv in batch:
         target = LABELS.index(conv.label)
         w = 1.0 if weights is None else weights[target]
-        probs, cache = ss_forward(model, conv.tokens)
-        loss += w * -np.log(probs[target])
-        grads = ss_backward(model, cache, target)
+        probs, cache = batch_forward(model, [conv.tokens])
+        loss += w * -np.log(probs[0, target])
+        dlogits = probs.copy()
+        dlogits[0, target] -= 1.0
+        grads = batch_backward(model, cache, dlogits)
         scale = w / len(batch)
         for name, value in grads.tensors.items():
             tensors[name] = tensors.get(name, 0.0) + scale * value
@@ -137,7 +140,7 @@ def test_batch_probabilities_and_labels_match_per_example(batch, setup):
     labels = batch_predict(model, seqs)
     assert len(labels) == len(seqs)
     for k, tokens in enumerate(seqs):
-        single, _ = ss_forward(model, tokens)
+        single = batch_forward(model, [tokens])[0][0]
         np.testing.assert_allclose(probs[k], single, rtol=RTOL, atol=ATOL)
         top2 = np.sort(single)[-2:]
         if top2[1] - top2[0] > 1e-9:

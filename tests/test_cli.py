@@ -488,6 +488,13 @@ class TestGradcheck:
         error = float(out.split("max relative error: ")[1].split()[0])
         assert 0.0 <= error < 1e-4
 
+    # Up to 10,000 parameters every coordinate is checked, above that a
+    # seeded sample of 2,000; --hidden 4 and 40 fall on either side.
+    @pytest.mark.parametrize("hidden, checked", [("4", "all 328"), ("40", "2000 of 17644")])
+    def test_reports_parameters_checked(self, hidden, checked, capsys):
+        assert main(["gradcheck", "--hidden", hidden]) == 0
+        assert f"parameters checked: {checked}  " in capsys.readouterr().out
+
 
 class TestConsoleEntry:
     def test_module_invocation_round_trip(self, ws):

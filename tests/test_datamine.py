@@ -39,7 +39,7 @@ def random_table(words, dim, seed):
 def naive_sentence_vec(table, text):
     """Mean pooling written out longhand, independent of the library path."""
     surfaces = [t.surface for t in normalize_utterance(text)]
-    vecs = [table.vectors[s] for s in surfaces if s in table.vectors]
+    vecs = [table.matrix[table.index[s]] for s in surfaces if s in table.index]
     if not vecs:
         return np.zeros(table.dim)
     total = np.zeros(table.dim)

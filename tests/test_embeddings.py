@@ -30,7 +30,7 @@ class TestLoad:
         t = load_str("a 1.0 0.0\nb 0.0 1.0")
         assert t.dim == 2
         assert len(t) == 2
-        np.testing.assert_array_equal(t.vectors["a"], [1.0, 0.0])
+        np.testing.assert_array_equal(t.matrix[t.index["a"]], [1.0, 0.0])
 
     def test_dimension_mismatch_names_line(self):
         with pytest.raises(EmbeddingFormatError, match=":2: dimension mismatch"):
@@ -82,16 +82,16 @@ class TestLoad:
         save_embedding_file(t, path)
         back = load_embedding_file(path)
         assert back.dim == t.dim
-        assert set(back.vectors) == set(t.vectors)
-        for tok in t.vectors:
-            np.testing.assert_array_equal(back.vectors[tok], t.vectors[tok])
+        assert set(back.index) == set(t.index)
+        for tok, row in t.index.items():
+            np.testing.assert_array_equal(back.matrix[back.index[tok]], t.matrix[row])
 
     def test_round_trip_with_header(self, tmp_path):
         t = load_str("a 0.1 0.2\nb -1e-9 4.0")
         path = tmp_path / "emb.txt"
         save_embedding_file(t, path, header=True)
         back = load_embedding_file(path)
-        np.testing.assert_array_equal(back.vectors["b"], t.vectors["b"])
+        np.testing.assert_array_equal(back.matrix[back.index["b"]], t.matrix[t.index["b"]])
 
 
 # Tokens as the loader splits them: no whitespace or line breaks (those are

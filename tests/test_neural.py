@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import make_table
+from conftest import example_gradients, make_table, probs_of
 from sslstm.labels import LABELS, N_CLASSES
 from sslstm.neural import (
     CHANNELS,
@@ -12,16 +12,18 @@ from sslstm.neural import (
     LSTMParams,
     ModelConfig,
     StaleCacheError,
+    _final_states,
+    _lstm_run,
     _sigmoid,
+    batch_backward,
+    batch_forward,
+    batch_predict,
     clone_model,
     init_model,
-    lstm_forward,
-    predict,
     softmax,
-    ss_backward,
-    ss_forward,
 )
 from sslstm.text_norm import Token
+from sslstm.training import gradient_check
 
 VOCAB = ["good", "bad", "mad", "meh", "a", "b", "c", ":)", ":(", ">:(", ":|"]
 
@@ -55,9 +57,16 @@ def unit_lstm(**overrides):
     return LSTMParams(**kw)
 
 
+def run_lstm(params, xs):
+    """One input sequence through the kernel, one row per step: the hidden
+    states, the final state (zeros for an empty input) and the cache."""
+    xs = np.array(xs, dtype=np.float64).reshape(len(xs), params.input_dim)
+    cache = _lstm_run(params, xs, [1] * len(xs))
+    return cache.h, _final_states(cache, [len(xs)])[0], cache
+
+
 def loss_of(model, tokens, target):
-    probs, _ = ss_forward(model, tokens)
-    return -np.log(probs[target])
+    return -np.log(probs_of(model, tokens)[target])
 
 
 def two_branch_sigmoid(x):
@@ -88,7 +97,7 @@ class TestLSTMForward:
         # All weights zero, cell-candidate bias 1: gates are sigmoid(0)=0.5,
         # candidate tanh(1)=0.76159, cell 0.38080, hidden 0.5*tanh(0.38080).
         params = unit_lstm(b_c=np.ones(1))
-        hs, h_final, cache = lstm_forward(params, [np.array([7.0])])
+        hs, h_final, cache = run_lstm(params, [np.array([7.0])])
         assert h_final[0] == pytest.approx(0.18170, abs=5e-6)
         np.testing.assert_allclose(cache.i[0], 0.5)
         np.testing.assert_allclose(cache.f[0], 0.5)
@@ -101,7 +110,7 @@ class TestLSTMForward:
         # Same zero-weight setup: step 2 adds another 0.5*tanh(1) through a
         # half-open forget gate, so c2 = 0.5*c1 + 0.38080.
         params = unit_lstm(b_c=np.ones(1))
-        _, h_final, cache = lstm_forward(params, [np.zeros(1), np.zeros(1)])
+        _, h_final, cache = run_lstm(params, [np.zeros(1), np.zeros(1)])
         c1 = 0.5 * np.tanh(1.0)
         c2 = 0.5 * c1 + 0.5 * np.tanh(1.0)
         assert cache.c[1, 0] == pytest.approx(c2, abs=1e-12)
@@ -109,7 +118,7 @@ class TestLSTMForward:
 
     def test_empty_input_gives_zero_final_state(self):
         params = unit_lstm(b_c=np.ones(1))
-        hs, h_final, cache = lstm_forward(params, [])
+        hs, h_final, cache = run_lstm(params, [])
         assert hs.shape == (0, 1)
         np.testing.assert_array_equal(h_final, np.zeros(1))
         assert cache.xs.shape == (0, 1)
@@ -118,7 +127,7 @@ class TestLSTMForward:
         rng = np.random.default_rng(3)
         params = tiny_model(seed=5).sem
         xs = [rng.standard_normal(params.input_dim) for _ in range(4)]
-        hs, h_final, _ = lstm_forward(params, xs)
+        hs, h_final, _ = run_lstm(params, xs)
 
         def sig(v):
             return 1.0 / (1.0 + np.exp(-v))
@@ -139,7 +148,7 @@ class TestLSTMForward:
         params = tiny_model(seed=9).sent
         rng = np.random.default_rng(4)
         xs = [10.0 * rng.standard_normal(params.input_dim) for _ in range(6)]
-        _, _, cache = lstm_forward(params, xs)
+        _, _, cache = run_lstm(params, xs)
         for name in ("i", "f", "o"):
             vals = getattr(cache, name)
             assert np.all(vals > 0.0) and np.all(vals < 1.0)
@@ -148,20 +157,15 @@ class TestLSTMForward:
     def test_extreme_inputs_stay_finite(self):
         params = tiny_model(seed=2).sem
         xs = [np.full(params.input_dim, 1e4), np.full(params.input_dim, -1e4)]
-        hs, h_final, _ = lstm_forward(params, xs)
+        hs, h_final, _ = run_lstm(params, xs)
         assert np.all(np.isfinite(hs))
         assert np.all(np.isfinite(h_final))
-
-    def test_rejects_wrong_input_width(self):
-        params = tiny_model().sem
-        with pytest.raises(ValueError, match="shape"):
-            lstm_forward(params, [np.zeros(params.input_dim + 1)])
 
 
 class TestForwardPass:
     def test_probs_are_a_distribution(self):
         model = tiny_model(seed=1)
-        probs, _ = ss_forward(model, ["good", "bad", ":)"])
+        probs = probs_of(model, ["good", "bad", ":)"])
         assert probs.shape == (N_CLASSES,)
         assert np.all(probs > 0.0)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -170,69 +174,65 @@ class TestForwardPass:
         model = tiny_model(seed=1)
         model.out_W[:] = 0.0
         model.out_b[:] = 0.0
-        probs, _ = ss_forward(model, ["good"])
+        probs = probs_of(model, ["good"])
         np.testing.assert_allclose(probs, 0.25)
-        assert predict(model, ["good"]) == "happy"
+        assert batch_predict(model, [["good"]]) == ["happy"]
 
     def test_concat_is_semantic_then_sentiment(self):
         model = tiny_model(seed=7)
         tokens = ["good", "mad"]
-        _, cache = ss_forward(model, tokens)
-        xs = [model.semantic_table.vectors[t] for t in tokens]
-        _, sem_final, _ = lstm_forward(model.sem, xs)
-        xs = [model.sentiment_table.vectors[t] for t in tokens]
-        _, sent_final, _ = lstm_forward(model.sent, xs)
-        np.testing.assert_allclose(cache.concat[:3], sem_final, rtol=1e-12)
-        np.testing.assert_allclose(cache.concat[3:], sent_final, rtol=1e-12)
+        _, cache = batch_forward(model, [tokens])
+        table = model.semantic_table
+        _, sem_final, _ = run_lstm(model.sem, [table.matrix[table.index[t]] for t in tokens])
+        table = model.sentiment_table
+        _, sent_final, _ = run_lstm(model.sent, [table.matrix[table.index[t]] for t in tokens])
+        np.testing.assert_allclose(cache.concat[0, :3], sem_final, rtol=1e-12)
+        np.testing.assert_allclose(cache.concat[0, 3:], sent_final, rtol=1e-12)
 
     def test_truncates_to_max_seq_len(self):
         model = tiny_model(seed=3, max_seq_len=3)
-        long_probs, long_cache = ss_forward(model, ["a", "b", "c", "good", "bad"])
-        short_probs, _ = ss_forward(model, ["a", "b", "c"])
+        long_probs, long_cache = batch_forward(model, [["a", "b", "c", "good", "bad"]])
+        short_probs, _ = batch_forward(model, [["a", "b", "c"]])
         np.testing.assert_allclose(long_probs, short_probs, rtol=1e-12)
-        assert long_cache.tokens == ["a", "b", "c"]
+        assert long_cache.tokens == [["a", "b", "c"]]
 
     def test_accepts_token_objects(self):
         model = tiny_model(seed=3)
-        as_str, _ = ss_forward(model, ["good", ":)"])
-        as_tok, _ = ss_forward(
-            model, [Token("good", "word"), Token(":)", "emoticon")]
-        )
+        as_str = probs_of(model, ["good", ":)"])
+        as_tok = probs_of(model, [Token("good", "word"), Token(":)", "emoticon")])
         np.testing.assert_allclose(as_tok, as_str, rtol=1e-12)
 
     def test_oov_tokens_use_zero_vectors(self):
         model = tiny_model(seed=3)
-        probs, cache = ss_forward(model, ["zzz-unknown"])
+        probs, cache = batch_forward(model, [["zzz-unknown"]])
         assert np.all(np.isfinite(probs))
         np.testing.assert_array_equal(cache.sem.xs[0], np.zeros(4))
 
     def test_empty_utterance_runs(self):
         model = tiny_model(seed=3)
-        probs, cache = ss_forward(model, [])
+        probs, cache = batch_forward(model, [[]])
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_array_equal(cache.concat, np.zeros(5))
+        np.testing.assert_array_equal(cache.concat, np.zeros((1, 5)))
 
     def test_semantic_only_ignores_sentiment_table(self):
         model = tiny_model(seed=4, channels="semantic")
-        before, _ = ss_forward(model, ["good", "bad"])
-        for vec in model.sentiment_table.vectors.values():
-            vec += 100.0
-        after, _ = ss_forward(model, ["good", "bad"])
+        before = probs_of(model, ["good", "bad"])
+        model.sentiment_table.matrix += 100.0
+        after = probs_of(model, ["good", "bad"])
         np.testing.assert_allclose(after, before, rtol=1e-12)
 
     def test_sentiment_only_ignores_semantic_table(self):
         model = tiny_model(seed=4, channels="sentiment")
-        before, _ = ss_forward(model, ["good", "bad"])
-        for vec in model.semantic_table.vectors.values():
-            vec += 100.0
-        after, _ = ss_forward(model, ["good", "bad"])
+        before = probs_of(model, ["good", "bad"])
+        model.semantic_table.matrix += 100.0
+        after = probs_of(model, ["good", "bad"])
         np.testing.assert_allclose(after, before, rtol=1e-12)
 
     def test_tanh_activation_differs_from_relu(self):
         relu = tiny_model(seed=6, fc_activation="relu")
         tanh = tiny_model(seed=6, fc_activation="tanh")
-        p1, c1 = ss_forward(relu, ["good"])
-        p2, c2 = ss_forward(tanh, ["good"])
+        p1, c1 = batch_forward(relu, [["good"]])
+        p2, c2 = batch_forward(tanh, [["good"]])
         np.testing.assert_allclose(c2.a1, np.tanh(c2.z1), rtol=1e-12)
         assert np.any(c1.a1 != c2.a1)
 
@@ -312,8 +312,7 @@ class TestBackward:
         model = tiny_model(seed=1)
         model.out_W[:] = 0.0
         model.out_b[:] = 0.0
-        _, cache = ss_forward(model, ["good"])
-        grads = ss_backward(model, cache, target=0)
+        grads = example_gradients(model, ["good"], 0)
         np.testing.assert_allclose(
             grads.tensors["out_b"], [-0.75, 0.25, 0.25, 0.25], rtol=1e-12
         )
@@ -332,8 +331,7 @@ class TestBackward:
             n_tokens = int(rng.integers(1, 5))
             tokens = list(rng.choice(VOCAB + ["oov-token"], size=n_tokens))
             target = int(rng.integers(N_CLASSES))
-            _, cache = ss_forward(model, tokens)
-            grads = ss_backward(model, cache, target)
+            grads = example_gradients(model, tokens, target)
             # Step size trades truncation error against the float64 roundoff
             # floor; 3e-4 keeps near-flat coordinates under the 1e-8-floored
             # relative tolerance.
@@ -355,8 +353,7 @@ class TestBackward:
 
     def test_inactive_channel_gradients_are_zero(self):
         model = tiny_model(seed=5, channels="semantic")
-        _, cache = ss_forward(model, ["good", "bad"])
-        grads = ss_backward(model, cache, target=2)
+        grads = example_gradients(model, ["good", "bad"], 2)
         for name, g in grads.tensors.items():
             if name.startswith("sent_"):
                 np.testing.assert_array_equal(g, 0.0)
@@ -366,8 +363,7 @@ class TestBackward:
         model = tiny_model(seed=9, train_embeddings=True)
         tokens = ["good", "bad", "good"]  # repeat to exercise accumulation
         target = 1
-        _, cache = ss_forward(model, tokens)
-        grads = ss_backward(model, cache, target)
+        grads = example_gradients(model, tokens, target)
         eps = 1e-4
         for table, (ids, rows) in (
             (model.semantic_table, grads.sem_embed),
@@ -390,23 +386,20 @@ class TestBackward:
 
     def test_embedding_gradients_skip_oov(self):
         model = tiny_model(seed=9, train_embeddings=True)
-        _, cache = ss_forward(model, ["good", "zzz-unknown"])
-        grads = ss_backward(model, cache, target=0)
+        grads = example_gradients(model, ["good", "zzz-unknown"], 0)
         ids, rows = grads.sem_embed
         assert list(ids) == [model.semantic_table.index["good"]]
         assert rows.shape == (1, model.semantic_table.dim)
 
     def test_embedding_gradients_absent_when_frozen(self):
         model = tiny_model(seed=9, train_embeddings=False)
-        _, cache = ss_forward(model, ["good"])
-        grads = ss_backward(model, cache, target=0)
+        grads = example_gradients(model, ["good"], 0)
         assert grads.sem_embed is None
         assert grads.sent_embed is None
 
     def test_gradient_keys_match_param_tensors(self):
         model = tiny_model(seed=2)
-        _, cache = ss_forward(model, ["a"])
-        grads = ss_backward(model, cache, target=3)
+        grads = example_gradients(model, ["a"], 3)
         assert set(grads.tensors) == set(model.param_tensors())
         for name, tensor in model.param_tensors().items():
             assert grads.tensors[name].shape == tensor.shape
@@ -414,30 +407,28 @@ class TestBackward:
     def test_stale_cache_rejected(self):
         model_a = tiny_model(seed=1, fc_hidden=4)
         model_b = tiny_model(seed=1, fc_hidden=6)
-        _, cache = ss_forward(model_a, ["good"])
+        _, cache = batch_forward(model_a, [["good"]])
         with pytest.raises(StaleCacheError):
-            ss_backward(model_b, cache, target=0)
+            batch_backward(model_b, cache, np.zeros((1, N_CLASSES)))
 
     def test_stale_cache_missing_channel(self):
         single = tiny_model(seed=1, channels="semantic", sem_hidden=3, fc_hidden=4)
         dual = tiny_model(seed=1, channels="both", sem_hidden=3, sent_hidden=2, fc_hidden=4)
-        _, cache = ss_forward(single, ["good"])
+        _, cache = batch_forward(single, [["good"]])
         with pytest.raises(StaleCacheError):
-            ss_backward(dual, cache, target=0)
+            batch_backward(dual, cache, np.zeros((1, N_CLASSES)))
 
     def test_target_out_of_range(self):
         model = tiny_model(seed=1)
-        _, cache = ss_forward(model, ["good"])
-        with pytest.raises(ValueError, match="target"):
-            ss_backward(model, cache, target=4)
+        with pytest.raises(ValueError, match="out of range"):
+            gradient_check(model, (["good"], 4))
 
     def test_loss_decreases_along_negative_gradient(self):
         model = tiny_model(seed=12)
         tokens = ["good", "mad", ":("]
         target = 2
         before = loss_of(model, tokens, target)
-        _, cache = ss_forward(model, tokens)
-        grads = ss_backward(model, cache, target)
+        grads = example_gradients(model, tokens, target)
         for name, tensor in model.param_tensors().items():
             tensor -= 0.05 * grads.tensors[name]
         assert loss_of(model, tokens, target) < before
@@ -447,8 +438,8 @@ class TestPredictAndClone:
     def test_predict_returns_argmax_label(self):
         model = tiny_model(seed=21)
         for tokens in (["good"], ["bad", "mad"], [":("], []):
-            probs, _ = ss_forward(model, tokens)
-            assert predict(model, tokens) == LABELS[int(np.argmax(probs))]
+            probs = probs_of(model, tokens)
+            assert batch_predict(model, [tokens]) == [LABELS[int(np.argmax(probs))]]
 
     def test_clone_isolates_parameters(self):
         model = tiny_model(seed=2)
@@ -466,7 +457,6 @@ class TestPredictAndClone:
     def test_clone_copies_tuned_tables(self):
         model = tiny_model(seed=2, train_embeddings=True)
         snap = clone_model(model)
-        model.semantic_table.vectors["good"] += 5.0
-        assert np.all(
-            snap.semantic_table.vectors["good"] != model.semantic_table.vectors["good"]
-        )
+        row = model.semantic_table.index["good"]
+        model.semantic_table.matrix[row] += 5.0
+        assert np.all(snap.semantic_table.matrix[row] != model.semantic_table.matrix[row])

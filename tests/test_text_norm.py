@@ -3,8 +3,11 @@ import random
 import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sslstm.text_norm import (
+    EMOTICON_CLASSES,
     EmoticonLexicon,
     LexiconFormatError,
     Token,
@@ -103,6 +106,28 @@ class TestNormalizeEmoticons:
                 assert canonical in surfaces(out), (raw, extended)
 
 
+# Emoticon forms mix punctuation, both letter cases and digits (so a form
+# may end in a word character, like "xD"), an apostrophe, "@" (the handle
+# prefix) and emoji.  Texts add words, spaces, a variation selector and a
+# letter whose lowercase is two characters.
+FORM_CHARS = ":;=()[]<>^_-*'@./\\|38xXdDpPoO\N{WHITE SMILING FACE}\N{UNAMUSED FACE}"
+TEXT_CHARS = FORM_CHARS + "abcABC '’!?\N{VARIATION SELECTOR-16}\N{LATIN CAPITAL LETTER I WITH DOT ABOVE}"
+forms = st.text(st.sampled_from(FORM_CHARS), min_size=1, max_size=4)
+
+
+@st.composite
+def lexicon_entries(draw):
+    """Entries of a valid lexicon: canonical forms that map to themselves,
+    plus raw variants that share their canonical form's class."""
+    canonicals = draw(st.lists(forms, min_size=1, max_size=5, unique=True))
+    classes = {c: draw(st.sampled_from(EMOTICON_CLASSES)) for c in canonicals}
+    entries = [(c, c, cls) for c, cls in classes.items()]
+    for raw, c in draw(st.lists(st.tuples(forms, st.sampled_from(canonicals)), max_size=8)):
+        if raw not in {e[0] for e in entries}:
+            entries.append((raw, c, classes[c]))
+    return entries
+
+
 class TestNormalizeUtterance:
     def test_worked_example(self):
         got = normalize_utterance("Yeah! :((( My plan is cancelled \N{UNAMUSED FACE}\N{WHITE FROWNING FACE}")
@@ -131,6 +156,29 @@ class TestNormalizeUtterance:
             once = normalize_utterance(text)
             again = normalize_utterance(serialize_tokens(once))
             assert again == once, text
+
+    @pytest.mark.parametrize("text", ["Xd'c", "XDd’s", "\N{LATIN CAPITAL LETTER I WITH DOT ABOVE}x"])
+    def test_words_are_scanned_as_written(self, text):
+        # Lowercasing may turn the start of a word into an emoticon ("xd")
+        # or split it (a combining dot), so the word is scanned lowercased.
+        once = normalize_utterance(text)
+        assert normalize_utterance(serialize_tokens(once)) == once
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_reserialization_idempotence_any_lexicon(self, data):
+        lex = EmoticonLexicon(data.draw(lexicon_entries()))
+        raws = [raw for raw, _, _ in lex.entries]
+        piece = (
+            st.sampled_from(raws)
+            | st.sampled_from(raws).map(lambda form: form + form[-1] * 2)
+            | st.sampled_from(raws).map(str.swapcase)
+            | st.text(st.sampled_from(TEXT_CHARS), max_size=4)
+            | st.sampled_from([" ", "@user", "http://x.co", "don't", "HELLO"])
+        )
+        text = "".join(data.draw(st.lists(piece, max_size=8)))
+        once = normalize_utterance(text, lex)
+        assert normalize_utterance(serialize_tokens(once), lex) == once
 
 
 class TestEmoticonClass:
@@ -175,6 +223,15 @@ class TestLexicon:
         data = ":)\t:)\thappy\n:-)\t:)\tsad\n"
         with pytest.raises(LexiconFormatError, match="disagrees"):
             load_lexicon(io.StringIO(data))
+
+    def test_rejects_variation_selector(self):
+        # tokenize strips variation selectors, so such a form could never match.
+        with pytest.raises(LexiconFormatError, match="variation selectors"):
+            EmoticonLexicon([("\N{WHITE SMILING FACE}\N{VARIATION SELECTOR-16}",) * 2 + ("happy",)])
+
+    def test_whole_chunk_emoticon_is_not_a_handle(self):
+        lex = EmoticonLexicon([("@_@", "@_@", "neutral")])
+        assert surfaces(normalize_utterance("wow@_@ @_@ @_@x @bob", lex)) == ["wow", "@_@", "@_@"]
 
     def test_comments_and_blanks_skipped(self):
         data = "# comment\n\n:)\t:)\thappy\n"

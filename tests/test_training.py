@@ -3,7 +3,8 @@ import io
 import numpy as np
 import pytest
 
-from conftest import make_table
+from conftest import example_gradients, make_table, probs_of
+from sslstm.container import UnknownVersionError
 from sslstm.dataio import Conversation
 from sslstm.embeddings import EmbeddingTable, load_embedding_file, save_embedding_file
 from sslstm.labels import LABELS
@@ -11,17 +12,14 @@ from sslstm.neural import (
     CHUNK,
     Gradients,
     ModelConfig,
+    batch_predict,
     init_model,
-    predict,
-    ss_backward,
-    ss_forward,
 )
 from sslstm.training import (
     CheckpointError,
     ShapeMismatchError,
     TrainConfig,
     TruncatedCheckpointError,
-    UnknownVersionError,
     cross_entropy,
     gradient_check,
     load_checkpoint,
@@ -70,11 +68,9 @@ def keyword_dataset():
     return train_set, val_set
 
 
-def keyword_model(seed=0, channels="both"):
+def keyword_model(seed=0):
     sem, sent = keyword_tables()
-    config = ModelConfig(
-        channels=channels, sem_hidden=4, sent_hidden=3, fc_hidden=6, max_seq_len=10
-    )
+    config = ModelConfig(sem_hidden=4, sent_hidden=3, fc_hidden=6, max_seq_len=10)
     return init_model(config, sem, sent, seed=seed)
 
 
@@ -250,14 +246,12 @@ class TestSgdStep:
 
     def test_embedding_update(self):
         model = tiny_random_model(seed=2, train_embeddings=True)
-        before = model.semantic_table.vectors["good"].copy()
-        grads = zero_gradients(model)
         row = model.semantic_table.index["good"]
+        before = model.semantic_table.matrix[row].copy()
+        grads = zero_gradients(model)
         grads.sem_embed = (np.array([row]), np.ones((1, model.semantic_table.dim)))
         sgd_step(model, grads, learning_rate=0.1)
-        np.testing.assert_allclose(
-            model.semantic_table.vectors["good"], before - 0.1, atol=1e-12
-        )
+        np.testing.assert_allclose(model.semantic_table.matrix[row], before - 0.1, atol=1e-12)
 
     def test_one_example_step_does_not_increase_its_loss(self):
         rng = np.random.default_rng(31)
@@ -265,12 +259,9 @@ class TestSgdStep:
             model = tiny_random_model(seed=int(rng.integers(100_000)))
             tokens = list(rng.choice(["good", "bad", "mad", "a", "b"], size=rng.integers(1, 5)))
             target = int(rng.integers(4))
-            probs, cache = ss_forward(model, tokens)
-            before = cross_entropy(probs, target)
-            from sslstm.neural import ss_backward
-
-            sgd_step(model, ss_backward(model, cache, target), learning_rate=1e-3)
-            after = cross_entropy(ss_forward(model, tokens)[0], target)
+            before = cross_entropy(probs_of(model, tokens), target)
+            sgd_step(model, example_gradients(model, tokens, target), learning_rate=1e-3)
+            after = cross_entropy(probs_of(model, tokens), target)
             assert after <= before + 1e-12
 
 
@@ -361,7 +352,8 @@ class TestTrain:
         assert history.records[-1].train_accuracy == 1.0
         assert len(history.records) <= 200
         # The best-validation snapshot classifies the keyword task as well.
-        assert all(predict(trained, c.tokens) == c.label for c in val_set)
+        labels = batch_predict(trained, [c.tokens for c in val_set])
+        assert labels == [c.label for c in val_set]
 
     def test_deterministic_history(self):
         train_set, val_set = keyword_dataset()
@@ -424,8 +416,7 @@ class TestTrain:
             for c in batch:
                 target = LABELS.index(c.label)
                 weight = config.class_weights[target]
-                _, cache = ss_forward(reference, c.tokens)
-                grads = ss_backward(reference, cache, target)
+                grads = example_gradients(reference, c.tokens, target)
                 for key, value in grads.tensors.items():
                     value = value * weight
                     tensors[key] = tensors[key] + value if key in tensors else value
@@ -450,11 +441,12 @@ class TestTrain:
         initial = tiny_random_model(seed=6, train_embeddings=True)
         moved = 0
         for attr in ("semantic_table", "sentiment_table"):
-            for token, row in getattr(reference, attr).vectors.items():
+            for token, k in getattr(reference, attr).index.items():
+                row = getattr(reference, attr).matrix[k]
                 np.testing.assert_allclose(
-                    getattr(trained, attr).vectors[token], row, rtol=1e-12, atol=1e-14
+                    getattr(trained, attr).matrix[k], row, rtol=1e-12, atol=1e-14
                 )
-                moved += not np.array_equal(getattr(initial, attr).vectors[token], row)
+                moved += not np.array_equal(getattr(initial, attr).matrix[k], row)
         assert moved > 0
 
     def test_repeated_token_row_moves_by_its_summed_gradient(self):
@@ -476,8 +468,7 @@ class TestTrain:
             row = table.index["good"]
             summed = np.zeros(table.dim)
             for c in train_set:
-                _, cache = ss_forward(initial, c.tokens)
-                grads = ss_backward(initial, cache, LABELS.index(c.label))
+                grads = example_gradients(initial, c.tokens, LABELS.index(c.label))
                 ids, rows = getattr(grads, f"{prefix}_embed")
                 assert list(ids).count(row) == 2
                 summed += rows[ids == row].sum(axis=0) / n
@@ -519,12 +510,6 @@ class TestTrain:
         with pytest.raises(ValueError, match="validation set"):
             train(model, train_set, [], self.run_config())
 
-    def test_channel_mismatch_rejected(self):
-        train_set, val_set = keyword_dataset()
-        model = keyword_model(channels="semantic")
-        with pytest.raises(ValueError, match="channels"):
-            train(model, train_set, val_set, self.run_config(channels="both"))
-
     def test_config_validation(self):
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=0.0)
@@ -542,11 +527,6 @@ class TestGradientCheck:
             model = tiny_random_model(seed=seed)
             err = gradient_check(model, (["good", "bad", "a"], seed % 4), epsilon=1e-4)
             assert err < 1e-4
-
-    def test_accepts_conversation(self):
-        model = tiny_random_model(seed=4)
-        err = gradient_check(model, conv(0, "good bad", "angry"), epsilon=1e-4)
-        assert err < 1e-4
 
     def test_zero_output_layer_model(self):
         model = tiny_random_model(seed=5)
@@ -581,18 +561,18 @@ class TestGradientCheck:
         # scaling the FC weights between passes via a wrapper model.
         import sslstm.training as training_mod
 
-        original = training_mod.ss_backward
+        original = training_mod.batch_backward
 
-        def broken(model_, cache, target):
-            grads = original(model_, cache, target)
+        def broken(model_, cache, dlogits):
+            grads = original(model_, cache, dlogits)
             grads.tensors["fc_b"] = grads.tensors["fc_b"] + 0.5
             return grads
 
-        training_mod.ss_backward = broken
+        training_mod.batch_backward = broken
         try:
             assert gradient_check(model, (["good", "bad"], 2), epsilon=1e-4) > 1e-2
         finally:
-            training_mod.ss_backward = original
+            training_mod.batch_backward = original
 
 
 class TestCheckpoint:
@@ -629,8 +609,8 @@ class TestCheckpoint:
         vocab = ["good", "bad", "mad", "a", "zzz"]
         for _ in range(100):
             tokens = list(rng.choice(vocab, size=rng.integers(0, 6)))
-            p1, _ = ss_forward(model, tokens)
-            p2, _ = ss_forward(loaded, tokens)
+            p1 = probs_of(model, tokens)
+            p2 = probs_of(loaded, tokens)
             np.testing.assert_allclose(p2, p1, atol=1e-6)
 
     def test_file_layout(self):
@@ -650,8 +630,8 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, None, path)
         loaded = load_checkpoint(path, model.semantic_table, model.sentiment_table)
-        p1, _ = ss_forward(model, ["good", "bad"])
-        p2, _ = ss_forward(loaded, ["good", "bad"])
+        p1 = probs_of(model, ["good", "bad"])
+        p2 = probs_of(loaded, ["good", "bad"])
         np.testing.assert_allclose(p2, p1, atol=1e-6)
 
     def test_save_load_save_is_exact(self, tmp_path):
@@ -720,7 +700,7 @@ class TestCheckpoint:
         text = self.save_text(self.build_model())
         loaded = load_checkpoint(io.StringIO(text))
         assert len(loaded.semantic_table) == 0
-        probs, _ = ss_forward(loaded, ["good"])
+        probs = probs_of(loaded, ["good"])
         assert np.all(np.isfinite(probs))
 
     def test_error_hierarchy(self):
