@@ -9,12 +9,13 @@ Forward and backward passes are hand-written in float64 numpy.  The backward
 pass is exact backpropagation through time; its correctness is pinned by
 finite-difference checks in the training module and the test suite.
 
-One kernel serves the three entry points, :func:`batch_forward`,
-:func:`batch_backward` and :func:`batch_predict`.  It takes a chunk of
-sequences sorted longest first, stacks the four gates into one weight
-matrix per input (Appleyard et al. 2016, arXiv:1604.01946), computes the
-input projection of every token in one matrix product, and at each step
-runs only the sequences still going.  A single sequence is a batch of one.
+Each LSTM stores its four gates stacked: one weight matrix per input and
+one bias, gate blocks in :data:`GATES` order (Appleyard et al. 2016,
+arXiv:1604.01946).  One kernel serves the three entry points,
+:func:`batch_forward`, :func:`batch_backward` and :func:`batch_predict`.
+It takes a chunk of sequences sorted longest first, computes the input
+projection of every token in one matrix product, and at each step runs
+only the sequences still going.  A single sequence is a batch of one.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ FC_ACTIVATIONS = ("relu", "tanh")
 # in chunks of this size, so activation memory stays bounded.
 CHUNK = 32
 
-_GATES = ("i", "f", "o", "c")
+# Gate order of the stacked LSTM tensors: rows k*H:(k+1)*H of W, U and b
+# belong to gate GATES[k] (input, forget, output, cell candidate).
+GATES = ("i", "f", "o", "c")
 
 
 class StaleCacheError(ValueError):
@@ -79,32 +82,30 @@ class ModelConfig:
             return ("semantic", "sentiment")
         return (self.channels,)
 
+    def concat_width(self) -> int:
+        """Width of the concatenated final states the FC layer reads."""
+        hidden = {"semantic": self.sem_hidden, "sentiment": self.sent_hidden}
+        return sum(hidden[channel] for channel in self.active_channels())
+
 
 @dataclass
 class LSTMParams:
-    """Gate weights of one LSTM: W_* act on the input, U_* on the previous
-    hidden state, b_* are biases; gates ordered (input, forget, output, cell)."""
+    """Weights of one LSTM with its four gates stacked in :data:`GATES`
+    order: ``W`` (4H, D) acts on the input, ``U`` (4H, H) on the previous
+    hidden state, ``b`` (4H) is the bias.  Rows ``k*H:(k+1)*H`` of each
+    belong to gate ``k``."""
 
-    W_i: np.ndarray
-    W_f: np.ndarray
-    W_o: np.ndarray
-    W_c: np.ndarray
-    U_i: np.ndarray
-    U_f: np.ndarray
-    U_o: np.ndarray
-    U_c: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
-    b_c: np.ndarray
+    W: np.ndarray
+    U: np.ndarray
+    b: np.ndarray
 
     @property
     def hidden_dim(self) -> int:
-        return self.W_i.shape[0]
+        return self.U.shape[1]
 
     @property
     def input_dim(self) -> int:
-        return self.W_i.shape[1]
+        return self.W.shape[1]
 
 
 @dataclass
@@ -120,7 +121,9 @@ class SSLSTMModel:
     config: ModelConfig
 
     def param_tensors(self) -> dict[str, np.ndarray]:
-        """Live views of every trainable tensor, in checkpoint order."""
+        """Live views of every trainable tensor: ``sem_W``, ``sem_U``,
+        ``sem_b``, the same three for ``sent``, then ``fc_W``, ``fc_b``,
+        ``out_W`` and ``out_b``.  The LSTM tensors hold the gates stacked."""
         out: dict[str, np.ndarray] = {}
         for prefix, params in (("sem", self.sem), ("sent", self.sent)):
             for name, tensor in vars(params).items():
@@ -130,9 +133,6 @@ class SSLSTMModel:
         out["out_W"] = self.out_W
         out["out_b"] = self.out_b
         return out
-
-    def concat_width(self) -> int:
-        return sum(params.hidden_dim for _, _, active, params, _ in _channels(self) if active)
 
 
 @dataclass
@@ -196,15 +196,12 @@ def _glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarra
 
 
 def _init_lstm(rng: np.random.Generator, input_dim: int, hidden_dim: int) -> LSTMParams:
-    kw = {}
-    for gate in _GATES:
-        kw[f"W_{gate}"] = _glorot_uniform(rng, hidden_dim, input_dim)
-    for gate in _GATES:
-        kw[f"U_{gate}"] = _glorot_uniform(rng, hidden_dim, hidden_dim)
-    for gate in _GATES:
-        # Forget gate starts open so early training can carry state.
-        kw[f"b_{gate}"] = np.ones(hidden_dim) if gate == "f" else np.zeros(hidden_dim)
-    return LSTMParams(**kw)
+    # One draw per gate block, scaled by its own fan; all of W before U.
+    W = np.concatenate([_glorot_uniform(rng, hidden_dim, input_dim) for _ in GATES])
+    U = np.concatenate([_glorot_uniform(rng, hidden_dim, hidden_dim) for _ in GATES])
+    # Forget gate starts open so early training can carry state.
+    b = np.concatenate([np.full(hidden_dim, float(gate == "f")) for gate in GATES])
+    return LSTMParams(W=W, U=U, b=b)
 
 
 def init_model(
@@ -218,12 +215,7 @@ def init_model(
     rng = np.random.default_rng(seed)
     sem = _init_lstm(rng, semantic_table.dim, config.sem_hidden)
     sent = _init_lstm(rng, sentiment_table.dim, config.sent_hidden)
-    width = 0
-    if "semantic" in config.active_channels():
-        width += config.sem_hidden
-    if "sentiment" in config.active_channels():
-        width += config.sent_hidden
-    fc_W = _glorot_uniform(rng, config.fc_hidden, width)
+    fc_W = _glorot_uniform(rng, config.fc_hidden, config.concat_width())
     fc_b = np.zeros(config.fc_hidden)
     out_W = _glorot_uniform(rng, N_CLASSES, config.fc_hidden)
     out_b = np.zeros(N_CLASSES)
@@ -244,8 +236,8 @@ def clone_model(model: SSLSTMModel) -> SSLSTMModel:
     """Deep copy of all trainable state.  Embedding tables are shared unless
     the model fine-tunes them, in which case their matrices are copied too."""
     new = copy.copy(model)
-    new.sem = LSTMParams(**{k: v.copy() for k, v in vars(model.sem).items()})
-    new.sent = LSTMParams(**{k: v.copy() for k, v in vars(model.sent).items()})
+    new.sem = copy.deepcopy(model.sem)
+    new.sent = copy.deepcopy(model.sent)
     new.fc_W = model.fc_W.copy()
     new.fc_b = model.fc_b.copy()
     new.out_W = model.out_W.copy()
@@ -259,11 +251,6 @@ def clone_model(model: SSLSTMModel) -> SSLSTMModel:
     return new
 
 
-def _fused(params: LSTMParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The four gates stacked in (i, f, o, c) order: W (4H, D), U (4H, H), b (4H)."""
-    return tuple(np.concatenate([getattr(params, f"{kind}_{gate}") for gate in _GATES]) for kind in "WUb")
-
-
 def _step_starts(steps: list[int]) -> np.ndarray:
     """First row of each step in the step-major layout."""
     return np.concatenate(([0], np.cumsum(steps[:-1], dtype=np.int64)))
@@ -274,11 +261,10 @@ def _lstm_run(params: LSTMParams, xs: np.ndarray, steps: list[int]) -> LSTMCache
     from zero initial state.  The input projection of every row is one
     matrix product; each step then adds the recurrent term for the
     sequences still running."""
-    W, U, b = _fused(params)
     H = params.hidden_dim
     # Each step overwrites its own rows of the pre-activations with the
     # gate outputs.
-    act = xs @ W.T + b
+    act = xs @ params.W.T + params.b
     c = np.empty((xs.shape[0], H))
     h = np.empty((xs.shape[0], H))
     start = prev = 0
@@ -286,7 +272,7 @@ def _lstm_run(params: LSTMParams, xs: np.ndarray, steps: list[int]) -> LSTMCache
         rows = slice(start, start + n)
         a = act[rows]
         if t:
-            a = a + h[prev : prev + n] @ U.T
+            a = a + h[prev : prev + n] @ params.U.T
         act[rows, : 3 * H] = _sigmoid(a[:, : 3 * H])
         act[rows, 3 * H :] = np.tanh(a[:, 3 * H :])
         i_t, f_t, o_t, g_t = (act[rows, k * H : (k + 1) * H] for k in range(4))
@@ -319,9 +305,9 @@ def _lstm_backprop(
 
     Each step backpropagates the sequences running at it together; the
     weight gradients are then one product over all rows: dW = dA^T X,
-    dU = dA^T H_prev, db = sum of dA.  Returns the per-gate gradients and,
-    when ``want_dx``, the input gradient of every row."""
-    W, U, _ = _fused(params)
+    dU = dA^T H_prev, db = sum of dA.  Returns the gradients keyed ``W``,
+    ``U`` and ``b``, stacked like the parameters, and, when ``want_dx``, the
+    input gradient of every row."""
     H = params.hidden_dim
     steps = cache.steps
     starts = _step_starts(steps)
@@ -348,7 +334,7 @@ def _lstm_backprop(
         dA[rows, 3 * H :] = dc_t * i_t * (1.0 - g_t**2)
         dc[:n] = dc_t * f_t
         if t:
-            dh[:n] = dA[rows] @ U
+            dh[:n] = dA[rows] @ params.U
     dW = dA.T @ cache.xs
     db = dA.sum(axis=0)
     # Row r of step t >= 1 follows row r - steps[t-1] of step t - 1.
@@ -357,11 +343,7 @@ def _lstm_backprop(
         np.array(steps[:-1], dtype=np.int64), steps[1:]
     )
     dU = dA[first:].T @ cache.h[prev_rows]
-    grads = {}
-    for kind, full in (("W", dW), ("U", dU), ("b", db)):
-        for k, gate in enumerate(_GATES):
-            grads[f"{kind}_{gate}"] = full[k * H : (k + 1) * H]
-    return grads, (dA @ W if want_dx else None)
+    return {"W": dW, "U": dU, "b": db}, (dA @ params.W if want_dx else None)
 
 
 def _step_major(sequences: list[list[str]]) -> tuple[list[int], list[str]]:
@@ -424,9 +406,10 @@ def batch_forward(model: SSLSTMModel, sequences) -> tuple[np.ndarray, BatchCache
 
 
 def _check_cache(model: SSLSTMModel, cache: BatchCache) -> None:
-    if cache.concat.shape[-1] != model.concat_width():
+    width = model.config.concat_width()
+    if cache.concat.shape[-1] != width:
         raise StaleCacheError(
-            f"cache concat width {cache.concat.shape[-1]} does not match model {model.concat_width()}"
+            f"cache concat width {cache.concat.shape[-1]} does not match model {width}"
         )
     if cache.z1.shape[-1] != model.fc_W.shape[0]:
         raise StaleCacheError("cache FC width does not match model")

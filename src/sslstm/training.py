@@ -6,7 +6,8 @@ utterance count), apply the mean batch gradient, early-stop on validation
 macro-F1 and keep the best-epoch parameters.
 
 Checkpoints are :mod:`sslstm.container` files: ``meta`` provenance
-(dimensions, channel setup, content hashes) and one tensor per parameter.
+(dimensions, channel setup, content hashes) and one tensor per parameter,
+with each LSTM tensor split by gate.
 The weight tables of the embedding channels are not serialized, not even
 fine-tuned ones — checkpoints store their dimensions and source hashes, and
 loading takes the tables as arguments.
@@ -24,6 +25,7 @@ from sslstm.embeddings import EmbeddingTable, empty_table
 from sslstm.labels import LABELS, N_CLASSES, label_index
 from sslstm.metrics import confusion, macro_f1
 from sslstm.neural import (
+    GATES,
     Gradients,
     ModelConfig,
     SSLSTMModel,
@@ -54,8 +56,8 @@ class TrainConfig:
     patience: int = 5
     seed: int = 0
     class_weights: tuple[float, float, float, float] | None = None
-    # Optional convergence target: stop once training accuracy reaches this
-    # fraction.  Used by overfitting harnesses; None disables it.
+    # Optional convergence target: stop once training accuracy, scored each
+    # epoch only when this is set, reaches this fraction.  None disables it.
     stop_when_train_accuracy: float | None = None
 
     def __post_init__(self):
@@ -76,7 +78,7 @@ class EpochRecord:
     epoch: int
     train_loss: float
     val_macro_f1: float
-    train_accuracy: float
+    train_accuracy: float | None  # None unless stop_when_train_accuracy is set
 
 
 @dataclass
@@ -251,8 +253,9 @@ def train(model: SSLSTMModel, train_set, validation_set, config: TrainConfig):
     """SGD training loop; returns (best model, history).
 
     Per epoch: re-batch with an epoch-dependent seed, apply the mean
-    gradient of each batch, then score validation macro-F1.  The parameters
-    of the best validation epoch are kept; training stops after ``patience``
+    gradient of each batch, then score validation macro-F1 (and training
+    accuracy if ``stop_when_train_accuracy`` is set).  The parameters of
+    the best validation epoch are kept; training stops after ``patience``
     epochs without improvement (patience 0 stops at the first) or at
     ``max_epochs``.  Each batch runs through the batched kernel in chunks of
     at most :data:`~sslstm.neural.CHUNK` conversations whose gradients are
@@ -293,7 +296,9 @@ def train(model: SSLSTMModel, train_set, validation_set, config: TrainConfig):
             sgd_step(model, total, config.learning_rate)
         train_loss = loss_total / len(train_set)
         val_f1 = _val_macro_f1(model, validation_set)
-        train_acc = _accuracy(model, train_set)
+        train_acc = None
+        if config.stop_when_train_accuracy is not None:
+            train_acc = _accuracy(model, train_set)
         records.append(EpochRecord(epoch, train_loss, val_f1, train_acc))
         if val_f1 > best_f1:
             best_f1 = val_f1
@@ -302,10 +307,7 @@ def train(model: SSLSTMModel, train_set, validation_set, config: TrainConfig):
             stale = 0
         else:
             stale += 1
-        if (
-            config.stop_when_train_accuracy is not None
-            and train_acc >= config.stop_when_train_accuracy
-        ):
+        if train_acc is not None and train_acc >= config.stop_when_train_accuracy:
             break
         if stale >= max(config.patience, 1):
             break
@@ -376,7 +378,21 @@ def save_checkpoint(model: SSLSTMModel, config: TrainConfig | None, sink) -> Non
         meta["learning_rate"] = repr(config.learning_rate)
         meta["token_budget"] = config.token_budget
         meta["seed"] = config.seed
-    write_container(sink, meta, model.param_tensors())
+    write_container(sink, meta, _file_tensors(model))
+
+
+def _file_tensors(model: SSLSTMModel) -> dict[str, np.ndarray]:
+    """Views of the model's tensors under their checkpoint names, in file
+    order: each stacked LSTM tensor as its gate blocks, ``sem_W`` as
+    ``sem_W_i`` ... ``sem_W_c``.  Writing into a view writes into the model."""
+    out: dict[str, np.ndarray] = {}
+    for name, tensor in model.param_tensors().items():
+        if name.startswith(("sem_", "sent_")):
+            for gate, block in zip(GATES, np.split(tensor, len(GATES))):
+                out[f"{name}_{gate}"] = block
+        else:
+            out[name] = tensor
+    return out
 
 
 def _require_meta(meta: dict[str, str], key: str) -> str:
@@ -445,7 +461,7 @@ def model_from_container(
         sentiment_table, sent_dim, meta.get("sent_table_sha256", "-"), "sentiment"
     )
     model = init_model(config, semantic_table, sentiment_table, seed=0)
-    expected = model.param_tensors()
+    expected = _file_tensors(model)
     missing = set(expected) - set(stored)
     if missing:
         raise TruncatedCheckpointError(

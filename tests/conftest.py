@@ -1,9 +1,24 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sslstm.embeddings import EmbeddingTable
 from sslstm.neural import batch_backward, batch_forward
 from sslstm.text_norm import default_lexicon
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def src_env() -> dict[str, str]:
+    """The current environment with the repository's ``src`` first on
+    PYTHONPATH, for subprocesses that import sslstm without an install."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
 
 
 @pytest.fixture(scope="session")

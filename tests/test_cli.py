@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import src_env
 from sslstm.cli import main
 from sslstm.datamine import read_judge_queue
 from sslstm.embeddings import EmbeddingTable, save_embedding_file
@@ -500,7 +501,7 @@ class TestConsoleEntry:
     def test_module_invocation_round_trip(self, ws):
         result = subprocess.run(
             [sys.executable, "-m", "sslstm.cli", "stats", "--data", ws["train"]],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=src_env(),
         )
         assert result.returncode == 0
         assert "total" in result.stdout
@@ -508,6 +509,6 @@ class TestConsoleEntry:
     def test_module_invocation_usage_error(self):
         result = subprocess.run(
             [sys.executable, "-m", "sslstm.cli", "train"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=src_env(),
         )
         assert result.returncode == 1

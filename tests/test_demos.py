@@ -1,23 +1,18 @@
 """Every script under demos/ runs to completion."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, src_env
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_exits_zero(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
     result = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env
+        [sys.executable, str(demo)], capture_output=True, text=True, env=src_env()
     )
     assert result.returncode == 0, result.stderr

@@ -44,17 +44,11 @@ def tiny_model(seed=0, channels="both", fc_activation="relu", max_seq_len=50,
     return init_model(config, sem_table, sent_table, seed=seed)
 
 
-def unit_lstm(**overrides):
+def unit_lstm(b_c=0.0):
     """1-dim LSTM with every weight zero (so each gate is exactly sigmoid of
-    its bias) unless overridden; lets single steps be checked by hand."""
-    kw = {}
-    for kind in ("W", "U"):
-        for gate in ("i", "f", "o", "c"):
-            kw[f"{kind}_{gate}"] = np.zeros((1, 1))
-    for gate in ("i", "f", "o", "c"):
-        kw[f"b_{gate}"] = np.zeros(1)
-    kw.update(overrides)
-    return LSTMParams(**kw)
+    its bias) and every bias zero but the cell candidate's ``b_c``; lets
+    single steps be checked by hand.  Gates are stacked (i, f, o, c)."""
+    return LSTMParams(W=np.zeros((4, 1)), U=np.zeros((4, 1)), b=np.array([0.0, 0.0, 0.0, b_c]))
 
 
 def run_lstm(params, xs):
@@ -96,7 +90,7 @@ class TestLSTMForward:
     def test_hand_checked_single_step(self):
         # All weights zero, cell-candidate bias 1: gates are sigmoid(0)=0.5,
         # candidate tanh(1)=0.76159, cell 0.38080, hidden 0.5*tanh(0.38080).
-        params = unit_lstm(b_c=np.ones(1))
+        params = unit_lstm(b_c=1.0)
         hs, h_final, cache = run_lstm(params, [np.array([7.0])])
         assert h_final[0] == pytest.approx(0.18170, abs=5e-6)
         np.testing.assert_allclose(cache.i[0], 0.5)
@@ -109,7 +103,7 @@ class TestLSTMForward:
     def test_two_steps_accumulate_cell_state(self):
         # Same zero-weight setup: step 2 adds another 0.5*tanh(1) through a
         # half-open forget gate, so c2 = 0.5*c1 + 0.38080.
-        params = unit_lstm(b_c=np.ones(1))
+        params = unit_lstm(b_c=1.0)
         _, h_final, cache = run_lstm(params, [np.zeros(1), np.zeros(1)])
         c1 = 0.5 * np.tanh(1.0)
         c2 = 0.5 * c1 + 0.5 * np.tanh(1.0)
@@ -117,7 +111,7 @@ class TestLSTMForward:
         assert h_final[0] == pytest.approx(0.5 * np.tanh(c2), abs=1e-12)
 
     def test_empty_input_gives_zero_final_state(self):
-        params = unit_lstm(b_c=np.ones(1))
+        params = unit_lstm(b_c=1.0)
         hs, h_final, cache = run_lstm(params, [])
         assert hs.shape == (0, 1)
         np.testing.assert_array_equal(h_final, np.zeros(1))
@@ -132,13 +126,18 @@ class TestLSTMForward:
         def sig(v):
             return 1.0 / (1.0 + np.exp(-v))
 
-        h = np.zeros(params.hidden_dim)
-        c = np.zeros(params.hidden_dim)
+        H = params.hidden_dim
+        W, U, b = (
+            {gate: t[k * H : (k + 1) * H] for k, gate in enumerate("ifoc")}
+            for t in (params.W, params.U, params.b)
+        )
+        h = np.zeros(H)
+        c = np.zeros(H)
         for t, x in enumerate(xs):
-            i = sig(params.W_i @ x + params.U_i @ h + params.b_i)
-            f = sig(params.W_f @ x + params.U_f @ h + params.b_f)
-            o = sig(params.W_o @ x + params.U_o @ h + params.b_o)
-            g = np.tanh(params.W_c @ x + params.U_c @ h + params.b_c)
+            i = sig(W["i"] @ x + U["i"] @ h + b["i"])
+            f = sig(W["f"] @ x + U["f"] @ h + b["f"])
+            o = sig(W["o"] @ x + U["o"] @ h + b["o"])
+            g = np.tanh(W["c"] @ x + U["c"] @ h + b["c"])
             c = f * c + i * g
             h = o * np.tanh(c)
             np.testing.assert_allclose(hs[t], h, rtol=1e-12)
@@ -260,43 +259,43 @@ class TestInit:
     def test_bias_initialisation(self):
         model = tiny_model(seed=0)
         for params in (model.sem, model.sent):
-            np.testing.assert_array_equal(params.b_f, np.ones(params.hidden_dim))
-            for gate in ("i", "o", "c"):
-                np.testing.assert_array_equal(
-                    getattr(params, f"b_{gate}"), np.zeros(params.hidden_dim)
-                )
+            H = params.hidden_dim
+            b_i, b_f, b_o, b_c = (params.b[k * H : (k + 1) * H] for k in range(4))
+            np.testing.assert_array_equal(b_f, np.ones(H))
+            for gate_bias in (b_i, b_o, b_c):
+                np.testing.assert_array_equal(gate_bias, np.zeros(H))
         np.testing.assert_array_equal(model.fc_b, 0.0)
         np.testing.assert_array_equal(model.out_b, 0.0)
 
     def test_weight_scale_bounds(self):
         model = tiny_model(seed=1, sem_hidden=8, sent_hidden=8, fc_hidden=8)
         for name, tensor in model.param_tensors().items():
-            if name.endswith(("_b_i", "_b_f", "_b_o", "_b_c")) or name in ("fc_b", "out_b"):
+            if name.endswith("_b"):
                 continue
-            rows, cols = tensor.shape
-            limit = np.sqrt(6.0 / (rows + cols))
-            assert np.max(np.abs(tensor)) <= limit
-            assert np.max(np.abs(tensor)) > 0.25 * limit  # not degenerate
+            # Each LSTM gate block is scaled by its own (H, cols) fan.
+            blocks = np.split(tensor, 4) if name.startswith(("sem_", "sent_")) else [tensor]
+            for block in blocks:
+                rows, cols = block.shape
+                limit = np.sqrt(6.0 / (rows + cols))
+                assert np.max(np.abs(block)) <= limit
+                assert np.max(np.abs(block)) > 0.25 * limit  # not degenerate
 
     def test_param_tensor_keys(self):
         model = tiny_model()
         keys = set(model.param_tensors())
         expected = {
-            f"{ch}_{kind}_{gate}"
-            for ch in ("sem", "sent")
-            for kind in ("W", "U", "b")
-            for gate in ("i", "f", "o", "c")
+            f"{ch}_{kind}" for ch in ("sem", "sent") for kind in ("W", "U", "b")
         } | {"fc_W", "fc_b", "out_W", "out_b"}
         assert keys == expected
 
     def test_single_channel_still_builds_both_lstms(self):
         model = tiny_model(channels="semantic")
-        assert model.sent.W_i.shape == (2, 3)
+        assert model.sent.W.shape == (4 * 2, 3)
         assert model.fc_W.shape == (4, 3)  # FC sees only the semantic block
-        assert model.concat_width() == 3
+        assert model.config.concat_width() == 3
 
     def test_concat_width_both(self):
-        assert tiny_model().concat_width() == 5
+        assert tiny_model().config.concat_width() == 5
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="channels"):
@@ -357,7 +356,7 @@ class TestBackward:
         for name, g in grads.tensors.items():
             if name.startswith("sent_"):
                 np.testing.assert_array_equal(g, 0.0)
-        assert np.any(grads.tensors["sem_W_i"] != 0.0)
+        assert np.any(grads.tensors["sem_W"] != 0.0)
 
     def test_embedding_gradients_match_finite_differences(self):
         model = tiny_model(seed=9, train_embeddings=True)
@@ -445,9 +444,9 @@ class TestPredictAndClone:
         model = tiny_model(seed=2)
         snap = clone_model(model)
         model.fc_W += 1.0
-        model.sem.W_i += 1.0
+        model.sem.W += 1.0
         assert np.all(snap.fc_W != model.fc_W)
-        assert np.all(snap.sem.W_i != model.sem.W_i)
+        assert np.all(snap.sem.W != model.sem.W)
 
     def test_clone_shares_frozen_tables(self):
         model = tiny_model(seed=2, train_embeddings=False)

@@ -15,6 +15,7 @@ from sslstm.neural import (
     batch_predict,
     init_model,
 )
+from sslstm.text_norm import default_lexicon_sha256
 from sslstm.training import (
     CheckpointError,
     ShapeMismatchError,
@@ -365,6 +366,32 @@ class TestTrain:
         for k, v in runs[0][0].param_tensors().items():
             np.testing.assert_array_equal(v, runs[1][0].param_tensors()[k])
 
+    def test_train_accuracy_pass_only_with_a_target(self, monkeypatch):
+        import sslstm.training
+
+        calls = []
+        real = sslstm.training.batch_predict
+
+        def counting(model, sequences):
+            calls.append(len(sequences))
+            return real(model, sequences)
+
+        monkeypatch.setattr(sslstm.training, "batch_predict", counting)
+        train_set, val_set = keyword_dataset()
+        for target, per_epoch in (
+            (None, [len(val_set)]),
+            (1.0, [len(val_set), len(train_set)]),
+        ):
+            calls.clear()
+            config = self.run_config(max_epochs=3, patience=3, stop_when_train_accuracy=target)
+            _, history = train(keyword_model(seed=4), train_set, val_set, config)
+            assert calls == per_epoch * len(history.records)
+            accuracies = [r.train_accuracy for r in history.records]
+            if target is None:
+                assert accuracies == [None] * 3
+            else:
+                assert all(0.0 <= a <= 1.0 for a in accuracies)
+
     def test_patience_zero_stops_at_first_flat_epoch(self):
         train_set, val_set = keyword_dataset()
         model = keyword_model(seed=1)
@@ -643,6 +670,47 @@ class TestCheckpoint:
             np.testing.assert_array_equal(loaded.param_tensors()[name], tensor)
         save_checkpoint(loaded, TrainConfig(seed=5), second)
         assert second.read_bytes() == first.read_bytes()
+
+    def test_gate_blocks_map_to_stacked_rows(self):
+        # A file written block by block, as an external tool writes one,
+        # with a distinct random block per gate.
+        rng = np.random.default_rng(13)
+        dims = {"sem": (4, 3), "sent": (3, 2)}  # (input dim, hidden)
+        blocks = {}
+        for prefix, (dim, hidden) in dims.items():
+            for kind, cols in (("W", dim), ("U", hidden), ("b", hidden)):
+                for gate in ("i", "f", "o", "c"):
+                    rows = 1 if kind == "b" else hidden
+                    blocks[f"{prefix}_{kind}_{gate}"] = rng.standard_normal((rows, cols))
+        blocks["fc_W"] = rng.standard_normal((4, 5))
+        blocks["fc_b"] = rng.standard_normal((1, 4))
+        blocks["out_W"] = rng.standard_normal((4, 4))
+        blocks["out_b"] = rng.standard_normal((1, 4))
+        meta = {
+            "model": "sslstm", "channels": "both", "fc_activation": "relu",
+            "sem_hidden": 3, "sent_hidden": 2, "fc_hidden": 4, "max_seq_len": 50,
+            "train_embeddings": 0, "sem_dim": 4, "sent_dim": 3,
+            "sem_table_sha256": "-", "sent_table_sha256": "-",
+            "lexicon_sha256": default_lexicon_sha256(),
+        }
+        lines = ["SSLSTM-CKPT 1"] + [f"meta {k}={v}" for k, v in meta.items()]
+        for name, mat in blocks.items():
+            lines.append(f"tensor {name} {mat.shape[0]} {mat.shape[1]}")
+            lines.extend(" ".join(repr(v) for v in row) for row in mat.tolist())
+        text = "\n".join(lines + ["end"]) + "\n"
+
+        model = load_checkpoint(io.StringIO(text))
+        for prefix, params in (("sem", model.sem), ("sent", model.sent)):
+            H = dims[prefix][1]
+            for kind in ("W", "U", "b"):
+                stacked = getattr(params, kind)
+                for k, gate in enumerate(("i", "f", "o", "c")):
+                    block = blocks[f"{prefix}_{kind}_{gate}"]
+                    np.testing.assert_array_equal(
+                        stacked[k * H : (k + 1) * H], block if kind != "b" else block[0]
+                    )
+        np.testing.assert_array_equal(model.fc_W, blocks["fc_W"])
+        assert self.save_text(model) == text
 
     def test_corrupt_header(self):
         with pytest.raises(UnknownVersionError):
