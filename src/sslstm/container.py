@@ -8,7 +8,7 @@ from functools import partial
 
 import numpy as np
 
-from sslstm.dataio import _open_read, _open_write
+from sslstm.dataio import _open_read, _open_write, float_rows
 
 CHECKPOINT_MAGIC = "SSLSTM-CKPT"
 CHECKPOINT_VERSION = 1
@@ -53,6 +53,11 @@ def read_container(source) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     Raises :class:`UnknownVersionError` on a bad header and
     :class:`TruncatedCheckpointError` when the file loses structure or ends
     before ``end``.  Tensors come back as 2-D float64 arrays.
+
+    Each tensor block's rows are parsed in one call to numpy's C float
+    parser (:func:`~sslstm.dataio.float_rows`); only when it rejects a row
+    are they parsed again one at a time with ``float``
+    (:func:`_rows_by_float`), which names the first bad row.
     """
     with _open_read(source) as (fh, _):
         lines = filter(None, [line.rstrip("\r") for line in fh.read().split("\n")])
@@ -95,26 +100,43 @@ def read_container(source) -> tuple[dict[str, str], dict[str, np.ndarray]]:
                 raise TruncatedCheckpointError(
                     f"malformed tensor dimensions: {line!r}"
                 ) from None
-            mat = np.zeros((rows, cols))
-            for r in range(rows):
+            mat = np.empty((rows, cols))
+            texts = []
+            for _ in range(rows):
                 row_line = next_line()
                 if row_line is None or row_line.startswith(("tensor ", "meta ")) or row_line == "end":
-                    raise TruncatedCheckpointError(
-                        f"tensor {name!r} is missing rows ({r} of {rows} read)"
-                    )
-                values = row_line.split()
-                if len(values) != cols:
-                    raise TruncatedCheckpointError(
-                        f"tensor {name!r} row {r} has {len(values)} values, expected {cols}"
-                    )
-                try:
-                    mat[r] = [float(v) for v in values]
-                except ValueError:
-                    raise TruncatedCheckpointError(
-                        f"tensor {name!r} row {r} has non-numeric values"
-                    ) from None
+                    break
+                texts.append(row_line)
+            parsed = float_rows(texts)
+            if parsed is None or parsed.shape != (len(texts), cols):
+                parsed = _rows_by_float(texts, name, cols)
+            mat[: len(texts)] = parsed
+            if len(texts) < rows:
+                raise TruncatedCheckpointError(
+                    f"tensor {name!r} is missing rows ({len(texts)} of {rows} read)"
+                )
             if not np.all(np.isfinite(mat)):
                 raise CheckpointError(f"tensor {name!r} contains non-finite values")
             tensors[name] = mat
             continue
         raise CheckpointError(f"unrecognized checkpoint line: {line!r}")
+
+
+def _rows_by_float(texts: list[str], name: str, cols: int) -> np.ndarray:
+    """The rows of tensor ``name`` parsed one at a time with ``float``,
+    which also reads digit underscores and non-ASCII digits; raises at the
+    first row that is not ``cols`` numbers."""
+    mat = np.empty((len(texts), cols))
+    for r, text in enumerate(texts):
+        values = text.split()
+        if len(values) != cols:
+            raise TruncatedCheckpointError(
+                f"tensor {name!r} row {r} has {len(values)} values, expected {cols}"
+            )
+        try:
+            mat[r] = [float(v) for v in values]
+        except ValueError:
+            raise TruncatedCheckpointError(
+                f"tensor {name!r} row {r} has non-numeric values"
+            ) from None
+    return mat

@@ -13,6 +13,7 @@ Judgment files carry per-item label counts from n human judges:
 from __future__ import annotations
 
 import io
+import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -75,6 +76,33 @@ def _open_write(sink):
             yield fh
     else:
         yield sink
+
+
+def float_rows(texts) -> np.ndarray | None:
+    """Parse lines of whitespace-separated floats in one call to numpy's C
+    parser: a ``(lines, values per line)`` float64 matrix, ``(0, 0)`` for
+    no lines, or None when the parser rejects a line (a line of another
+    length, or a value it cannot read).
+
+    The C parser splits at the same whitespace as :meth:`str.split` and
+    reads every value it accepts to the same float as :class:`float`, but
+    it rejects two forms ``float`` reads, digit underscores (``1_0``) and
+    non-ASCII digits: on None, callers parse row by row with ``float``,
+    which also names the first bad line.  It skips a line that is all
+    whitespace, so callers compare the row count with the lines they gave
+    (a blank first line gives None).
+    """
+    texts = iter(texts)
+    first = next(texts, None)
+    if first is None:
+        return np.empty((0, 0))
+    if not first.strip():  # loadtxt would skip it, and warn if no line has data
+        return None
+    try:
+        return np.loadtxt(itertools.chain((first,), texts), dtype=np.float64,
+                          ndmin=2, comments=None)
+    except ValueError:
+        return None
 
 
 def _content_lines(source):

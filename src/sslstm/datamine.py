@@ -74,18 +74,22 @@ class QAPair:
 
     q: str
     a: str
-    _q_tokens: list[Token] | None = field(default=None, repr=False, compare=False)
-    _a_tokens: list[Token] | None = field(default=None, repr=False, compare=False)
+    # side ("q" or "a") -> (lexicon, tokens): the tokens under the lexicon last asked for
+    _tokens: dict = field(default_factory=dict, repr=False, compare=False)
 
     def q_tokens(self, lex: EmoticonLexicon | None = None) -> list[Token]:
-        if self._q_tokens is None:
-            self._q_tokens = normalize_utterance(self.q, lex)
-        return self._q_tokens
+        return self._normalized("q", lex)
 
     def a_tokens(self, lex: EmoticonLexicon | None = None) -> list[Token]:
-        if self._a_tokens is None:
-            self._a_tokens = normalize_utterance(self.a, lex)
-        return self._a_tokens
+        return self._normalized("a", lex)
+
+    def _normalized(self, side: str, lex: EmoticonLexicon | None) -> list[Token]:
+        if lex is None:
+            lex = default_lexicon()
+        cached = self._tokens.get(side)
+        if cached is None or cached[0] is not lex:
+            cached = self._tokens[side] = (lex, normalize_utterance(getattr(self, side), lex))
+        return cached[1]
 
 
 def make_qa_pairs(raw_pairs, lex: EmoticonLexicon | None = None) -> list[QAPair]:

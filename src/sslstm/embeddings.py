@@ -14,7 +14,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from sslstm.dataio import _open_write
+from sslstm.dataio import _open_write, float_rows
 from sslstm.text_norm import surfaces
 
 # Fallback dimensionalities for channels constructed without a file.
@@ -78,11 +78,19 @@ def empty_table(dim: int, name: str = "") -> EmbeddingTable:
 def load_embedding_file(source, name: str = "") -> EmbeddingTable:
     """Load a table from a path or a text/byte stream.
 
-    The dimensionality is inferred from the first data line; every later line
-    must agree.  Duplicate tokens, empty files, bad or non-finite floats, and
-    header mismatches all raise :class:`EmbeddingFormatError` naming the line.
-    ``source_sha256`` is the hash of the bytes read (of the UTF-8 encoding,
-    for a text stream).
+    Each data line is a token, whitespace, then the token's values in
+    Python float syntax separated by any whitespace.  The dimensionality is
+    inferred from the first data line; every later line must agree.
+    Duplicate tokens, empty files, bad or non-finite floats, and header
+    mismatches all raise :class:`EmbeddingFormatError` naming the first
+    line at fault.  ``source_sha256`` is the hash of the bytes read (of the
+    UTF-8 encoding, for a text stream).
+
+    One pass in Python splits each line at its first whitespace run and
+    checks the header and the tokens; it hands each line's value text to
+    numpy's C float parser (:func:`~sslstm.dataio.float_rows`) as it goes.
+    Only when that parser rejects a row are the rows parsed again one at a
+    time with ``float`` (:func:`_rows_by_float`).
     """
     if hasattr(source, "read"):
         data = source.read()
@@ -95,41 +103,48 @@ def load_embedding_file(source, name: str = "") -> EmbeddingTable:
         data = data.encode("utf-8")
     digest = hashlib.sha256(data).hexdigest()
     lines = data.decode("utf-8").splitlines()
+    del data
+    head = lines[0].split() if lines else []
+    declared = None
+    if len(head) == 2:
+        try:
+            declared = (int(head[0]), int(head[1]))
+        except ValueError:
+            pass  # two-field first line that is not a header: a 1-dim entry
     index: dict[str, int] = {}
     linenos: list[int] = []  # file line of each row
-    matrix = None  # room for every line, once the width is known
-    declared = None
-    for lineno, line in enumerate(lines, start=1):
-        fields = line.split()
-        if not fields:
-            continue
-        if lineno == 1 and len(fields) == 2:
-            try:
-                declared = (int(fields[0]), int(fields[1]))
+    fault: list[EmbeddingFormatError] = []
+
+    def entries():
+        """``(line number, token, value text)`` of each entry in file order,
+        recorded in ``index`` and ``linenos``.  A token with no values or
+        seen before ends the walk in ``fault``, raised once the rows before
+        it parse."""
+        index.clear()
+        linenos.clear()
+        fault.clear()
+        for lineno, line in enumerate(lines, start=1):
+            fields = line.split(None, 1)
+            if not fields or (lineno == 1 and declared is not None):
                 continue
-            except ValueError:
-                pass  # two-field first line that is not a header: a 1-dim entry
-        token, values = fields[0], fields[1:]
-        if not values:
-            raise EmbeddingFormatError(f"{label}:{lineno}: no values for token {token!r}")
-        if token in index:
-            raise EmbeddingFormatError(f"{label}:{lineno}: duplicate token {token!r}")
-        try:
-            vec = list(map(float, values))
-        except ValueError:
-            raise EmbeddingFormatError(f"{label}:{lineno}: non-numeric value in entry for {token!r}") from None
-        if matrix is None:
-            matrix = np.empty((len(lines), len(vec)))
-        elif len(vec) != matrix.shape[1]:
-            raise EmbeddingFormatError(
-                f"{label}:{lineno}: dimension mismatch: expected {matrix.shape[1]} values, got {len(vec)}"
-            )
-        matrix[len(index)] = vec
-        index[token] = len(index)
-        linenos.append(lineno)
+            token = fields[0]
+            if len(fields) == 1:
+                fault.append(EmbeddingFormatError(f"{label}:{lineno}: no values for token {token!r}"))
+                return
+            if token in index:
+                fault.append(EmbeddingFormatError(f"{label}:{lineno}: duplicate token {token!r}"))
+                return
+            index[token] = len(index)
+            linenos.append(lineno)
+            yield lineno, token, fields[1]
+
+    matrix = float_rows(text for _, _, text in entries())
+    if matrix is None or len(matrix) != len(index):
+        matrix = _rows_by_float(entries(), label)
+    if fault:
+        raise fault[0]
     if not index:
         raise EmbeddingFormatError(f"{label}: empty embedding file")
-    matrix = matrix[: len(index)]
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad.size:
         row = int(bad[0])
@@ -145,6 +160,27 @@ def load_embedding_file(source, name: str = "") -> EmbeddingTable:
     table = EmbeddingTable(matrix.shape[1], name=name, source_sha256=digest)
     table.index, table.matrix = index, matrix  # already checked: taken as is
     return table
+
+
+def _rows_by_float(entries, label: str) -> np.ndarray:
+    """The value texts of ``(line number, token, value text)`` entries
+    parsed one at a time with ``float``, which also reads digit underscores
+    and non-ASCII digits; raises at the first non-numeric entry or width
+    change."""
+    rows: list[list[float]] = []
+    for lineno, token, text in entries:
+        try:
+            row = [float(v) for v in text.split()]
+        except ValueError:
+            raise EmbeddingFormatError(
+                f"{label}:{lineno}: non-numeric value in entry for {token!r}"
+            ) from None
+        if rows and len(row) != len(rows[0]):
+            raise EmbeddingFormatError(
+                f"{label}:{lineno}: dimension mismatch: expected {len(rows[0])} values, got {len(row)}"
+            )
+        rows.append(row)
+    return np.array(rows, dtype=np.float64)
 
 
 def save_embedding_file(table: EmbeddingTable, sink, header: bool = False) -> None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+import unicodedata
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -147,6 +148,26 @@ def default_lexicon_sha256() -> str:
 
 
 _WORD_RE = re.compile(r"[^\W_]+(?:['’][^\W_]+)*")
+_WORD_TAIL_RE = re.compile(r"[^\W_]*(?:['’][^\W_]+)*")
+
+
+def _is_mark(ch: str) -> bool:
+    # Combining marks start at U+0300; the comparison spares ASCII text the lookup.
+    return ch >= "\u0300" and unicodedata.category(ch).startswith("M")
+
+
+def _word_end(chunk: str, pos: int) -> int | None:
+    """End of the word at ``pos``, None if none starts there.  A word is
+    letters and digits, with internal apostrophes, and keeps the combining
+    marks that follow its letters ("नमस्ते", a decomposed "café")."""
+    m = _WORD_RE.match(chunk, pos)
+    if not m:
+        return None
+    end = m.end()
+    while end < len(chunk) and _is_mark(chunk[end]):
+        end = _WORD_TAIL_RE.match(chunk, end + 1).end()
+    return end
+
 
 # Emoji variation selectors change rendering only; drop them before scanning.
 _VARIATION_SELECTORS = dict.fromkeys((0xFE0E, 0xFE0F), None)
@@ -165,12 +186,12 @@ def _drop_chunk(chunk: str) -> bool:
 def tokenize(raw: str, lex: EmoticonLexicon | None = None) -> list[Token]:
     """Split raw text into tokens.
 
-    Word tokens are lowercased and keep internal apostrophes ("don't"); a
-    word that changes case is scanned again lowercased, as it will be
-    written.  @-handles and URLs are dropped unless the chunk is one
-    emoticon candidate; emoticon candidates (lexicon raw forms, including
-    repeated-mouth runs) survive as single tokens; everything else becomes
-    one punctuation token per character.
+    Word tokens are lowercased and keep internal apostrophes ("don't")
+    and combining marks; a word that changes case is scanned again
+    lowercased, as it will be written.  @-handles and URLs are dropped
+    unless the chunk is one emoticon candidate; emoticon candidates
+    (lexicon raw forms, including repeated-mouth runs) survive as single
+    tokens; everything else becomes one punctuation token per character.
     """
     if lex is None:
         lex = default_lexicon()
@@ -190,15 +211,15 @@ def tokenize(raw: str, lex: EmoticonLexicon | None = None) -> list[Token]:
                 tokens.append(Token(surface, kind))
                 pos = m.end()
                 continue
-            m = _WORD_RE.match(chunk, pos)
-            if m:
-                word = m.group(0)
+            end = _word_end(chunk, pos)
+            if end is not None:
+                word = chunk[pos:end]
                 if word != word.lower():
                     # Lowercased, it may start with an emoticon or split.
-                    chunk = chunk[:pos] + word.lower() + chunk[m.end():]
+                    chunk = chunk[:pos] + word.lower() + chunk[end:]
                     continue
                 tokens.append(Token(word, "word"))
-                pos = m.end()
+                pos = end
                 continue
             tokens.append(Token(chunk[pos], "punctuation"))
             pos += 1

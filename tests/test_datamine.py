@@ -22,7 +22,7 @@ from sslstm.datamine import (
     write_judge_queue,
 )
 from sslstm.embeddings import EmbeddingTable
-from sslstm.text_norm import normalize_utterance, serialize_tokens
+from sslstm.text_norm import EmoticonLexicon, normalize_utterance, serialize_tokens
 
 
 def unit_table(n_tokens=6):
@@ -408,6 +408,16 @@ class TestMineByResponse:
         pair = QAPair("Hello, WORLD", "Fine!")
         assert serialize_tokens(pair.q_tokens()) == "hello , world"
         assert pair.q_tokens() is pair.q_tokens()
+
+    def test_qa_pair_tokens_follow_the_lexicon(self, lexicon):
+        custom = EmoticonLexicon(lexicon.entries + [("8^)", "8^)", "happy")])
+        pair = QAPair("nice 8^)", "ok 8^)")
+        packaged = (pair.q_tokens(lexicon), pair.a_tokens(lexicon))
+        assert serialize_tokens(packaged[0]) == "nice 8 ^ )"
+        assert pair.q_tokens(custom) == normalize_utterance("nice 8^)", custom)
+        assert pair.a_tokens(custom) == normalize_utterance("ok 8^)", custom)
+        assert serialize_tokens(pair.q_tokens(custom)) == "nice 8^)"
+        assert (pair.q_tokens(lexicon), pair.a_tokens(lexicon)) == packaged
 
 
 class TestSampleNegatives:

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sslstm.embeddings
+from conftest import make_table
 from sslstm.embeddings import (
     EmbeddingFormatError,
     EmbeddingTable,
@@ -129,6 +132,198 @@ class TestRoundTrip:
         missing = "".join(table.index) + "-missing"
         np.testing.assert_array_equal(lookup(back, missing), np.zeros(table.dim))
         assert back.source_sha256 == hashlib.sha256(data).hexdigest()
+
+
+def reference_load(source, name=""):
+    """The line-by-line loader: every value through ``float``, one row at a
+    time.  The oracle for :func:`load_embedding_file`, which parses with
+    numpy's C parser and falls back to this order of checks."""
+    data = source.read()
+    label = name or getattr(source, "name", "<stream>")
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    digest = hashlib.sha256(data).hexdigest()
+    lines = data.decode("utf-8").splitlines()
+    index: dict[str, int] = {}
+    linenos: list[int] = []
+    matrix = None
+    declared = None
+    for lineno, line in enumerate(lines, start=1):
+        fields = line.split()
+        if not fields:
+            continue
+        if lineno == 1 and len(fields) == 2:
+            try:
+                declared = (int(fields[0]), int(fields[1]))
+                continue
+            except ValueError:
+                pass
+        token, values = fields[0], fields[1:]
+        if not values:
+            raise EmbeddingFormatError(f"{label}:{lineno}: no values for token {token!r}")
+        if token in index:
+            raise EmbeddingFormatError(f"{label}:{lineno}: duplicate token {token!r}")
+        try:
+            vec = list(map(float, values))
+        except ValueError:
+            raise EmbeddingFormatError(f"{label}:{lineno}: non-numeric value in entry for {token!r}") from None
+        if matrix is None:
+            matrix = np.empty((len(lines), len(vec)))
+        elif len(vec) != matrix.shape[1]:
+            raise EmbeddingFormatError(
+                f"{label}:{lineno}: dimension mismatch: expected {matrix.shape[1]} values, got {len(vec)}"
+            )
+        matrix[len(index)] = vec
+        index[token] = len(index)
+        linenos.append(lineno)
+    if not index:
+        raise EmbeddingFormatError(f"{label}: empty embedding file")
+    matrix = matrix[: len(index)]
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        row = int(bad[0])
+        raise EmbeddingFormatError(
+            f"{label}:{linenos[row]}: non-finite value in entry for {list(index)[row]!r}"
+        )
+    if declared is not None:
+        count, hdim = declared
+        if count != len(index):
+            raise EmbeddingFormatError(f"{label}: header declares {count} entries, file has {len(index)}")
+        if hdim != matrix.shape[1]:
+            raise EmbeddingFormatError(f"{label}: header declares dim {hdim}, file has {matrix.shape[1]}")
+    table = EmbeddingTable(matrix.shape[1], name=name, source_sha256=digest)
+    table.index, table.matrix = index, matrix
+    return table
+
+
+def load_outcome(load, data: bytes):
+    """What loading ``data`` gives: the table's row order, matrix bytes and
+    hash, or the error's type and message."""
+    try:
+        table = load(io.BytesIO(data))
+    except Exception as exc:  # the oracle's errors are part of the contract
+        return type(exc), str(exc)
+    return list(table.index), table.matrix.shape, table.matrix.tobytes(), table.source_sha256
+
+
+# Any whitespace separates fields: tabs, NBSP, the ideographic space and
+# the unit separator (whitespace that is not a line break).
+SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t", "\xa0", "\u3000", "\x1f"])
+# Values float() reads, numpy's C parser too or not (digit underscores,
+# non-ASCII digits), and values it must reject.
+GOOD_VALUES = (
+    st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    | st.integers(-999, 999).map(str)
+    | st.sampled_from(["1_0", "-2_5.0_1", "١٢", "٣.٥", "１", "+1E-3", ".5", "5.", "-0"])
+)
+BAD_VALUES = st.sampled_from(["inf", "-inf", "nan", "NaN", "1e400", "x", "1e", "0x10", "1__0", "_1", "٣x"])
+FAULTS = ("bad value", "duplicate", "no values", "width", "blank")
+HEADERS = ("none", "count dim", "wrong count", "wrong dim", "two ints", "1-dim entry")
+
+
+@st.composite
+def table_files(draw):
+    """Embedding files as bytes: a header or not, rows split by assorted
+    whitespace, blank lines, LF or CRLF endings, and up to three faults."""
+    dim = draw(st.integers(1, 3))
+    tokens = draw(st.lists(_TOKENS, max_size=6, unique=True))
+
+    def row(token, width):
+        values = draw(SEPARATORS).join(draw(GOOD_VALUES) for _ in range(width))
+        lead, trail = draw(st.sampled_from(["", " "])), draw(st.sampled_from(["", " ", "\t"]))
+        return lead + token + draw(SEPARATORS) + values + trail
+
+    lines = [row(token, dim) for token in tokens]
+    for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=3)):
+        at = draw(st.integers(0, len(lines)))
+        token = draw(st.sampled_from(tokens)) if tokens else "z"
+        if fault == "bad value":
+            values = [draw(GOOD_VALUES) for _ in range(dim)]
+            values[draw(st.integers(0, dim - 1))] = draw(BAD_VALUES)
+            lines.insert(at, draw(_TOKENS) + " " + " ".join(values))
+        elif fault == "duplicate":
+            lines.insert(at, row(token, dim))
+        elif fault == "no values":
+            lines.insert(at, draw(_TOKENS) + draw(st.sampled_from(["", " "])))
+        elif fault == "width":
+            lines.insert(at, row(draw(_TOKENS), draw(st.sampled_from([dim - 1, dim + 1]).filter(bool))))
+        else:
+            lines.insert(at, draw(st.sampled_from(["", " ", "\t\xa0"])))
+    header = draw(st.sampled_from(HEADERS))
+    count = len(tokens)
+    if header == "count dim":
+        lines.insert(0, f"{count} {dim}")
+    elif header == "wrong count":
+        lines.insert(0, f"{count + 1}\t{dim}")
+    elif header == "wrong dim":
+        lines.insert(0, f"{count} {dim + 1}")
+    elif header == "two ints":
+        lines.insert(0, f"{draw(st.integers(0, 9))} {draw(st.integers(0, 9))}")
+    elif header == "1-dim entry":
+        lines.insert(0, f"{draw(_TOKENS)} {draw(GOOD_VALUES)}")
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return (eol.join(lines) + draw(st.sampled_from(["", eol]))).encode("utf-8")
+
+
+def _generated_table() -> str:
+    sink = io.StringIO()
+    save_embedding_file(make_table("semantic", [f"w{i}" for i in range(300)], dim=20), sink, header=True)
+    return sink.getvalue()
+
+
+GENERATED_TABLE = _generated_table()
+
+
+class TestLoaderMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(data=table_files())
+    def test_same_table_or_same_error(self, data):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert load_outcome(load_embedding_file, data) == load_outcome(reference_load, data)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "2 3\n", "0 5\r\n \n"])
+    def test_empty_or_header_only_warns_nothing(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmbeddingFormatError, match="empty embedding file"):
+                load_str(text)
+
+    def test_bad_float_before_duplicate_names_the_bad_float(self):
+        with pytest.raises(EmbeddingFormatError, match=r":3: non-numeric value in entry for 'c'"):
+            load_str("a 1 2\nb 3 4\nc 5 x\nd 7 8\n\na 9 10\n")
+        with pytest.raises(EmbeddingFormatError, match=r":2: duplicate token 'a'"):
+            load_str("a 1 2\na 3 4\nc 5 x\n")
+
+    def test_python_float_forms_load_as_before(self):
+        text = "a 1_0 2.5\nb ١٢ -3_000.5\nc 0.25 １\n"
+        table = load_str(text)
+        assert table.matrix.tobytes() == np.array([[10.0, 2.5], [12.0, -3000.5], [0.25, 1.0]]).tobytes()
+        assert table.matrix.tobytes() == reference_load(io.StringIO(text)).matrix.tobytes()
+
+    @pytest.mark.parametrize(("text", "c_rejects"), [
+        (GENERATED_TABLE, False),
+        ("2 3\na 1 2 3\nb 4 5 6\n", False),
+        ("a 1_0 2\nb 3 4\n", True),
+        ("a 1 2\nb 3 x\n", True),
+    ], ids=["generated", "header", "underscore", "bad-float"])
+    def test_row_by_row_pass_runs_only_when_the_c_parse_fails(self, monkeypatch, text, c_rejects):
+        calls = {"loadtxt": 0, "by_float": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np, "loadtxt", counted("loadtxt", np.loadtxt))
+        monkeypatch.setattr(sslstm.embeddings, "_rows_by_float",
+                            counted("by_float", sslstm.embeddings._rows_by_float))
+        try:
+            load_str(text)
+        except EmbeddingFormatError:
+            assert c_rejects
+        assert calls == {"loadtxt": 1, "by_float": int(c_rejects)}
 
 
 class TestLookup:

@@ -67,6 +67,20 @@ class TestTokenize:
             if tok.kind == "word":
                 assert tok.surface == tok.surface.lower()
 
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("नमस्ते", ["नमस्ते"]),
+            ("Cafe\u0301's OK!", ["cafe\u0301's", "ok", "!"]),  # a decomposed "café"
+            ("e\u0301\u0327t\u0301", ["e\u0301\u0327t\u0301"]),
+            ("\u0301e", ["\u0301", "e"]),  # no letter before the mark
+        ],
+    )
+    def test_combining_marks_stay_in_the_word(self, text, expected):
+        toks = normalize_utterance(text)
+        assert surfaces(toks) == expected
+        assert [t.kind for t in toks] == ["punctuation" if t in "!\u0301" else "word" for t in expected]
+
     def test_determinism(self):
         text = "Some :))) input!! with @stuff and don't"
         assert tokenize(text) == tokenize(text)
@@ -108,9 +122,9 @@ class TestNormalizeEmoticons:
 
 # Emoticon forms mix punctuation, both letter cases and digits (so a form
 # may end in a word character, like "xD"), an apostrophe, "@" (the handle
-# prefix) and emoji.  Texts add words, spaces, a variation selector and a
-# letter whose lowercase is two characters.
-FORM_CHARS = ":;=()[]<>^_-*'@./\\|38xXdDpPoO\N{WHITE SMILING FACE}\N{UNAMUSED FACE}"
+# prefix), a combining mark and emoji.  Texts add words, spaces, a
+# variation selector and a letter whose lowercase is two characters.
+FORM_CHARS = ":;=()[]<>^_-*'@./\\|38xXdDpPoO\N{COMBINING ACUTE ACCENT}\N{WHITE SMILING FACE}\N{UNAMUSED FACE}"
 TEXT_CHARS = FORM_CHARS + "abcABC '’!?\N{VARIATION SELECTOR-16}\N{LATIN CAPITAL LETTER I WITH DOT ABOVE}"
 forms = st.text(st.sampled_from(FORM_CHARS), min_size=1, max_size=4)
 
