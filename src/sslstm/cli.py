@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -31,16 +30,8 @@ from .baselines import (
     svm_predict,
     svm_train,
 )
-from .container import CheckpointError, read_container
-from .dataio import (
-    DataFormatError,
-    _content_lines,
-    _tsv_rows,
-    read_dataset,
-    read_judgments,
-    require_labeled,
-    write_dataset,
-)
+from .container import read_container
+from .dataio import read_dataset, read_judgments, require_labeled, write_dataset
 from .datamine import (
     MiningConfig,
     make_qa_pairs,
@@ -53,7 +44,6 @@ from .datamine import (
 from .embeddings import (
     DEFAULT_SEMANTIC_DIM,
     DEFAULT_SENTIMENT_DIM,
-    EmbeddingFormatError,
     EmbeddingTable,
     cosine,
     empty_table,
@@ -78,7 +68,6 @@ from .neural import (
     init_model,
 )
 from .text_norm import (
-    LexiconFormatError,
     default_lexicon,
     load_lexicon,
     normalize_utterance,
@@ -94,6 +83,7 @@ from .training import (
     split_dataset,
     train,
 )
+from .textfile import DataFormatError, _content_lines, _lines, _open_write, _tsv_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -128,10 +118,8 @@ class _Parser(argparse.ArgumentParser):
 def _emit(text: str, output: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    with _open_write(output or sys.stdout) as fh:
+        fh.write(text)
 
 
 def _read_lines(path: str) -> list[str]:
@@ -208,11 +196,7 @@ def _warn_missing_tables(args, config: ModelConfig, doing: str) -> None:
 
 def cmd_normalize(args) -> None:
     lex = _lexicon(args)
-    if args.input:
-        with open(args.input, encoding="utf-8") as fh:
-            raw_lines = fh.read().splitlines()
-    else:
-        raw_lines = sys.stdin.read().splitlines()
+    raw_lines, _ = _lines(args.input or getattr(sys.stdin, "buffer", sys.stdin))
     out = [serialize_tokens(normalize_utterance(line, lex)) for line in raw_lines]
     _emit("\n".join(out), args.output)
 
@@ -355,10 +339,7 @@ def cmd_mine(args) -> None:
     if args.target:
         kept, removed = prune_heuristics(candidates, args.target, lex, cfg)
         candidates = kept + removed
-    if args.output:
-        write_judge_queue(candidates, args.output)
-    else:
-        write_judge_queue(candidates, sys.stdout)
+    write_judge_queue(candidates, args.output or sys.stdout)
 
 
 def cmd_stats(args) -> None:
@@ -582,7 +563,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataFormatError, LexiconFormatError, EmbeddingFormatError, CheckpointError) as exc:
+    except DataFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA_FORMAT
     except (NumericError, FloatingPointError) as exc:

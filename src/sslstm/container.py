@@ -8,13 +8,13 @@ from functools import partial
 
 import numpy as np
 
-from sslstm.dataio import _open_read, _open_write, float_rows
+from sslstm.textfile import DataFormatError, _lines, _open_write, float_rows
 
 CHECKPOINT_MAGIC = "SSLSTM-CKPT"
 CHECKPOINT_VERSION = 1
 
 
-class CheckpointError(ValueError):
+class CheckpointError(DataFormatError):
     """Base class for malformed checkpoint files."""
 
 
@@ -36,8 +36,8 @@ def write_container(sink, meta: dict[str, str], tensors: dict[str, np.ndarray]) 
             value = str(value)
             if " " in key or "=" in key or "\n" in key:
                 raise ValueError(f"illegal meta key {key!r}")
-            if "\n" in value:
-                raise ValueError(f"meta value for {key!r} contains a newline")
+            if "\n" in value or value.endswith("\r"):
+                raise ValueError(f"meta value for {key!r} would not read back: {value!r}")
             fh.write(f"meta {key}={value}\n")
         for name, arr in tensors.items():
             mat = np.atleast_2d(np.asarray(arr, dtype=np.float64))
@@ -55,12 +55,11 @@ def read_container(source) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     before ``end``.  Tensors come back as 2-D float64 arrays.
 
     Each tensor block's rows are parsed in one call to numpy's C float
-    parser (:func:`~sslstm.dataio.float_rows`); only when it rejects a row
+    parser (:func:`~sslstm.textfile.float_rows`); only when it rejects a row
     are they parsed again one at a time with ``float``
     (:func:`_rows_by_float`), which names the first bad row.
     """
-    with _open_read(source) as (fh, _):
-        lines = filter(None, [line.rstrip("\r") for line in fh.read().split("\n")])
+    lines = filter(None, _lines(source)[0])
     next_line = partial(next, lines, None)  # next non-empty line, None at the end
 
     header = next_line()
@@ -97,9 +96,9 @@ def read_container(source) -> tuple[dict[str, str], dict[str, np.ndarray]]:
             try:
                 rows, cols = int(fields[2]), int(fields[3])
             except ValueError:
-                raise TruncatedCheckpointError(
-                    f"malformed tensor dimensions: {line!r}"
-                ) from None
+                rows = cols = -1  # not numbers: rejected with negative ones
+            if rows < 0 or cols < 0:
+                raise TruncatedCheckpointError(f"malformed tensor dimensions: {line!r}")
             mat = np.empty((rows, cols))
             texts = []
             for _ in range(rows):

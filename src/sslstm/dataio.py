@@ -12,20 +12,13 @@ Judgment files carry per-item label counts from n human judges:
 
 from __future__ import annotations
 
-import io
-import itertools
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from sslstm.labels import LABELS, N_CLASSES, label_index
 from sslstm.text_norm import Token, normalize_utterance
-
-
-class DataFormatError(ValueError):
-    """Malformed dataset or judgment file; messages carry line numbers."""
+from sslstm.textfile import DataFormatError, _lines, _open_write
 
 
 @dataclass
@@ -56,76 +49,6 @@ class Conversation:
         return self._tokens
 
 
-@contextmanager
-def _open_read(source):
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            yield fh, str(source)
-    elif isinstance(source, (bytes, bytearray)):
-        yield io.StringIO(source.decode("utf-8")), "<bytes>"
-    elif isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
-        yield io.TextIOWrapper(source, encoding="utf-8"), "<stream>"
-    else:
-        yield source, getattr(source, "name", "<stream>")
-
-
-@contextmanager
-def _open_write(sink):
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8") as fh:
-            yield fh
-    else:
-        yield sink
-
-
-def float_rows(texts) -> np.ndarray | None:
-    """Parse lines of whitespace-separated floats in one call to numpy's C
-    parser: a ``(lines, values per line)`` float64 matrix, ``(0, 0)`` for
-    no lines, or None when the parser rejects a line (a line of another
-    length, or a value it cannot read).
-
-    The C parser splits at the same whitespace as :meth:`str.split` and
-    reads every value it accepts to the same float as :class:`float`, but
-    it rejects two forms ``float`` reads, digit underscores (``1_0``) and
-    non-ASCII digits: on None, callers parse row by row with ``float``,
-    which also names the first bad line.  It skips a line that is all
-    whitespace, so callers compare the row count with the lines they gave
-    (a blank first line gives None).
-    """
-    texts = iter(texts)
-    first = next(texts, None)
-    if first is None:
-        return np.empty((0, 0))
-    if not first.strip():  # loadtxt would skip it, and warn if no line has data
-        return None
-    try:
-        return np.loadtxt(itertools.chain((first,), texts), dtype=np.float64,
-                          ndmin=2, comments=None)
-    except ValueError:
-        return None
-
-
-def _content_lines(source):
-    """(label, line number, text) of each line that is neither blank nor a
-    ``#`` comment."""
-    with _open_read(source) as (fh, name):
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if line.strip() and not line.lstrip().startswith("#"):
-                yield name, lineno, line
-
-
-def _tsv_rows(source, n_fields: int):
-    """:func:`_content_lines` split at tabs; each must have ``n_fields`` fields."""
-    for name, lineno, line in _content_lines(source):
-        fields = line.split("\t")
-        if len(fields) != n_fields:
-            raise DataFormatError(
-                f"{name}:{lineno}: expected {n_fields} tab-separated fields, got {len(fields)}"
-            )
-        yield name, lineno, fields
-
-
 def read_dataset(source) -> list[Conversation]:
     """Parse a conversation TSV into Conversation records, in file order.
 
@@ -135,46 +58,46 @@ def read_dataset(source) -> list[Conversation]:
     """
     conversations: list[Conversation] = []
     seen: set[str] = set()
-    with _open_read(source) as (fh, label_name):
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) not in (4, 5):
-                raise DataFormatError(
-                    f"{label_name}:{lineno}: expected 4 or 5 tab-separated fields, got {len(fields)}"
-                )
-            conv_id = fields[0]
-            if not conv_id:
-                raise DataFormatError(f"{label_name}:{lineno}: empty conversation id")
-            if conv_id in seen:
-                raise DataFormatError(f"{label_name}:{lineno}: duplicate id {conv_id!r}")
-            seen.add(conv_id)
-            label = None
-            if len(fields) == 5:
-                try:
-                    label = LABELS[label_index(fields[4])]
-                except ValueError:
-                    raise DataFormatError(
-                        f"{label_name}:{lineno}: unknown label {fields[4]!r}"
-                    ) from None
-            if not fields[3]:
-                raise DataFormatError(f"{label_name}:{lineno}: empty final turn")
-            conversations.append(
-                Conversation(
-                    id=conv_id,
-                    turn1=fields[1],
-                    turn2=fields[2],
-                    turn3=fields[3],
-                    label=label,
-                )
+    lines, label_name = _lines(source)
+    for lineno, line in enumerate(lines, start=1):
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) not in (4, 5):
+            raise DataFormatError(
+                f"{label_name}:{lineno}: expected 4 or 5 tab-separated fields, got {len(fields)}"
             )
+        conv_id = fields[0]
+        if not conv_id:
+            raise DataFormatError(f"{label_name}:{lineno}: empty conversation id")
+        if conv_id in seen:
+            raise DataFormatError(f"{label_name}:{lineno}: duplicate id {conv_id!r}")
+        seen.add(conv_id)
+        label = None
+        if len(fields) == 5:
+            try:
+                label = LABELS[label_index(fields[4])]
+            except ValueError:
+                raise DataFormatError(
+                    f"{label_name}:{lineno}: unknown label {fields[4]!r}"
+                ) from None
+        if not fields[3]:
+            raise DataFormatError(f"{label_name}:{lineno}: empty final turn")
+        conversations.append(
+            Conversation(
+                id=conv_id,
+                turn1=fields[1],
+                turn2=fields[2],
+                turn3=fields[3],
+                label=label,
+            )
+        )
     return conversations
 
 
 def write_dataset(dataset, sink) -> None:
-    """Serialize conversations back to TSV, one line each, trailing newline."""
+    """Serialize conversations back to TSV, one line each, trailing newline;
+    a row that would not read back as written raises ValueError."""
     lines = []
     for conv in dataset:
         fields = [conv.id, conv.turn1, conv.turn2, conv.turn3]
@@ -182,10 +105,11 @@ def write_dataset(dataset, sink) -> None:
             fields.append(conv.label)
         for text in fields:
             if "\t" in text or "\n" in text:
-                raise ValueError(
-                    f"conversation {conv.id}: tabs/newlines are not representable"
-                )
-        lines.append("\t".join(fields))
+                raise ValueError(f"conversation {conv.id}: tabs/newlines are not representable")
+        line = "\t".join(fields)
+        if line.startswith("#") or line.endswith("\r"):
+            raise ValueError(f"conversation {conv.id}: line would not read back: {line!r}")
+        lines.append(line)
     with _open_write(sink) as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
 
@@ -204,40 +128,39 @@ def read_judgments(source) -> tuple[np.ndarray, int]:
     rows: list[list[int]] = []
     n = None
     seen: set[str] = set()
-    with _open_read(source) as (fh, label_name):
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 1 + N_CLASSES:
+    lines, label_name = _lines(source)
+    for lineno, line in enumerate(lines, start=1):
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 1 + N_CLASSES:
+            raise DataFormatError(
+                f"{label_name}:{lineno}: expected {1 + N_CLASSES} fields, got {len(fields)}"
+            )
+        item_id = fields[0]
+        if item_id in seen:
+            raise DataFormatError(f"{label_name}:{lineno}: duplicate item {item_id!r}")
+        seen.add(item_id)
+        try:
+            counts = [int(x) for x in fields[1:]]
+        except ValueError:
+            raise DataFormatError(
+                f"{label_name}:{lineno}: non-integer judgment count"
+            ) from None
+        if any(c < 0 for c in counts):
+            raise DataFormatError(f"{label_name}:{lineno}: negative judgment count")
+        total = sum(counts)
+        if n is None:
+            n = total
+            if n < 2:
                 raise DataFormatError(
-                    f"{label_name}:{lineno}: expected {1 + N_CLASSES} fields, got {len(fields)}"
+                    f"{label_name}:{lineno}: need at least 2 judges, got {n}"
                 )
-            item_id = fields[0]
-            if item_id in seen:
-                raise DataFormatError(f"{label_name}:{lineno}: duplicate item {item_id!r}")
-            seen.add(item_id)
-            try:
-                counts = [int(x) for x in fields[1:]]
-            except ValueError:
-                raise DataFormatError(
-                    f"{label_name}:{lineno}: non-integer judgment count"
-                ) from None
-            if any(c < 0 for c in counts):
-                raise DataFormatError(f"{label_name}:{lineno}: negative judgment count")
-            total = sum(counts)
-            if n is None:
-                n = total
-                if n < 2:
-                    raise DataFormatError(
-                        f"{label_name}:{lineno}: need at least 2 judges, got {n}"
-                    )
-            elif total != n:
-                raise DataFormatError(
-                    f"{label_name}:{lineno}: row sums to {total}, expected {n}"
-                )
-            rows.append(counts)
+        elif total != n:
+            raise DataFormatError(
+                f"{label_name}:{lineno}: row sums to {total}, expected {n}"
+            )
+        rows.append(counts)
     if n is None:
         raise DataFormatError(f"{label_name}: no judgment rows")
     return np.array(rows, dtype=np.int64), n

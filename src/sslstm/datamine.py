@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import DataFormatError, _open_write, _tsv_rows
+from .textfile import DataFormatError, _open_write, _tsv_rows
 from .embeddings import EmbeddingTable, cosine, sentence_embedding
 from .labels import EMOTION_LABELS
 from .text_norm import (
@@ -323,10 +323,11 @@ def write_judge_queue(candidates, sink) -> None:
         for cand in candidates:
             for text in (cand.utterance, cand.matched, cand.reason):
                 if "\t" in text or "\n" in text:
-                    raise ValueError(
-                        f"judge queue fields may not contain tabs or newlines: {text!r}"
-                    )
-            fh.write(f"{cand.utterance}\t{cand.score:g}\t{cand.matched}\t{cand.reason}\n")
+                    raise ValueError(f"judge queue fields may not hold tabs or newlines: {text!r}")
+            line = f"{cand.utterance}\t{cand.score:g}\t{cand.matched}\t{cand.reason}"
+            if line.lstrip().startswith("#") or line.endswith("\r"):
+                raise ValueError(f"judge queue line would not read back: {line!r}")
+            fh.write(line + "\n")
 
 
 def read_judge_queue(source) -> list[Candidate]:

@@ -14,7 +14,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from sslstm.dataio import _open_write, float_rows
+from sslstm.textfile import DataFormatError, _open_write, _read, _split_lines, float_rows
 from sslstm.text_norm import surfaces
 
 # Fallback dimensionalities for channels constructed without a file.
@@ -22,7 +22,7 @@ DEFAULT_SEMANTIC_DIM = 100
 DEFAULT_SENTIMENT_DIM = 50
 
 
-class EmbeddingFormatError(ValueError):
+class EmbeddingFormatError(DataFormatError):
     """Raised for malformed embedding files."""
 
 
@@ -76,7 +76,7 @@ def empty_table(dim: int, name: str = "") -> EmbeddingTable:
 
 
 def load_embedding_file(source, name: str = "") -> EmbeddingTable:
-    """Load a table from a path or a text/byte stream.
+    """Load a table from a path, bytes, or a text/byte stream.
 
     Each data line is a token, whitespace, then the token's values in
     Python float syntax separated by any whitespace.  The dimensionality is
@@ -84,25 +84,19 @@ def load_embedding_file(source, name: str = "") -> EmbeddingTable:
     Duplicate tokens, empty files, bad or non-finite floats, and header
     mismatches all raise :class:`EmbeddingFormatError` naming the first
     line at fault.  ``source_sha256`` is the hash of the bytes read (of the
-    UTF-8 encoding, for a text stream).
+    UTF-8 encoding, for a text stream); lines are split by the one line
+    rule of :mod:`sslstm.textfile`, so U+2028 and the like inside a line
+    separate fields like any other whitespace.
 
     One pass in Python splits each line at its first whitespace run and
     checks the header and the tokens; it hands each line's value text to
-    numpy's C float parser (:func:`~sslstm.dataio.float_rows`) as it goes.
+    numpy's C float parser (:func:`~sslstm.textfile.float_rows`) as it goes.
     Only when that parser rejects a row are the rows parsed again one at a
     time with ``float`` (:func:`_rows_by_float`).
     """
-    if hasattr(source, "read"):
-        data = source.read()
-        label = name or getattr(source, "name", "<stream>")
-    else:
-        with open(source, "rb") as fh:
-            data = fh.read()
-        label = name or str(source)
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+    data, label = _read(source)
     digest = hashlib.sha256(data).hexdigest()
-    lines = data.decode("utf-8").splitlines()
+    lines = _split_lines(data, label)
     del data
     head = lines[0].split() if lines else []
     declared = None

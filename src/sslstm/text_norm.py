@@ -14,17 +14,20 @@ from __future__ import annotations
 
 import hashlib
 import re
+import sys
 import unicodedata
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
+
+from sslstm.textfile import DataFormatError, _lines, _read
 
 EMOTICON_CLASSES = ("happy", "sad", "angry", "neutral")
 
 TOKEN_KINDS = ("word", "emoticon", "punctuation")
 
 
-class LexiconFormatError(ValueError):
+class LexiconFormatError(DataFormatError):
     """Raised for malformed lexicon files or inconsistent lexicon entries."""
 
 
@@ -86,38 +89,43 @@ class EmoticonLexicon:
         self.canonical_class = {c: raw_class[c] for c in raw_to_canonical.values()}
         self._scanner = self._compile_scanner()
 
-    def _compile_scanner(self) -> re.Pattern:
+    def _compile_scanner(self, marks: str = "") -> re.Pattern:
         # One alternation over all raw forms, longest first.  Each form may be
         # extended by a run of its final ("mouth") character, so ":(((" is
         # captured as a single token.  Forms ending in a letter or digit (like
-        # "xD") must not bleed into a following word.
+        # "xD") must not bleed into a following word, nor part a following
+        # combining mark from its letter when ``marks`` lists them.
         order = {raw: i for i, raw in enumerate(self.raw_to_canonical)}
         parts = []
         for raw in sorted(self.raw_to_canonical, key=lambda r: (-len(r), order[r])):
             pat = re.escape(raw) + re.escape(raw[-1]) + "*"
             if _is_word_char(raw[-1]):
-                pat += r"(?![^\W_])"
+                pat += rf"(?![^\W_]{marks})"
             parts.append(pat)
         return re.compile("|".join(parts))
 
+    @cached_property
+    def _mark_scanner(self) -> re.Pattern:
+        """The scanner whose guard also rejects a combining mark."""
+        return self._compile_scanner(f"|[{_combining_marks()}]")
+
     def match_emoticon(self, text: str, pos: int = 0):
         """Match an emoticon candidate (raw form plus mouth run) at ``pos``."""
-        return self._scanner.match(text, pos)
+        m = self._scanner.match(text, pos)
+        # Marks in the guard change only a letter-final match a mark follows,
+        # which is rare: the marks are listed (all of Unicode scanned) on first need.
+        if m and m.end() < len(text) and _is_mark(text[m.end()]) and _is_word_char(m[0][-1]):
+            m = self._mark_scanner.match(text, pos)
+        return m
 
 
 def load_lexicon(source) -> EmoticonLexicon:
-    """Read a lexicon from a path or text stream.
+    """Read a lexicon from a path, bytes, or a text/byte stream.
 
     Format: UTF-8, one ``raw<TAB>canonical<TAB>class`` entry per line; lines
     starting with '#' and blank lines are ignored.
     """
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-        name = getattr(source, "name", "<stream>")
-    else:
-        with open(source, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        name = str(source)
+    lines, name = _lines(source)
     entries = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip() or line.startswith("#"):
@@ -132,19 +140,21 @@ def load_lexicon(source) -> EmoticonLexicon:
         raise LexiconFormatError(f"{name}: {exc}") from None
 
 
+_PACKAGED_LEXICON = resources.files("sslstm").joinpath("data/emoticons.tsv")
+
+
 @lru_cache(maxsize=1)
 def default_lexicon() -> EmoticonLexicon:
     """The lexicon shipped with the package."""
-    ref = resources.files("sslstm").joinpath("data/emoticons.tsv")
-    with ref.open("r", encoding="utf-8") as fh:
-        return load_lexicon(fh)
+    with resources.as_file(_PACKAGED_LEXICON) as path:
+        return load_lexicon(path)
 
 
 @lru_cache(maxsize=1)
 def default_lexicon_sha256() -> str:
     """SHA-256 of the packaged lexicon file, for checkpoint provenance."""
-    ref = resources.files("sslstm").joinpath("data/emoticons.tsv")
-    return hashlib.sha256(ref.read_bytes()).hexdigest()
+    with resources.as_file(_PACKAGED_LEXICON) as path:
+        return hashlib.sha256(_read(path)[0]).hexdigest()
 
 
 _WORD_RE = re.compile(r"[^\W_]+(?:['’][^\W_]+)*")
@@ -154,6 +164,12 @@ _WORD_TAIL_RE = re.compile(r"[^\W_]*(?:['’][^\W_]+)*")
 def _is_mark(ch: str) -> bool:
     # Combining marks start at U+0300; the comparison spares ASCII text the lookup.
     return ch >= "\u0300" and unicodedata.category(ch).startswith("M")
+
+
+@lru_cache(maxsize=1)
+def _combining_marks() -> str:
+    """Every combining mark, in code point order."""
+    return "".join(filter(_is_mark, map(chr, range(sys.maxunicode + 1))))
 
 
 def _word_end(chunk: str, pos: int) -> int | None:

@@ -194,6 +194,23 @@ class TestNormalizeUtterance:
         once = normalize_utterance(text, lex)
         assert normalize_utterance(serialize_tokens(once), lex) == once
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_scanner_matches_as_if_every_guard_saw_marks(self, data):
+        # match_emoticon takes the mark-guarded scanner only when a mark
+        # follows a letter-final match; everywhere it must match as that one.
+        lex = EmoticonLexicon(data.draw(lexicon_entries()))
+        raws = [raw for raw, _, _ in lex.entries]
+        piece = (
+            st.sampled_from(raws)
+            | st.sampled_from(raws).map(lambda form: form + form[-1])
+            | st.text(st.sampled_from(TEXT_CHARS + "\N{DEVANAGARI VOWEL SIGN AA}"), max_size=3)
+        )
+        text = "".join(data.draw(st.lists(piece, max_size=6)))
+        for pos in range(len(text)):
+            fast, guarded = lex.match_emoticon(text, pos), lex._mark_scanner.match(text, pos)
+            assert (fast and fast.span()) == (guarded and guarded.span()), (text, pos)
+
 
 class TestEmoticonClass:
     @pytest.mark.parametrize(
