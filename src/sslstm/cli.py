@@ -115,11 +115,10 @@ class _Parser(argparse.ArgumentParser):
 # small I/O helpers
 
 
-def _emit(text: str, output: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
+def _emit(lines, output: str | None) -> None:
+    """Write each line followed by a newline; no lines write nothing."""
     with _open_write(output or sys.stdout) as fh:
-        fh.write(text)
+        fh.writelines(line + "\n" for line in lines)
 
 
 def _read_lines(path: str) -> list[str]:
@@ -131,10 +130,8 @@ def _lexicon(args):
     return load_lexicon(args.lexicon) if getattr(args, "lexicon", None) else default_lexicon()
 
 
-def _table_or_empty(path: str | None, dim: int, name: str):
-    if path is None:
-        return empty_table(dim, name=name)
-    return load_embedding_file(path, name=name)
+def _table_or_empty(path: str | None, dim: int):
+    return empty_table(dim) if path is None else load_embedding_file(path)
 
 
 def _parse_emb_specs(specs) -> dict[str, str]:
@@ -170,7 +167,7 @@ def _load_predictor(args, lex):
         tables = {}
         for channel in ("semantic", "sentiment"):
             path = getattr(args, f"{channel}_emb")
-            tables[channel] = None if path is None else load_embedding_file(path, name=channel)
+            tables[channel] = None if path is None else load_embedding_file(path)
         model = model_from_container(meta, tensors, tables["semantic"], tables["sentiment"])
         _warn_missing_tables(args, model.config, f"{args.model} uses")
         return lambda convs: batch_predict(model, [conv.tokens for conv in convs])
@@ -197,8 +194,7 @@ def _warn_missing_tables(args, config: ModelConfig, doing: str) -> None:
 def cmd_normalize(args) -> None:
     lex = _lexicon(args)
     raw_lines, _ = _lines(args.input or getattr(sys.stdin, "buffer", sys.stdin))
-    out = [serialize_tokens(normalize_utterance(line, lex)) for line in raw_lines]
-    _emit("\n".join(out), args.output)
+    _emit([serialize_tokens(normalize_utterance(line, lex)) for line in raw_lines], args.output)
 
 
 def cmd_split(args) -> None:
@@ -223,8 +219,8 @@ def cmd_train(args) -> None:
         print(f"algorithm: {args.algo}  examples: {len(dataset)}  vocabulary: {len(model.vocab)}")
         return
 
-    semantic = _table_or_empty(args.semantic_emb, DEFAULT_SEMANTIC_DIM, "semantic")
-    sentiment = _table_or_empty(args.sentiment_emb, DEFAULT_SENTIMENT_DIM, "sentiment")
+    semantic = _table_or_empty(args.semantic_emb, DEFAULT_SEMANTIC_DIM)
+    sentiment = _table_or_empty(args.sentiment_emb, DEFAULT_SENTIMENT_DIM)
     if args.val:
         train_set = dataset
         val_set = require_labeled(read_dataset(args.val))
@@ -278,7 +274,7 @@ def cmd_eval(args) -> None:
             f"\nMcNemar statistic: {statistic:.2f}\n"
             f"significant at p < 0.005: {'yes' if significant else 'no'}"
         )
-    _emit(text, args.output)
+    _emit([text], args.output)
 
 
 def cmd_predict(args) -> None:
@@ -286,20 +282,20 @@ def cmd_predict(args) -> None:
     dataset = read_dataset(args.data)
     predictor = _load_predictor(args, lex)
     rows = [f"{conv.id}\t{label}" for conv, label in zip(dataset, predictor(dataset))]
-    _emit("\n".join(rows), args.output)
+    _emit(rows, args.output)
 
 
 def cmd_embcos(args) -> None:
     paths = _parse_emb_specs(args.emb)
     if not paths:
         raise UsageError("embcos requires at least one --emb NAME=PATH")
-    tables = {name: load_embedding_file(path, name=name) for name, path in paths.items()}
+    tables = {name: load_embedding_file(path) for name, path in paths.items()}
     pairs = [fields for _, _, fields in _tsv_rows(args.pairs, 2)]
     lines = ["word1\tword2\t" + "\t".join(tables)]
     for w1, w2 in pairs:
         scores = (f"{cosine(lookup(t, w1), lookup(t, w2)):.4f}" for t in tables.values())
         lines.append(f"{w1}\t{w2}\t" + "\t".join(scores))
-    _emit("\n".join(lines), args.output)
+    _emit(lines, args.output)
 
 
 def _mining_config(args) -> MiningConfig:
@@ -334,7 +330,7 @@ def cmd_mine(args) -> None:
             _read_lines(args.pool), positive_sets, table, cfg,
             n=args.n, seed=args.seed, lex=lex,
         )
-        _emit("\n".join(negatives), args.output)
+        _emit(negatives, args.output)
         return
     if args.target:
         kept, removed = prune_heuristics(candidates, args.target, lex, cfg)
@@ -344,14 +340,14 @@ def cmd_mine(args) -> None:
 
 def cmd_stats(args) -> None:
     dataset = require_labeled(read_dataset(args.data))
-    _emit(format_stats(dataset_stats(dataset)), args.output)
+    _emit([format_stats(dataset_stats(dataset))], args.output)
 
 
 def cmd_kappa(args) -> None:
     judgments, n_raters = read_judgments(args.judgments)
     kappa = fleiss_kappa(judgments, n_raters)
     _emit(
-        f"items: {judgments.shape[0]}\nraters: {n_raters}\nfleiss-kappa: {kappa:.4f}",
+        [f"items: {judgments.shape[0]}\nraters: {n_raters}\nfleiss-kappa: {kappa:.4f}"],
         args.output,
     )
 
@@ -359,12 +355,8 @@ def cmd_kappa(args) -> None:
 def cmd_gradcheck(args) -> None:
     rng = np.random.default_rng(args.seed)
     vocab = [f"w{i}" for i in range(8)]
-    semantic = EmbeddingTable(
-        dim=4, vectors={w: rng.standard_normal(4) for w in vocab}, name="semantic"
-    )
-    sentiment = EmbeddingTable(
-        dim=3, vectors={w: rng.standard_normal(3) for w in vocab}, name="sentiment"
-    )
+    semantic = EmbeddingTable(dim=4, vectors={w: rng.standard_normal(4) for w in vocab})
+    sentiment = EmbeddingTable(dim=3, vectors={w: rng.standard_normal(3) for w in vocab})
     config = ModelConfig(
         channels=args.channels,
         sem_hidden=args.hidden,

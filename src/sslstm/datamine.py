@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .textfile import DataFormatError, _open_write, _tsv_rows
-from .embeddings import EmbeddingTable, cosine, sentence_embedding
+from .embeddings import EmbeddingTable, cosines, sentence_embedding
 from .labels import EMOTION_LABELS
 from .text_norm import (
     EmoticonLexicon,
@@ -37,6 +37,8 @@ from .text_norm import (
 
 PRUNE_OPPOSITE_EMOTICON = "opposite-emoticon"
 PRUNE_LENGTH = "length"
+
+BLOCK = 1024  # pool utterances scored at once: memory O(BLOCK * (dim + seeds))
 
 
 @dataclass(frozen=True)
@@ -121,15 +123,18 @@ class Candidate:
     reason: str = ""
 
 
-def _tokens_of(utterance, lex: EmoticonLexicon | None):
-    """Normalized tokens for a raw string, or the sequence as given."""
-    if isinstance(utterance, str):
-        return normalize_utterance(utterance, lex)
-    return list(utterance)
+def _pooled(texts, table: EmbeddingTable, lex: EmoticonLexicon | None) -> np.ndarray:
+    """The sentence embedding of each normalized utterance, one row each."""
+    rows = [sentence_embedding(table, normalize_utterance(t, lex)) for t in texts]
+    return np.array(rows).reshape(len(texts), table.dim)
 
 
-def _text_of(utterance) -> str:
-    return utterance if isinstance(utterance, str) else serialize_tokens(utterance)
+def _similarities(pool, others, table: EmbeddingTable, lex: EmoticonLexicon | None):
+    """``(start, sims)`` per block of up to BLOCK pool utterances, where
+    ``sims[i, k]`` is the cosine similarity of ``pool[start + i]`` and ``others[k]``."""
+    other_vecs = _pooled(others, table, lex)
+    for start in range(0, len(pool), BLOCK):
+        yield start, cosines(_pooled(pool[start:start + BLOCK], table, lex), other_vecs)
 
 
 def mine_candidates(
@@ -139,7 +144,7 @@ def mine_candidates(
     config: MiningConfig | None = None,
     lex: EmoticonLexicon | None = None,
 ) -> list[Candidate]:
-    """Score every pool utterance against every seed utterance.
+    """Score every pool utterance against every seed utterance (both strings).
 
     A pool item becomes a candidate when its best cosine similarity to
     any seed reaches ``config.cosine_threshold``.  Similarity is taken
@@ -153,21 +158,12 @@ def mine_candidates(
     pool = list(pool)
     if not seeds:
         raise ValueError("mine_candidates: need at least one seed utterance")
-    seed_vecs = [sentence_embedding(table, _tokens_of(s, lex)) for s in seeds]
     candidates = []
-    for item in pool:
-        vec = sentence_embedding(table, _tokens_of(item, lex))
-        best_score = -np.inf
-        best_seed = 0
-        for j, seed_vec in enumerate(seed_vecs):
-            score = cosine(vec, seed_vec)
-            if score > best_score:
-                best_score = score
-                best_seed = j
-        if best_score >= config.cosine_threshold:
-            candidates.append(
-                Candidate(_text_of(item), float(best_score), _text_of(seeds[best_seed]))
-            )
+    for start, sims in _similarities(pool, seeds, table, lex):
+        best = sims.argmax(axis=1)  # the first maximum: the earlier seed
+        scores = sims.max(axis=1)
+        for i in np.flatnonzero(scores >= config.cosine_threshold):
+            candidates.append(Candidate(pool[start + i], float(scores[i]), seeds[best[i]]))
     candidates.sort(key=lambda c: -c.score)
     return candidates
 
@@ -281,7 +277,7 @@ def sample_negatives(
     seed: int = 0,
     lex: EmoticonLexicon | None = None,
 ) -> list:
-    """Draw ``n`` pool utterances far from every positive utterance.
+    """Draw ``n`` pool utterances far from every positive utterance (all strings).
 
     A pool item is eligible when its cosine similarity to *each*
     utterance in every positive set stays below
@@ -298,13 +294,10 @@ def sample_negatives(
     if isinstance(positive_sets, dict):
         positive_sets = positive_sets.values()
     positives = [u for group in positive_sets for u in group]
-    positive_vecs = [sentence_embedding(table, _tokens_of(u, lex)) for u in positives]
-
     eligible = []
-    for i, item in enumerate(pool):
-        vec = sentence_embedding(table, _tokens_of(item, lex))
-        if all(cosine(vec, pv) < config.negative_threshold for pv in positive_vecs):
-            eligible.append(i)
+    for start, sims in _similarities(pool, positives, table, lex):
+        far = (sims < config.negative_threshold).all(axis=1)
+        eligible += (start + np.flatnonzero(far)).tolist()
     if len(eligible) < n:
         raise ValueError(
             f"sample_negatives: need {n} utterances but only {len(eligible)} of "

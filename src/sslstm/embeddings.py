@@ -34,7 +34,7 @@ class EmbeddingTable:
     vector mapping once, checking each vector's shape and finiteness.
     """
 
-    def __init__(self, dim: int, vectors: Mapping | None = None, name: str = "",
+    def __init__(self, dim: int, vectors: Mapping | None = None,
                  source_sha256: str | None = None):
         if dim <= 0:
             raise ValueError(f"embedding dim must be positive, got {dim}")
@@ -47,7 +47,6 @@ class EmbeddingTable:
             if not np.all(np.isfinite(vec)):
                 raise ValueError(f"vector for {tok!r} has non-finite components")
             self.matrix[row] = vec
-        self.name = name
         self.source_sha256 = source_sha256
 
     @property
@@ -70,12 +69,12 @@ class EmbeddingTable:
         return len(self.index)
 
 
-def empty_table(dim: int, name: str = "") -> EmbeddingTable:
+def empty_table(dim: int) -> EmbeddingTable:
     """A table with no vocabulary; every lookup is the zero vector."""
-    return EmbeddingTable(dim=dim, name=name)
+    return EmbeddingTable(dim=dim)
 
 
-def load_embedding_file(source, name: str = "") -> EmbeddingTable:
+def load_embedding_file(source) -> EmbeddingTable:
     """Load a table from a path, bytes, or a text/byte stream.
 
     Each data line is a token, whitespace, then the token's values in
@@ -151,7 +150,7 @@ def load_embedding_file(source, name: str = "") -> EmbeddingTable:
             raise EmbeddingFormatError(f"{label}: header declares {count} entries, file has {len(index)}")
         if hdim != matrix.shape[1]:
             raise EmbeddingFormatError(f"{label}: header declares dim {hdim}, file has {matrix.shape[1]}")
-    table = EmbeddingTable(matrix.shape[1], name=name, source_sha256=digest)
+    table = EmbeddingTable(matrix.shape[1], source_sha256=digest)
     table.index, table.matrix = index, matrix  # already checked: taken as is
     return table
 
@@ -178,7 +177,11 @@ def _rows_by_float(entries, label: str) -> np.ndarray:
 
 
 def save_embedding_file(table: EmbeddingTable, sink, header: bool = False) -> None:
-    """Write a table in the loadable format (repr-precision floats)."""
+    """Write a table in the loadable format (repr-precision floats); raises
+    ValueError, writing nothing, for an empty token or one holding whitespace."""
+    for token in table.index:
+        if token.split() != [token]:
+            raise ValueError(f"embedding token would not read back: {token!r}")
     with _open_write(sink) as fh:
         if header:
             fh.write(f"{len(table)} {table.dim}\n")
@@ -191,21 +194,31 @@ def lookup(table: EmbeddingTable, token) -> np.ndarray:
     return table.rows(table.ids([token]))[0]
 
 
+def cosines(a, b) -> np.ndarray:
+    """Cosine similarity of each row of ``a`` with each row of ``b``, an
+    ``(n, m)`` matrix: 0 where either row is zero, exactly 1.0 where two rows
+    are equal.  Each dot product is summed over its own two rows, not by a
+    BLAS product whose rounding changes with the shapes, so a row scores the
+    same in any block of rows and equal rows score alike against any row."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ValueError(f"cosine: length mismatch {a.shape} vs {b.shape}")
+    dots = np.empty((len(a), len(b)))
+    equal = np.empty(dots.shape, dtype=bool)
+    for k, row in enumerate(b):
+        dots[:, k], equal[:, k] = (a * row).sum(axis=1), (a == row).all(axis=1)
+    norms = np.outer(np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1))
+    nonzero = norms > 0
+    sims = np.divide(dots, norms, out=np.zeros_like(dots), where=nonzero)
+    # dot/(nu*nv) can round equal rows to 1 - 2 ulp; thresholds reach 1.0 inclusive.
+    sims[equal & nonzero] = 1.0
+    return sims
+
+
 def cosine(u, v) -> float:
-    """Cosine similarity; 0 when either vector has zero norm."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"cosine: length mismatch {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    if np.array_equal(u, v):
-        # dot/(nu*nv) on identical vectors can round to 1 - 2 ulp; callers
-        # compare similarities against inclusive thresholds up to 1.0.
-        return 1.0
-    return float(np.dot(u, v) / (nu * nv))
+    """Cosine similarity of two vectors: the 1 x 1 case of :func:`cosines`."""
+    return float(cosines([u], [v])[0, 0])
 
 
 def sentence_embedding(table: EmbeddingTable, tokens) -> np.ndarray:

@@ -403,7 +403,7 @@ def _require_meta(meta: dict[str, str], key: str) -> str:
 
 def _check_table(table: EmbeddingTable | None, dim: int, stored_hash: str, role: str):
     if table is None:
-        return empty_table(dim, name=role)
+        return empty_table(dim)
     if table.dim != dim:
         raise ShapeMismatchError(
             f"{role} table has dimension {table.dim}, checkpoint expects {dim}"

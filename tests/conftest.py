@@ -26,12 +26,12 @@ def lexicon():
     return default_lexicon()
 
 
-def make_table(name, vocab, dim=None, seed=0):
+def make_table(vocab, dim=None, seed=0):
     """Embedding table with seeded random unit-scale vectors."""
     rng = np.random.default_rng(seed)
     dim = dim or 4
     vectors = {tok: rng.standard_normal(dim) for tok in vocab}
-    return EmbeddingTable(dim=dim, vectors=vectors, name=name)
+    return EmbeddingTable(dim=dim, vectors=vectors)
 
 
 def probs_of(model, tokens):
@@ -52,6 +52,6 @@ def example_gradients(model, tokens, target):
 def tiny_tables():
     vocab = ["good", "bad", "mad", "meh", "a", "b", "c", ":)", ":(", ">:(", ":|"]
     return (
-        make_table("semantic", vocab, dim=5, seed=11),
-        make_table("sentiment", vocab, dim=3, seed=22),
+        make_table(vocab, dim=5, seed=11),
+        make_table(vocab, dim=3, seed=22),
     )

@@ -48,8 +48,8 @@ def model_for(channels, fc_activation, train_embeddings, seed):
         max_seq_len=MAX_LEN,
         train_embeddings=train_embeddings,
     )
-    sem = make_table("semantic", VOCAB, dim=4, seed=seed + 1)
-    sent = make_table("sentiment", VOCAB, dim=3, seed=seed + 2)
+    sem = make_table(VOCAB, dim=4, seed=seed + 1)
+    sent = make_table(VOCAB, dim=3, seed=seed + 2)
     return init_model(config, sem, sent, seed=seed)
 
 

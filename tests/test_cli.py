@@ -157,6 +157,14 @@ class TestNormalize:
         assert main(["normalize", "--input", str(first), "--output", str(second)]) == 0
         assert first.read_text() == second.read_text()
 
+    @pytest.mark.parametrize("raw, expected", [(b"", ""), (b"\n", "\n"), (b"a\n\n", "a\n\n")])
+    def test_one_output_line_per_input_line(self, tmp_path, raw, expected):
+        src = tmp_path / "raw.txt"
+        src.write_bytes(raw)
+        dst = tmp_path / "norm.txt"
+        assert main(["normalize", "--input", str(src), "--output", str(dst)]) == 0
+        assert dst.read_text(encoding="utf-8") == expected
+
 
 class TestSplit:
     def test_stratified_split_files(self, tmp_path, ws, capsys):
@@ -338,6 +346,13 @@ class TestTrainEvalPredict:
         rows = dict(l.split("\t") for l in capsys.readouterr().out.splitlines())
         assert rows["u1"] == "happy" and rows["u2"] == "angry"
 
+    def test_predict_on_no_rows_writes_an_empty_file(self, ws, tmp_path):
+        data = write_lines(tmp_path / "comments.tsv", ["# no conversations here"])
+        out = tmp_path / "predictions.tsv"
+        assert main(["predict", "--model", ws["nb_model"], "--data", data,
+                     "--output", str(out)]) == 0
+        assert out.read_bytes() == b""
+
     def test_model_files_use_the_container_header(self, ws):
         for key in ("svm_model", "nb_model", "sslstm_model"):
             with open(ws[key], encoding="utf-8") as fh:
@@ -435,6 +450,15 @@ class TestMine:
                      "--positives", positives, "--emb", ws["semantic_emb"],
                      "--n", "2", "--seed", "0"]) == 1
         assert "only 1" in capsys.readouterr().err
+
+    def test_negative_mode_zero_draws_writes_an_empty_file(self, ws, tmp_path):
+        pool = write_lines(tmp_path / "pool.txt", ["alpha", "beta"])
+        positives = write_lines(tmp_path / "pos.txt", ["alpha"])
+        out = tmp_path / "negatives.txt"
+        assert main(["mine", "--mode", "neg", "--pool", pool,
+                     "--positives", positives, "--emb", ws["semantic_emb"],
+                     "--n", "0", "--output", str(out)]) == 0
+        assert out.read_bytes() == b""
 
     def test_negative_mode_is_deterministic(self, ws, tmp_path):
         pool = write_lines(tmp_path / "pool.txt", ["alpha", "beta", "gamma", "delta"])

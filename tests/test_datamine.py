@@ -2,9 +2,14 @@
 
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import sslstm.datamine
 
 from sslstm.dataio import DataFormatError
 from sslstm.datamine import (
@@ -69,6 +74,71 @@ def brute_force_mine(seeds, pool, table, threshold):
             rows.append((item, best, seeds[scores.index(best)]))
     rows.sort(key=lambda r: -r[1])
     return rows
+
+
+def brute_force_eligible(pool, positives, table, threshold):
+    """Exhaustive cosine scan: the oracle for which pool items sample_negatives may draw."""
+    return [
+        i
+        for i, item in enumerate(pool)
+        if all(
+            naive_cosine(naive_sentence_vec(table, item), naive_sentence_vec(table, p)) < threshold
+            for p in positives
+        )
+    ]
+
+
+# Utterances are sorted sets of distinct words, "zz" out of vocabulary: two
+# utterances pool to the same vector exactly or to clearly different ones,
+# so the oracle's ties and threshold decisions are the library's too.
+_WORDS = ["w0", "w1", "w2", "w3", "w4", "zz"]
+_UTTERANCES = st.sets(st.sampled_from(_WORDS), min_size=1, max_size=3).map(
+    lambda words: " ".join(sorted(words))
+)
+
+
+@st.composite
+def mining_inputs(draw):
+    """A table, seeds with duplicates, and a pool with copies of seeds and
+    all-OOV utterances."""
+    table = random_table(_WORDS[:-1], draw(st.integers(1, 4)), draw(st.integers(0, 2**16)))
+    seeds = draw(st.lists(_UTTERANCES, min_size=1, max_size=4))
+    seeds += draw(st.lists(st.sampled_from(seeds), max_size=2))
+    pool = draw(st.lists(st.one_of(_UTTERANCES, st.sampled_from(seeds), st.just("zz")),
+                         max_size=10))
+    return table, seeds, pool
+
+
+class TestMiningProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(inputs=mining_inputs(), threshold=st.sampled_from([0.3, 0.9, 1.0]),
+           block=st.integers(1, 3))
+    def test_mine_candidates_matches_brute_force_in_any_block_size(self, inputs, threshold, block):
+        table, seeds, pool = inputs
+        cfg = MiningConfig(cosine_threshold=threshold)
+        got = mine_candidates(seeds, pool, table, cfg)
+        expected = brute_force_mine(seeds, pool, table, threshold)
+        assert [(c.utterance, c.matched) for c in got] == [(r[0], r[2]) for r in expected]
+        for cand, row in zip(got, expected):
+            assert abs(cand.score - row[1]) <= 1e-12
+            if row[1] == 1.0:
+                assert cand.score == 1.0
+        with mock.patch.object(sslstm.datamine, "BLOCK", block):
+            assert mine_candidates(seeds, pool, table, cfg) == got
+
+    @settings(max_examples=150, deadline=None)
+    @given(inputs=mining_inputs(), threshold=st.sampled_from([0.3, 0.9, 1.0]),
+           block=st.integers(1, 3))
+    def test_sample_negatives_matches_brute_force_in_any_block_size(self, inputs, threshold, block):
+        table, positives, pool = inputs
+        cfg = MiningConfig(negative_threshold=threshold)
+        eligible = brute_force_eligible(pool, positives, table, threshold)
+        got = sample_negatives(pool, [positives], table, cfg, n=len(eligible))
+        assert got == [pool[i] for i in eligible]
+        with mock.patch.object(sslstm.datamine, "BLOCK", block):
+            assert sample_negatives(pool, [positives], table, cfg, n=len(eligible)) == got
+        with pytest.raises(ValueError, match=f"only {len(eligible)} of {len(pool)}"):
+            sample_negatives(pool, [positives], table, cfg, n=len(eligible) + 1)
 
 
 class TestMiningConfig:
@@ -163,13 +233,6 @@ class TestMineCandidates:
 
     def test_empty_pool_is_fine(self):
         assert mine_candidates(["t0"], [], unit_table(), MiningConfig()) == []
-
-    def test_accepts_token_sequences(self):
-        table = unit_table()
-        cfg = MiningConfig(cosine_threshold=0.5)
-        out = mine_candidates([["t0"]], [["t0", "t1"]], table, cfg)
-        assert out[0].utterance == "t0 t1"
-        assert out[0].matched == "t0"
 
     def test_default_config_threshold(self):
         table = unit_table()

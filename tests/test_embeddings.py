@@ -15,6 +15,7 @@ from sslstm.embeddings import (
     EmbeddingFormatError,
     EmbeddingTable,
     cosine,
+    cosines,
     empty_table,
     load_embedding_file,
     lookup,
@@ -133,13 +134,41 @@ class TestRoundTrip:
         np.testing.assert_array_equal(lookup(back, missing), np.zeros(table.dim))
         assert back.source_sha256 == hashlib.sha256(data).hexdigest()
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tokens=st.lists(st.text(st.characters(exclude_categories=("Cs",)), max_size=4),
+                        min_size=1, max_size=5, unique=True),
+        dim=st.integers(1, 2),
+        header=st.booleans(),
+    )
+    def test_save_refuses_a_table_that_would_not_read_back(self, tokens, dim, header):
+        table = EmbeddingTable(dim, {tok: np.full(dim, k + 0.5) for k, tok in enumerate(tokens)})
+        sink = io.StringIO()
+        try:
+            save_embedding_file(table, sink, header=header)
+        except ValueError:
+            assert sink.getvalue() == ""
+            assert any(tok.split() != [tok] for tok in tokens)
+            return
+        back = load_embedding_file(io.BytesIO(sink.getvalue().encode("utf-8")))
+        assert list(back.index) == list(table.index)
+        assert back.matrix.tobytes() == table.matrix.tobytes()
 
-def reference_load(source, name=""):
+    @pytest.mark.parametrize("token", ["a b", "a\tb", "a\u2028b", "", " a"])
+    def test_save_names_the_token_it_refuses(self, token):
+        table = EmbeddingTable(2, {"ok": np.zeros(2), token: np.ones(2)})
+        sink = io.StringIO()
+        with pytest.raises(ValueError, match="would not read back"):
+            save_embedding_file(table, sink)
+        assert sink.getvalue() == ""
+
+
+def reference_load(source):
     """The line-by-line loader: every value through ``float``, one row at a
     time.  The oracle for :func:`load_embedding_file`, which parses with
     numpy's C parser and falls back to this order of checks."""
     data = source.read()
-    label = name or getattr(source, "name", "<stream>")
+    label = getattr(source, "name", "<stream>")
     if isinstance(data, str):
         data = data.encode("utf-8")
     digest = hashlib.sha256(data).hexdigest()
@@ -191,7 +220,7 @@ def reference_load(source, name=""):
             raise EmbeddingFormatError(f"{label}: header declares {count} entries, file has {len(index)}")
         if hdim != matrix.shape[1]:
             raise EmbeddingFormatError(f"{label}: header declares dim {hdim}, file has {matrix.shape[1]}")
-    table = EmbeddingTable(matrix.shape[1], name=name, source_sha256=digest)
+    table = EmbeddingTable(matrix.shape[1], source_sha256=digest)
     table.index, table.matrix = index, matrix
     return table
 
@@ -267,7 +296,7 @@ def table_files(draw):
 
 def _generated_table() -> str:
     sink = io.StringIO()
-    save_embedding_file(make_table("semantic", [f"w{i}" for i in range(300)], dim=20), sink, header=True)
+    save_embedding_file(make_table([f"w{i}" for i in range(300)], dim=20), sink, header=True)
     return sink.getvalue()
 
 
@@ -371,6 +400,64 @@ class TestCosine:
             assert -1.0 - 1e-12 <= cosine(u, v) <= 1.0 + 1e-12
 
 
+def scalar_cosine(u, v):
+    """The per-pair formula :func:`cosines` replaced: the reference."""
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    if np.array_equal(u, v):
+        return 1.0
+    return float(np.dot(u, v) / (nu * nv))
+
+
+_ENTRIES = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@st.composite
+def row_blocks(draw):
+    """Two matrices of one width whose rows are a few base rows, repeated,
+    scaled, or zero."""
+    dim = draw(st.integers(1, 6))
+    base = draw(st.lists(st.lists(_ENTRIES, min_size=dim, max_size=dim).map(np.array),
+                         min_size=1, max_size=4))
+    row = st.one_of(
+        st.sampled_from(base),
+        st.tuples(st.sampled_from(base), st.floats(1e-3, 1e3)).map(lambda p: p[0] * p[1]),
+        st.just(np.zeros(dim)),
+    )
+    a = draw(st.lists(row, min_size=1, max_size=7))
+    b = draw(st.lists(row, min_size=1, max_size=7))
+    return np.array(a), np.array(b)
+
+
+class TestCosines:
+    @settings(max_examples=300, deadline=None)
+    @given(blocks=row_blocks(), split=st.integers(1, 7))
+    def test_matches_the_scalar_formula(self, blocks, split):
+        a, b = blocks
+        sims = cosines(a, b)
+        assert sims.shape == (len(a), len(b))
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                if not u.any() or not v.any():
+                    assert sims[i, j] == 0.0
+                elif np.array_equal(u, v):
+                    assert sims[i, j] == 1.0
+                assert abs(sims[i, j] - scalar_cosine(u, v)) <= 1e-12
+        # Each entry depends on its two rows only, not on the block around them.
+        assert np.array_equal(cosines(a[:split], b), sims[:split])
+        assert np.array_equal(cosines(a, b[:split]), sims[:, :split])
+
+    def test_empty_blocks(self):
+        assert cosines(np.zeros((0, 3)), np.ones((2, 3))).shape == (0, 2)
+        assert cosines(np.ones((2, 3)), np.zeros((0, 3))).shape == (2, 0)
+
+    def test_width_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            cosines(np.ones((2, 3)), np.ones((2, 4)))
+
+
 class TestSentenceEmbedding:
     def test_mean_of_two(self):
         t = load_str("a 1 0\nb 0 1")
@@ -401,7 +488,7 @@ class TestSentenceEmbedding:
 
 class TestTable:
     def test_empty_table(self):
-        t = empty_table(5, "sentiment")
+        t = empty_table(5)
         assert len(t) == 0
         np.testing.assert_array_equal(lookup(t, "x"), np.zeros(5))
 

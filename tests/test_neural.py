@@ -39,8 +39,8 @@ def tiny_model(seed=0, channels="both", fc_activation="relu", max_seq_len=50,
         max_seq_len=max_seq_len,
         train_embeddings=train_embeddings,
     )
-    sem_table = make_table("semantic", VOCAB, dim=4, seed=seed + 100)
-    sent_table = make_table("sentiment", VOCAB, dim=3, seed=seed + 200)
+    sem_table = make_table(VOCAB, dim=4, seed=seed + 100)
+    sent_table = make_table(VOCAB, dim=3, seed=seed + 200)
     return init_model(config, sem_table, sent_table, seed=seed)
 
 

@@ -52,8 +52,8 @@ def keyword_tables(sem_dim=4, sent_dim=2):
     sem = {kw: np.eye(sem_dim)[i] * 2.0 for i, kw in enumerate(KEYWORDS.values())}
     sent = {kw: np.zeros(sent_dim) for kw in KEYWORDS.values()}
     return (
-        EmbeddingTable(dim=sem_dim, vectors=sem, name="semantic"),
-        EmbeddingTable(dim=sent_dim, vectors=sent, name="sentiment"),
+        EmbeddingTable(dim=sem_dim, vectors=sem),
+        EmbeddingTable(dim=sent_dim, vectors=sent),
     )
 
 
@@ -90,8 +90,8 @@ def tiny_random_model(seed=0, channels="both", train_embeddings=False):
         fc_hidden=4,
         train_embeddings=train_embeddings,
     )
-    sem = make_table("semantic", vocab, dim=4, seed=seed + 1)
-    sent = make_table("sentiment", vocab, dim=3, seed=seed + 2)
+    sem = make_table(vocab, dim=4, seed=seed + 1)
+    sent = make_table(vocab, dim=3, seed=seed + 2)
     return init_model(config, sem, sent, seed=seed)
 
 
@@ -571,8 +571,8 @@ class TestGradientCheck:
     def test_large_model_subsamples(self):
         vocab = ["good", "bad"]
         config = ModelConfig(channels="both", sem_hidden=30, sent_hidden=30, fc_hidden=20)
-        sem = make_table("semantic", vocab, dim=10, seed=1)
-        sent = make_table("sentiment", vocab, dim=10, seed=2)
+        sem = make_table(vocab, dim=10, seed=1)
+        sent = make_table(vocab, dim=10, seed=2)
         model = init_model(config, sem, sent, seed=0)
         n_params = sum(t.size for t in model.param_tensors().values())
         assert n_params > 10_000
@@ -606,14 +606,14 @@ class TestCheckpoint:
     def embedding_tables(self):
         sem_src = io.StringIO()
         save_embedding_file(
-            make_table("semantic", ["good", "bad", "mad", "a"], dim=4, seed=8), sem_src
+            make_table(["good", "bad", "mad", "a"], dim=4, seed=8), sem_src
         )
         sent_src = io.StringIO()
         save_embedding_file(
-            make_table("sentiment", ["good", "bad", "mad", "a"], dim=3, seed=9), sent_src
+            make_table(["good", "bad", "mad", "a"], dim=3, seed=9), sent_src
         )
-        sem = load_embedding_file(io.StringIO(sem_src.getvalue()), name="semantic")
-        sent = load_embedding_file(io.StringIO(sent_src.getvalue()), name="sentiment")
+        sem = load_embedding_file(io.StringIO(sem_src.getvalue()))
+        sent = load_embedding_file(io.StringIO(sent_src.getvalue()))
         return sem, sent
 
     def build_model(self, seed=0):
@@ -751,7 +751,7 @@ class TestCheckpoint:
     def test_wrong_dim_table_rejected(self):
         model = self.build_model()
         text = self.save_text(model)
-        bad = make_table("semantic", ["good"], dim=9, seed=0)
+        bad = make_table(["good"], dim=9, seed=0)
         with pytest.raises(ShapeMismatchError, match="dimension"):
             load_checkpoint(io.StringIO(text), bad, model.sentiment_table)
 
@@ -759,8 +759,8 @@ class TestCheckpoint:
         model = self.build_model()
         text = self.save_text(model)
         other_src = io.StringIO()
-        save_embedding_file(make_table("semantic", ["x"], dim=4, seed=99), other_src)
-        other = load_embedding_file(io.StringIO(other_src.getvalue()), name="semantic")
+        save_embedding_file(make_table(["x"], dim=4, seed=99), other_src)
+        other = load_embedding_file(io.StringIO(other_src.getvalue()))
         with pytest.raises(CheckpointError, match="hash"):
             load_checkpoint(io.StringIO(text), other, model.sentiment_table)
 
