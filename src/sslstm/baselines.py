@@ -1,12 +1,14 @@
-"""Classical baselines: multinomial Naive Bayes and a linear SVM.
+"""Classical baselines: multinomial Naive Bayes and a linear SVM, both linear
+scorers over one sparse design matrix (Wang and Manning, 2012).
 
-Both consume the same hand-crafted features — contiguous 1/2/3-grams over
-normalized token surfaces plus a 3-vector of (happy, sad, angry) emoticon
-counts.  NB is a multinomial model and therefore uses only the n-gram count
-block.  The SVM sees each utterance as one sparse row over the n-gram
-vocabulary plus three trailing emoticon columns, and is trained one-vs-rest
-by Pegasos stochastic subgradient descent on L2-regularized hinge loss in
-O(nnz + 4·V) memory: no n × V matrix is built.
+:func:`design_matrix` builds one CSR matrix per dataset in a single pass: a
+row per utterance with the counts of its contiguous 1/2/3-grams over
+normalized token surfaces in columns ``0``..``V-1``, then its happy/sad/angry
+emoticon counts in columns ``V``..``V+2``.  NB weighs the n-gram columns by
+their smoothed log-likelihoods on top of the log priors; the SVM weighs every
+column by its one-vs-rest weights on top of its biases and is trained by
+Pegasos on L2-regularized hinge loss in O(nnz + 4·V) memory, never an n × V
+matrix.  :func:`baseline_scores` is the one sparse product for both.
 
 Baseline models serialize into the same versioned container as the neural
 checkpoints, tagged ``meta model=nb`` or ``meta model=svm``.
@@ -14,7 +16,10 @@ checkpoints, tagged ``meta model=nb`` or ``meta model=svm``.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,43 +28,85 @@ from sslstm.text_norm import EmoticonLexicon, default_lexicon, emoticon_class, s
 from sslstm.container import CheckpointError, read_container, write_container
 
 NGRAM_ORDERS = (1, 2, 3)
+SVM_EPOCHS = 30
 
-# Indices into the emoticon count vector.
-_EMOTICON_SLOTS = {"happy": 0, "sad": 1, "angry": 2}
-
-
-@dataclass
-class FeatureVector:
-    """Sparse n-gram counts plus dense emoticon class counts."""
-
-    ngrams: dict[str, int]
-    emoticons: np.ndarray  # (3,) counts: happy, sad, angry
-
-    def __post_init__(self):
-        self.emoticons = np.asarray(self.emoticons, dtype=np.int64)
-        if self.emoticons.shape != (3,):
-            raise ValueError("emoticon count vector must have 3 entries")
-        if np.any(self.emoticons < 0) or any(v < 0 for v in self.ngrams.values()):
-            raise ValueError("feature counts must be non-negative")
+# The emoticon classes counted, in the order of their columns after the n-grams.
+_EMOTICON_CLASSES = ("happy", "sad", "angry")
 
 
-def extract_features(tokens, lex: EmoticonLexicon | None = None) -> FeatureVector:
-    """Count all contiguous 1/2/3-grams (space-joined surfaces) and the
-    happy/sad/angry emoticon occurrences; neutral emoticons are ignored."""
+class DesignMatrix(NamedTuple):
+    """Sparse rows in CSR form: row ``i`` holds ``vals[indptr[i]:indptr[i+1]]``
+    at columns ``cols[indptr[i]:indptr[i+1]]`` of ``width``."""
+
+    indptr: np.ndarray  # (n + 1,) int64
+    cols: np.ndarray    # (nnz,) int64
+    vals: np.ndarray    # (nnz,) float64
+    width: int
+
+    def row_ids(self) -> np.ndarray:
+        """The row of every stored entry."""
+        return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+
+
+def design_matrix(
+    token_lists, lex: EmoticonLexicon | None = None, vocab: dict[str, int] | None = None
+):
+    """One row per token list and the n-gram vocabulary, as ``(matrix, vocab)``.
+
+    A row lists its grams in order of first appearance in the utterance,
+    unigrams then bigrams then trigrams, then its non-zero happy, sad and
+    angry emoticon counts; neutral emoticons are not counted.  With
+    ``vocab`` None the vocabulary is built in order of first appearance
+    across rows; otherwise grams outside ``vocab`` are dropped.
+    """
     if lex is None:
         lex = default_lexicon()
-    texts = surfaces(tokens)
-    ngrams: dict[str, int] = {}
-    for order in NGRAM_ORDERS:
-        for start in range(len(texts) - order + 1):
-            gram = " ".join(texts[start : start + order])
-            ngrams[gram] = ngrams.get(gram, 0) + 1
-    emoticons = np.zeros(3, dtype=np.int64)
-    for text in texts:
-        slot = _EMOTICON_SLOTS.get(emoticon_class(text, lex) or "")
-        if slot is not None:
-            emoticons[slot] += 1
-    return FeatureVector(ngrams=ngrams, emoticons=emoticons)
+    grow = vocab is None
+    if grow:
+        vocab = {}
+    indptr, cols, vals = [0], [], []
+    for tokens in token_lists:
+        texts = surfaces(tokens)
+        grams = Counter(
+            " ".join(texts[start : start + order])
+            for order in NGRAM_ORDERS
+            for start in range(len(texts) - order + 1)
+        )
+        for gram, count in grams.items():
+            col = vocab.setdefault(gram, len(vocab)) if grow else vocab.get(gram)
+            if col is not None:
+                cols.append(col)
+                vals.append(count)
+        classes = Counter(emoticon_class(text, lex) for text in texts)
+        for slot, name in enumerate(_EMOTICON_CLASSES):
+            if classes[name]:
+                cols.append(-1 - slot)  # moved behind the n-grams once V is known
+                vals.append(classes[name])
+        indptr.append(len(cols))
+    cols = np.array(cols, dtype=np.int64)
+    emoticon = cols < 0
+    cols[emoticon] = len(vocab) - 1 - cols[emoticon]
+    indptr = np.array(indptr, dtype=np.int64)
+    return DesignMatrix(indptr, cols, np.array(vals, dtype=np.float64), len(vocab) + 3), vocab
+
+
+def _labeled_design(dataset, lex):
+    """Design matrix, class targets and vocabulary of labeled conversations."""
+    token_lists, targets = [], []
+    for conv in dataset:
+        if conv.label is None:
+            raise ValueError(f"conversation {conv.id} has no label")
+        token_lists.append(conv.tokens)
+        targets.append(label_index(conv.label))
+    if not targets:
+        raise ValueError("dataset is empty")
+    matrix, vocab = design_matrix(token_lists, lex)
+    return matrix, np.array(targets, dtype=np.int64), vocab
+
+
+def _require_positive(value: float, name: str) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass
@@ -78,70 +125,31 @@ class NBModel:
         self.priors = np.asarray(self.priors, dtype=np.float64)
         if self.priors.shape != (N_CLASSES,):
             raise ValueError(f"priors must have {N_CLASSES} entries")
+        if not np.all(np.isfinite(self.priors)) or np.any(self.priors < 0):
+            raise ValueError("priors must be finite and non-negative")
         # Slack for priors rounded in hand-written model files.
         if abs(float(self.priors.sum()) - 1.0) > 1e-6:
             raise ValueError("priors must sum to 1")
-        if self.alpha <= 0:
-            raise ValueError("smoothing constant must be positive")
+        _require_positive(self.alpha, "smoothing constant")
         self.log_likelihood = np.asarray(self.log_likelihood, dtype=np.float64)
         if self.log_likelihood.shape != (N_CLASSES, len(self.vocab)):
             raise ValueError("log-likelihood table does not match the vocabulary")
         with np.errstate(divide="ignore"):
-            self.log_priors = np.where(
-                self.priors > 0, np.log(np.maximum(self.priors, 1e-300)), -np.inf
-            )
-
-
-def _dataset_features(dataset, lex):
-    """(features, target) per labeled conversation, and the n-gram
-    vocabulary in order of first appearance."""
-    pairs = []
-    for conv in dataset:
-        if conv.label is None:
-            raise ValueError(f"conversation {conv.id} has no label")
-        pairs.append((extract_features(conv.tokens, lex), label_index(conv.label)))
-    if not pairs:
-        raise ValueError("dataset is empty")
-    vocab: dict[str, int] = {}
-    for features, _ in pairs:
-        for gram in features.ngrams:
-            vocab.setdefault(gram, len(vocab))
-    return pairs, vocab
+            self.log_priors = np.log(self.priors)  # -inf for a class with no examples
 
 
 def nb_train(dataset, alpha: float = 1.0, lex: EmoticonLexicon | None = None) -> NBModel:
     """Fit class priors and smoothed n-gram likelihoods from labeled
     conversations.  Priors are empirical label frequencies."""
-    if alpha <= 0:
-        raise ValueError("smoothing constant must be positive")
-    pairs, vocab = _dataset_features(dataset, lex)
+    _require_positive(alpha, "smoothing constant")
+    matrix, y, vocab = _labeled_design(dataset, lex)
+    grams = matrix.cols < len(vocab)  # NB models the n-gram block only
     counts = np.zeros((N_CLASSES, len(vocab)))
-    doc_counts = np.zeros(N_CLASSES)
-    for features, target in pairs:
-        doc_counts[target] += 1
-        for gram, count in features.ngrams.items():
-            counts[target, vocab[gram]] += count
-    priors = doc_counts / doc_counts.sum()
+    np.add.at(counts, (y[matrix.row_ids()[grams]], matrix.cols[grams]), matrix.vals[grams])
+    priors = np.bincount(y, minlength=N_CLASSES) / len(y)
     totals = counts.sum(axis=1, keepdims=True)
-    log_likelihood = np.log(
-        (counts + alpha) / (totals + alpha * max(len(vocab), 1))
-    )
+    log_likelihood = np.log((counts + alpha) / (totals + alpha * max(len(vocab), 1)))
     return NBModel(priors=priors, vocab=vocab, log_likelihood=log_likelihood, alpha=alpha)
-
-
-def nb_scores(model: NBModel, features: FeatureVector) -> np.ndarray:
-    """Per-class log posterior (up to the shared evidence term)."""
-    scores = model.log_priors.copy()
-    for gram, count in features.ngrams.items():
-        col = model.vocab.get(gram)
-        if col is not None:
-            scores += count * model.log_likelihood[:, col]
-    return scores
-
-
-def nb_predict(model: NBModel, features: FeatureVector) -> str:
-    """Most probable label; ties break in class order."""
-    return LABELS[int(np.argmax(nb_scores(model, features)))]
 
 
 @dataclass
@@ -163,27 +171,11 @@ class LinearSVMModel:
             raise ValueError(f"bias must have {N_CLASSES} entries")
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
             raise ValueError("weights must be finite")
+        _require_positive(self.lambda_reg, "regularization constant")
 
 
-def feature_row(features: FeatureVector, vocab: dict[str, int]):
-    """Sparse ``(cols, vals)`` row over a fixed vocabulary: the column of
-    each known gram with its count, then the non-zero emoticon counts in the
-    trailing columns ``V``..``V+2``; unknown grams are dropped."""
-    cols, vals = [], []
-    for gram, count in features.ngrams.items():
-        col = vocab.get(gram)
-        if col is not None:
-            cols.append(col)
-            vals.append(count)
-    for slot in np.flatnonzero(features.emoticons):
-        cols.append(len(vocab) + int(slot))
-        vals.append(features.emoticons[slot])
-    return np.array(cols, dtype=np.int64), np.array(vals, dtype=np.float64)
-
-
-def svm_fit_vectors(rows, y, dim: int, lambda_reg: float, epochs: int, seed: int):
-    """Pegasos one-vs-rest training on sparse ``(cols, vals)`` rows of width
-    ``dim``.
+def svm_fit_vectors(matrix: DesignMatrix, y, lambda_reg: float, epochs: int, seed: int):
+    """Pegasos one-vs-rest training on the rows of ``matrix``.
 
     Per visited example t (counted across epochs) the step size is
     1/(lambda*t): every class weight row shrinks by a factor (1 - 1/t) and
@@ -193,29 +185,32 @@ def svm_fit_vectors(rows, y, dim: int, lambda_reg: float, epochs: int, seed: int
     only.  Biases are unregularized.  Returns (weights, bias).
     """
     y = np.asarray(y, dtype=np.int64)
-    n = len(rows)
-    for cols, _ in rows:
-        if len(cols) and (cols.min() < 0 or cols.max() >= dim):
-            raise ValueError(f"feature column out of range [0, {dim})")
-        # The update below is buffered: a repeated column would move only once.
-        if len(np.unique(cols)) != len(cols):
-            raise ValueError("a feature row repeats a column")
+    indptr, cols, vals, dim = matrix
+    if len(cols) and (cols.min() < 0 or cols.max() >= dim):
+        raise ValueError(f"feature column out of range [0, {dim})")
+    # The update below is buffered: a repeated column would move only once.
+    if len(np.unique(matrix.row_ids() * dim + cols)) != len(cols):
+        raise ValueError("a feature row repeats a column")
+    bounds = indptr.tolist()
     u = np.zeros((N_CLASSES, dim))
     bias = np.zeros(N_CLASSES)
     signs = np.where(np.arange(N_CLASSES)[:, None] == y[None, :], 1.0, -1.0)  # (4, n)
     rng = np.random.default_rng(seed)
     t = 0
     for _ in range(epochs):
-        for idx in rng.permutation(n):
+        for idx in rng.permutation(len(bounds) - 1):
             t += 1
             eta = 1.0 / (lambda_reg * t)
-            cols, vals = rows[idx]
+            row = slice(bounds[idx], bounds[idx + 1])
+            row_cols, row_vals = cols[row], vals[row]
             cls_sign = signs[:, idx]
             # w_{t-1} = u/(t-1); u is still zero at t = 1, where w_0 = 0.
-            margins = cls_sign * (u[:, cols] @ vals / max(t - 1, 1) + bias)
+            margins = cls_sign * (u[:, row_cols] @ row_vals / max(t - 1, 1) + bias)
             violating = margins < 1.0
             if np.any(violating):
-                u[np.ix_(violating, cols)] += np.outer(cls_sign[violating], vals / lambda_reg)
+                u[np.ix_(violating, row_cols)] += np.outer(
+                    cls_sign[violating], row_vals / lambda_reg
+                )
                 bias[violating] += eta * cls_sign[violating]
     return u / max(t, 1), bias
 
@@ -223,30 +218,41 @@ def svm_fit_vectors(rows, y, dim: int, lambda_reg: float, epochs: int, seed: int
 def svm_train(
     dataset,
     lambda_reg: float = 0.005,
-    epochs: int = 30,
+    epochs: int = SVM_EPOCHS,
     seed: int = 0,
     lex: EmoticonLexicon | None = None,
 ) -> LinearSVMModel:
     """Train the one-vs-rest linear SVM on labeled conversations."""
-    if lambda_reg <= 0:
-        raise ValueError("regularization constant must be positive")
+    _require_positive(lambda_reg, "regularization constant")
     if epochs <= 0:
         raise ValueError("epochs must be positive")
-    pairs, vocab = _dataset_features(dataset, lex)
-    rows = [feature_row(f, vocab) for f, _ in pairs]
-    y = np.array([target for _, target in pairs])
-    weights, bias = svm_fit_vectors(rows, y, len(vocab) + 3, lambda_reg, epochs, seed)
+    matrix, y, vocab = _labeled_design(dataset, lex)
+    weights, bias = svm_fit_vectors(matrix, y, lambda_reg, epochs, seed)
     return LinearSVMModel(vocab=vocab, weights=weights, bias=bias, lambda_reg=lambda_reg)
 
 
-def svm_scores(model: LinearSVMModel, features: FeatureVector) -> np.ndarray:
-    cols, vals = feature_row(features, model.vocab)
-    return model.weights[:, cols] @ vals + model.bias
+def baseline_scores(model, matrix: DesignMatrix) -> np.ndarray:
+    """Per-class scores ``(n, 4)``: each row's bias plus every stored entry
+    times its column's class weights, added in the row's entry order.  NB
+    scores are log posteriors up to the shared evidence term."""
+    if isinstance(model, NBModel):
+        weights = np.pad(model.log_likelihood, ((0, 0), (0, 3)))  # no emoticon weights
+        bias = model.log_priors
+    else:
+        weights, bias = model.weights, model.bias
+    if matrix.width != weights.shape[1]:
+        raise ValueError("design matrix does not match the model's feature space")
+    scores = np.tile(bias, (len(matrix.indptr) - 1, 1))
+    # Unbuffered and in index order: a row's entries add up in the order
+    # the row lists them.
+    np.add.at(scores, matrix.row_ids(), (weights[:, matrix.cols] * matrix.vals).T)
+    return scores
 
 
-def svm_predict(model: LinearSVMModel, features: FeatureVector) -> str:
-    """Highest-scoring label; ties break in class order."""
-    return LABELS[int(np.argmax(svm_scores(model, features)))]
+def baseline_predict(model, token_lists, lex: EmoticonLexicon | None = None) -> list[str]:
+    """Highest-scoring label per token list; ties break in class order."""
+    matrix, _ = design_matrix(token_lists, lex, model.vocab)
+    return [LABELS[i] for i in np.argmax(baseline_scores(model, matrix), axis=1)]
 
 
 def _vocab_meta(vocab: dict[str, int]) -> str:

@@ -22,12 +22,11 @@ import sys
 import numpy as np
 
 from .baselines import (
+    SVM_EPOCHS,
     baseline_from_container,
-    extract_features,
-    nb_predict,
+    baseline_predict,
     nb_train,
     save_baseline,
-    svm_predict,
     svm_train,
 )
 from .container import read_container
@@ -172,8 +171,7 @@ def _load_predictor(args, lex):
         _warn_missing_tables(args, model.config, f"{args.model} uses")
         return lambda convs: batch_predict(model, [conv.tokens for conv in convs])
     baseline = baseline_from_container(meta, tensors)
-    scorer = nb_predict if kind == "nb" else svm_predict
-    return lambda convs: [scorer(baseline, extract_features(c.tokens, lex)) for c in convs]
+    return lambda convs: baseline_predict(baseline, [conv.tokens for conv in convs], lex)
 
 
 def _warn_missing_tables(args, config: ModelConfig, doing: str) -> None:
@@ -213,7 +211,7 @@ def cmd_train(args) -> None:
         if args.algo == "nb":
             model = nb_train(dataset, alpha=args.alpha, lex=lex)
         else:
-            epochs = 30 if args.epochs is None else args.epochs
+            epochs = SVM_EPOCHS if args.epochs is None else args.epochs
             model = svm_train(dataset, lambda_reg=args.lambda_reg, epochs=epochs, seed=args.seed, lex=lex)
         save_baseline(model, args.model)
         print(f"algorithm: {args.algo}  examples: {len(dataset)}  vocabulary: {len(model.vocab)}")
@@ -445,7 +443,7 @@ def build_parser() -> _Parser:
                    help=f"tokens per batch (default {_TRAIN_DEFAULTS.token_budget})")
     p.add_argument("--epochs", type=int,
                    help=f"maximum epochs (default {_TRAIN_DEFAULTS.max_epochs} "
-                        f"for sslstm, 30 for svm)")
+                        f"for sslstm, {SVM_EPOCHS} for svm)")
     p.add_argument("--patience", type=int, default=_TRAIN_DEFAULTS.patience,
                    help=f"early-stopping patience (default {_TRAIN_DEFAULTS.patience})")
     p.add_argument("--ratio", type=float, default=0.9,

@@ -164,13 +164,3 @@ def read_judgments(source) -> tuple[np.ndarray, int]:
     if n is None:
         raise DataFormatError(f"{label_name}: no judgment rows")
     return np.array(rows, dtype=np.int64), n
-
-
-def majority_label(counts) -> str | None:
-    """Majority-vote label for one judgment row; ties yield None so the item
-    can be excluded from evaluation."""
-    counts = np.asarray(counts)
-    best = int(np.argmax(counts))
-    if int((counts == counts[best]).sum()) > 1:
-        return None
-    return LABELS[best]

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from sslstm.baselines import extract_features, nb_predict, nb_train, svm_predict, svm_train
+from sslstm.baselines import baseline_predict, nb_train, svm_train
 from sslstm.dataio import Conversation, read_dataset, write_dataset
 from sslstm.datamine import MiningConfig, mine_candidates, prune_heuristics, sample_negatives
 from sslstm.datamine import Candidate
@@ -321,7 +321,7 @@ def test_7_baseline_oracles():
             tests = [t for t, _ in train_docs]
             tests += [[rng.choice(pool) for _ in range(rng.randint(1, 5))] for _ in range(3)]
             for tokens in tests:
-                got = nb_predict(model, extract_features(tokens))
+                got = baseline_predict(model, [tokens])[0]
                 assert got == oracle(train_docs, 1.0, tokens), (train_docs, tokens)
                 checked += 1
         assert checked >= 200
@@ -329,7 +329,7 @@ def test_7_baseline_oracles():
         # separable corpus: the margin-based baseline fits it exactly
         data = keyword_dataset(n=24, reps=2)
         svm = svm_train(data, epochs=30, seed=0)
-        preds = [svm_predict(svm, extract_features(c.tokens)) for c in data]
+        preds = baseline_predict(svm, [c.tokens for c in data])
         assert all(p == c.label for p, c in zip(preds, data))
 
 

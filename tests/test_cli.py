@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from conftest import src_env
+from sslstm.baselines import SVM_EPOCHS, save_baseline, svm_train
 from sslstm.cli import main
+from sslstm.dataio import read_dataset
 from sslstm.datamine import read_judge_queue
 from sslstm.embeddings import EmbeddingTable, save_embedding_file
 from sslstm.labels import LABELS
@@ -192,6 +194,27 @@ class TestTrainEvalPredict:
         out = capsys.readouterr().out
         assert "macro-F1 (happy/sad/angry): 100.00" in out
         assert "examples: 24" in out
+
+    @pytest.mark.parametrize("flags", [
+        ["--algo", "nb", "--alpha", "nan"],
+        ["--algo", "nb", "--alpha", "inf"],
+        ["--algo", "svm", "--lambda", "nan"],
+        ["--algo", "svm", "--lambda", "inf"],
+    ])
+    def test_non_finite_hyperparameter_is_a_usage_error(self, ws, tmp_path, capsys, flags):
+        model = tmp_path / "m.model"
+        assert main(["train", "--train", ws["train"], "--model", str(model), *flags]) == 1
+        assert "must be finite and positive" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_svm_epochs_default_is_the_library_default(self, ws, tmp_path, capsys):
+        model = tmp_path / "svm.model"
+        assert main(["train", "--algo", "svm", "--train", ws["train"], "--model", str(model)]) == 0
+        expected = io.StringIO()
+        save_baseline(svm_train(read_dataset(ws["train"])), expected)
+        assert model.read_text(encoding="utf-8") == expected.getvalue()
+        assert main(["train", "--help"]) == 0
+        assert f"{SVM_EPOCHS} for svm" in " ".join(capsys.readouterr().out.split())
 
     def test_nb_eval_tsv_format(self, ws, capsys):
         assert main(["eval", "--model", ws["nb_model"], "--data", ws["train"],

@@ -6,7 +6,6 @@ import pytest
 from sslstm.dataio import (
     Conversation,
     DataFormatError,
-    majority_label,
     read_dataset,
     read_judgments,
     require_labeled,
@@ -187,19 +186,3 @@ class TestReadJudgments:
     def test_single_judge_rejected(self):
         with pytest.raises(DataFormatError, match="at least 2 judges"):
             read_judgments(io.StringIO("q1\t1\t0\t0\t0\n"))
-
-
-class TestMajorityLabel:
-    def test_clear_majority(self):
-        assert majority_label([1, 3, 1, 0]) == "sad"
-
-    def test_unanimous(self):
-        assert majority_label([0, 0, 5, 0]) == "angry"
-
-    def test_tie_returns_none(self):
-        assert majority_label([2, 2, 1, 0]) is None
-        assert majority_label([0, 0, 0, 0]) is None
-
-    def test_plurality_counts(self):
-        # Majority here means plurality: 2 beats 1+1+1.
-        assert majority_label([2, 1, 1, 1]) == "happy"
