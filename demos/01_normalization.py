@@ -23,10 +23,12 @@ messages = [
     "Don't be sad... it's fine :'(",
 ]
 
+lex = default_lexicon()
+
 print("raw -> normalized")
 print("-" * 60)
 for raw in messages:
-    tokens = normalize_utterance(raw)
+    tokens = normalize_utterance(raw, lex)
     print(f"{raw!r}")
     print(f"  -> {serialize_tokens(tokens)!r}")
 print()
@@ -34,8 +36,8 @@ print()
 # ---------------------------------------------------------------------------
 # Normalization is idempotent: feeding the output back in changes nothing.
 
-once = normalize_utterance(messages[0])
-twice = normalize_utterance(serialize_tokens(once))
+once = normalize_utterance(messages[0], lex)
+twice = normalize_utterance(serialize_tokens(once), lex)
 print("idempotent:", once == twice)
 print()
 
@@ -43,6 +45,5 @@ print()
 # Canonical emoticons carry an emotion class from the packaged lexicon;
 # the mining heuristics use these to veto implausible candidates.
 
-lex = default_lexicon()
 for surface in (":)", ":(", ":'(", ">:(", ":|", "word"):
     print(f"emoticon_class({surface!r}) = {emoticon_class(surface, lex)!r}")

@@ -12,7 +12,7 @@ and compares word-pair cosines side by side.
 import numpy as np
 
 from sslstm.embeddings import EmbeddingTable, cosine, lookup, sentence_embedding
-from sslstm.text_norm import normalize_utterance
+from sslstm.text_norm import default_lexicon, normalize_utterance
 
 # Semantic axes: rough topics (emotion-talk, evaluation-talk).
 # Sentiment axes: polarity (positive vs negative).
@@ -48,10 +48,11 @@ print()
 # Sentence embeddings are mean-pooled word vectors; the mining stage
 # scores whole utterances against labeled seeds this way.
 
+lex = default_lexicon()
 seed = "so happy today"
 candidates = ["feeling great and happy", "best day", "depression again :'("]
-seed_vec = sentence_embedding(sentiment, normalize_utterance(seed))
+seed_vec = sentence_embedding(sentiment, normalize_utterance(seed, lex))
 print(f"sentiment-space similarity to seed {seed!r}:")
 for cand in candidates:
-    vec = sentence_embedding(sentiment, normalize_utterance(cand))
+    vec = sentence_embedding(sentiment, normalize_utterance(cand, lex))
     print(f"  {cosine(seed_vec, vec):+.3f}  {cand}")

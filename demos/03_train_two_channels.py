@@ -15,6 +15,7 @@ import numpy as np
 from sslstm.dataio import Conversation
 from sslstm.embeddings import EmbeddingTable
 from sslstm.neural import ModelConfig, batch_predict, init_model
+from sslstm.text_norm import default_lexicon
 from sslstm.training import TrainConfig, train
 
 semantic = EmbeddingTable(dim=2, vectors={
@@ -25,6 +26,9 @@ sentiment = EmbeddingTable(dim=2, vectors={
 })
 
 
+lex = default_lexicon()
+
+
 def make_split(per_pattern, start):
     data = []
     i = start
@@ -32,7 +36,7 @@ def make_split(per_pattern, start):
         for a in (0, 1):
             for b in (0, 1):
                 label = "happy" if a == b else "sad"
-                data.append(Conversation(f"x{i}", "t", "t", f"sa{a} tb{b}", label))
+                data.append(Conversation(f"x{i}", "t", "t", f"sa{a} tb{b}", label, lex=lex))
                 i += 1
     return data
 

@@ -11,7 +11,8 @@ Pegasos on L2-regularized hinge loss in O(nnz + 4·V) memory, never an n × V
 matrix.  :func:`baseline_scores` is the one sparse product for both.
 
 Baseline models serialize into the same versioned container as the neural
-checkpoints, tagged ``meta model=nb`` or ``meta model=svm``.
+checkpoints, tagged ``meta model=nb`` or ``meta model=svm``, with the
+SHA-256 of the emoticon lexicon their features were built with.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from sslstm.labels import LABELS, N_CLASSES, label_index
-from sslstm.text_norm import EmoticonLexicon, default_lexicon, emoticon_class, surfaces
+from sslstm.text_norm import EmoticonLexicon, emoticon_class, surfaces
 from sslstm.container import CheckpointError, read_container, write_container
 
 NGRAM_ORDERS = (1, 2, 3)
@@ -48,9 +49,7 @@ class DesignMatrix(NamedTuple):
         return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
 
 
-def design_matrix(
-    token_lists, lex: EmoticonLexicon | None = None, vocab: dict[str, int] | None = None
-):
+def design_matrix(token_lists, lex: EmoticonLexicon, vocab: dict[str, int] | None = None):
     """One row per token list and the n-gram vocabulary, as ``(matrix, vocab)``.
 
     A row lists its grams in order of first appearance in the utterance,
@@ -59,8 +58,6 @@ def design_matrix(
     ``vocab`` None the vocabulary is built in order of first appearance
     across rows; otherwise grams outside ``vocab`` are dropped.
     """
-    if lex is None:
-        lex = default_lexicon()
     grow = vocab is None
     if grow:
         vocab = {}
@@ -90,7 +87,7 @@ def design_matrix(
     return DesignMatrix(indptr, cols, np.array(vals, dtype=np.float64), len(vocab) + 3), vocab
 
 
-def _labeled_design(dataset, lex):
+def _labeled_design(dataset, lex: EmoticonLexicon):
     """Design matrix, class targets and vocabulary of labeled conversations."""
     token_lists, targets = [], []
     for conv in dataset:
@@ -138,7 +135,7 @@ class NBModel:
             self.log_priors = np.log(self.priors)  # -inf for a class with no examples
 
 
-def nb_train(dataset, alpha: float = 1.0, lex: EmoticonLexicon | None = None) -> NBModel:
+def nb_train(dataset, lex: EmoticonLexicon, alpha: float = 1.0) -> NBModel:
     """Fit class priors and smoothed n-gram likelihoods from labeled
     conversations.  Priors are empirical label frequencies."""
     _require_positive(alpha, "smoothing constant")
@@ -217,10 +214,10 @@ def svm_fit_vectors(matrix: DesignMatrix, y, lambda_reg: float, epochs: int, see
 
 def svm_train(
     dataset,
+    lex: EmoticonLexicon,
     lambda_reg: float = 0.005,
     epochs: int = SVM_EPOCHS,
     seed: int = 0,
-    lex: EmoticonLexicon | None = None,
 ) -> LinearSVMModel:
     """Train the one-vs-rest linear SVM on labeled conversations."""
     _require_positive(lambda_reg, "regularization constant")
@@ -249,7 +246,7 @@ def baseline_scores(model, matrix: DesignMatrix) -> np.ndarray:
     return scores
 
 
-def baseline_predict(model, token_lists, lex: EmoticonLexicon | None = None) -> list[str]:
+def baseline_predict(model, token_lists, lex: EmoticonLexicon) -> list[str]:
     """Highest-scoring label per token list; ties break in class order."""
     matrix, _ = design_matrix(token_lists, lex, model.vocab)
     return [LABELS[i] for i in np.argmax(baseline_scores(model, matrix), axis=1)]
@@ -266,12 +263,15 @@ def _vocab_from_meta(value: str) -> dict[str, int]:
     return {gram: i for i, gram in enumerate(value.split("\t"))}
 
 
-def save_baseline(model, sink) -> None:
-    """Write an NB or SVM model into the shared checkpoint container."""
+def save_baseline(model, sink, lex: EmoticonLexicon) -> None:
+    """Write an NB or SVM model, trained with lexicon ``lex``, into the
+    shared checkpoint container."""
+    lexicon_sha256 = lex.sha256 or "-"
     if isinstance(model, NBModel):
         meta = {
             "model": "nb",
             "alpha": repr(float(model.alpha)),
+            "lexicon_sha256": lexicon_sha256,
             "vocab": _vocab_meta(model.vocab),
         }
         tensors = {"priors": model.priors}
@@ -282,6 +282,7 @@ def save_baseline(model, sink) -> None:
         meta = {
             "model": "svm",
             "lambda": repr(float(model.lambda_reg)),
+            "lexicon_sha256": lexicon_sha256,
             "vocab": _vocab_meta(model.vocab),
         }
         write_container(sink, meta, {"weights": model.weights, "bias": model.bias})

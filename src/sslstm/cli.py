@@ -11,7 +11,9 @@ Exit codes: 0 success; 1 usage error (bad flags, bad values, missing
 files); 2 data-format error (malformed dataset, embedding, lexicon, or
 checkpoint files); 3 numeric failure (non-finite loss or a gradient
 check exceeding its tolerance).  Every flag default mirrors the
-corresponding library default.
+corresponding library default.  The library has no default emoticon
+lexicon: each command resolves ``--lexicon`` or the packaged one once
+and passes it to everything that reads text.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .baselines import (
     save_baseline,
     svm_train,
 )
-from .container import read_container
+from .container import CheckpointError, read_container
 from .dataio import read_dataset, read_judgments, require_labeled, write_dataset
 from .datamine import (
     MiningConfig,
@@ -126,6 +128,7 @@ def _read_lines(path: str) -> list[str]:
 
 
 def _lexicon(args):
+    """The one lexicon of a command: ``--lexicon`` or the packaged one."""
     return load_lexicon(args.lexicon) if getattr(args, "lexicon", None) else default_lexicon()
 
 
@@ -158,8 +161,14 @@ def _require(args, flags: list[str], context: str) -> None:
 
 def _load_predictor(args, lex):
     """A callable list of conversations -> list of labels for any saved
-    model file."""
+    model file; a file that records its lexicon's hash must match ``lex``."""
     meta, tensors = read_container(args.model)
+    stored = meta.get("lexicon_sha256", "-")
+    if stored not in ("", "-") and stored != lex.sha256:
+        raise CheckpointError(
+            f"{args.model} was trained with another emoticon lexicon "
+            f"({stored[:12]} vs {lex.sha256[:12]}); pass that one as --lexicon"
+        )
     kind = meta.get("model", "sslstm")
     if kind == "sslstm":
         # A missing table loads as an empty one of the checkpoint's dimension.
@@ -196,7 +205,7 @@ def cmd_normalize(args) -> None:
 
 
 def cmd_split(args) -> None:
-    dataset = require_labeled(read_dataset(args.data))
+    dataset = require_labeled(read_dataset(args.data, _lexicon(args)))
     train_set, val_set = split_dataset(dataset, args.ratio, args.seed)
     write_dataset(train_set, args.train_out)
     write_dataset(val_set, args.val_out)
@@ -206,14 +215,14 @@ def cmd_split(args) -> None:
 
 def cmd_train(args) -> None:
     lex = _lexicon(args)
-    dataset = require_labeled(read_dataset(args.train))
+    dataset = require_labeled(read_dataset(args.train, lex))
     if args.algo != "sslstm":
         if args.algo == "nb":
-            model = nb_train(dataset, alpha=args.alpha, lex=lex)
+            model = nb_train(dataset, lex, alpha=args.alpha)
         else:
             epochs = SVM_EPOCHS if args.epochs is None else args.epochs
-            model = svm_train(dataset, lambda_reg=args.lambda_reg, epochs=epochs, seed=args.seed, lex=lex)
-        save_baseline(model, args.model)
+            model = svm_train(dataset, lex, lambda_reg=args.lambda_reg, epochs=epochs, seed=args.seed)
+        save_baseline(model, args.model, lex)
         print(f"algorithm: {args.algo}  examples: {len(dataset)}  vocabulary: {len(model.vocab)}")
         return
 
@@ -221,7 +230,7 @@ def cmd_train(args) -> None:
     sentiment = _table_or_empty(args.sentiment_emb, DEFAULT_SENTIMENT_DIM)
     if args.val:
         train_set = dataset
-        val_set = require_labeled(read_dataset(args.val))
+        val_set = require_labeled(read_dataset(args.val, lex))
     else:
         train_set, val_set = split_dataset(dataset, args.ratio, args.seed)
     model_config = ModelConfig(
@@ -243,7 +252,7 @@ def cmd_train(args) -> None:
     )
     model = init_model(model_config, semantic, sentiment, seed=args.seed)
     best, history = train(model, train_set, val_set, train_config)
-    save_checkpoint(best, train_config, args.model)
+    save_checkpoint(best, train_config, args.model, lex)
     print(
         f"algorithm: sslstm  channels: {args.channels}  "
         f"train: {len(train_set)}  validation: {len(val_set)}"
@@ -256,7 +265,7 @@ def cmd_train(args) -> None:
 
 def cmd_eval(args) -> None:
     lex = _lexicon(args)
-    dataset = require_labeled(read_dataset(args.data))
+    dataset = require_labeled(read_dataset(args.data, lex))
     predictor = _load_predictor(args, lex)
     predictions = predictor(dataset)
     golds = [conv.label for conv in dataset]
@@ -277,7 +286,7 @@ def cmd_eval(args) -> None:
 
 def cmd_predict(args) -> None:
     lex = _lexicon(args)
-    dataset = read_dataset(args.data)
+    dataset = read_dataset(args.data, lex)
     predictor = _load_predictor(args, lex)
     rows = [f"{conv.id}\t{label}" for conv, label in zip(dataset, predictor(dataset))]
     _emit(rows, args.output)
@@ -298,11 +307,10 @@ def cmd_embcos(args) -> None:
 
 def _mining_config(args) -> MiningConfig:
     return MiningConfig(
-        cosine_threshold=args.threshold,
+        threshold=args.threshold,
         max_utterance_len=args.max_len,
         top_k=args.top_k,
         min_response_freq=args.min_freq,
-        negative_threshold=args.threshold,
     )
 
 
@@ -313,20 +321,21 @@ def cmd_mine(args) -> None:
         _require(args, ["--seeds", "--pool", "--emb"], "mine --mode t1")
         table = load_embedding_file(args.emb)
         candidates = mine_candidates(
-            _read_lines(args.seeds), _read_lines(args.pool), table, cfg, lex
+            _read_lines(args.seeds), _read_lines(args.pool), table, lex, cfg
         )
     elif args.mode == "t2":
         _require(args, ["--pairs", "--class-utterances"], "mine --mode t2")
         pairs = make_qa_pairs((fields for _, _, fields in _tsv_rows(args.pairs, 2)), lex)
         class_utterances = set(_read_lines(args.class_utterances))
-        candidates = mine_by_response(pairs, class_utterances, cfg, lex)
+        candidates = mine_by_response(pairs, class_utterances, lex, cfg)
     else:
         _require(args, ["--pool", "--emb", "--positives"], "mine --mode neg")
+        if args.target:
+            raise UsageError("--target prunes mined candidates; mine --mode neg has none")
         table = load_embedding_file(args.emb)
         positive_sets = [_read_lines(path) for path in args.positives]
         negatives = sample_negatives(
-            _read_lines(args.pool), positive_sets, table, cfg,
-            n=args.n, seed=args.seed, lex=lex,
+            _read_lines(args.pool), positive_sets, table, lex, cfg, n=args.n, seed=args.seed
         )
         _emit(negatives, args.output)
         return
@@ -337,7 +346,7 @@ def cmd_mine(args) -> None:
 
 
 def cmd_stats(args) -> None:
-    dataset = require_labeled(read_dataset(args.data))
+    dataset = require_labeled(read_dataset(args.data, _lexicon(args)))
     _emit([format_stats(dataset_stats(dataset))], args.output)
 
 
@@ -495,10 +504,10 @@ def build_parser() -> _Parser:
                    help="positive utterances to avoid, one file per class (neg)")
     p.add_argument("--emb", help="embedding table for sentence similarity (t1, neg)")
     p.add_argument("--target", choices=EMOTION_LABELS,
-                   help="prune candidates that cannot belong to this class")
-    p.add_argument("--threshold", type=float, default=_MINING_DEFAULTS.cosine_threshold,
+                   help="prune candidates that cannot belong to this class (t1, t2)")
+    p.add_argument("--threshold", type=float, default=_MINING_DEFAULTS.threshold,
                    help=f"cosine similarity cutoff "
-                        f"(default {_MINING_DEFAULTS.cosine_threshold})")
+                        f"(default {_MINING_DEFAULTS.threshold})")
     p.add_argument("--max-len", type=int, default=_MINING_DEFAULTS.max_utterance_len,
                    help=f"prune candidates longer than this many tokens "
                         f"(default {_MINING_DEFAULTS.max_utterance_len})")

@@ -13,25 +13,27 @@ Judgment files carry per-item label counts from n human judges:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from sslstm.labels import LABELS, N_CLASSES, label_index
-from sslstm.text_norm import Token, normalize_utterance
+from sslstm.text_norm import EmoticonLexicon, Token, normalize_utterance
 from sslstm.textfile import DataFormatError, _lines, _open_write
 
 
 @dataclass
 class Conversation:
     """One 3-turn conversation.  Only the last turn is classified; the two
-    context turns are carried along for provenance."""
+    context turns are carried along for provenance.  ``lex`` is the lexicon
+    its tokens are normalized with."""
 
     id: str
     turn1: str
     turn2: str
     turn3: str
     label: str | None = None
-    _tokens: list[Token] | None = field(default=None, repr=False, compare=False)
+    lex: EmoticonLexicon = field(kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.id:
@@ -41,16 +43,15 @@ class Conversation:
         if self.label is not None:
             self.label = LABELS[label_index(self.label)]
 
-    @property
+    @cached_property
     def tokens(self) -> list[Token]:
         """Normalized token sequence of the final turn (computed once)."""
-        if self._tokens is None:
-            self._tokens = normalize_utterance(self.turn3)
-        return self._tokens
+        return normalize_utterance(self.turn3, self.lex)
 
 
-def read_dataset(source) -> list[Conversation]:
-    """Parse a conversation TSV into Conversation records, in file order.
+def read_dataset(source, lex: EmoticonLexicon) -> list[Conversation]:
+    """Parse a conversation TSV into Conversation records, in file order,
+    whose tokens are normalized with ``lex`` when first asked for.
 
     Every line must have 4 (unlabeled) or 5 (labeled) tab-separated fields;
     ids must be unique; labels must be known classes.  Violations raise
@@ -90,6 +91,7 @@ def read_dataset(source) -> list[Conversation]:
                 turn2=fields[2],
                 turn3=fields[3],
                 label=label,
+                lex=lex,
             )
         )
     return conversations

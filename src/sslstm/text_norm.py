@@ -6,8 +6,10 @@ emoticon, and punctuation tokens (dropping @-handles and URLs), and
 single canonical form, e.g. ``:(((`` and the frowning-face emoji both become
 ``:(``.  The combined pipeline is :func:`normalize_utterance`.
 
-The emoticon lexicon ships as a data file (``data/emoticons.tsv``) so the
-token-level behaviour is stable and testable.
+Every function that scans or classifies emoticons takes the lexicon as an
+argument; nothing falls back to one.  The lexicon shipped with the package
+(``data/emoticons.tsv``) is :func:`default_lexicon`, and a command-line run
+loads it or the ``--lexicon`` file once and passes it down.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 
-from sslstm.textfile import DataFormatError, _lines, _read
+from sslstm.textfile import DataFormatError, _read, _split_lines
 
 EMOTICON_CLASSES = ("happy", "sad", "angry", "neutral")
 
@@ -54,10 +56,11 @@ class EmoticonLexicon:
 
     Each entry is ``(raw, canonical, class)``.  Invariants enforced here:
     raw forms are unique, every canonical form maps to itself, and a raw
-    form's class always agrees with its canonical form's class.
+    form's class always agrees with its canonical form's class.  ``sha256``
+    is the hash of the file the entries were read from, None if built in code.
     """
 
-    def __init__(self, entries):
+    def __init__(self, entries, sha256: str | None = None):
         entries = [tuple(e) for e in entries]
         if not entries:
             raise LexiconFormatError("lexicon has no entries")
@@ -84,6 +87,7 @@ class EmoticonLexicon:
                     f"class of {raw!r} ({cls}) disagrees with its canonical form {canonical!r}"
                 )
         self.entries = entries
+        self.sha256 = sha256
         self.raw_to_canonical = raw_to_canonical
         # Class lookup is by canonical form; raw forms were checked consistent.
         self.canonical_class = {c: raw_class[c] for c in raw_to_canonical.values()}
@@ -123,9 +127,11 @@ def load_lexicon(source) -> EmoticonLexicon:
     """Read a lexicon from a path, bytes, or a text/byte stream.
 
     Format: UTF-8, one ``raw<TAB>canonical<TAB>class`` entry per line; lines
-    starting with '#' and blank lines are ignored.
+    starting with '#' and blank lines are ignored.  The lexicon's ``sha256``
+    is the hash of the bytes read.
     """
-    lines, name = _lines(source)
+    data, name = _read(source)
+    lines = _split_lines(data, name)
     entries = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip() or line.startswith("#"):
@@ -135,7 +141,7 @@ def load_lexicon(source) -> EmoticonLexicon:
             raise LexiconFormatError(f"{name}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
         entries.append(tuple(fields))
     try:
-        return EmoticonLexicon(entries)
+        return EmoticonLexicon(entries, hashlib.sha256(data).hexdigest())
     except LexiconFormatError as exc:
         raise LexiconFormatError(f"{name}: {exc}") from None
 
@@ -150,11 +156,9 @@ def default_lexicon() -> EmoticonLexicon:
         return load_lexicon(path)
 
 
-@lru_cache(maxsize=1)
 def default_lexicon_sha256() -> str:
-    """SHA-256 of the packaged lexicon file, for checkpoint provenance."""
-    with resources.as_file(_PACKAGED_LEXICON) as path:
-        return hashlib.sha256(_read(path)[0]).hexdigest()
+    """SHA-256 of the packaged lexicon file."""
+    return default_lexicon().sha256
 
 
 _WORD_RE = re.compile(r"[^\W_]+(?:['’][^\W_]+)*")
@@ -199,7 +203,7 @@ def _drop_chunk(chunk: str) -> bool:
     return low.startswith(("http://", "https://", "www."))
 
 
-def tokenize(raw: str, lex: EmoticonLexicon | None = None) -> list[Token]:
+def tokenize(raw: str, lex: EmoticonLexicon) -> list[Token]:
     """Split raw text into tokens.
 
     Word tokens are lowercased and keep internal apostrophes ("don't")
@@ -209,8 +213,6 @@ def tokenize(raw: str, lex: EmoticonLexicon | None = None) -> list[Token]:
     (lexicon raw forms, including repeated-mouth runs) survive as single
     tokens; everything else becomes one punctuation token per character.
     """
-    if lex is None:
-        lex = default_lexicon()
     text = raw.translate(_VARIATION_SELECTORS)
     tokens: list[Token] = []
     for chunk in text.split():
@@ -245,15 +247,13 @@ def tokenize(raw: str, lex: EmoticonLexicon | None = None) -> list[Token]:
 _TRAILING_RUN_RE = re.compile(r"(.)\1+\Z")
 
 
-def normalize_emoticons(tokens, lex: EmoticonLexicon | None = None) -> list[Token]:
+def normalize_emoticons(tokens, lex: EmoticonLexicon) -> list[Token]:
     """Replace every recognized emoticon variant by its canonical form.
 
     A token matches either directly or after collapsing a trailing repeated-
     character run (":(((" -> ":(").  Unrecognized tokens pass through
     unchanged; the operation is idempotent.
     """
-    if lex is None:
-        lex = default_lexicon()
     out: list[Token] = []
     for tok in tokens:
         surface = tok.surface
@@ -269,10 +269,8 @@ def normalize_emoticons(tokens, lex: EmoticonLexicon | None = None) -> list[Toke
     return out
 
 
-def normalize_utterance(raw: str, lex: EmoticonLexicon | None = None) -> list[Token]:
+def normalize_utterance(raw: str, lex: EmoticonLexicon) -> list[Token]:
     """Tokenize and emoticon-normalize one utterance."""
-    if lex is None:
-        lex = default_lexicon()
     return normalize_emoticons(tokenize(raw, lex), lex)
 
 
@@ -287,10 +285,8 @@ def surfaces(tokens) -> list[str]:
     return list(map(surface, tokens))
 
 
-def emoticon_class(token, lex: EmoticonLexicon | None = None) -> str | None:
+def emoticon_class(token, lex: EmoticonLexicon) -> str | None:
     """Class of a canonical emoticon token; None for anything else."""
-    if lex is None:
-        lex = default_lexicon()
     return lex.canonical_class.get(surface(token))
 
 

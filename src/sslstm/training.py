@@ -36,7 +36,7 @@ from sslstm.neural import (
     clone_model,
     init_model,
 )
-from sslstm.text_norm import default_lexicon_sha256
+from sslstm.text_norm import EmoticonLexicon
 
 # Above this many parameters, gradient_check verifies a seeded random
 # subsample of this many coordinates instead of every coordinate.
@@ -352,11 +352,14 @@ def gradient_check(model: SSLSTMModel, example, epsilon: float = 1e-4) -> float:
     return worst
 
 
-def save_checkpoint(model: SSLSTMModel, config: TrainConfig | None, sink) -> None:
+def save_checkpoint(
+    model: SSLSTMModel, config: TrainConfig | None, sink, lex: EmoticonLexicon
+) -> None:
     """Write the model's parameters plus provenance meta to ``sink``.
 
     Embedding vectors are not stored; their dimensions and source hashes
-    are, so a load can verify it was handed the right tables.
+    are, so a load can verify it was handed the right tables.  So is the
+    hash of ``lex``, the lexicon the model's inputs were normalized with.
     """
     cfg = model.config
     meta = {
@@ -372,7 +375,7 @@ def save_checkpoint(model: SSLSTMModel, config: TrainConfig | None, sink) -> Non
         "sent_dim": model.sentiment_table.dim,
         "sem_table_sha256": model.semantic_table.source_sha256 or "-",
         "sent_table_sha256": model.sentiment_table.source_sha256 or "-",
-        "lexicon_sha256": default_lexicon_sha256(),
+        "lexicon_sha256": lex.sha256 or "-",
     }
     if config is not None:
         meta["learning_rate"] = repr(config.learning_rate)

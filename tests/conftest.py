@@ -10,6 +10,9 @@ from sslstm.text_norm import default_lexicon
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# The lexicon every test passes where the program takes one.
+LEX = default_lexicon()
+
 
 def src_env() -> dict[str, str]:
     """The current environment with the repository's ``src`` first on
@@ -23,7 +26,7 @@ def src_env() -> dict[str, str]:
 
 @pytest.fixture(scope="session")
 def lexicon():
-    return default_lexicon()
+    return LEX
 
 
 def make_table(vocab, dim=None, seed=0):

@@ -30,6 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from conftest import LEX
 from sslstm.baselines import baseline_predict, nb_train, svm_train
 from sslstm.dataio import Conversation, read_dataset, write_dataset
 from sslstm.datamine import MiningConfig, mine_candidates, prune_heuristics, sample_negatives
@@ -71,7 +72,7 @@ def keyword_dataset(n=50, reps=3):
     for i in range(n):
         label = LABELS[i % 4]
         text = " ".join([KEYWORD[label]] * reps)
-        data.append(Conversation(f"c{i}", "turn one", "turn two", text, label))
+        data.append(Conversation(f"c{i}", "turn one", "turn two", text, label, lex=LEX))
     return data
 
 
@@ -80,7 +81,8 @@ def accuracy(model, data):
 
 
 def naive_sentence_vec(table, text):
-    vecs = [table.matrix[table.index[s]] for s in surfaces(normalize_utterance(text)) if s in table.index]
+    tokens = surfaces(normalize_utterance(text, LEX))
+    vecs = [table.matrix[table.index[s]] for s in tokens if s in table.index]
     if not vecs:
         return np.zeros(table.dim)
     return sum(vecs) / len(vecs)
@@ -187,7 +189,7 @@ def test_4_dual_channel_advantage():
                 for a in (0, 1):
                     for b in (0, 1):
                         label = "happy" if a == b else "sad"
-                        data.append(Conversation(f"x{i}", "t", "t", f"sa{a} tb{b}", label))
+                        data.append(Conversation(f"x{i}", "t", "t", f"sa{a} tb{b}", label, lex=LEX))
                         i += 1
             return data
 
@@ -219,7 +221,7 @@ def test_4_dual_channel_advantage():
 def test_5_normalization_example_and_idempotence():
     with criterion("5 normalization"):
         got = normalize_utterance(
-            "Yeah! :((( My plan is cancelled \N{UNAMUSED FACE}\N{WHITE FROWNING FACE}"
+            "Yeah! :((( My plan is cancelled \N{UNAMUSED FACE}\N{WHITE FROWNING FACE}", LEX
         )
         assert surfaces(got) == ["yeah", "!", ":(", "my", "plan", "is", "cancelled", ":|", ":("]
 
@@ -236,8 +238,8 @@ def test_5_normalization_example_and_idempotence():
                 "".join(rng.choices(pieces, k=rng.randint(1, 4)))
                 for _ in range(rng.randint(0, 6))
             )
-            once = normalize_utterance(text)
-            assert normalize_utterance(serialize_tokens(once)) == once, text
+            once = normalize_utterance(text, LEX)
+            assert normalize_utterance(serialize_tokens(once), LEX) == once, text
 
 
 def test_6_statistical_tests():
@@ -315,21 +317,21 @@ def test_7_baseline_oracles():
                 tokens = [rng.choice(pool) for _ in range(rng.randint(1, 5))]
                 label = rng.choice(LABELS)
                 train_docs.append((tokens, label))
-                dataset.append(Conversation(f"d{d}", "a", "b", " ".join(tokens), label))
-            model = nb_train(dataset, alpha=1.0)
+                dataset.append(Conversation(f"d{d}", "a", "b", " ".join(tokens), label, lex=LEX))
+            model = nb_train(dataset, LEX, alpha=1.0)
             assert len(model.vocab) <= 60
             tests = [t for t, _ in train_docs]
             tests += [[rng.choice(pool) for _ in range(rng.randint(1, 5))] for _ in range(3)]
             for tokens in tests:
-                got = baseline_predict(model, [tokens])[0]
+                got = baseline_predict(model, [tokens], LEX)[0]
                 assert got == oracle(train_docs, 1.0, tokens), (train_docs, tokens)
                 checked += 1
         assert checked >= 200
 
         # separable corpus: the margin-based baseline fits it exactly
         data = keyword_dataset(n=24, reps=2)
-        svm = svm_train(data, epochs=30, seed=0)
-        preds = baseline_predict(svm, [c.tokens for c in data])
+        svm = svm_train(data, LEX, epochs=30, seed=0)
+        preds = baseline_predict(svm, [c.tokens for c in data], LEX)
         assert all(p == c.label for p, c in zip(preds, data))
 
 
@@ -343,14 +345,14 @@ def test_8_mining_oracles():
             )
             seeds = [" ".join(rng.choice(words, size=rng.integers(1, 4))) for _ in range(5)]
             pool = [" ".join(rng.choice(words, size=rng.integers(1, 5))) for _ in range(25)]
-            cfg = MiningConfig(cosine_threshold=0.6)
+            cfg = MiningConfig(threshold=0.6)
 
-            got = mine_candidates(seeds, pool, table, cfg)
+            got = mine_candidates(seeds, pool, table, LEX, cfg)
             expected = []
             for item in pool:
                 vec = naive_sentence_vec(table, item)
                 scores = [naive_cosine(vec, naive_sentence_vec(table, s)) for s in seeds]
-                if max(scores) >= cfg.cosine_threshold:
+                if max(scores) >= cfg.threshold:
                     expected.append((item, max(scores), seeds[scores.index(max(scores))]))
             expected.sort(key=lambda r: -r[1])
             assert [c.utterance for c in got] == [e[0] for e in expected]
@@ -366,17 +368,17 @@ def test_8_mining_oracles():
                 for i, item in enumerate(pool)
                 if all(
                     naive_cosine(naive_sentence_vec(table, item), naive_sentence_vec(table, p))
-                    < cfg.negative_threshold
+                    < cfg.threshold
                     for p in flat
                 )
             ]
             n = min(4, len(eligible))
-            sampled = sample_negatives(pool, positives, table, cfg, n=n, seed=trial)
+            sampled = sample_negatives(pool, positives, table, LEX, cfg, n=n, seed=trial)
             picks = np.random.default_rng(trial).choice(len(eligible), size=n, replace=False)
             assert sampled == [pool[eligible[i]] for i in sorted(picks)]
 
         kept, removed = prune_heuristics(
-            [Candidate("what a great day :'(", 0.9, "so happy today")], "happy"
+            [Candidate("what a great day :'(", 0.9, "so happy today")], "happy", LEX
         )
         assert kept == []
         assert removed[0].reason == "opposite-emoticon"
@@ -392,7 +394,7 @@ def test_9_round_trips():
         config = ModelConfig(channels="both", sem_hidden=5, sent_hidden=4, fc_hidden=6)
         model = init_model(config, sem, sent, seed=1)
         sink = io.StringIO()
-        save_checkpoint(model, TrainConfig(), sink)
+        save_checkpoint(model, TrainConfig(), sink, LEX)
         loaded = load_checkpoint(io.StringIO(sink.getvalue()), sem, sent)
         for k in range(100):
             probe = np.random.default_rng(900 + k)
@@ -407,7 +409,7 @@ def test_9_round_trips():
             "c2\tmorning\they\tWON the game!\thappy\n"
             "c3\twhat now\tdunno\tok then\tothers\n"
         )
-        dataset = read_dataset(text.encode("utf-8"))
+        dataset = read_dataset(text.encode("utf-8"), LEX)
         out = io.StringIO()
         write_dataset(dataset, out)
         assert out.getvalue() == text

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import LEX
 from sslstm.baselines import (
     DesignMatrix,
     LinearSVMModel,
@@ -28,7 +29,7 @@ from sslstm.text_norm import default_lexicon, emoticon_class, normalize_utteranc
 
 
 def conv(cid, text, label=None):
-    return Conversation(str(cid), "", "", text, label)
+    return Conversation(str(cid), "", "", text, label, lex=LEX)
 
 
 def corpus(*pairs):
@@ -73,16 +74,16 @@ def nb_oracle_predict(token_corpus, doc_tokens, alpha=Fraction(1)):
 
 
 def predict(model, tokens):
-    return baseline_predict(model, [tokens])[0]
+    return baseline_predict(model, [tokens], LEX)[0]
 
 
 def scores(model, tokens):
-    return baseline_scores(model, design_matrix([tokens], vocab=model.vocab)[0])[0]
+    return baseline_scores(model, design_matrix([tokens], LEX, vocab=model.vocab)[0])[0]
 
 
 def features(tokens):
     """The one row of ``tokens`` as ({gram: count}, [happy, sad, angry])."""
-    matrix, vocab = design_matrix([tokens])
+    matrix, vocab = design_matrix([tokens], LEX)
     names = [*vocab, "<happy>", "<sad>", "<angry>"]
     row = {names[col]: int(val) for col, val in zip(matrix.cols, matrix.vals)}
     return {g: row[g] for g in vocab}, [row.get(name, 0) for name in names[-3:]]
@@ -219,16 +220,16 @@ class TestOneScorer:
     def test_matches_the_per_utterance_reference(self, docs, probes, alpha, lambda_reg, seed):
         data = corpus(*[(" ".join(tokens), label) for tokens, label in docs])
         token_lists = [c.tokens for c in data]
-        nb = nb_train(data, alpha=alpha)
+        nb = nb_train(data, LEX, alpha=alpha)
         vocab, log_likelihood = reference_nb_table(
             token_lists, [LABELS.index(c.label) for c in data], alpha
         )
         assert list(nb.vocab.items()) == list(vocab.items())
         np.testing.assert_array_equal(nb.log_likelihood, log_likelihood)
 
-        svm = svm_train(data, lambda_reg=lambda_reg, epochs=2, seed=seed)
+        svm = svm_train(data, LEX, lambda_reg=lambda_reg, epochs=2, seed=seed)
         rows = token_lists + probes
-        matrix, _ = design_matrix(rows, vocab=nb.vocab)
+        matrix, _ = design_matrix(rows, LEX, vocab=nb.vocab)
         for i, tokens in enumerate(rows):
             cols, vals = reference_row(tokens, nb.vocab)
             row = slice(matrix.indptr[i], matrix.indptr[i + 1])
@@ -244,8 +245,8 @@ class TestOneScorer:
         )
 
     def test_rejects_a_matrix_of_another_width(self):
-        model = nb_train(corpus(("a b", "happy")))
-        matrix, _ = design_matrix([["a"]])
+        model = nb_train(corpus(("a b", "happy")), LEX)
+        matrix, _ = design_matrix([["a"]], LEX)
         with pytest.raises(ValueError, match="feature space"):
             baseline_scores(model, matrix)
 
@@ -260,28 +261,32 @@ def pinned_corpus():
     for i in range(64):
         tokens = [WORDS[(5 * i + 3 * j * j + j) % len(WORDS)] for j in range(1 + i % 9)]
         tokens.insert(i % 3, WORDS[i % 4])
-        convs.append(Conversation(f"p{i}", "", "", " ".join(tokens), LABELS[i % 4]))
+        convs.append(Conversation(f"p{i}", "", "", " ".join(tokens), LABELS[i % 4], lex=LEX))
     return convs
 
 
 def file_sha256(model):
+    """Hash of the model file without its lexicon line, which must name LEX."""
     sink = io.StringIO()
-    save_baseline(model, sink)
-    return hashlib.sha256(sink.getvalue().encode("utf-8")).hexdigest()
+    save_baseline(model, sink, LEX)
+    line = f"meta lexicon_sha256={LEX.sha256}\n"
+    assert sink.getvalue().count(line) == 1
+    return hashlib.sha256(sink.getvalue().replace(line, "").encode("utf-8")).hexdigest()
 
 
 class TestPinnedModelFiles:
-    """Model files written before the design matrix, byte for byte."""
+    """Model files written before the design matrix, byte for byte, but for
+    the lexicon hash line added since."""
 
     def test_nb(self):
-        model = nb_train(pinned_corpus(), alpha=0.5)
+        model = nb_train(pinned_corpus(), LEX, alpha=0.5)
         assert len(model.vocab) == 108
         assert file_sha256(model) == (
             "d837477ba2f15e98d84a106eff36ec375edfb373893ad3699a13b5f63cfd32ea"
         )
 
     def test_svm(self):
-        model = svm_train(pinned_corpus(), lambda_reg=0.01, epochs=7, seed=11)
+        model = svm_train(pinned_corpus(), LEX, lambda_reg=0.01, epochs=7, seed=11)
         assert file_sha256(model) == (
             "4fd64ca60babf64e008b67a798739d7532d4883ecb753eb38e4d1ed1c333d219"
         )
@@ -319,7 +324,7 @@ class TestExtractFeatures:
         assert ngrams == {"x": 3, "x x": 2, "x x x": 1}
 
     def test_accepts_normalized_tokens(self):
-        ngrams, emoticons = features(normalize_utterance("I won! :)"))
+        ngrams, emoticons = features(normalize_utterance("I won! :)", LEX))
         assert ngrams["i won"] == 1
         assert emoticons == [1, 0, 0]
 
@@ -332,7 +337,7 @@ class TestExtractFeatures:
 
 class TestDesignMatrix:
     def test_rows_vocabulary_and_trailing_emoticon_columns(self):
-        matrix, vocab = design_matrix([["b", "a", "b"], [":)"], [], ["a", ":(", ":)"]])
+        matrix, vocab = design_matrix([["b", "a", "b"], [":)"], [], ["a", ":(", ":)"]], LEX)
         assert list(vocab) == ["b", "a", "b a", "a b", "b a b", ":)", ":(", "a :(", ":( :)",
                                "a :( :)"]
         assert matrix.width == len(vocab) + 3
@@ -345,7 +350,7 @@ class TestDesignMatrix:
 
     def test_given_vocabulary_drops_unknown_grams_and_stays_unchanged(self):
         vocab = {"a": 0, "b": 1}
-        matrix, same = design_matrix([["a", "zzz", ":)"], ["b", "b"]], vocab=vocab)
+        matrix, same = design_matrix([["a", "zzz", ":)"], ["b", "b"]], LEX, vocab=vocab)
         assert same is vocab and vocab == {"a": 0, "b": 1}
         np.testing.assert_array_equal(matrix.indptr, [0, 2, 3])
         np.testing.assert_array_equal(matrix.cols, [0, 2, 1])
@@ -353,15 +358,15 @@ class TestDesignMatrix:
         assert matrix.width == 5
 
     def test_no_rows(self):
-        matrix, vocab = design_matrix([])
+        matrix, vocab = design_matrix([], LEX)
         assert vocab == {} and matrix.width == 3
         np.testing.assert_array_equal(matrix.indptr, [0])
-        model = nb_train(corpus(("x", "sad")))
-        assert baseline_scores(model, design_matrix([], vocab=model.vocab)[0]).shape == (0, 4)
-        assert baseline_predict(model, []) == []
+        model = nb_train(corpus(("x", "sad")), LEX)
+        assert baseline_scores(model, design_matrix([], LEX, vocab=model.vocab)[0]).shape == (0, 4)
+        assert baseline_predict(model, [], LEX) == []
 
     def test_counts_are_positive(self):
-        matrix, vocab = design_matrix([["x", "x", ":)", ":)", ">:("], ["y"]])
+        matrix, vocab = design_matrix([["x", "x", ":)", ":)", ">:("], ["y"]], LEX)
         assert np.all(matrix.vals > 0)
         # The first row ends with its happy and angry counts, after all 11 grams.
         assert len(vocab) == 11
@@ -372,28 +377,28 @@ class TestDesignMatrix:
 class TestNaiveBayes:
     def test_hand_posterior_two_classes(self):
         # happy likelihood of "good": (2+1)/(3+3); sad: (0+1)/(1+3).
-        model = nb_train(corpus(("good good", "happy"), ("bad", "sad")), alpha=1.0)
+        model = nb_train(corpus(("good good", "happy"), ("bad", "sad")), LEX, alpha=1.0)
         got = scores(model, ["good"])
         assert got[0] == pytest.approx(np.log(0.5 * 0.5), abs=1e-12)
         assert got[1] == pytest.approx(np.log(0.5 * 0.25), abs=1e-12)
         assert predict(model, ["good"]) == "happy"
 
     def test_single_class_corpus(self):
-        model = nb_train(corpus(("good day", "angry"), ("bad day", "angry")))
+        model = nb_train(corpus(("good day", "angry"), ("bad day", "angry")), LEX)
         for text in ("good", "bad", "whatever else"):
             assert predict(model, text.split()) == "angry"
 
     def test_unseen_tokens_fall_back_to_prior_tie(self):
-        model = nb_train(corpus(("x", "happy"), ("y", "sad")))
+        model = nb_train(corpus(("x", "happy"), ("y", "sad")), LEX)
         assert predict(model, ["zz"]) == "happy"
 
     def test_identical_docs_tie_break(self):
-        model = nb_train(corpus(("x", "happy"), ("x", "sad")))
+        model = nb_train(corpus(("x", "happy"), ("x", "sad")), LEX)
         assert predict(model, ["x"]) == "happy"
 
     def test_empty_features_follow_priors(self):
         model = nb_train(
-            corpus(("a", "sad"), ("b", "sad"), ("c", "sad"), ("d", "happy"))
+            corpus(("a", "sad"), ("b", "sad"), ("c", "sad"), ("d", "happy")), LEX
         )
         assert predict(model, []) == "sad"
 
@@ -410,7 +415,7 @@ class TestNaiveBayes:
                 token_corpus.append((tokens, label))
                 convs.append(conv(d, " ".join(tokens), label))
             alpha = [Fraction(1), Fraction(2), Fraction(1, 2)][trial % 3]
-            model = nb_train(convs, alpha=float(alpha))
+            model = nb_train(convs, LEX, alpha=float(alpha))
             probes = [list(rng.choice(alphabet, size=int(rng.integers(0, 5)))) for _ in range(4)]
             probes.extend(tokens for tokens, _ in token_corpus[:2])
             for probe in probes:
@@ -430,27 +435,27 @@ class TestNaiveBayes:
         doubled = base + [
             conv(100 + i, c.turn3, c.label) for i, c in enumerate(base)
         ]
-        m1 = nb_train(base)
-        m2 = nb_train(doubled)
+        m1 = nb_train(base, LEX)
+        m2 = nb_train(doubled, LEX)
         probes = ["good", "bad news", "mad", "nothing", "good day", "zzz"]
         probes = [text.split() for text in probes]
-        assert baseline_predict(m1, probes) == baseline_predict(m2, probes)
+        assert baseline_predict(m1, probes, LEX) == baseline_predict(m2, probes, LEX)
 
     def test_empty_dataset(self):
         with pytest.raises(ValueError, match="empty"):
-            nb_train([])
+            nb_train([], LEX)
 
     def test_bad_alpha(self):
         for alpha in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="smoothing constant must be finite and positive"):
-                nb_train(corpus(("x", "happy")), alpha=alpha)
+                nb_train(corpus(("x", "happy")), LEX, alpha=alpha)
             with pytest.raises(ValueError, match="smoothing"):
                 NBModel(priors=[1, 0, 0, 0], vocab={}, log_likelihood=np.zeros((4, 0)),
                         alpha=alpha)
 
     def test_unlabeled_rejected(self):
         with pytest.raises(ValueError, match="no label"):
-            nb_train([conv(0, "hi")])
+            nb_train([conv(0, "hi")], LEX)
 
     def test_prior_invariant(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -484,23 +489,23 @@ class TestLinearSVM:
 
     def test_separable_corpus_reaches_full_training_accuracy(self):
         data = self.separable_corpus()
-        model = svm_train(data, lambda_reg=0.005, epochs=40, seed=1)
-        assert baseline_predict(model, [c.tokens for c in data]) == [c.label for c in data]
+        model = svm_train(data, LEX, lambda_reg=0.005, epochs=40, seed=1)
+        assert baseline_predict(model, [c.tokens for c in data], LEX) == [c.label for c in data]
 
     def test_deterministic_per_seed(self):
         data = self.separable_corpus()
-        m1 = svm_train(data, epochs=10, seed=5)
-        m2 = svm_train(data, epochs=10, seed=5)
+        m1 = svm_train(data, LEX, epochs=10, seed=5)
+        m2 = svm_train(data, LEX, epochs=10, seed=5)
         np.testing.assert_array_equal(m1.weights, m2.weights)
         np.testing.assert_array_equal(m1.bias, m2.bias)
 
     def test_huge_regularization_collapses_weights(self):
         data = self.separable_corpus()
-        model = svm_train(data, lambda_reg=1e6, epochs=10, seed=2)
+        model = svm_train(data, LEX, lambda_reg=1e6, epochs=10, seed=2)
         assert np.max(np.abs(model.weights)) < 1e-3
         fallback = int(np.argmax(model.bias))
         probes = [text.split() for text in ("good good", "bad", "zzz")]
-        assert baseline_predict(model, probes) == [LABELS[fallback]] * 3
+        assert baseline_predict(model, probes, LEX) == [LABELS[fallback]] * 3
 
     def test_all_zero_model_ties_to_first_class(self):
         model = LinearSVMModel(
@@ -520,7 +525,7 @@ class TestLinearSVM:
 
     def test_shift_invariance_of_argmax(self):
         data = self.separable_corpus()
-        model = svm_train(data, epochs=10, seed=3)
+        model = svm_train(data, LEX, epochs=10, seed=3)
         shifted = LinearSVMModel(
             vocab=model.vocab,
             weights=model.weights.copy(),
@@ -528,11 +533,12 @@ class TestLinearSVM:
             lambda_reg=model.lambda_reg,
         )
         token_lists = [c.tokens for c in data]
-        assert baseline_predict(model, token_lists) == baseline_predict(shifted, token_lists)
+        assert (baseline_predict(model, token_lists, LEX)
+                == baseline_predict(shifted, token_lists, LEX))
 
     def test_emoticon_dimensions_are_trailing(self):
         tokens = ["a", ":)", "zzz", ">:(", "a", ">:(", ">:("]
-        matrix, _ = design_matrix([tokens], vocab={"a": 0, "b": 1})
+        matrix, _ = design_matrix([tokens], LEX, vocab={"a": 0, "b": 1})
         assert matrix.cols.dtype == np.int64 and matrix.vals.dtype == np.float64
         np.testing.assert_array_equal(matrix.cols, [0, 2, 4])
         np.testing.assert_array_equal(matrix.vals, [2, 1, 3])
@@ -595,7 +601,7 @@ class TestLinearSVM:
         ]
         tracemalloc.start()
         try:
-            model = svm_train(data, epochs=2, seed=0)
+            model = svm_train(data, LEX, epochs=2, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -604,15 +610,15 @@ class TestLinearSVM:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="empty"):
-            svm_train([])
+            svm_train([], LEX)
         for lambda_reg in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="regularization constant must be finite"):
-                svm_train(self.separable_corpus(), lambda_reg=lambda_reg)
+                svm_train(self.separable_corpus(), LEX, lambda_reg=lambda_reg)
             with pytest.raises(ValueError, match="regularization"):
                 LinearSVMModel(vocab={}, weights=np.zeros((4, 3)), bias=np.zeros(4),
                                lambda_reg=lambda_reg)
         with pytest.raises(ValueError, match="epochs"):
-            svm_train(self.separable_corpus(), epochs=0)
+            svm_train(self.separable_corpus(), LEX, epochs=0)
         with pytest.raises(ValueError, match="finite"):
             LinearSVMModel(
                 vocab={}, weights=np.full((4, 3), np.nan), bias=np.zeros(4), lambda_reg=0.005
@@ -622,11 +628,11 @@ class TestLinearSVM:
 class TestBaselineCheckpoints:
     def test_nb_round_trip(self):
         model = nb_train(
-            corpus(("good good day", "happy"), ("bad day", "sad"), ("meh", "others")),
+            corpus(("good good day", "happy"), ("bad day", "sad"), ("meh", "others")), LEX,
             alpha=0.5,
         )
         sink = io.StringIO()
-        save_baseline(model, sink)
+        save_baseline(model, sink, LEX)
         text = sink.getvalue()
         assert "meta model=nb" in text
         loaded = load_baseline(io.StringIO(text))
@@ -634,24 +640,24 @@ class TestBaselineCheckpoints:
         assert loaded.alpha == 0.5
         assert loaded.vocab == model.vocab
         probes = [probe.split() for probe in ("good", "bad day", "zzz", "")]
-        assert baseline_predict(loaded, probes) == baseline_predict(model, probes)
-        matrix, _ = design_matrix(probes, vocab=model.vocab)
+        assert baseline_predict(loaded, probes, LEX) == baseline_predict(model, probes, LEX)
+        matrix, _ = design_matrix(probes, LEX, vocab=model.vocab)
         np.testing.assert_array_equal(
             baseline_scores(loaded, matrix), baseline_scores(model, matrix)
         )
 
     def test_svm_round_trip(self):
         data = corpus(("good good", "happy"), ("bad bad", "sad"))
-        model = svm_train(data, epochs=15, seed=4)
+        model = svm_train(data, LEX, epochs=15, seed=4)
         sink = io.StringIO()
-        save_baseline(model, sink)
+        save_baseline(model, sink, LEX)
         text = sink.getvalue()
         assert "meta model=svm" in text
         loaded = load_baseline(io.StringIO(text))
         assert isinstance(loaded, LinearSVMModel)
         assert loaded.vocab == model.vocab
         assert loaded.lambda_reg == model.lambda_reg
-        matrix, _ = design_matrix([["good"], ["bad"], ["good", "bad"]], vocab=model.vocab)
+        matrix, _ = design_matrix([["good"], ["bad"], ["good", "bad"]], LEX, vocab=model.vocab)
         np.testing.assert_array_equal(
             baseline_scores(loaded, matrix), baseline_scores(model, matrix)
         )
@@ -675,34 +681,34 @@ class TestBaselineCheckpoints:
     def test_save_load_save_is_exact(self, docs, kind, alpha, lambda_reg, seed):
         data = corpus(*[(" ".join(tokens), label) for tokens, label in docs])
         if kind == "nb":
-            model = nb_train(data, alpha=alpha)
+            model = nb_train(data, LEX, alpha=alpha)
             fields = ("priors", "log_likelihood", "alpha")
         else:
-            model = svm_train(data, lambda_reg=lambda_reg, epochs=2, seed=seed)
+            model = svm_train(data, LEX, lambda_reg=lambda_reg, epochs=2, seed=seed)
             fields = ("weights", "bias", "lambda_reg")
         first = io.StringIO()
-        save_baseline(model, first)
+        save_baseline(model, first, LEX)
         loaded = load_baseline(io.StringIO(first.getvalue()))
         assert type(loaded) is type(model)
         assert loaded.vocab == model.vocab
         for name in fields:
             np.testing.assert_array_equal(getattr(loaded, name), getattr(model, name))
         second = io.StringIO()
-        save_baseline(loaded, second)
+        save_baseline(loaded, second, LEX)
         assert second.getvalue() == first.getvalue()
 
     def test_multiword_grams_survive(self):
-        model = nb_train(corpus(("one two three", "happy"), ("four", "sad")))
+        model = nb_train(corpus(("one two three", "happy"), ("four", "sad")), LEX)
         sink = io.StringIO()
-        save_baseline(model, sink)
+        save_baseline(model, sink, LEX)
         loaded = load_baseline(io.StringIO(sink.getvalue()))
         assert "one two three" in loaded.vocab
 
     def test_empty_vocab_round_trip(self):
-        model = nb_train([conv(0, "@user", "happy"), conv(1, "@x", "sad")])
+        model = nb_train([conv(0, "@user", "happy"), conv(1, "@x", "sad")], LEX)
         assert model.vocab == {}
         sink = io.StringIO()
-        save_baseline(model, sink)
+        save_baseline(model, sink, LEX)
         loaded = load_baseline(io.StringIO(sink.getvalue()))
         assert loaded.vocab == {}
         assert predict(loaded, ["any"]) == "happy"
@@ -734,4 +740,4 @@ class TestBaselineCheckpoints:
 
     def test_save_rejects_unknown_types(self):
         with pytest.raises(TypeError, match="not a baseline model"):
-            save_baseline(object(), io.StringIO())
+            save_baseline(object(), io.StringIO(), LEX)

@@ -8,13 +8,14 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import src_env
-from sslstm.baselines import SVM_EPOCHS, save_baseline, svm_train
+from conftest import LEX, src_env
+from sslstm.baselines import SVM_EPOCHS, load_baseline, save_baseline, svm_train
 from sslstm.cli import main
 from sslstm.dataio import read_dataset
 from sslstm.datamine import read_judge_queue
 from sslstm.embeddings import EmbeddingTable, save_embedding_file
 from sslstm.labels import LABELS
+from sslstm.text_norm import EmoticonLexicon, load_lexicon, normalize_utterance, surfaces
 
 KEYWORD = {"happy": "alpha", "sad": "beta", "angry": "gamma", "others": "delta"}
 
@@ -211,7 +212,7 @@ class TestTrainEvalPredict:
         model = tmp_path / "svm.model"
         assert main(["train", "--algo", "svm", "--train", ws["train"], "--model", str(model)]) == 0
         expected = io.StringIO()
-        save_baseline(svm_train(read_dataset(ws["train"])), expected)
+        save_baseline(svm_train(read_dataset(ws["train"], LEX), LEX), expected, LEX)
         assert model.read_text(encoding="utf-8") == expected.getvalue()
         assert main(["train", "--help"]) == 0
         assert f"{SVM_EPOCHS} for svm" in " ".join(capsys.readouterr().out.split())
@@ -382,6 +383,90 @@ class TestTrainEvalPredict:
                 assert fh.readline() == "SSLSTM-CKPT 1\n"
 
 
+@pytest.fixture(scope="module")
+def yay(ws):
+    """A lexicon that also reads "yay" as ":)", and a dataset using it."""
+    entries = LEX.entries + [("yay", ":)", "happy")]
+    path = ws["root"] / "yay.tsv"
+    path.write_text("".join("\t".join(e) + "\n" for e in entries), encoding="utf-8")
+    rows = [f"y{i}\t\t\tyay so good {KEYWORD[label]}\t{label}" for i, label in enumerate(LABELS)]
+    return {"lexicon": str(path), "data": write_lines(ws["root"] / "yay_data.tsv", rows)}
+
+
+class TestOneLexiconPerCommand:
+    def test_train_builds_baseline_features_with_the_lexicon(self, yay, tmp_path, capsys):
+        model = tmp_path / "nb.model"
+        assert main(["train", "--algo", "nb", "--train", yay["data"], "--model", str(model),
+                     "--lexicon", yay["lexicon"]]) == 0
+        vocab = load_baseline(str(model)).vocab
+        assert ":)" in vocab and ":) so good" in vocab
+        assert not any("yay" in gram for gram in vocab)
+        sha = load_lexicon(yay["lexicon"]).sha256
+        assert f"meta lexicon_sha256={sha}\n" in model.read_text(encoding="utf-8")
+
+    def test_predict_feeds_the_model_tokens_of_the_lexicon(self, ws, yay, tmp_path,
+                                                           monkeypatch, capsys):
+        import sslstm.cli
+
+        model = str(tmp_path / "m.ckpt")
+        assert main(["train", "--train", yay["data"], "--val", yay["data"], "--model", model,
+                     "--lexicon", yay["lexicon"], "--sem-hidden", "2", "--sent-hidden", "2",
+                     "--fc-hidden", "2", "--epochs", "1"]) == 0
+        seen = []
+        real = sslstm.cli.batch_predict
+
+        def recording(model, token_lists):
+            seen.extend(token_lists)
+            return real(model, token_lists)
+
+        monkeypatch.setattr(sslstm.cli, "batch_predict", recording)
+        assert main(["predict", "--model", model, "--data", yay["data"],
+                     "--lexicon", yay["lexicon"]]) == 0
+        assert [surfaces(t)[0] for t in seen] == [":)"] * len(LABELS)
+        lex = load_lexicon(yay["lexicon"])
+        assert seen[0] == normalize_utterance("yay so good alpha", lex)
+        assert seen == [c.tokens for c in read_dataset(yay["data"], lex)]
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    @pytest.mark.parametrize("model_key", ["sslstm_model", "nb_model"])
+    def test_a_model_refuses_another_lexicon(self, ws, yay, command, model_key, capsys):
+        argv = [command, "--model", ws[model_key], "--data", ws["train"]]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--lexicon", yay["lexicon"]]) == 2
+        assert "another emoticon lexicon" in capsys.readouterr().err
+
+    def test_the_lexicon_of_a_model_is_required_back(self, ws, yay, tmp_path, capsys):
+        model = str(tmp_path / "nb.model")
+        assert main(["train", "--algo", "nb", "--train", yay["data"], "--model", model,
+                     "--lexicon", yay["lexicon"]]) == 0
+        assert main(["predict", "--model", model, "--data", yay["data"]]) == 2
+        assert main(["predict", "--model", model, "--data", yay["data"],
+                     "--lexicon", yay["lexicon"]]) == 0
+
+    def test_a_model_without_a_lexicon_hash_is_not_checked(self, ws, yay, tmp_path, capsys):
+        model = tmp_path / "nb.model"
+        built = EmoticonLexicon(LEX.entries)  # built in code: no file, no hash
+        save_baseline(load_baseline(ws["nb_model"]), str(model), built)
+        assert "meta lexicon_sha256=-\n" in model.read_text(encoding="utf-8")
+        assert main(["predict", "--model", str(model), "--data", ws["train"],
+                     "--lexicon", yay["lexicon"]]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["split", "--train-out", "{tmp}/a.tsv", "--val-out", "{tmp}/b.tsv"],
+        ["stats"],
+    ])
+    def test_split_and_stats_never_normalize(self, ws, tmp_path, monkeypatch, argv, capsys):
+        import sslstm.dataio
+
+        def refuse(*args):
+            raise AssertionError("normalized")
+
+        monkeypatch.setattr(sslstm.dataio, "normalize_utterance", refuse)
+        argv = [a.format(tmp=tmp_path) for a in argv] + ["--data", ws["train"]]
+        assert main(argv) == 0
+
+
 class TestEmbcos:
     def test_reports_per_table_cosines(self, ws, tmp_path, capsys):
         pairs = write_lines(
@@ -482,6 +567,16 @@ class TestMine:
                      "--positives", positives, "--emb", ws["semantic_emb"],
                      "--n", "0", "--output", str(out)]) == 0
         assert out.read_bytes() == b""
+
+    def test_negative_mode_refuses_a_target(self, ws, tmp_path, capsys):
+        pool = write_lines(tmp_path / "pool.txt", ["alpha", "beta"])
+        positives = write_lines(tmp_path / "pos.txt", ["alpha"])
+        out = tmp_path / "negatives.txt"
+        assert main(["mine", "--mode", "neg", "--pool", pool,
+                     "--positives", positives, "--emb", ws["semantic_emb"],
+                     "--target", "happy", "--output", str(out)]) == 1
+        assert "--target" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_mode_is_deterministic(self, ws, tmp_path):
         pool = write_lines(tmp_path / "pool.txt", ["alpha", "beta", "gamma", "delta"])

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sslstm.embeddings
-from conftest import make_table
+from conftest import LEX, make_table
 from sslstm.embeddings import (
     EmbeddingFormatError,
     EmbeddingTable,
@@ -366,7 +366,7 @@ class TestLookup:
 
     def test_composes_with_normalization(self):
         t = load_str(":( 1 2")
-        toks = normalize_utterance(":(((")
+        toks = normalize_utterance(":(((", LEX)
         assert surfaces(toks) == [":("]
         np.testing.assert_array_equal(lookup(t, toks[0]), [1.0, 2.0])
 

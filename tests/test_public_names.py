@@ -12,12 +12,13 @@ DEMOS = SRC.parent.parent / "demos"
 
 # Kept although only tests call them: each is the reader or the writer of a
 # file format whose other half the program uses, and tests use it as the
-# reference for that format.
+# reference for that format; or the benchmark harness imports it.
 ALLOWED = {
     "read_judge_queue": "reads what write_judge_queue writes; CLI and textfile tests check queues with it",
     "save_embedding_file": "writes what load_embedding_file reads; tests build table files with it",
     "load_baseline": "reads what save_baseline writes; the CLI calls baseline_from_container on a container it parsed once",
     "load_checkpoint": "reads what save_checkpoint writes; the CLI calls model_from_container on a container it parsed once",
+    "default_lexicon_sha256": "the benchmark's input generator writes it into the checkpoints it builds",
 }
 
 

@@ -1,17 +1,22 @@
+import hashlib
 import io
 import random
 import string
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sslstm
+from conftest import LEX
 from sslstm.text_norm import (
     EMOTICON_CLASSES,
     EmoticonLexicon,
     LexiconFormatError,
     Token,
     default_lexicon,
+    default_lexicon_sha256,
     emoticon_class,
     load_lexicon,
     normalize_emoticons,
@@ -24,44 +29,45 @@ from sslstm.text_norm import (
 
 class TestTokenize:
     def test_empty_input(self):
-        assert tokenize("") == []
-        assert tokenize("   \t \n") == []
+        assert tokenize("", LEX) == []
+        assert tokenize("   \t \n", LEX) == []
 
     def test_words_and_trailing_punctuation(self):
         # Hand application of the rules: lowercase, split "!", keep "don't".
-        assert surfaces(tokenize("Why don't you ever text me!")) == [
+        assert surfaces(tokenize("Why don't you ever text me!", LEX)) == [
             "why", "don't", "you", "ever", "text", "me", "!",
         ]
 
     def test_handles_and_urls_dropped(self):
-        assert surfaces(tokenize("@bob :) ok")) == [":)", "ok"]
-        assert surfaces(tokenize("see http://t.co/abc and www.example.com now")) == ["see", "and", "now"]
+        assert surfaces(tokenize("@bob :) ok", LEX)) == [":)", "ok"]
+        text = "see http://t.co/abc and www.example.com now"
+        assert surfaces(tokenize(text, LEX)) == ["see", "and", "now"]
 
     def test_emoticon_survives_as_single_token(self):
-        toks = tokenize("gone :(((")
+        toks = tokenize("gone :(((", LEX)
         assert surfaces(toks) == ["gone", ":((("]
 
     def test_emoticon_glued_to_word(self):
-        assert surfaces(tokenize("ok:)fine")) == ["ok", ":)", "fine"]
+        assert surfaces(tokenize("ok:)fine", LEX)) == ["ok", ":)", "fine"]
 
     def test_letter_final_emoticon_does_not_eat_words(self):
         # "xD" is an emoticon alone but not inside a word.
-        assert surfaces(tokenize("xD")) == ["xD"]
-        assert surfaces(tokenize("xDude")) == ["xdude"]
+        assert surfaces(tokenize("xD", LEX)) == ["xD"]
+        assert surfaces(tokenize("xDude", LEX)) == ["xdude"]
 
     def test_kinds(self):
-        kinds = {t.surface: t.kind for t in tokenize("hi :) !")}
+        kinds = {t.surface: t.kind for t in tokenize("hi :) !", LEX)}
         assert kinds == {"hi": "word", ":)": "emoticon", "!": "punctuation"}
 
     def test_non_canonical_emoticon_kind_is_not_emoticon(self):
-        (tok,) = tokenize(":(((")
+        (tok,) = tokenize(":(((", LEX)
         assert tok.kind == "punctuation"
 
     def test_unknown_punctuation_split_per_character(self):
-        assert surfaces(tokenize("wow?!*")) == ["wow", "?", "!", "*"]
+        assert surfaces(tokenize("wow?!*", LEX)) == ["wow", "?", "!", "*"]
 
     def test_no_whitespace_and_lowercase_words(self):
-        for tok in tokenize("Some MIXED case,text :) 12Three"):
+        for tok in tokenize("Some MIXED case,text :) 12Three", LEX):
             assert tok.surface == tok.surface.strip()
             assert not any(c.isspace() for c in tok.surface)
             if tok.kind == "word":
@@ -77,38 +83,38 @@ class TestTokenize:
         ],
     )
     def test_combining_marks_stay_in_the_word(self, text, expected):
-        toks = normalize_utterance(text)
+        toks = normalize_utterance(text, LEX)
         assert surfaces(toks) == expected
         assert [t.kind for t in toks] == ["punctuation" if t in "!\u0301" else "word" for t in expected]
 
     def test_determinism(self):
         text = "Some :))) input!! with @stuff and don't"
-        assert tokenize(text) == tokenize(text)
+        assert tokenize(text, LEX) == tokenize(text, LEX)
 
 
 class TestNormalizeEmoticons:
     def test_mouth_run_collapse(self):
-        assert surfaces(normalize_emoticons(tokenize(":((("))) == [":("]
+        assert surfaces(normalize_emoticons(tokenize(":(((", LEX), LEX)) == [":("]
 
     def test_already_canonical_is_fixed_point(self):
-        assert surfaces(normalize_emoticons(tokenize(":)"))) == [":)"]
+        assert surfaces(normalize_emoticons(tokenize(":)", LEX), LEX)) == [":)"]
 
     def test_emoji_to_ascii(self):
-        toks = tokenize("\N{UNAMUSED FACE} \N{WHITE FROWNING FACE}")
-        assert surfaces(normalize_emoticons(toks)) == [":|", ":("]
+        toks = tokenize("\N{UNAMUSED FACE} \N{WHITE FROWNING FACE}", LEX)
+        assert surfaces(normalize_emoticons(toks, LEX)) == [":|", ":("]
 
     def test_variants_collapse_to_singular_form(self):
-        toks = normalize_emoticons(tokenize(":-) =) (: ^_^"))
+        toks = normalize_emoticons(tokenize(":-) =) (: ^_^", LEX), LEX)
         assert surfaces(toks) == [":)"] * 4
         assert all(t.kind == "emoticon" for t in toks)
 
     def test_unrecognized_pass_through(self):
-        toks = tokenize("soooo *")
-        assert surfaces(normalize_emoticons(toks)) == ["soooo", "*"]
+        toks = tokenize("soooo *", LEX)
+        assert surfaces(normalize_emoticons(toks, LEX)) == ["soooo", "*"]
 
     def test_idempotent(self):
-        toks = normalize_emoticons(tokenize("wow :((( \N{UNAMUSED FACE} fine"))
-        assert normalize_emoticons(toks) == toks
+        toks = normalize_emoticons(tokenize("wow :((( \N{UNAMUSED FACE} fine", LEX), LEX)
+        assert normalize_emoticons(toks, LEX) == toks
 
     def test_mouth_run_any_length(self, lexicon):
         # Every lexicon emoticon extended by k repeats of its mouth character
@@ -116,7 +122,7 @@ class TestNormalizeEmoticons:
         for raw, canonical, _cls in lexicon.entries:
             for k in (1, 2, 5):
                 extended = raw + raw[-1] * (k - 1)
-                out = normalize_emoticons(tokenize(f"x {extended} y"))
+                out = normalize_emoticons(tokenize(f"x {extended} y", LEX), LEX)
                 assert canonical in surfaces(out), (raw, extended)
 
 
@@ -144,14 +150,16 @@ def lexicon_entries(draw):
 
 class TestNormalizeUtterance:
     def test_worked_example(self):
-        got = normalize_utterance("Yeah! :((( My plan is cancelled \N{UNAMUSED FACE}\N{WHITE FROWNING FACE}")
+        got = normalize_utterance(
+            "Yeah! :((( My plan is cancelled \N{UNAMUSED FACE}\N{WHITE FROWNING FACE}", LEX
+        )
         assert surfaces(got) == ["yeah", "!", ":(", "my", "plan", "is", "cancelled", ":|", ":("]
 
     def test_empty(self):
-        assert normalize_utterance("") == []
+        assert normalize_utterance("", LEX) == []
 
     def test_lowercasing(self):
-        assert surfaces(normalize_utterance("HELLO")) == ["hello"]
+        assert surfaces(normalize_utterance("HELLO", LEX)) == ["hello"]
 
     def test_reserialization_idempotence_fuzz(self):
         rng = random.Random(20240817)
@@ -167,16 +175,16 @@ class TestNormalizeUtterance:
                 "".join(rng.choices(pieces, k=rng.randint(1, 4)))
                 for _ in range(rng.randint(0, 6))
             )
-            once = normalize_utterance(text)
-            again = normalize_utterance(serialize_tokens(once))
+            once = normalize_utterance(text, LEX)
+            again = normalize_utterance(serialize_tokens(once), LEX)
             assert again == once, text
 
     @pytest.mark.parametrize("text", ["Xd'c", "XDd’s", "\N{LATIN CAPITAL LETTER I WITH DOT ABOVE}x"])
     def test_words_are_scanned_as_written(self, text):
         # Lowercasing may turn the start of a word into an emoticon ("xd")
         # or split it (a combining dot), so the word is scanned lowercased.
-        once = normalize_utterance(text)
-        assert normalize_utterance(serialize_tokens(once)) == once
+        once = normalize_utterance(text, LEX)
+        assert normalize_utterance(serialize_tokens(once), LEX) == once
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -218,14 +226,14 @@ class TestEmoticonClass:
         [(":)", "happy"), (":'(", "sad"), (">:(", "angry"), (":|", "neutral"), ("hello", None)],
     )
     def test_lookup(self, surface, expected):
-        assert emoticon_class(surface) == expected
+        assert emoticon_class(surface, LEX) == expected
 
     def test_token_object(self):
-        assert emoticon_class(Token(":)", "emoticon")) == "happy"
+        assert emoticon_class(Token(":)", "emoticon"), LEX) == "happy"
 
     def test_raw_non_canonical_form_has_no_class(self):
         # Classes are assigned to canonical forms; variants normalize first.
-        assert emoticon_class(":-)") is None
+        assert emoticon_class(":-)", LEX) is None
 
 
 class TestLexicon:
@@ -271,3 +279,16 @@ class TestLexicon:
 
     def test_default_lexicon_is_cached(self):
         assert default_lexicon() is default_lexicon()
+
+    def test_a_loaded_lexicon_carries_the_hash_of_its_bytes(self):
+        data = "# comment\n:)\t:)\thappy\n"
+        expected = hashlib.sha256(data.encode("utf-8")).hexdigest()
+        assert load_lexicon(data.encode("utf-8")).sha256 == expected
+        assert load_lexicon(io.StringIO(data)).sha256 == expected
+        assert load_lexicon(data.replace("#", "##").encode("utf-8")).sha256 != expected
+        assert EmoticonLexicon([(":)", ":)", "happy")]).sha256 is None
+
+    def test_default_lexicon_hash_is_the_packaged_file_hash(self):
+        packaged = Path(sslstm.__file__).parent / "data" / "emoticons.tsv"
+        digest = hashlib.sha256(packaged.read_bytes()).hexdigest()
+        assert default_lexicon().sha256 == default_lexicon_sha256() == digest

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import LEX
 import sslstm
 from sslstm.cli import main
 from sslstm.container import TruncatedCheckpointError, read_container, write_container
@@ -62,10 +63,10 @@ class TestLineRule:
 class TestSameBytesSameResult:
     def test_carriage_return_inside_a_turn(self, tmp_path):
         sink = io.StringIO()
-        write_dataset([Conversation("1", "x\ry", "b", "c", "happy")], sink)
+        write_dataset([Conversation("1", "x\ry", "b", "c", "happy", lex=LEX)], sink)
         data = sink.getvalue().encode("utf-8")
         for source, _ in sources(data, tmp_path):
-            assert [c.turn1 for c in read_dataset(source)] == ["x\ry"]
+            assert [c.turn1 for c in read_dataset(source, LEX)] == ["x\ry"]
 
     def test_normalize_keeps_a_line_separator_inside_its_line(self, tmp_path, capsys):
         raw = tmp_path / "raw.txt"
@@ -120,8 +121,8 @@ class TestNonUtf8:
 
 class TestWritersWriteOnlyWhatReadsBack:
     @pytest.mark.parametrize("conv", [
-        Conversation("#1", "a", "b", "c", "happy"),
-        Conversation("1", "a", "b", "c\r"),
+        Conversation("#1", "a", "b", "c", "happy", lex=LEX),
+        Conversation("1", "a", "b", "c\r", lex=LEX),
     ], ids=["comment-id", "trailing-cr"])
     def test_dataset_row_that_would_not_read_back(self, conv):
         with pytest.raises(ValueError, match="would not read back"):
@@ -141,8 +142,8 @@ class TestWritersWriteOnlyWhatReadsBack:
         write_judge_queue([Candidate("so #blessed", 0.5, "#seed")], sink)
         assert read_judge_queue(io.StringIO(sink.getvalue())) == [Candidate("so #blessed", 0.5, "#seed")]
         sink = io.StringIO()
-        write_dataset([Conversation("1#", "#a", "b", "#c")], sink)
-        assert read_dataset(io.StringIO(sink.getvalue()))[0].turn3 == "#c"
+        write_dataset([Conversation("1#", "#a", "b", "#c", lex=LEX)], sink)
+        assert read_dataset(io.StringIO(sink.getvalue()), LEX)[0].turn3 == "#c"
 
 
     def test_meta_value_ending_in_carriage_return(self):
@@ -166,12 +167,13 @@ class TestNegativeTensorDimensions:
 
 class TestEmoticonBeforeCombiningMark:
     def test_mark_after_a_letter_final_emoticon_stays_in_the_word(self):
-        assert normalize_utterance("xD\u0301") == normalize_utterance("xd\u0301")
-        assert surfaces(normalize_utterance("xD\u0301")) == ["xd\u0301"]
-        assert surfaces(normalize_utterance("ok <3\u0301 :D\u0301")) == ["ok", "<", "3\u0301", ":", "d\u0301"]
+        assert normalize_utterance("xD\u0301", LEX) == normalize_utterance("xd\u0301", LEX)
+        assert surfaces(normalize_utterance("xD\u0301", LEX)) == ["xd\u0301"]
+        got = surfaces(normalize_utterance("ok <3\u0301 :D\u0301", LEX))
+        assert got == ["ok", "<", "3\u0301", ":", "d\u0301"]
 
     def test_mark_after_a_punctuation_final_emoticon_splits_off(self):
-        assert surfaces(normalize_utterance(":(\u0301")) == [":(", "\u0301"]
+        assert surfaces(normalize_utterance(":(\u0301", LEX)) == [":(", "\u0301"]
 
     def test_ascii_text_never_needs_the_mark_scanner(self):
         lex = default_lexicon()

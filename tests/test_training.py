@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from conftest import example_gradients, make_table, probs_of
+from conftest import LEX, example_gradients, make_table, probs_of
 from sslstm.container import UnknownVersionError
 from sslstm.dataio import Conversation
 from sslstm.embeddings import EmbeddingTable, load_embedding_file, save_embedding_file
@@ -15,7 +15,7 @@ from sslstm.neural import (
     batch_predict,
     init_model,
 )
-from sslstm.text_norm import default_lexicon_sha256
+from sslstm.text_norm import EmoticonLexicon, default_lexicon_sha256, load_lexicon
 from sslstm.training import (
     CheckpointError,
     ShapeMismatchError,
@@ -36,7 +36,7 @@ from sslstm.training import (
 
 
 def conv(cid, text, label=None):
-    return Conversation(str(cid), "", "", text, label)
+    return Conversation(str(cid), "", "", text, label, lex=LEX)
 
 
 def words(n):
@@ -621,9 +621,9 @@ class TestCheckpoint:
         config = ModelConfig(channels="both", sem_hidden=3, sent_hidden=2, fc_hidden=4)
         return init_model(config, sem, sent, seed=seed)
 
-    def save_text(self, model, config=None):
+    def save_text(self, model, config=None, lex=LEX):
         sink = io.StringIO()
-        save_checkpoint(model, config, sink)
+        save_checkpoint(model, config, sink, lex)
         return sink.getvalue()
 
     def test_round_trip_preserves_predictions(self):
@@ -646,16 +646,23 @@ class TestCheckpoint:
         lines = text.splitlines()
         assert lines[0] == "SSLSTM-CKPT 1"
         assert any(l == "meta channels=both" for l in lines)
-        assert any(l.startswith("meta lexicon_sha256=") for l in lines)
+        assert f"meta lexicon_sha256={LEX.sha256}" in lines
         assert any(l == "meta seed=7" for l in lines)
         assert lines[-1] == "end"
         headers = [l for l in lines if l.startswith("tensor ")]
         assert len(headers) == 28
 
+    def test_records_the_lexicon_it_is_given(self):
+        model = self.build_model()
+        custom = load_lexicon(b":)\t:)\thappy\n")
+        assert f"meta lexicon_sha256={custom.sha256}\n" in self.save_text(model, lex=custom)
+        built = EmoticonLexicon([(":)", ":)", "happy")])
+        assert "meta lexicon_sha256=-\n" in self.save_text(model, lex=built)
+
     def test_round_trip_through_file(self, tmp_path):
         model = self.build_model(seed=3)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(model, None, path)
+        save_checkpoint(model, None, path, LEX)
         loaded = load_checkpoint(path, model.semantic_table, model.sentiment_table)
         p1 = probs_of(model, ["good", "bad"])
         p2 = probs_of(loaded, ["good", "bad"])
@@ -664,11 +671,11 @@ class TestCheckpoint:
     def test_save_load_save_is_exact(self, tmp_path):
         model = self.build_model(seed=5)
         first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
-        save_checkpoint(model, TrainConfig(seed=5), first)
+        save_checkpoint(model, TrainConfig(seed=5), first, LEX)
         loaded = load_checkpoint(first, model.semantic_table, model.sentiment_table)
         for name, tensor in model.param_tensors().items():
             np.testing.assert_array_equal(loaded.param_tensors()[name], tensor)
-        save_checkpoint(loaded, TrainConfig(seed=5), second)
+        save_checkpoint(loaded, TrainConfig(seed=5), second, LEX)
         assert second.read_bytes() == first.read_bytes()
 
     def test_gate_blocks_map_to_stacked_rows(self):
