@@ -15,10 +15,8 @@ import numpy as np
 
 from sslstm.datamine import (
     MiningConfig,
-    make_qa_pairs,
     mine_by_response,
     mine_candidates,
-    prune_heuristics,
     sample_negatives,
     write_judge_queue,
 )
@@ -45,12 +43,12 @@ pool = [
     "cat dog",
 ]
 cfg = MiningConfig(threshold=0.7)
-candidates = mine_candidates(seeds, pool, table, lex, cfg)
-kept, removed = prune_heuristics(candidates, "happy", lex, cfg)
+# With a target class, pruned candidates carry their reason and follow the live ones.
+candidates = mine_candidates(seeds, pool, table, lex, cfg, target="happy")
 
 print("judge queue for class 'happy' (utterance, score, matched seed, reason):")
 queue = io.StringIO()
-write_judge_queue(kept + removed, queue)
+write_judge_queue(candidates, queue)
 print(queue.getvalue())
 
 # ---------------------------------------------------------------------------
@@ -64,7 +62,7 @@ raw_pairs += [
     ("what time is it", "noon"),
 ]
 class_utterances = {f"i feel awful about it {i}" for i in range(4)}
-for cand in mine_by_response(make_qa_pairs(raw_pairs, lex), class_utterances, lex):
+for cand in mine_by_response(raw_pairs, class_utterances, lex):
     print(f"technique 2 candidate: {cand.utterance!r} "
           f"(response {cand.matched!r} seen {cand.score:.0f} times)")
 print()

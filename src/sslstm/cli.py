@@ -35,10 +35,8 @@ from .container import CheckpointError, read_container
 from .dataio import read_dataset, read_judgments, require_labeled, write_dataset
 from .datamine import (
     MiningConfig,
-    make_qa_pairs,
     mine_by_response,
     mine_candidates,
-    prune_heuristics,
     sample_negatives,
     write_judge_queue,
 )
@@ -321,13 +319,13 @@ def cmd_mine(args) -> None:
         _require(args, ["--seeds", "--pool", "--emb"], "mine --mode t1")
         table = load_embedding_file(args.emb)
         candidates = mine_candidates(
-            _read_lines(args.seeds), _read_lines(args.pool), table, lex, cfg
+            _read_lines(args.seeds), _read_lines(args.pool), table, lex, cfg, target=args.target
         )
     elif args.mode == "t2":
         _require(args, ["--pairs", "--class-utterances"], "mine --mode t2")
-        pairs = make_qa_pairs((fields for _, _, fields in _tsv_rows(args.pairs, 2)), lex)
+        pairs = [fields for _, _, fields in _tsv_rows(args.pairs, 2)]
         class_utterances = set(_read_lines(args.class_utterances))
-        candidates = mine_by_response(pairs, class_utterances, lex, cfg)
+        candidates = mine_by_response(pairs, class_utterances, lex, cfg, target=args.target)
     else:
         _require(args, ["--pool", "--emb", "--positives"], "mine --mode neg")
         if args.target:
@@ -339,9 +337,6 @@ def cmd_mine(args) -> None:
         )
         _emit(negatives, args.output)
         return
-    if args.target:
-        kept, removed = prune_heuristics(candidates, args.target, lex, cfg)
-        candidates = kept + removed
     write_judge_queue(candidates, args.output or sys.stdout)
 
 

@@ -9,17 +9,17 @@ Two complementary techniques feed a human judging queue:
   responses that frequently answer utterances of a known class, then
   pull in the other questions that drew the same responses.
 
-Both produce ranked candidate lists that are pruned by cheap heuristics
+Given a target class, both prune candidates by cheap heuristics
 (opposite-emotion emoticons, excessive length) before a person sees
-them.  A negative sampler draws utterances that are dissimilar to every
-positive set, for balancing the final dataset.  Every function that
-normalizes text takes the emoticon lexicon to normalize with.  All outputs
-are deterministic for fixed inputs and seeds.
+them, and queue the pruned ones after the live ones.  A negative sampler
+draws utterances that are dissimilar to every positive set, for
+balancing the final dataset.  Every function that normalizes text takes
+the emoticon lexicon to normalize with.  All outputs are deterministic
+for fixed inputs and seeds.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,31 +60,6 @@ class MiningConfig:
                 raise ValueError(f"{attr} must be a positive integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class QAPair:
-    """One question/answer exchange from a conversation log: the raw texts
-    and their normalized, serialized forms."""
-
-    q: str
-    a: str
-    q_key: str
-    a_key: str
-
-
-def make_qa_pairs(raw_pairs, lex: EmoticonLexicon) -> list[QAPair]:
-    """Build QAPairs from (q, a) tuples, normalizing each side once with
-    ``lex`` and dropping any pair whose question or answer normalizes to
-    nothing (pure handles, URLs, whitespace)."""
-    pairs = []
-    for q, a in raw_pairs:
-        q, a = str(q), str(a)
-        q_key = serialize_tokens(normalize_utterance(q, lex))
-        a_key = serialize_tokens(normalize_utterance(a, lex))
-        if q_key and a_key:
-            pairs.append(QAPair(q, a, q_key, a_key))
-    return pairs
-
-
 @dataclass
 class Candidate:
     """One mined utterance awaiting human judgment.
@@ -101,18 +76,48 @@ class Candidate:
     reason: str = ""
 
 
-def _pooled(texts, table: EmbeddingTable, lex: EmoticonLexicon) -> np.ndarray:
-    """The sentence embedding of each normalized utterance, one row each."""
-    rows = [sentence_embedding(table, normalize_utterance(t, lex)) for t in texts]
-    return np.array(rows).reshape(len(texts), table.dim)
+def _pooled(token_lists, table: EmbeddingTable) -> np.ndarray:
+    """The sentence embedding of each token list, one row each."""
+    rows = [sentence_embedding(table, tokens) for tokens in token_lists]
+    return np.array(rows).reshape(len(token_lists), table.dim)
 
 
 def _similarities(pool, others, table: EmbeddingTable, lex: EmoticonLexicon):
-    """``(start, sims)`` per block of up to BLOCK pool utterances, where
-    ``sims[i, k]`` is the cosine similarity of ``pool[start + i]`` and ``others[k]``."""
-    other_vecs = _pooled(others, table, lex)
+    """``(start, tokens, sims)`` per block of up to BLOCK pool utterances:
+    ``tokens[i]`` is ``pool[start + i]`` normalized, and ``sims[i, k]`` its
+    cosine similarity to ``others[k]``."""
+    other_vecs = _pooled([normalize_utterance(t, lex) for t in others], table)
     for start in range(0, len(pool), BLOCK):
-        yield start, cosines(_pooled(pool[start:start + BLOCK], table, lex), other_vecs)
+        tokens = [normalize_utterance(t, lex) for t in pool[start:start + BLOCK]]
+        yield start, tokens, cosines(_pooled(tokens, table), other_vecs)
+
+
+def _check_target(target) -> None:
+    if target is not None and target not in EMOTION_LABELS:
+        raise ValueError(f"target must be one of {EMOTION_LABELS} or None, got {target!r}")
+
+
+def _prune_reason(tokens, target, lex: EmoticonLexicon, config: MiningConfig) -> str:
+    """Why an utterance of ``tokens`` (tokens or their surfaces) plainly
+    cannot belong to the ``target`` class; empty when it may, or when there
+    is no target.  An emoticon of a *different* emotion class rules it out
+    (neutral emoticons are fine); failing that, more than
+    ``config.max_utterance_len`` tokens do."""
+    if target is None:
+        return ""
+    for tok in tokens:
+        cls = emoticon_class(tok, lex)
+        if cls is not None and cls != "neutral" and cls != target:
+            return PRUNE_OPPOSITE_EMOTICON
+    if len(tokens) > config.max_utterance_len:
+        return PRUNE_LENGTH
+    return ""
+
+
+def _queue(candidates: list[Candidate]) -> list[Candidate]:
+    """Live candidates, then pruned ones, each by score, highest first; the
+    sort is stable, so equal scores keep their input order."""
+    return sorted(candidates, key=lambda c: (c.reason != "", -c.score))
 
 
 def mine_candidates(
@@ -121,63 +126,31 @@ def mine_candidates(
     table: EmbeddingTable,
     lex: EmoticonLexicon,
     config: MiningConfig = MiningConfig(),
+    target: str | None = None,
 ) -> list[Candidate]:
     """Score every pool utterance against every seed utterance (both strings).
 
     A pool item becomes a candidate when its best cosine similarity to
     any seed reaches ``config.threshold``.  Similarity is taken
     between mean-pooled sentence embeddings of the normalized tokens.
-    Candidates come back sorted by score, highest first; equal scores
-    keep their pool order.  Ties between seeds go to the earlier seed.
+    Ties between seeds go to the earlier seed.  Given a ``target`` class,
+    the pruning heuristics set each candidate's ``reason``.  The queue
+    comes back live candidates first, then pruned ones, each by score,
+    highest first, with equal scores in pool order.
     """
+    _check_target(target)
     seeds = list(seeds)
     pool = list(pool)
     if not seeds:
         raise ValueError("mine_candidates: need at least one seed utterance")
     candidates = []
-    for start, sims in _similarities(pool, seeds, table, lex):
+    for start, tokens, sims in _similarities(pool, seeds, table, lex):
         best = sims.argmax(axis=1)  # the first maximum: the earlier seed
         scores = sims.max(axis=1)
         for i in np.flatnonzero(scores >= config.threshold):
-            candidates.append(Candidate(pool[start + i], float(scores[i]), seeds[best[i]]))
-    candidates.sort(key=lambda c: -c.score)
-    return candidates
-
-
-def prune_heuristics(
-    candidates,
-    target_class: str,
-    lex: EmoticonLexicon,
-    config: MiningConfig = MiningConfig(),
-) -> tuple[list[Candidate], list[Candidate]]:
-    """Drop candidates that plainly cannot belong to ``target_class``.
-
-    Two filters run in order: an utterance carrying an emoticon of a
-    *different* emotion class is removed (neutral emoticons are fine),
-    and anything longer than ``config.max_utterance_len`` tokens is
-    removed.  Returns ``(kept, removed)``; removed candidates carry the
-    pruning reason and both lists preserve the input order.
-    """
-    if target_class not in EMOTION_LABELS:
-        raise ValueError(
-            f"target_class must be one of {EMOTION_LABELS}, got {target_class!r}"
-        )
-    kept, removed = [], []
-    for cand in candidates:
-        tokens = normalize_utterance(cand.utterance, lex)
-        reason = ""
-        for tok in tokens:
-            cls = emoticon_class(tok, lex)
-            if cls is not None and cls != "neutral" and cls != target_class:
-                reason = PRUNE_OPPOSITE_EMOTICON
-                break
-        if not reason and len(tokens) > config.max_utterance_len:
-            reason = PRUNE_LENGTH
-        if reason:
-            removed.append(dataclasses.replace(cand, reason=reason))
-        else:
-            kept.append(cand)
-    return kept, removed
+            reason = _prune_reason(tokens[i], target, lex, config)
+            candidates.append(Candidate(pool[start + i], float(scores[i]), seeds[best[i]], reason))
+    return _queue(candidates)
 
 
 def mine_by_response(
@@ -185,46 +158,60 @@ def mine_by_response(
     class_utterances,
     lex: EmoticonLexicon,
     config: MiningConfig = MiningConfig(),
+    target: str | None = None,
 ) -> list[Candidate]:
     """Expand a class via the stock responses its utterances attract.
 
-    Count how often each normalized response answers a question already
-    in ``class_utterances`` (normalized with ``lex``, the lexicon that
-    built ``pairs``).  Keep the ``config.top_k`` most frequent responses
-    seen at least ``config.min_response_freq`` times, then return every
-    *other* question (not in the class, deduplicated on normalized form)
-    whose answer is one of those responses.  Each candidate records the
-    shared response and its frequency as the score; output is sorted by
-    frequency, highest first, with ties in pair order.
+    ``pairs`` holds raw ``(question, answer)`` texts; a pair whose question
+    or answer normalizes to nothing (pure handles, URLs, whitespace) is
+    dropped.  Each distinct text, class utterances included, is normalized
+    once with ``lex``.  Count how often each normalized response answers a
+    question in ``class_utterances`` (compared in normalized form).  Keep
+    the ``config.top_k`` most frequent responses seen at least
+    ``config.min_response_freq`` times, then return every *other* question
+    (not in the class, deduplicated on normalized form) whose answer is one
+    of those responses.  Each candidate records the response as first seen
+    and its frequency as the score.  Given a ``target`` class, the pruning
+    heuristics set each candidate's ``reason``.  The queue comes back live
+    candidates first, then pruned ones, each by frequency, highest first,
+    with equal frequencies in pair order.
     """
-    pairs = list(pairs)
-    class_keys = {serialize_tokens(normalize_utterance(u, lex)) for u in class_utterances}
+    _check_target(target)
+    keys: dict[str, str] = {}  # text -> its normalized, serialized form
+
+    def key(text: str) -> str:
+        if text not in keys:
+            keys[text] = serialize_tokens(normalize_utterance(text, lex))
+        return keys[text]
+
+    rows = [(q, a, key(q), key(a)) for q, a in pairs]
+    rows = [row for row in rows if row[2] and row[3]]
+    class_keys = {key(u) for u in class_utterances}
 
     counts: dict[str, int] = {}
     first_text: dict[str, str] = {}
-    for pair in pairs:
-        if pair.q_key in class_keys:
-            counts[pair.a_key] = counts.get(pair.a_key, 0) + 1
-            first_text.setdefault(pair.a_key, pair.a)
+    for _, a, q_key, a_key in rows:
+        if q_key in class_keys:
+            counts[a_key] = counts.get(a_key, 0) + 1
+            first_text.setdefault(a_key, a)
 
-    frequent = [key for key, n in counts.items() if n >= config.min_response_freq]
+    frequent = [k for k, n in counts.items() if n >= config.min_response_freq]
     # dict order is insertion order, so equal frequencies keep the order
     # in which the responses were first seen.
-    frequent.sort(key=lambda key: -counts[key])
+    frequent.sort(key=lambda k: -counts[k])
     frequent = set(frequent[: config.top_k])
 
     candidates = []
     seen_questions = set()
-    for pair in pairs:
-        if pair.q_key in class_keys or pair.q_key in seen_questions:
+    for q, _, q_key, a_key in rows:
+        if q_key in class_keys or q_key in seen_questions:
             continue
-        if pair.a_key in frequent:
-            seen_questions.add(pair.q_key)
-            candidates.append(
-                Candidate(pair.q, float(counts[pair.a_key]), first_text[pair.a_key])
-            )
-    candidates.sort(key=lambda c: -c.score)
-    return candidates
+        if a_key in frequent:
+            seen_questions.add(q_key)
+            # token surfaces hold no whitespace, so the key splits back into them
+            reason = _prune_reason(q_key.split(), target, lex, config)
+            candidates.append(Candidate(q, float(counts[a_key]), first_text[a_key], reason))
+    return _queue(candidates)
 
 
 def sample_negatives(
@@ -252,7 +239,7 @@ def sample_negatives(
         positive_sets = positive_sets.values()
     positives = [u for group in positive_sets for u in group]
     eligible = []
-    for start, sims in _similarities(pool, positives, table, lex):
+    for start, _, sims in _similarities(pool, positives, table, lex):
         far = (sims < config.threshold).all(axis=1)
         eligible += (start + np.flatnonzero(far)).tolist()
     if len(eligible) < n:
@@ -267,17 +254,21 @@ def sample_negatives(
 
 def write_judge_queue(candidates, sink) -> None:
     """Write candidates as a judging queue: one TSV row per candidate
-    with columns utterance, score, matched seed or response, and the
-    pruning reason (empty for live candidates)."""
+    with columns utterance, score (``%g``, 6 significant digits), matched
+    seed or response, and the pruning reason (empty for live candidates).
+    A row that would not read back raises ValueError before the sink is
+    opened, so nothing is written."""
+    lines = []
+    for cand in candidates:
+        for text in (cand.utterance, cand.matched, cand.reason):
+            if "\t" in text or "\n" in text:
+                raise ValueError(f"judge queue fields may not hold tabs or newlines: {text!r}")
+        line = f"{cand.utterance}\t{cand.score:g}\t{cand.matched}\t{cand.reason}"
+        if line.lstrip().startswith("#") or line.endswith("\r"):
+            raise ValueError(f"judge queue line would not read back: {line!r}")
+        lines.append(line + "\n")
     with _open_write(sink) as fh:
-        for cand in candidates:
-            for text in (cand.utterance, cand.matched, cand.reason):
-                if "\t" in text or "\n" in text:
-                    raise ValueError(f"judge queue fields may not hold tabs or newlines: {text!r}")
-            line = f"{cand.utterance}\t{cand.score:g}\t{cand.matched}\t{cand.reason}"
-            if line.lstrip().startswith("#") or line.endswith("\r"):
-                raise ValueError(f"judge queue line would not read back: {line!r}")
-            fh.write(line + "\n")
+        fh.writelines(lines)
 
 
 def read_judge_queue(source) -> list[Candidate]:

@@ -33,8 +33,7 @@ import numpy as np
 from conftest import LEX
 from sslstm.baselines import baseline_predict, nb_train, svm_train
 from sslstm.dataio import Conversation, read_dataset, write_dataset
-from sslstm.datamine import MiningConfig, mine_candidates, prune_heuristics, sample_negatives
-from sslstm.datamine import Candidate
+from sslstm.datamine import MiningConfig, mine_candidates, sample_negatives
 from sslstm.embeddings import EmbeddingTable
 from sslstm.labels import LABELS
 from sslstm.metrics import dataset_stats, f1_score, fleiss_kappa, mcnemar
@@ -377,11 +376,12 @@ def test_8_mining_oracles():
             picks = np.random.default_rng(trial).choice(len(eligible), size=n, replace=False)
             assert sampled == [pool[eligible[i]] for i in sorted(picks)]
 
-        kept, removed = prune_heuristics(
-            [Candidate("what a great day :'(", 0.9, "so happy today")], "happy", LEX
+        table = EmbeddingTable(dim=1, vectors={"great": np.ones(1), "happy": np.ones(1)})
+        queue = mine_candidates(
+            ["so happy today"], ["what a great day :'("], table, LEX, target="happy"
         )
-        assert kept == []
-        assert removed[0].reason == "opposite-emoticon"
+        assert [c for c in queue if not c.reason] == []
+        assert queue[0].reason == "opposite-emoticon"
 
 
 def test_9_round_trips():

@@ -542,6 +542,37 @@ class TestMine:
         assert rows[0].score == 5.0
         assert rows[0].matched == "There, there"
 
+    def test_response_mode_with_a_target_queues_live_then_pruned(self, tmp_path):
+        class_qs = [f"i am so mad {i}" for i in range(5)]
+        pairs = write_lines(
+            tmp_path / "pairs.tsv",
+            [f"{q}\tthere there" for q in class_qs[:3]]
+            + [f"{q}\toh well" for q in class_qs[3:]]
+            + ["late train :(\toh well", "sad news :'(\tthere there", "early train\toh well",
+               "one two three four five\toh well", "good news\tthere there"],
+        )
+        class_file = write_lines(tmp_path / "angry.txt", class_qs)
+        queue = tmp_path / "queue.tsv"
+        assert main(["mine", "--mode", "t2", "--pairs", pairs, "--class-utterances", class_file,
+                     "--target", "happy", "--max-len", "4", "--output", str(queue)]) == 0
+        assert [(c.utterance, c.score, c.reason) for c in read_judge_queue(str(queue))] == [
+            ("good news", 3.0, ""),
+            ("early train", 2.0, ""),
+            ("sad news :'(", 3.0, "opposite-emoticon"),
+            ("late train :(", 2.0, "opposite-emoticon"),
+            ("one two three four five", 2.0, "length"),
+        ]
+
+    def test_unwritable_candidate_leaves_no_partial_queue(self, ws, tmp_path, capsys):
+        seeds = write_lines(tmp_path / "seeds.txt", ["alpha beta"])
+        pool = write_lines(tmp_path / "pool.txt", ["alpha beta", "alpha\tbeta"])
+        queue = tmp_path / "queue.tsv"
+        assert main(["mine", "--mode", "t1", "--seeds", seeds, "--pool", pool,
+                     "--emb", ws["semantic_emb"], "--threshold", "0.9",
+                     "--output", str(queue)]) == 1
+        assert "tabs" in capsys.readouterr().err
+        assert not queue.exists()
+
     def test_negative_mode_samples_dissimilar_pool_items(self, ws, tmp_path):
         pool = write_lines(tmp_path / "pool.txt", ["alpha", "beta", "gamma", "delta"])
         positives = write_lines(tmp_path / "pos.txt", ["alpha"])

@@ -1,7 +1,10 @@
 """Tests for candidate mining, pruning, response mining, and negative sampling."""
 
+import dataclasses
 import io
 import math
+from collections import Counter, namedtuple
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -18,16 +21,21 @@ from sslstm.datamine import (
     MiningConfig,
     PRUNE_LENGTH,
     PRUNE_OPPOSITE_EMOTICON,
-    make_qa_pairs,
     mine_by_response,
     mine_candidates,
-    prune_heuristics,
     read_judge_queue,
     sample_negatives,
     write_judge_queue,
 )
 from sslstm.embeddings import EmbeddingTable
-from sslstm.text_norm import EmoticonLexicon, normalize_utterance, serialize_tokens
+from sslstm.labels import EMOTION_LABELS
+from sslstm.text_norm import (
+    EmoticonLexicon,
+    emoticon_class,
+    normalize_utterance,
+    serialize_tokens,
+    surfaces,
+)
 
 
 def unit_table(n_tokens=6):
@@ -88,6 +96,88 @@ def brute_force_eligible(pool, positives, table, threshold):
     ]
 
 
+# The mining path as it was when each (question, answer) row was normalized
+# into a pair record and pruning ran as a second pass over the finished
+# candidates, kept as the reference the one-normalization path must match.
+OldPair = namedtuple("OldPair", "q a q_key a_key")
+
+
+def old_pairs(raw_pairs, lex):
+    pairs = []
+    for q, a in raw_pairs:
+        q, a = str(q), str(a)
+        q_key = serialize_tokens(normalize_utterance(q, lex))
+        a_key = serialize_tokens(normalize_utterance(a, lex))
+        if q_key and a_key:
+            pairs.append(OldPair(q, a, q_key, a_key))
+    return pairs
+
+
+def old_mine_by_response(pairs, class_utterances, lex, config):
+    pairs = list(pairs)
+    class_keys = {serialize_tokens(normalize_utterance(u, lex)) for u in class_utterances}
+    counts, first_text = {}, {}
+    for pair in pairs:
+        if pair.q_key in class_keys:
+            counts[pair.a_key] = counts.get(pair.a_key, 0) + 1
+            first_text.setdefault(pair.a_key, pair.a)
+    frequent = [key for key, n in counts.items() if n >= config.min_response_freq]
+    frequent.sort(key=lambda key: -counts[key])
+    frequent = set(frequent[: config.top_k])
+    candidates = []
+    seen_questions = set()
+    for pair in pairs:
+        if pair.q_key in class_keys or pair.q_key in seen_questions:
+            continue
+        if pair.a_key in frequent:
+            seen_questions.add(pair.q_key)
+            candidates.append(
+                Candidate(pair.q, float(counts[pair.a_key]), first_text[pair.a_key])
+            )
+    candidates.sort(key=lambda c: -c.score)
+    return candidates
+
+
+def old_prune(candidates, target_class, lex, config):
+    kept, removed = [], []
+    for cand in candidates:
+        tokens = normalize_utterance(cand.utterance, lex)
+        reason = ""
+        for tok in tokens:
+            cls = emoticon_class(tok, lex)
+            if cls is not None and cls != "neutral" and cls != target_class:
+                reason = PRUNE_OPPOSITE_EMOTICON
+                break
+        if not reason and len(tokens) > config.max_utterance_len:
+            reason = PRUNE_LENGTH
+        if reason:
+            removed.append(dataclasses.replace(cand, reason=reason))
+        else:
+            kept.append(cand)
+    return kept, removed
+
+
+def old_queue(candidates, target, lex, config):
+    """The queue the command wrote: with a target, kept then removed."""
+    if target is None:
+        return candidates
+    kept, removed = old_prune(candidates, target, lex, config)
+    return kept + removed
+
+
+@contextmanager
+def counted_normalizations():
+    """Count, per text, the calls the mining code makes to normalize_utterance."""
+    calls = Counter()
+
+    def counting(text, lex):
+        calls[text] += 1
+        return normalize_utterance(text, lex)
+
+    with mock.patch.object(sslstm.datamine, "normalize_utterance", counting):
+        yield calls
+
+
 # Utterances are sorted sets of distinct words, "zz" out of vocabulary: two
 # utterances pool to the same vector exactly or to clearly different ones,
 # so the oracle's ties and threshold decisions are the library's too.
@@ -107,6 +197,34 @@ def mining_inputs(draw):
     pool = draw(st.lists(st.one_of(_UTTERANCES, st.sampled_from(seeds), st.just("zz")),
                          max_size=10))
     return table, seeds, pool
+
+
+_TARGETS = st.one_of(st.none(), st.sampled_from(EMOTION_LABELS))
+_MARKS = ["", " :)", " :(", " :'(", " >:(", " :|"]  # out of the random tables' vocabulary
+_QUESTION_WORDS = [
+    "so", "mad", "Mad", "glad", ":)", ":((", ">:(", ":'(", ":|", "@user", "http://x.io"
+]
+_QUESTIONS = st.lists(st.sampled_from(_QUESTION_WORDS), max_size=5).map(" ".join)
+_ANSWERS = st.sampled_from(
+    ["there, there", "There ,  there", "ok :)", "oh no :(", "calm down", "@user", " ", "noon"]
+)
+
+
+@st.composite
+def response_inputs(draw):
+    """Q/A rows with repeated questions and stock answers (some of either
+    normalizing to nothing), class utterances partly drawn from the
+    questions, and a mining config."""
+    pairs = draw(st.lists(st.tuples(_QUESTIONS, _ANSWERS), min_size=1, max_size=12))
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=4))
+    questions = st.sampled_from([q for q, _ in pairs])
+    class_utterances = set(draw(st.lists(st.one_of(questions, _QUESTIONS), max_size=6)))
+    config = MiningConfig(
+        max_utterance_len=draw(st.integers(1, 4)),
+        top_k=draw(st.integers(1, 3)),
+        min_response_freq=draw(st.integers(1, 3)),
+    )
+    return pairs, class_utterances, config
 
 
 class TestMiningProperties:
@@ -139,6 +257,39 @@ class TestMiningProperties:
             assert sample_negatives(pool, [positives], table, LEX, cfg, n=len(eligible)) == got
         with pytest.raises(ValueError, match=f"only {len(eligible)} of {len(pool)}"):
             sample_negatives(pool, [positives], table, LEX, cfg, n=len(eligible) + 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=response_inputs(), target=_TARGETS)
+    def test_mine_by_response_normalizes_each_text_once_and_matches_the_old_path(
+        self, inputs, target
+    ):
+        pairs, class_utterances, cfg = inputs
+        with counted_normalizations() as calls:
+            got = mine_by_response(pairs, class_utterances, LEX, cfg, target=target)
+        texts = {text for pair in pairs for text in pair} | class_utterances
+        assert calls == Counter(texts)
+        expected = old_mine_by_response(old_pairs(pairs, LEX), class_utterances, LEX, cfg)
+        assert got == old_queue(expected, target, LEX, cfg)
+
+    @settings(max_examples=150, deadline=None)
+    @given(inputs=mining_inputs(),
+           marks=st.lists(st.sampled_from(_MARKS), min_size=10, max_size=10),
+           target=_TARGETS, max_len=st.integers(1, 4),
+           threshold=st.sampled_from([0.3, 0.9, 1.0]), block=st.integers(1, 3))
+    def test_mine_candidates_normalizes_each_row_once_and_matches_the_old_path(
+        self, inputs, marks, target, max_len, threshold, block
+    ):
+        table, seeds, pool = inputs
+        pool = [text + mark for text, mark in zip(pool, marks)]
+        cfg = MiningConfig(threshold=threshold, max_utterance_len=max_len)
+        with mock.patch.object(sslstm.datamine, "BLOCK", block), counted_normalizations() as calls:
+            got = mine_candidates(seeds, pool, table, LEX, cfg, target=target)
+        # t1 normalizes per row; repeated pool texts are not deduplicated
+        assert calls == Counter(seeds + pool)
+        # Without a target the candidates are checked against the brute-force
+        # scan above; the old path pruned those afterwards.
+        unpruned = mine_candidates(seeds, pool, table, LEX, cfg)
+        assert got == old_queue(unpruned, target, LEX, cfg)
 
 
 class TestMiningConfig:
@@ -266,12 +417,30 @@ class TestMineCandidates:
             )
 
 
-class TestPruneHeuristics:
-    def cands(self, *texts):
-        return [Candidate(t, 0.9, "seed utterance") for t in texts]
+def mined(texts, target, config=MiningConfig()):
+    """Mine every one of ``texts`` as a candidate of equal score through both
+    mining calls, check that they queue them alike, and return the queue
+    split into (live, pruned) after checking that it is live then pruned."""
+    # t1: every token pools to the seed's vector, so each text scores 1.0
+    words = {w for text in texts for w in surfaces(normalize_utterance(text, LEX))}
+    table = EmbeddingTable(dim=1, vectors={w: np.ones(1) for w in words | {"seed"}})
+    t1_config = dataclasses.replace(config, threshold=1.0)
+    by_similarity = mine_candidates(["seed"], texts, table, LEX, t1_config, target=target)
+    # t2: every text draws the stock response that both class questions drew
+    pairs = [("class one", "stock"), ("class two", "stock")] + [(t, "stock") for t in texts]
+    queue = mine_by_response(pairs, {"class one", "class two"}, LEX, config, target=target)
+    assert [(c.utterance, c.reason) for c in by_similarity] == [
+        (c.utterance, c.reason) for c in queue
+    ]
+    kept = [c for c in queue if not c.reason]
+    removed = [c for c in queue if c.reason]
+    assert queue == kept + removed
+    return kept, removed
 
+
+class TestPruneHeuristics:
     def test_opposite_emoticon_removed_from_happy(self):
-        kept, removed = prune_heuristics(self.cands("what a great day :'("), "happy", LEX)
+        kept, removed = mined(["what a great day :'("], "happy")
         assert kept == []
         assert len(removed) == 1
         assert removed[0].reason == PRUNE_OPPOSITE_EMOTICON
@@ -279,86 +448,84 @@ class TestPruneHeuristics:
 
     def test_overlong_candidate_removed(self):
         text = " ".join(["word"] * 31)
-        kept, removed = prune_heuristics(self.cands(text), "happy", LEX)
+        kept, removed = mined([text], "happy")
         assert kept == []
         assert removed[0].reason == PRUNE_LENGTH
 
     def test_clean_short_candidate_retained(self):
-        kept, removed = prune_heuristics(self.cands("that sounds lovely"), "happy", LEX)
+        kept, removed = mined(["that sounds lovely"], "happy")
         assert [c.utterance for c in kept] == ["that sounds lovely"]
         assert removed == []
 
     def test_exactly_max_length_is_retained(self):
         text = " ".join(["word"] * 30)
-        kept, removed = prune_heuristics(self.cands(text), "sad", LEX)
+        kept, removed = mined([text], "sad")
         assert len(kept) == 1 and removed == []
 
     def test_target_class_and_neutral_emoticons_survive(self):
-        kept, removed = prune_heuristics(self.cands("so glad :) :|"), "happy", LEX)
+        kept, removed = mined(["so glad :) :|"], "happy")
         assert len(kept) == 1 and removed == []
-        kept, removed = prune_heuristics(self.cands("hmm :| :/"), "angry", LEX)
+        kept, removed = mined(["hmm :| :/"], "angry")
         assert len(kept) == 1 and removed == []
 
     def test_happy_emoticon_removed_from_sad(self):
-        kept, removed = prune_heuristics(self.cands("miss you :)"), "sad", LEX)
+        kept, removed = mined(["miss you :)"], "sad")
         assert kept == []
         assert removed[0].reason == PRUNE_OPPOSITE_EMOTICON
 
     def test_angry_emoticon_removed_from_happy(self):
-        kept, removed = prune_heuristics(self.cands("wow >:("), "happy", LEX)
+        kept, removed = mined(["wow >:("], "happy")
         assert removed[0].reason == PRUNE_OPPOSITE_EMOTICON
 
     def test_sad_emoticon_allowed_for_sad(self):
-        kept, removed = prune_heuristics(self.cands("miss you :'("), "sad", LEX)
+        kept, removed = mined(["miss you :'("], "sad")
         assert len(kept) == 1 and removed == []
 
     def test_emoticon_reason_wins_over_length(self):
         text = " ".join(["word"] * 31) + " :'("
-        kept, removed = prune_heuristics(self.cands(text), "happy", LEX)
+        kept, removed = mined([text], "happy")
         assert removed[0].reason == PRUNE_OPPOSITE_EMOTICON
 
     def test_checks_run_on_normalized_form(self):
         # ":(((" collapses to the canonical sad emoticon before the check.
-        kept, removed = prune_heuristics(self.cands("fantastic news :((("), "happy", LEX)
+        kept, removed = mined(["fantastic news :((("], "happy")
         assert removed and removed[0].reason == PRUNE_OPPOSITE_EMOTICON
 
     def test_partition_preserves_order_and_inputs(self):
         texts = ["fine day", "bad day :'(", "nice one", " ".join(["x"] * 40)]
-        cands = self.cands(*texts)
-        kept, removed = prune_heuristics(cands, "happy", LEX)
+        kept, removed = mined(texts, "happy")
         assert [c.utterance for c in kept] == ["fine day", "nice one"]
         assert [c.utterance for c in removed] == ["bad day :'(", " ".join(["x"] * 40)]
-        # originals are untouched; removals are annotated copies
-        assert all(c.reason == "" for c in cands)
+        assert [c.reason for c in removed] == [PRUNE_OPPOSITE_EMOTICON, PRUNE_LENGTH]
+
+    def test_no_target_prunes_nothing(self):
+        kept, removed = mined(["bad day :'(", " ".join(["x"] * 40)], None)
+        assert len(kept) == 2 and removed == []
 
     def test_custom_length_limit(self):
         cfg = MiningConfig(max_utterance_len=2)
-        kept, removed = prune_heuristics(self.cands("one two three"), "happy", LEX, config=cfg)
+        kept, removed = mined(["one two three"], "happy", config=cfg)
         assert removed[0].reason == PRUNE_LENGTH
 
     @pytest.mark.parametrize("target", ["others", "neutral", "HAPPY", ""])
     def test_rejects_non_emotion_targets(self, target):
-        with pytest.raises(ValueError, match="target_class"):
-            prune_heuristics([], target, LEX)
-
-
-def qa(q, a):
-    """One QAPair, built the way make_qa_pairs builds it."""
-    (pair,) = make_qa_pairs([(q, a)], LEX)
-    return pair
+        with pytest.raises(ValueError, match="target"):
+            mine_candidates(["t0"], [], unit_table(), LEX, target=target)
+        with pytest.raises(ValueError, match="target"):
+            mine_by_response([], set(), LEX, target=target)
 
 
 class TestMineByResponse:
     def angry_corpus(self):
         class_qs = [f"i am so mad about the game {i}" for i in range(5)]
-        pairs = [qa(q, "There, there") for q in class_qs[:2]]
-        pairs += [qa(class_qs[2], "there ,  there")]
-        pairs += [qa(q, "THERE, THERE") for q in class_qs[3:]]
+        pairs = [(q, "There, there") for q in class_qs[:2]]
+        pairs += [(class_qs[2], "there ,  there")]
+        pairs += [(q, "THERE, THERE") for q in class_qs[3:]]
         pairs += [
-            qa("my cat knocked over the plant", "There, there"),
-            qa("we lost again", "there, there"),
-            qa("what time is it", "around noon"),
-            qa("i am so mad about the game 0", "calm down"),
+            ("my cat knocked over the plant", "There, there"),
+            ("we lost again", "there, there"),
+            ("what time is it", "around noon"),
+            ("i am so mad about the game 0", "calm down"),
         ]
         return pairs, class_qs
 
@@ -379,7 +546,7 @@ class TestMineByResponse:
         assert out and out[0].score == 5.0
 
     def test_unique_responses_yield_nothing(self):
-        pairs = [qa(f"q {i}", f"answer number {i}") for i in range(6)]
+        pairs = [(f"q {i}", f"answer number {i}") for i in range(6)]
         assert mine_by_response(pairs, {"q 0", "q 1", "q 2"}, LEX) == []
 
     def test_empty_class_yields_nothing(self):
@@ -388,10 +555,10 @@ class TestMineByResponse:
 
     def test_min_frequency_filter(self):
         pairs = [
-            qa("q a", "oh no"),
-            qa("q b", "oh no"),
-            qa("q c", "oh no"),
-            qa("outside question", "oh no"),
+            ("q a", "oh no"),
+            ("q b", "oh no"),
+            ("q c", "oh no"),
+            ("outside question", "oh no"),
         ]
         cfg = MiningConfig(min_response_freq=4)
         assert mine_by_response(pairs, {"q a", "q b", "q c"}, LEX, cfg) == []
@@ -402,13 +569,13 @@ class TestMineByResponse:
 
     def test_top_k_keeps_most_frequent_response(self):
         pairs = [
-            qa("q1", "common reply"),
-            qa("q2", "common reply"),
-            qa("q3", "common reply"),
-            qa("q4", "rare reply"),
-            qa("q5", "rare reply"),
-            qa("outsider one", "common reply"),
-            qa("outsider two", "rare reply"),
+            ("q1", "common reply"),
+            ("q2", "common reply"),
+            ("q3", "common reply"),
+            ("q4", "rare reply"),
+            ("q5", "rare reply"),
+            ("outsider one", "common reply"),
+            ("outsider two", "rare reply"),
         ]
         cfg = MiningConfig(top_k=1)
         out = mine_by_response(pairs, {"q1", "q2", "q3", "q4", "q5"}, LEX, cfg)
@@ -416,12 +583,12 @@ class TestMineByResponse:
 
     def test_top_k_frequency_tie_keeps_first_seen(self):
         pairs = [
-            qa("q1", "alpha reply"),
-            qa("q2", "alpha reply"),
-            qa("q3", "beta reply"),
-            qa("q4", "beta reply"),
-            qa("outsider a", "alpha reply"),
-            qa("outsider b", "beta reply"),
+            ("q1", "alpha reply"),
+            ("q2", "alpha reply"),
+            ("q3", "beta reply"),
+            ("q4", "beta reply"),
+            ("outsider a", "alpha reply"),
+            ("outsider b", "beta reply"),
         ]
         cfg = MiningConfig(top_k=1)
         out = mine_by_response(pairs, {"q1", "q2", "q3", "q4"}, LEX, cfg)
@@ -429,9 +596,9 @@ class TestMineByResponse:
 
     def test_class_questions_match_on_normalized_form(self):
         pairs = [
-            qa("I'M MAD!", "there, there"),
-            qa("i'm mad !", "there, there"),
-            qa("new question", "there, there"),
+            ("I'M MAD!", "there, there"),
+            ("i'm mad !", "there, there"),
+            ("new question", "there, there"),
         ]
         out = mine_by_response(pairs, {"i'm mad !"}, LEX)
         # both spellings of the class Q count toward the same response
@@ -440,18 +607,18 @@ class TestMineByResponse:
 
     def test_candidates_are_deduplicated(self):
         pairs = [
-            qa("q1", "stock reply"),
-            qa("q2", "stock reply"),
-            qa("Same question", "stock reply"),
-            qa("same question", "stock reply"),
+            ("q1", "stock reply"),
+            ("q2", "stock reply"),
+            ("Same question", "stock reply"),
+            ("same question", "stock reply"),
         ]
         out = mine_by_response(pairs, {"q1", "q2"}, LEX)
         assert [c.utterance for c in out] == ["Same question"]
 
     def test_sorted_by_frequency(self):
-        pairs = [qa(f"qa{i}", "very common") for i in range(4)]
-        pairs += [qa(f"qb{i}", "less common") for i in range(2)]
-        pairs += [qa("late outsider", "less common"), qa("early outsider", "very common")]
+        pairs = [(f"qa{i}", "very common") for i in range(4)]
+        pairs += [(f"qb{i}", "less common") for i in range(2)]
+        pairs += [("late outsider", "less common"), ("early outsider", "very common")]
         class_qs = {f"qa{i}" for i in range(4)} | {f"qb{i}" for i in range(2)}
         out = mine_by_response(pairs, class_qs, LEX)
         assert [(c.utterance, c.score) for c in out] == [
@@ -459,27 +626,36 @@ class TestMineByResponse:
             ("late outsider", 2.0),
         ]
 
-    def test_make_qa_pairs_drops_empty_sides(self):
-        pairs = make_qa_pairs(
-            [
-                ("hello there", "general greeting"),
-                ("@somebody", "dropped question"),
-                ("dropped answer", "http://example.com"),
-                ("  ", "blank question"),
-            ], LEX
-        )
-        assert [(p.q, p.a) for p in pairs] == [("hello there", "general greeting")]
+    def test_pairs_with_an_empty_side_are_dropped(self):
+        pairs = [
+            ("class one", "http://example.com"),
+            ("class two", "@somebody"),
+            ("class one", "stock reply"),
+            ("class two", "stock reply"),
+            ("hello there", "stock reply"),
+            ("@somebody", "stock reply"),
+            ("  ", "stock reply"),
+            ("dropped answer", "http://example.org"),
+        ]
+        out = mine_by_response(pairs, {"class one", "class two"}, LEX)
+        # answers that normalize to nothing are not one frequent response
+        assert [(c.utterance, c.score) for c in out] == [("hello there", 2.0)]
 
     def test_qa_pair_tokens_follow_the_lexicon(self, lexicon):
         custom = EmoticonLexicon(lexicon.entries + [("8^)", "8^)", "happy")])
-        (packaged,) = make_qa_pairs([("Nice 8^)", "ok 8^)")], lexicon)
-        (pair,) = make_qa_pairs([("Nice 8^)", "ok 8^)")], custom)
-        assert (packaged.q, packaged.a) == (pair.q, pair.a) == ("Nice 8^)", "ok 8^)")
-        assert (packaged.q_key, packaged.a_key) == ("nice 8 ^ )", "ok 8 ^ )")
-        assert (pair.q_key, pair.a_key) == ("nice 8^)", "ok 8^)")
-        assert pair.q_key == serialize_tokens(normalize_utterance("Nice 8^)", custom))
-        # A class utterance is matched under the lexicon the pairs were built with.
-        pairs = make_qa_pairs([("yay 8^)", "good"), ("yay 8^)", "good"), ("new", "good")], custom)
+        pairs = [("class one", "ok"), ("class two", "ok"), ("Nice 8^)", "ok")]
+        cfg = MiningConfig(max_utterance_len=2)
+        # packaged: "nice 8 ^ )" is four tokens; custom: "nice 8^)" is two,
+        # and its emoticon is happy
+        (packaged,) = mine_by_response(pairs, {"class one", "class two"}, lexicon, cfg, "happy")
+        assert packaged.reason == PRUNE_LENGTH
+        (cand,) = mine_by_response(pairs, {"class one", "class two"}, custom, cfg, "happy")
+        assert cand.reason == ""
+        (cand,) = mine_by_response(pairs, {"class one", "class two"}, custom, cfg, "sad")
+        assert cand.reason == PRUNE_OPPOSITE_EMOTICON
+        assert serialize_tokens(normalize_utterance("Nice 8^)", custom)) == "nice 8^)"
+        # A class utterance is matched under the lexicon the pairs are normalized with.
+        pairs = [("yay 8^)", "good"), ("yay 8^)", "good"), ("new", "good")]
         assert [c.utterance for c in mine_by_response(pairs, {"YAY 8^)"}, custom)] == ["new"]
 
 
@@ -610,9 +786,11 @@ class TestJudgeQueue:
         assert [c.utterance for c in out] == ["q one"]
 
     def test_tab_in_field_rejected(self):
-        bad = [Candidate("has\ttab", 0.9, "seed")]
+        bad = self.sample() + [Candidate("has\ttab", 0.9, "seed")]
+        sink = io.StringIO()
         with pytest.raises(ValueError, match="tab"):
-            write_judge_queue(bad, io.StringIO())
+            write_judge_queue(bad, sink)
+        assert sink.getvalue() == ""  # every row is checked before any is written
 
     def test_reader_validates_field_count(self):
         with pytest.raises(DataFormatError, match=":1"):
@@ -626,10 +804,9 @@ class TestJudgeQueue:
         table = unit_table()
         cfg = MiningConfig(threshold=0.5, max_utterance_len=3)
         pool = ["t0 t0", "t0 :'(", "t0 t1 t2 t3 t0"]
-        candidates = mine_candidates(["t0"], pool, table, LEX, cfg)
-        kept, removed = prune_heuristics(candidates, "happy", LEX, config=cfg)
+        candidates = mine_candidates(["t0"], pool, table, LEX, cfg, target="happy")
         sink = io.StringIO()
-        write_judge_queue(kept + removed, sink)
+        write_judge_queue(candidates, sink)
         lines = sink.getvalue().splitlines()
         assert len(lines) == len(candidates)
         reasons = {line.split("\t")[3] for line in lines}
