@@ -238,7 +238,6 @@ def cmd_train(args) -> None:
         fc_hidden=args.fc_hidden,
         fc_activation=args.fc_activation,
         max_seq_len=args.max_seq_len,
-        train_embeddings=args.train_embeddings,
     )
     _warn_missing_tables(args, model_config, "training")
     train_config = TrainConfig(
@@ -438,9 +437,6 @@ def build_parser() -> _Parser:
     p.add_argument("--max-seq-len", type=int, default=_MODEL_DEFAULTS.max_seq_len,
                    help=f"truncate utterances to this many tokens "
                         f"(default {_MODEL_DEFAULTS.max_seq_len})")
-    p.add_argument("--train-embeddings", action="store_true",
-                   help="update embedding vectors during training (not saved: a "
-                        "reloaded model uses the vectors of the table files)")
     p.add_argument("--lr", type=float, default=_TRAIN_DEFAULTS.learning_rate,
                    help=f"learning rate (default {_TRAIN_DEFAULTS.learning_rate})")
     p.add_argument("--token-budget", type=int, default=_TRAIN_DEFAULTS.token_budget,

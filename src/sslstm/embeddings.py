@@ -2,7 +2,7 @@
 
 A table is loaded from a plain-text file (``token v1 v2 ... vD`` per line,
 optionally preceded by a ``COUNT DIM`` header).  Its vocabulary is fixed
-from then on; its vectors change only when a model fine-tunes them in place.
+from then on, and so are its vectors: training reads them and never writes.
 Out-of-vocabulary tokens look up as the all-zero vector, so they contribute
 nothing to sentence means and never crash mining or the classifier.
 """

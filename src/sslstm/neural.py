@@ -66,7 +66,6 @@ class ModelConfig:
     fc_hidden: int = 128
     fc_activation: str = "relu"
     max_seq_len: int = 50
-    train_embeddings: bool = False
 
     def __post_init__(self):
         if self.channels not in CHANNELS:
@@ -175,21 +174,6 @@ class BatchCache:
     probs: np.ndarray
 
 
-@dataclass
-class Gradients:
-    """Loss gradients keyed like :meth:`SSLSTMModel.param_tensors`.
-
-    ``sem_embed``/``sent_embed`` are ``(ids, rows)``: table row ids (a row
-    may repeat) and the gradient of each, ``(len(ids), dim)``; the gradient
-    of a table row is the sum of its entries.  They are None unless the
-    model is configured to fine-tune embeddings.
-    """
-
-    tensors: dict[str, np.ndarray]
-    sem_embed: tuple[np.ndarray, np.ndarray] | None = None
-    sent_embed: tuple[np.ndarray, np.ndarray] | None = None
-
-
 def _glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (rows + cols))
     return rng.uniform(-limit, limit, size=(rows, cols))
@@ -233,8 +217,8 @@ def init_model(
 
 
 def clone_model(model: SSLSTMModel) -> SSLSTMModel:
-    """Deep copy of all trainable state.  Embedding tables are shared unless
-    the model fine-tunes them, in which case their matrices are copied too."""
+    """Deep copy of all trainable state.  Embedding tables are shared:
+    nothing trains them."""
     new = copy.copy(model)
     new.sem = copy.deepcopy(model.sem)
     new.sent = copy.deepcopy(model.sent)
@@ -243,11 +227,6 @@ def clone_model(model: SSLSTMModel) -> SSLSTMModel:
     new.out_W = model.out_W.copy()
     new.out_b = model.out_b.copy()
     new.config = copy.copy(model.config)
-    if model.config.train_embeddings:
-        for attr in ("semantic_table", "sentiment_table"):
-            fresh = copy.copy(getattr(model, attr))
-            fresh.matrix = fresh.matrix.copy()
-            setattr(new, attr, fresh)
     return new
 
 
@@ -298,16 +277,15 @@ def _final_states(cache: LSTMCache, lengths: list[int]) -> np.ndarray:
 
 
 def _lstm_backprop(
-    params: LSTMParams, cache: LSTMCache, dh_final: np.ndarray, want_dx: bool
-) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+    params: LSTMParams, cache: LSTMCache, dh_final: np.ndarray
+) -> dict[str, np.ndarray]:
     """BPTT over every sequence of a chunk, given the loss gradient at each
     sequence's final hidden state (rows in the cache's sequence order).
 
     Each step backpropagates the sequences running at it together; the
     weight gradients are then one product over all rows: dW = dA^T X,
     dU = dA^T H_prev, db = sum of dA.  Returns the gradients keyed ``W``,
-    ``U`` and ``b``, stacked like the parameters, and, when ``want_dx``, the
-    input gradient of every row."""
+    ``U`` and ``b``, stacked like the parameters."""
     H = params.hidden_dim
     steps = cache.steps
     starts = _step_starts(steps)
@@ -343,7 +321,7 @@ def _lstm_backprop(
         np.array(steps[:-1], dtype=np.int64), steps[1:]
     )
     dU = dA[first:].T @ cache.h[prev_rows]
-    return {"W": dW, "U": dU, "b": db}, (dA @ params.W if want_dx else None)
+    return {"W": dW, "U": dU, "b": db}
 
 
 def _step_major(sequences: list[list[str]]) -> tuple[list[int], list[str]]:
@@ -422,9 +400,11 @@ def _check_cache(model: SSLSTMModel, cache: BatchCache) -> None:
                 raise StaleCacheError(f"cache {name} channel shapes do not match model")
 
 
-def batch_backward(model: SSLSTMModel, cache: BatchCache, dlogits) -> Gradients:
-    """Gradients of every trainable parameter, summed over the batch, given
-    the loss gradient at each sequence's logits (rows in input order).
+def batch_backward(model: SSLSTMModel, cache: BatchCache, dlogits) -> dict[str, np.ndarray]:
+    """Loss gradient of every trainable parameter, keyed like
+    :meth:`SSLSTMModel.param_tensors` and summed over the batch, given the
+    loss gradient at each sequence's logits (rows in input order).  The
+    embedding tables are inputs, not parameters, and get no gradient.
 
     For cross-entropy a row is ``probs - onehot(target)``, times any weight
     the caller gives that example.
@@ -448,18 +428,12 @@ def batch_backward(model: SSLSTMModel, cache: BatchCache, dlogits) -> Gradients:
     dconcat = dz1 @ model.fc_W
 
     tensors: dict[str, np.ndarray] = {}
-    want_dx = model.config.train_embeddings
-    embed_grads: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     offset = 0
-    for prefix, _, active, params, table in _channels(model):
+    for prefix, _, active, params, _ in _channels(model):
         if active:
             dh_final = dconcat[:, offset : offset + params.hidden_dim]
             offset += params.hidden_dim
-            ch_grads, dxs = _lstm_backprop(params, getattr(cache, prefix), dh_final, want_dx)
-            if want_dx:
-                ids = table.ids(_step_major(cache.tokens)[1])
-                known = ids >= 0
-                embed_grads[prefix] = (ids[known], dxs[known])
+            ch_grads = _lstm_backprop(params, getattr(cache, prefix), dh_final)
         else:
             ch_grads = {name: np.zeros_like(tensor) for name, tensor in vars(params).items()}
         for key, val in ch_grads.items():
@@ -468,11 +442,7 @@ def batch_backward(model: SSLSTMModel, cache: BatchCache, dlogits) -> Gradients:
     tensors["fc_b"] = d_fc_b
     tensors["out_W"] = d_out_W
     tensors["out_b"] = d_out_b
-    return Gradients(
-        tensors=tensors,
-        sem_embed=embed_grads.get("sem"),
-        sent_embed=embed_grads.get("sent"),
-    )
+    return tensors
 
 
 def chunks(sequences) -> list[list[int]]:

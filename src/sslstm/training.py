@@ -3,14 +3,15 @@
 Training follows plain SGD on cross-entropy: shuffle each epoch, fill
 batches by a token budget (total token count across member utterances, not
 utterance count), apply the mean batch gradient, early-stop on validation
-macro-F1 and keep the best-epoch parameters.
+macro-F1 and keep the best-epoch parameters.  The embedding tables are
+read-only inputs: training never writes into them.
 
 Checkpoints are :mod:`sslstm.container` files: ``meta`` provenance
 (dimensions, channel setup, content hashes) and one tensor per parameter,
 with each LSTM tensor split by gate.
-The weight tables of the embedding channels are not serialized, not even
-fine-tuned ones — checkpoints store their dimensions and source hashes, and
-loading takes the tables as arguments.
+The weight tables of the embedding channels are not serialized —
+checkpoints store their dimensions and source hashes, and loading takes the
+tables as arguments.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from sslstm.labels import LABELS, N_CLASSES, label_index
 from sslstm.metrics import confusion, macro_f1
 from sslstm.neural import (
     GATES,
-    Gradients,
     ModelConfig,
     SSLSTMModel,
     batch_backward,
@@ -136,42 +136,23 @@ def make_batches(dataset, token_budget: int, seed: int | None, max_len: int | No
     return batches
 
 
-def sgd_step(model: SSLSTMModel, gradients: Gradients, learning_rate: float) -> SSLSTMModel:
-    """In-place update w <- w - lr*g for every parameter; plain SGD, no
-    momentum or weight decay.  Every shape and embedding row id is validated
-    before any write."""
+def sgd_step(
+    model: SSLSTMModel, gradients: dict[str, np.ndarray], learning_rate: float
+) -> SSLSTMModel:
+    """In-place update w <- w - lr*g for every parameter tensor, with
+    ``gradients`` keyed like :meth:`~sslstm.neural.SSLSTMModel.param_tensors`;
+    plain SGD, no momentum or weight decay.  Every name and shape is
+    validated before any write; the embedding tables are never touched."""
     tensors = model.param_tensors()
-    if set(gradients.tensors) != set(tensors):
+    if set(gradients) != set(tensors):
         raise ValueError("gradient tensor names do not match the model")
-    for name, grad in gradients.tensors.items():
+    for name, grad in gradients.items():
         if grad.shape != tensors[name].shape:
             raise ValueError(
                 f"gradient shape mismatch for {name}: {grad.shape} vs {tensors[name].shape}"
             )
-    embeds = []
-    if model.config.train_embeddings:
-        for channel, table, embed in (
-            ("semantic", model.semantic_table, gradients.sem_embed),
-            ("sentiment", model.sentiment_table, gradients.sent_embed),
-        ):
-            if embed is None:
-                continue
-            ids, rows = embed
-            if rows.ndim != 2 or ids.shape != (len(rows),) or rows.shape[1] != table.dim:
-                raise ValueError(
-                    f"{channel} embedding gradient has {ids.shape} ids and rows of shape "
-                    f"{rows.shape}, expected one row of width {table.dim} per id"
-                )
-            if len(ids) and (ids.min() < 0 or ids.max() >= len(table)):
-                raise ValueError(
-                    f"{channel} embedding gradient names a row outside [0, {len(table)})"
-                )
-            embeds.append((table, ids, rows))
-    for name, grad in gradients.tensors.items():
+    for name, grad in gradients.items():
         tensors[name] -= learning_rate * grad
-    for table, ids, rows in embeds:
-        # Unbuffered: a row named more than once moves by every entry.
-        np.subtract.at(table.matrix, ids, learning_rate * rows)
     return model
 
 
@@ -223,19 +204,9 @@ def _batch_gradient(model, batch, weights):
         if total is None:
             total = grads
         else:
-            _accumulate_gradients(total, grads)
+            for name, tensor in grads.items():
+                total[name] += tensor
     return loss, total
-
-
-def _accumulate_gradients(total: Gradients, grads: Gradients) -> None:
-    """Add ``grads`` into ``total``; embedding rows are appended, so
-    :func:`sgd_step` sums the entries of a row named in both."""
-    for name, tensor in grads.tensors.items():
-        total.tensors[name] += tensor
-    for attr in ("sem_embed", "sent_embed"):
-        if getattr(grads, attr) is not None:
-            parts = zip(getattr(total, attr), getattr(grads, attr))
-            setattr(total, attr, tuple(np.concatenate(pair) for pair in parts))
 
 
 def _accuracy(model, dataset) -> float:
@@ -329,7 +300,7 @@ def gradient_check(model: SSLSTMModel, example, epsilon: float = 1e-4) -> float:
     probs, cache = batch_forward(model, [tokens])
     dlogits = probs.copy()
     dlogits[0, target] -= 1.0
-    analytic = batch_backward(model, cache, dlogits).tensors
+    analytic = batch_backward(model, cache, dlogits)
     tensors = model.param_tensors()
     coords = [(name, i) for name, t in tensors.items() for i in range(t.size)]
     if len(coords) > GRADCHECK_EXHAUSTIVE_LIMIT:
@@ -370,7 +341,9 @@ def save_checkpoint(
         "sent_hidden": cfg.sent_hidden,
         "fc_hidden": cfg.fc_hidden,
         "max_seq_len": cfg.max_seq_len,
-        "train_embeddings": int(cfg.train_embeddings),
+        # Always 0: fine-tuned tables were never saved, and a 1 is refused
+        # on load.
+        "train_embeddings": 0,
         "sem_dim": model.semantic_table.dim,
         "sent_dim": model.sentiment_table.dim,
         "sem_table_sha256": model.semantic_table.source_sha256 or "-",
@@ -449,8 +422,13 @@ def model_from_container(
             fc_hidden=int(_require_meta(meta, "fc_hidden")),
             fc_activation=_require_meta(meta, "fc_activation"),
             max_seq_len=int(_require_meta(meta, "max_seq_len")),
-            train_embeddings=bool(int(meta.get("train_embeddings", "0"))),
         )
+        tuned = int(meta.get("train_embeddings", "0"))
+        if tuned:
+            raise CheckpointError(
+                f"checkpoint meta train_embeddings={tuned}: its weights were fitted "
+                "to fine-tuned embedding vectors the file does not hold"
+            )
         sem_dim = int(_require_meta(meta, "sem_dim"))
         sent_dim = int(_require_meta(meta, "sent_dim"))
     except ValueError as exc:

@@ -38,7 +38,7 @@ VOCAB = ["good", "bad", "mad", "meh", ":)", ":("]
 SYMBOLS = VOCAB + ["zzz-unknown", Token("good", "word")]
 
 
-def model_for(channels, fc_activation, train_embeddings, seed):
+def model_for(channels, fc_activation, seed):
     config = ModelConfig(
         channels=channels,
         sem_hidden=3,
@@ -46,7 +46,6 @@ def model_for(channels, fc_activation, train_embeddings, seed):
         fc_hidden=4,
         fc_activation=fc_activation,
         max_seq_len=MAX_LEN,
-        train_embeddings=train_embeddings,
     )
     sem = make_table(VOCAB, dim=4, seed=seed + 1)
     sent = make_table(VOCAB, dim=3, seed=seed + 2)
@@ -65,30 +64,15 @@ batches = st.integers(1, 2 * CHUNK + 5).flatmap(
 setups = st.fixed_dictionaries({
     "channels": st.sampled_from(CHANNELS),
     "fc_activation": st.sampled_from(FC_ACTIVATIONS),
-    "train_embeddings": st.booleans(),
     "seed": st.integers(0, 3),
     "weights": st.none() | st.tuples(*[st.sampled_from([0.0, 0.5, 1.0, 2.5])] * 4),
 })
-
-
-def tables(model):
-    return {"sem": model.semantic_table, "sent": model.sentiment_table}
-
-
-def dense(table, embed):
-    """An ``(ids, rows)`` embedding gradient summed per table row, as a
-    matrix shaped like the table's."""
-    out = np.zeros_like(table.matrix)
-    if embed is not None:
-        np.add.at(out, embed[0], embed[1])
-    return out
 
 
 def reference_gradient(model, batch, weights):
     """Per-example gradients (batches of one), each times weight/len(batch), summed."""
     loss = 0.0
     tensors = {}
-    embeds = {prefix: np.zeros_like(t.matrix) for prefix, t in tables(model).items()}
     for conv in batch:
         target = LABELS.index(conv.label)
         w = 1.0 if weights is None else weights[target]
@@ -98,43 +82,33 @@ def reference_gradient(model, batch, weights):
         dlogits[0, target] -= 1.0
         grads = batch_backward(model, cache, dlogits)
         scale = w / len(batch)
-        for name, value in grads.tensors.items():
+        for name, value in grads.items():
             tensors[name] = tensors.get(name, 0.0) + scale * value
-        for prefix, table in tables(model).items():
-            embeds[prefix] += scale * dense(table, getattr(grads, f"{prefix}_embed"))
-    return loss, tensors, embeds
+    return loss, tensors
 
 
-def assert_gradients_close(model, grads, tensors, embeds, train_embeddings):
-    assert set(grads.tensors) == set(tensors)
+def assert_gradients_close(grads, tensors):
+    assert set(grads) == set(tensors)
     for name, value in tensors.items():
-        np.testing.assert_allclose(grads.tensors[name], value, rtol=RTOL, atol=ATOL)
-    for prefix, table in tables(model).items():
-        got = getattr(grads, f"{prefix}_embed")
-        if not train_embeddings:
-            assert got is None
-            continue
-        # Rows the batch never reached are zero on both sides.
-        np.testing.assert_allclose(dense(table, got), embeds[prefix], rtol=RTOL, atol=ATOL)
+        np.testing.assert_allclose(grads[name], value, rtol=RTOL, atol=ATOL)
 
 
 @settings(max_examples=40, deadline=None)
 @given(batch=batches, setup=setups)
 def test_batch_gradient_matches_per_example_sums(batch, setup):
-    model = model_for(setup["channels"], setup["fc_activation"],
-                      setup["train_embeddings"], setup["seed"])
+    model = model_for(setup["channels"], setup["fc_activation"], setup["seed"])
     batch = [SimpleNamespace(tokens=tokens, label=label) for tokens, label in batch]
     weights = None if setup["weights"] is None else np.array(setup["weights"])
     loss, grads = _batch_gradient(model, batch, weights)
-    ref_loss, tensors, embeds = reference_gradient(model, batch, setup["weights"])
+    ref_loss, tensors = reference_gradient(model, batch, setup["weights"])
     np.testing.assert_allclose(loss, ref_loss, rtol=RTOL, atol=ATOL)
-    assert_gradients_close(model, grads, tensors, embeds, setup["train_embeddings"])
+    assert_gradients_close(grads, tensors)
 
 
 @settings(max_examples=40, deadline=None)
 @given(batch=batches, setup=setups)
 def test_batch_probabilities_and_labels_match_per_example(batch, setup):
-    model = model_for(setup["channels"], setup["fc_activation"], False, setup["seed"])
+    model = model_for(setup["channels"], setup["fc_activation"], setup["seed"])
     seqs = [tokens for tokens, _ in batch]
     probs, _ = batch_forward(model, seqs)
     labels = batch_predict(model, seqs)
@@ -150,8 +124,7 @@ def test_batch_probabilities_and_labels_match_per_example(batch, setup):
 @settings(max_examples=25, deadline=None)
 @given(batch=batches, setup=setups, data=st.data())
 def test_batch_results_do_not_depend_on_batch_order(batch, setup, data):
-    model = model_for(setup["channels"], setup["fc_activation"],
-                      setup["train_embeddings"], setup["seed"])
+    model = model_for(setup["channels"], setup["fc_activation"], setup["seed"])
     perm = data.draw(st.permutations(range(len(batch))))
     convs = [SimpleNamespace(tokens=tokens, label=label) for tokens, label in batch]
     shuffled = [convs[k] for k in perm]
@@ -164,6 +137,4 @@ def test_batch_results_do_not_depend_on_batch_order(batch, setup, data):
     loss, grads = _batch_gradient(model, convs, weights)
     loss_shuffled, grads_shuffled = _batch_gradient(model, shuffled, weights)
     np.testing.assert_allclose(loss_shuffled, loss, rtol=RTOL, atol=ATOL)
-    embeds = {prefix: dense(table, getattr(grads, f"{prefix}_embed"))
-              for prefix, table in tables(model).items()}
-    assert_gradients_close(model, grads_shuffled, grads.tensors, embeds, setup["train_embeddings"])
+    assert_gradients_close(grads_shuffled, grads)

@@ -4,6 +4,7 @@ import io
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,8 +110,13 @@ class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1
 
-    def test_unknown_flag_is_usage_error(self, capsys):
+    def test_unknown_flag_is_usage_error(self, ws, tmp_path, capsys):
         assert main(["stats", "--bogus"]) == 1
+        model = tmp_path / "m.ckpt"
+        assert main(["train", "--train", ws["train"], "--model", str(model),
+                     "--train-embeddings"]) == 1
+        assert "--train-embeddings" in capsys.readouterr().err
+        assert not model.exists()
 
     def test_missing_required_flag_names_it(self, capsys):
         assert main(["train"]) == 1
@@ -134,6 +140,17 @@ class TestExitCodes:
     def test_corrupt_model_is_data_format_error(self, tmp_path, ws, capsys):
         bad = write_lines(tmp_path / "bad.ckpt", ["SSLSTM-CKPT 9", "end"])
         assert main(["eval", "--model", bad, "--data", ws["train"]]) == 2
+
+    def test_fine_tuned_model_is_data_format_error(self, tmp_path, ws, capsys):
+        text = Path(ws["sslstm_model"]).read_text(encoding="utf-8")
+        assert "meta train_embeddings=0\n" in text
+        tuned = tmp_path / "tuned.ckpt"
+        tuned.write_text(text.replace("meta train_embeddings=0", "meta train_embeddings=1"),
+                         encoding="utf-8")
+        assert main(["predict", "--model", str(tuned), "--data", ws["train"],
+                     "--semantic-emb", ws["semantic_emb"],
+                     "--sentiment-emb", ws["sentiment_emb"]]) == 2
+        assert "fine-tuned embedding vectors the file does not hold" in capsys.readouterr().err
 
     def test_gradcheck_tolerance_failure_is_numeric_error(self, capsys):
         assert main(["gradcheck", "--tolerance", "1e-12"]) == 3

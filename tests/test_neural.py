@@ -29,7 +29,7 @@ VOCAB = ["good", "bad", "mad", "meh", "a", "b", "c", ":)", ":(", ">:(", ":|"]
 
 
 def tiny_model(seed=0, channels="both", fc_activation="relu", max_seq_len=50,
-               train_embeddings=False, sem_hidden=3, sent_hidden=2, fc_hidden=4):
+               sem_hidden=3, sent_hidden=2, fc_hidden=4):
     config = ModelConfig(
         channels=channels,
         sem_hidden=sem_hidden,
@@ -37,7 +37,6 @@ def tiny_model(seed=0, channels="both", fc_activation="relu", max_seq_len=50,
         fc_hidden=fc_hidden,
         fc_activation=fc_activation,
         max_seq_len=max_seq_len,
-        train_embeddings=train_embeddings,
     )
     sem_table = make_table(VOCAB, dim=4, seed=seed + 100)
     sent_table = make_table(VOCAB, dim=3, seed=seed + 200)
@@ -313,7 +312,7 @@ class TestBackward:
         model.out_b[:] = 0.0
         grads = example_gradients(model, ["good"], 0)
         np.testing.assert_allclose(
-            grads.tensors["out_b"], [-0.75, 0.25, 0.25, 0.25], rtol=1e-12
+            grads["out_b"], [-0.75, 0.25, 0.25, 0.25], rtol=1e-12
         )
 
     @pytest.mark.parametrize("channels", ["both", "semantic", "sentiment"])
@@ -337,7 +336,7 @@ class TestBackward:
             eps = 3e-4
             for name, tensor in model.param_tensors().items():
                 flat = tensor.reshape(-1)
-                analytic = grads.tensors[name].reshape(-1)
+                analytic = grads[name].reshape(-1)
                 for idx in range(flat.size):
                     orig = flat[idx]
                     flat[idx] = orig + eps
@@ -353,55 +352,17 @@ class TestBackward:
     def test_inactive_channel_gradients_are_zero(self):
         model = tiny_model(seed=5, channels="semantic")
         grads = example_gradients(model, ["good", "bad"], 2)
-        for name, g in grads.tensors.items():
+        for name, g in grads.items():
             if name.startswith("sent_"):
                 np.testing.assert_array_equal(g, 0.0)
-        assert np.any(grads.tensors["sem_W"] != 0.0)
-
-    def test_embedding_gradients_match_finite_differences(self):
-        model = tiny_model(seed=9, train_embeddings=True)
-        tokens = ["good", "bad", "good"]  # repeat to exercise accumulation
-        target = 1
-        grads = example_gradients(model, tokens, target)
-        eps = 1e-4
-        for table, (ids, rows) in (
-            (model.semantic_table, grads.sem_embed),
-            (model.sentiment_table, grads.sent_embed),
-        ):
-            assert set(ids) == {table.index["good"], table.index["bad"]}
-            for row in set(ids):
-                grad = rows[ids == row].sum(axis=0)
-                vec = table.matrix[row]
-                for j in range(vec.size):
-                    orig = vec[j]
-                    vec[j] = orig + eps
-                    up = loss_of(model, tokens, target)
-                    vec[j] = orig - eps
-                    down = loss_of(model, tokens, target)
-                    vec[j] = orig
-                    numeric = (up - down) / (2 * eps)
-                    scale = max(abs(grad[j]), abs(numeric), 1e-8)
-                    assert abs(grad[j] - numeric) / scale < 1e-4
-
-    def test_embedding_gradients_skip_oov(self):
-        model = tiny_model(seed=9, train_embeddings=True)
-        grads = example_gradients(model, ["good", "zzz-unknown"], 0)
-        ids, rows = grads.sem_embed
-        assert list(ids) == [model.semantic_table.index["good"]]
-        assert rows.shape == (1, model.semantic_table.dim)
-
-    def test_embedding_gradients_absent_when_frozen(self):
-        model = tiny_model(seed=9, train_embeddings=False)
-        grads = example_gradients(model, ["good"], 0)
-        assert grads.sem_embed is None
-        assert grads.sent_embed is None
+        assert np.any(grads["sem_W"] != 0.0)
 
     def test_gradient_keys_match_param_tensors(self):
         model = tiny_model(seed=2)
         grads = example_gradients(model, ["a"], 3)
-        assert set(grads.tensors) == set(model.param_tensors())
+        assert set(grads) == set(model.param_tensors())
         for name, tensor in model.param_tensors().items():
-            assert grads.tensors[name].shape == tensor.shape
+            assert grads[name].shape == tensor.shape
 
     def test_stale_cache_rejected(self):
         model_a = tiny_model(seed=1, fc_hidden=4)
@@ -429,7 +390,7 @@ class TestBackward:
         before = loss_of(model, tokens, target)
         grads = example_gradients(model, tokens, target)
         for name, tensor in model.param_tensors().items():
-            tensor -= 0.05 * grads.tensors[name]
+            tensor -= 0.05 * grads[name]
         assert loss_of(model, tokens, target) < before
 
 
@@ -449,13 +410,6 @@ class TestPredictAndClone:
         assert np.all(snap.sem.W != model.sem.W)
 
     def test_clone_shares_frozen_tables(self):
-        model = tiny_model(seed=2, train_embeddings=False)
+        model = tiny_model(seed=2)
         snap = clone_model(model)
         assert snap.semantic_table is model.semantic_table
-
-    def test_clone_copies_tuned_tables(self):
-        model = tiny_model(seed=2, train_embeddings=True)
-        snap = clone_model(model)
-        row = model.semantic_table.index["good"]
-        model.semantic_table.matrix[row] += 5.0
-        assert np.all(snap.semantic_table.matrix[row] != model.semantic_table.matrix[row])

@@ -9,8 +9,6 @@ from sslstm.dataio import Conversation
 from sslstm.embeddings import EmbeddingTable, load_embedding_file, save_embedding_file
 from sslstm.labels import LABELS
 from sslstm.neural import (
-    CHUNK,
-    Gradients,
     ModelConfig,
     batch_predict,
     init_model,
@@ -76,19 +74,16 @@ def keyword_model(seed=0):
 
 
 def zero_gradients(model):
-    return Gradients(
-        tensors={k: np.zeros_like(v) for k, v in model.param_tensors().items()}
-    )
+    return {k: np.zeros_like(v) for k, v in model.param_tensors().items()}
 
 
-def tiny_random_model(seed=0, channels="both", train_embeddings=False):
+def tiny_random_model(seed=0, channels="both"):
     vocab = ["good", "bad", "mad", "meh", "a", "b"]
     config = ModelConfig(
         channels=channels,
         sem_hidden=3,
         sent_hidden=2,
         fc_hidden=4,
-        train_embeddings=train_embeddings,
     )
     sem = make_table(vocab, dim=4, seed=seed + 1)
     sent = make_table(vocab, dim=3, seed=seed + 2)
@@ -178,7 +173,7 @@ class TestSgdStep:
         model = tiny_random_model()
         model.fc_b[0] = 1.0
         grads = zero_gradients(model)
-        grads.tensors["fc_b"][0] = 0.5
+        grads["fc_b"][0] = 0.5
         sgd_step(model, grads, learning_rate=0.1)
         assert model.fc_b[0] == pytest.approx(0.95, abs=1e-12)
 
@@ -194,13 +189,13 @@ class TestSgdStep:
         m1 = tiny_random_model(seed=7)
         m2 = tiny_random_model(seed=7)
         grads = zero_gradients(m1)
-        for tensor in grads.tensors.values():
+        for tensor in grads.values():
             tensor[:] = rng.standard_normal(tensor.shape)
-        double = Gradients(tensors={k: 2.0 * v for k, v in grads.tensors.items()})
+        double = {k: 2.0 * v for k, v in grads.items()}
         sgd_step(m1, grads, 0.01)
         sgd_step(m1, grads, 0.01)
         sgd_step(m2, double, 0.01)
-        for k in grads.tensors:
+        for k in grads:
             np.testing.assert_allclose(
                 m1.param_tensors()[k], m2.param_tensors()[k], atol=1e-12
             )
@@ -209,8 +204,8 @@ class TestSgdStep:
         model = tiny_random_model(seed=1)
         before = {k: v.copy() for k, v in model.param_tensors().items()}
         grads = zero_gradients(model)
-        grads.tensors["fc_W"] = np.zeros((1, 1))
-        grads.tensors["fc_b"][0] = 9.9
+        grads["fc_W"] = np.zeros((1, 1))
+        grads["fc_b"][0] = 9.9
         with pytest.raises(ValueError, match="shape mismatch"):
             sgd_step(model, grads, 0.1)
         for k, v in model.param_tensors().items():
@@ -219,40 +214,9 @@ class TestSgdStep:
     def test_missing_tensor_rejected(self):
         model = tiny_random_model(seed=1)
         grads = zero_gradients(model)
-        del grads.tensors["out_b"]
+        del grads["out_b"]
         with pytest.raises(ValueError, match="tensor names"):
             sgd_step(model, grads, 0.1)
-
-    @pytest.mark.parametrize(
-        "ids, width",
-        [([0], 1), ([6], 0), ([-1], 0), ([0, 1], None)],
-        ids=["wide-row", "id-past-end", "negative-id", "fewer-rows-than-ids"],
-    )
-    def test_bad_embedding_gradient_leaves_model_untouched(self, ids, width):
-        model = tiny_random_model(seed=4, train_embeddings=True)
-        before = {k: v.copy() for k, v in model.param_tensors().items()}
-        tables = (model.semantic_table, model.sentiment_table)
-        matrices = [t.matrix.copy() for t in tables]
-        grads = zero_gradients(model)
-        grads.tensors["fc_b"][0] = 9.9
-        dim = model.semantic_table.dim
-        rows = np.ones((1, dim + width)) if width is not None else np.ones((1, dim))
-        grads.sem_embed = (np.array(ids), rows)
-        with pytest.raises(ValueError, match="semantic embedding gradient"):
-            sgd_step(model, grads, 0.1)
-        for k, v in model.param_tensors().items():
-            np.testing.assert_array_equal(v, before[k])
-        for table, matrix in zip(tables, matrices):
-            np.testing.assert_array_equal(table.matrix, matrix)
-
-    def test_embedding_update(self):
-        model = tiny_random_model(seed=2, train_embeddings=True)
-        row = model.semantic_table.index["good"]
-        before = model.semantic_table.matrix[row].copy()
-        grads = zero_gradients(model)
-        grads.sem_embed = (np.array([row]), np.ones((1, model.semantic_table.dim)))
-        sgd_step(model, grads, learning_rate=0.1)
-        np.testing.assert_allclose(model.semantic_table.matrix[row], before - 0.1, atol=1e-12)
 
     def test_one_example_step_does_not_increase_its_loss(self):
         rng = np.random.default_rng(31)
@@ -428,34 +392,24 @@ class TestTrain:
             seed=5,
             class_weights=(1.0, 2.0, 0.5, 1.5),
         )
-        trained, _ = train(
-            tiny_random_model(seed=6, train_embeddings=True), train_set, val_set, config
-        )
+        trained, _ = train(tiny_random_model(seed=6), train_set, val_set, config)
 
-        reference = tiny_random_model(seed=6, train_embeddings=True)
+        reference = tiny_random_model(seed=6)
         batches = make_batches(
             train_set, config.token_budget, seed=config.seed, max_len=reference.config.max_seq_len
         )
         assert sum(len(batch) > 1 for batch in batches) >= 3
         for batch in batches:
             tensors = {}
-            embeds = {"sem_embed": ([], []), "sent_embed": ([], [])}
             for c in batch:
                 target = LABELS.index(c.label)
                 weight = config.class_weights[target]
                 grads = example_gradients(reference, c.tokens, target)
-                for key, value in grads.tensors.items():
+                for key, value in grads.items():
                     value = value * weight
                     tensors[key] = tensors[key] + value if key in tensors else value
-                for attr, (ids, rows) in embeds.items():
-                    ids.append(getattr(grads, attr)[0])
-                    rows.append(getattr(grads, attr)[1] * weight)
             scale = 1.0 / len(batch)
-            mean = Gradients(
-                tensors={k: v * scale for k, v in tensors.items()},
-                **{attr: (np.concatenate(ids), np.concatenate(rows) * scale)
-                   for attr, (ids, rows) in embeds.items()},
-            )
+            mean = {k: v * scale for k, v in tensors.items()}
             sgd_step(reference, mean, config.learning_rate)
 
         # The batched kernel sums each chunk's gradients in one matrix
@@ -465,45 +419,18 @@ class TestTrain:
             np.testing.assert_allclose(
                 trained.param_tensors()[name], tensor, rtol=1e-12, atol=1e-14
             )
-        initial = tiny_random_model(seed=6, train_embeddings=True)
-        moved = 0
-        for attr in ("semantic_table", "sentiment_table"):
-            for token, k in getattr(reference, attr).index.items():
-                row = getattr(reference, attr).matrix[k]
-                np.testing.assert_allclose(
-                    getattr(trained, attr).matrix[k], row, rtol=1e-12, atol=1e-14
-                )
-                moved += not np.array_equal(getattr(initial, attr).matrix[k], row)
-        assert moved > 0
 
-    def test_repeated_token_row_moves_by_its_summed_gradient(self):
-        # "good" occurs twice in every sequence of one batch that spans more
-        # than one kernel chunk, so the update names its row many times.
-        n = CHUNK + 9
-        others = ["mad", "meh", "a", "b"]
-        train_set = [conv(i, f"good {others[i % 4]} good", LABELS[i % 4]) for i in range(n)]
-        val_set = [conv(100 + i, others[i], LABELS[i]) for i in range(4)]
-        config = TrainConfig(learning_rate=0.5, token_budget=1000, max_epochs=1, patience=1, seed=3)
-        assert len(make_batches(train_set, config.token_budget, seed=config.seed)) == 1
-        trained, _ = train(
-            tiny_random_model(seed=4, train_embeddings=True), train_set, val_set, config
-        )
-
-        initial = tiny_random_model(seed=4, train_embeddings=True)
-        for attr, prefix in (("semantic_table", "sem"), ("sentiment_table", "sent")):
-            table = getattr(initial, attr)
-            row = table.index["good"]
-            summed = np.zeros(table.dim)
-            for c in train_set:
-                grads = example_gradients(initial, c.tokens, LABELS.index(c.label))
-                ids, rows = getattr(grads, f"{prefix}_embed")
-                assert list(ids).count(row) == 2
-                summed += rows[ids == row].sum(axis=0) / n
-            np.testing.assert_allclose(
-                getattr(trained, attr).matrix[row],
-                table.matrix[row] - config.learning_rate * summed,
-                rtol=1e-12, atol=1e-14,
-            )
+    def test_leaves_the_given_tables_unchanged(self):
+        train_set, val_set = keyword_dataset()
+        model = keyword_model(seed=3)
+        tables = (model.semantic_table, model.sentiment_table)
+        before = [table.matrix.copy() for table in tables]
+        config = self.run_config(max_epochs=5, patience=5, stop_when_train_accuracy=None)
+        best, history = train(model, train_set, val_set, config)
+        assert len(history.records) == 5
+        assert best.semantic_table is tables[0] and best.sentiment_table is tables[1]
+        for table, matrix in zip(tables, before):
+            np.testing.assert_array_equal(table.matrix, matrix)
 
     @pytest.mark.filterwarnings("ignore:divide by zero")
     def test_non_finite_loss_raises_at_its_batch(self):
@@ -592,7 +519,7 @@ class TestGradientCheck:
 
         def broken(model_, cache, dlogits):
             grads = original(model_, cache, dlogits)
-            grads.tensors["fc_b"] = grads.tensors["fc_b"] + 0.5
+            grads["fc_b"] = grads["fc_b"] + 0.5
             return grads
 
         training_mod.batch_backward = broken
@@ -648,6 +575,7 @@ class TestCheckpoint:
         assert any(l == "meta channels=both" for l in lines)
         assert f"meta lexicon_sha256={LEX.sha256}" in lines
         assert any(l == "meta seed=7" for l in lines)
+        assert "meta train_embeddings=0" in lines
         assert lines[-1] == "end"
         headers = [l for l in lines if l.startswith("tensor ")]
         assert len(headers) == 28
@@ -743,6 +671,13 @@ class TestCheckpoint:
         removed = lines[:start] + lines[start + 2 :]
         with pytest.raises(TruncatedCheckpointError, match="fc_b"):
             load_checkpoint(io.StringIO("\n".join(removed) + "\n"))
+
+    def test_fine_tuned_checkpoint_refused(self):
+        text = self.save_text(self.build_model()).replace(
+            "meta train_embeddings=0", "meta train_embeddings=1"
+        )
+        with pytest.raises(CheckpointError, match="fine-tuned embedding vectors"):
+            load_checkpoint(io.StringIO(text))
 
     def test_dimension_mismatch_in_meta(self):
         text = self.save_text(self.build_model()).replace("meta fc_hidden=4", "meta fc_hidden=5")
