@@ -188,27 +188,24 @@ def svm_fit_vectors(matrix: DesignMatrix, y, lambda_reg: float, epochs: int, see
     # The update below is buffered: a repeated column would move only once.
     if len(np.unique(matrix.row_ids() * dim + cols)) != len(cols):
         raise ValueError("a feature row repeats a column")
-    bounds = indptr.tolist()
+    # Each row's columns, values and moves (values / lambda), split once.
+    row_cols, row_vals, row_moves = (np.split(a, indptr[1:-1]) for a in (cols, vals, vals / lambda_reg))
     u = np.zeros((N_CLASSES, dim))
     bias = np.zeros(N_CLASSES)
-    signs = np.where(np.arange(N_CLASSES)[:, None] == y[None, :], 1.0, -1.0)  # (4, n)
+    signs = np.where(y[:, None] == np.arange(N_CLASSES)[None, :], 1.0, -1.0)  # (n, 4)
     rng = np.random.default_rng(seed)
     t = 0
     for _ in range(epochs):
-        for idx in rng.permutation(len(bounds) - 1):
+        for idx in rng.permutation(len(indptr) - 1):
             t += 1
             eta = 1.0 / (lambda_reg * t)
-            row = slice(bounds[idx], bounds[idx + 1])
-            row_cols, row_vals = cols[row], vals[row]
-            cls_sign = signs[:, idx]
+            c, sign = row_cols[idx], signs[idx]
             # w_{t-1} = u/(t-1); u is still zero at t = 1, where w_0 = 0.
-            margins = cls_sign * (u[:, row_cols] @ row_vals / max(t - 1, 1) + bias)
+            margins = sign * (u[:, c] @ row_vals[idx] / max(t - 1, 1) + bias)
             violating = margins < 1.0
-            if np.any(violating):
-                u[np.ix_(violating, row_cols)] += np.outer(
-                    cls_sign[violating], row_vals / lambda_reg
-                )
-                bias[violating] += eta * cls_sign[violating]
+            if violating.any():
+                u[np.flatnonzero(violating)[:, None], c] += sign[violating][:, None] * row_moves[idx]
+                bias[violating] += eta * sign[violating]
     return u / max(t, 1), bias
 
 

@@ -67,6 +67,7 @@ from .neural import (
     init_model,
 )
 from .text_norm import (
+    EmoticonLexicon,
     default_lexicon,
     load_lexicon,
     normalize_utterance,
@@ -126,8 +127,12 @@ def _read_lines(path: str) -> list[str]:
 
 
 def _lexicon(args):
-    """The one lexicon of a command: ``--lexicon`` or the packaged one."""
-    return load_lexicon(args.lexicon) if getattr(args, "lexicon", None) else default_lexicon()
+    """The one lexicon of a command: ``--lexicon`` or the packaged one.  Each
+    call gives a new object, so no command starts with another's chunk memo."""
+    if getattr(args, "lexicon", None):
+        return load_lexicon(args.lexicon)
+    packaged = default_lexicon()
+    return EmoticonLexicon(packaged.entries, packaged.sha256)
 
 
 def _table_or_empty(path: str | None, dim: int):

@@ -41,7 +41,7 @@ class Token:
     kind: str
 
     def __post_init__(self):
-        if not self.surface or any(c.isspace() for c in self.surface):
+        if self.surface.split() != [self.surface]:
             raise ValueError(f"token surface must be non-empty and whitespace-free: {self.surface!r}")
         if self.kind not in TOKEN_KINDS:
             raise ValueError(f"unknown token kind: {self.kind!r}")
@@ -58,6 +58,8 @@ class EmoticonLexicon:
     raw forms are unique, every canonical form maps to itself, and a raw
     form's class always agrees with its canonical form's class.  ``sha256``
     is the hash of the file the entries were read from, None if built in code.
+    The only state that changes is :func:`normalize_utterance`'s private
+    memo, which holds at most ``_CHUNK_MEMO`` chunks.
     """
 
     def __init__(self, entries, sha256: str | None = None):
@@ -92,6 +94,8 @@ class EmoticonLexicon:
         # Class lookup is by canonical form; raw forms were checked consistent.
         self.canonical_class = {c: raw_class[c] for c in raw_to_canonical.values()}
         self._scanner = self._compile_scanner()
+        # normalize_utterance's memo: whitespace chunk -> its normalized tokens.
+        self._chunk_tokens: dict[str, tuple[Token, ...]] = {}
 
     def _compile_scanner(self, marks: str = "") -> re.Pattern:
         # One alternation over all raw forms, longest first.  Each form may be
@@ -269,9 +273,27 @@ def normalize_emoticons(tokens, lex: EmoticonLexicon) -> list[Token]:
     return out
 
 
+# Most entries a lexicon's chunk memo holds before it is cleared (~5 MB).
+_CHUNK_MEMO = 1 << 14
+
+
 def normalize_utterance(raw: str, lex: EmoticonLexicon) -> list[Token]:
-    """Tokenize and emoticon-normalize one utterance."""
-    return normalize_emoticons(tokenize(raw, lex), lex)
+    """Tokenize and emoticon-normalize one utterance.
+
+    Equal to ``normalize_emoticons(tokenize(raw, lex), lex)``: both steps
+    read one whitespace chunk at a time, so each distinct chunk is
+    normalized once per lexicon and then looked up in its memo.
+    """
+    memo = lex._chunk_tokens
+    out: list[Token] = []
+    for chunk in raw.translate(_VARIATION_SELECTORS).split():
+        tokens = memo.get(chunk)
+        if tokens is None:
+            if len(memo) >= _CHUNK_MEMO:
+                memo.clear()
+            tokens = memo[chunk] = tuple(normalize_emoticons(tokenize(chunk, lex), lex))
+        out.extend(tokens)
+    return out
 
 
 def surface(token) -> str:

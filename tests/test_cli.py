@@ -469,6 +469,28 @@ class TestOneLexiconPerCommand:
         assert main(["predict", "--model", str(model), "--data", ws["train"],
                      "--lexicon", yay["lexicon"]]) == 0
 
+    def test_each_command_starts_with_an_empty_chunk_memo(self, tmp_path, monkeypatch):
+        import sslstm.cli
+
+        given = []  # each command's lexicon and its memo size when handed over
+        real = sslstm.cli._lexicon
+
+        def recording(args):
+            lex = real(args)
+            given.append((lex, len(lex._chunk_tokens)))
+            return lex
+
+        monkeypatch.setattr(sslstm.cli, "_lexicon", recording)
+        src = write_lines(tmp_path / "raw.txt", ["Hello, WORLD :-)))", "@user ok"])
+        for name in ("one.txt", "two.txt"):
+            assert main(["normalize", "--input", src, "--output", str(tmp_path / name)]) == 0
+        (first, first_size), (second, second_size) = given
+        assert first is not second
+        assert (first.entries, first.sha256) == (second.entries, second.sha256)
+        assert (first.entries, first.sha256) == (LEX.entries, LEX.sha256)
+        assert first_size == second_size == 0
+        assert first._chunk_tokens.keys() == second._chunk_tokens.keys() != set()
+
     @pytest.mark.parametrize("argv", [
         ["split", "--train-out", "{tmp}/a.tsv", "--val-out", "{tmp}/b.tsv"],
         ["stats"],

@@ -2,6 +2,7 @@ import hashlib
 import io
 import random
 import string
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sslstm
+import sslstm.text_norm as text_norm
 from conftest import LEX
 from sslstm.text_norm import (
     EMOTICON_CLASSES,
@@ -218,6 +220,84 @@ class TestNormalizeUtterance:
         for pos in range(len(text)):
             fast, guarded = lex.match_emoticon(text, pos), lex._mark_scanner.match(text, pos)
             assert (fast and fast.span()) == (guarded and guarded.span()), (text, pos)
+
+
+def reference_normalize(raw, lex):
+    """What normalize_utterance computes, without its chunk memo."""
+    return normalize_emoticons(tokenize(raw, lex), lex)
+
+
+def kinds_and_surfaces(tokens):
+    return [(t.surface, t.kind) for t in tokens]
+
+
+# Chunks that repeat across texts, so the memo is both filled and read:
+# capitals that rescan lowercased, combining marks, variation selectors
+# inside chunks, handles, URLs and emoticon mouth runs.  Separators put
+# whitespace and lone variation selectors between chunks.
+CHUNKS = [
+    "Hello", "hello", "HELLO!", "Xd'c", "XDd’s", "\N{LATIN CAPITAL LETTER I WITH DOT ABOVE}x",
+    "Cafe\u0301's", "xD\u0301", "\u0301e", "नमस्ते",
+    "\N{WHITE SMILING FACE}\N{VARIATION SELECTOR-16}", ":\N{VARIATION SELECTOR-15})", "ok\N{VARIATION SELECTOR-16}!",
+    "@user", "@", "http://x.co", "www.x.org", "@_@",
+    ":(((", ":-DDD", "xDDD", "<3", "wow:))", "?!*", "don't",
+]
+SEPARATORS = [" ", "  ", "\t", "\n", " \N{VARIATION SELECTOR-16} ", "\N{VARIATION SELECTOR-16}"]
+
+
+def texts_from(pieces):
+    piece = st.sampled_from(pieces) | st.sampled_from(SEPARATORS)
+    return st.lists(st.lists(piece, max_size=8).map("".join), min_size=1, max_size=6)
+
+
+class TestChunkMemo:
+    def assert_matches_reference(self, texts, lex):
+        for text in texts + texts:  # the second round reads the memo only
+            expected = kinds_and_surfaces(reference_normalize(text, lex))
+            assert kinds_and_surfaces(normalize_utterance(text, lex)) == expected, text
+
+    @settings(max_examples=300, deadline=None)
+    @given(texts=texts_from(CHUNKS))
+    def test_matches_the_reference_with_the_packaged_lexicon(self, texts):
+        self.assert_matches_reference(texts, LEX)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_reference_with_any_lexicon(self, data):
+        lex = EmoticonLexicon(data.draw(lexicon_entries()))
+        raws = [raw for raw, _, _ in lex.entries]
+        pieces = CHUNKS + raws + [r + r[-1] * 2 for r in raws] + [r.swapcase() for r in raws]
+        self.assert_matches_reference(data.draw(texts_from(pieces)), lex)
+
+    def test_memo_is_cleared_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(text_norm, "_CHUNK_MEMO", 2)
+        lex = EmoticonLexicon(LEX.entries)
+        assert surfaces(normalize_utterance("a b c", lex)) == ["a", "b", "c"]
+        assert list(lex._chunk_tokens) == ["c"]  # full at "c": cleared, then "c" stored
+        rng = random.Random(15)
+        for _ in range(200):
+            text = " ".join(rng.choices(CHUNKS, k=rng.randint(0, 5)))
+            assert normalize_utterance(text, lex) == reference_normalize(text, lex), text
+            assert len(lex._chunk_tokens) <= 2
+
+    def test_each_call_returns_a_fresh_list(self):
+        lex = EmoticonLexicon(LEX.entries)
+        first = normalize_utterance("hi :) hi", lex)
+        first[0] = Token("bye", "word")
+        first.append(Token("!", "punctuation"))
+        assert surfaces(normalize_utterance("hi :) hi", lex)) == ["hi", ":)", "hi"]
+
+
+class TestToken:
+    @pytest.mark.parametrize("surface", ["", " ", "a b", "a\tb", "\u00a0", "a\u2028", "\u3000x"])
+    def test_rejects_empty_or_whitespace_surface(self, surface):
+        with pytest.raises(ValueError, match="whitespace-free"):
+            Token(surface, "word")
+
+    def test_split_finds_exactly_the_whitespace_characters(self):
+        # Token checks c.split() != [c]; str.split splits at str.isspace characters.
+        chars = map(chr, range(sys.maxunicode + 1))
+        assert all((c.split() != [c]) == c.isspace() for c in chars)
 
 
 class TestEmoticonClass:
