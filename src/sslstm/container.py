@@ -8,7 +8,7 @@ from functools import partial
 
 import numpy as np
 
-from sslstm.textfile import DataFormatError, _lines, _open_write, float_rows
+from sslstm.textfile import BadRow, DataFormatError, _lines, _open_write, float_rows, rows_by_float
 
 CHECKPOINT_MAGIC = "SSLSTM-CKPT"
 CHECKPOINT_VERSION = 1
@@ -29,15 +29,18 @@ class TruncatedCheckpointError(CheckpointError):
 def write_container(sink, meta: dict[str, str], tensors: dict[str, np.ndarray]) -> None:
     """Serialize meta lines and tensor blocks in the versioned text format.
     1-D tensors are stored as single-row matrices; floats are written at
-    ``repr`` precision, so reading them back gives the exact values."""
+    ``repr`` precision, so reading them back gives the exact values.  A meta
+    key or value that would not read back raises ValueError before the sink
+    is opened, so an existing file keeps its bytes."""
+    meta = {key: str(value) for key, value in meta.items()}
+    for key, value in meta.items():
+        if " " in key or "=" in key or "\n" in key:
+            raise ValueError(f"illegal meta key {key!r}")
+        if "\n" in value or value.endswith("\r"):
+            raise ValueError(f"meta value for {key!r} would not read back: {value!r}")
     with _open_write(sink) as fh:
         fh.write(f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}\n")
         for key, value in meta.items():
-            value = str(value)
-            if " " in key or "=" in key or "\n" in key:
-                raise ValueError(f"illegal meta key {key!r}")
-            if "\n" in value or value.endswith("\r"):
-                raise ValueError(f"meta value for {key!r} would not read back: {value!r}")
             fh.write(f"meta {key}={value}\n")
         for name, arr in tensors.items():
             mat = np.atleast_2d(np.asarray(arr, dtype=np.float64))
@@ -57,7 +60,7 @@ def read_container(source) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     Each tensor block's rows are parsed in one call to numpy's C float
     parser (:func:`~sslstm.textfile.float_rows`); only when it rejects a row
     are they parsed again one at a time with ``float``
-    (:func:`_rows_by_float`), which names the first bad row.
+    (:func:`~sslstm.textfile.rows_by_float`), which finds the first bad row.
     """
     lines = filter(None, _lines(source)[0])
     next_line = partial(next, lines, None)  # next non-empty line, None at the end
@@ -108,7 +111,12 @@ def read_container(source) -> tuple[dict[str, str], dict[str, np.ndarray]]:
                 texts.append(row_line)
             parsed = float_rows(texts)
             if parsed is None or parsed.shape != (len(texts), cols):
-                parsed = _rows_by_float(texts, name, cols)
+                try:
+                    parsed = rows_by_float(texts, cols)
+                except BadRow as bad:
+                    what = (f"has {bad.values} values, expected {cols}" if bad.values != cols
+                            else "has non-numeric values")
+                    raise TruncatedCheckpointError(f"tensor {name!r} row {bad.row} {what}") from None
             mat[: len(texts)] = parsed
             if len(texts) < rows:
                 raise TruncatedCheckpointError(
@@ -120,22 +128,3 @@ def read_container(source) -> tuple[dict[str, str], dict[str, np.ndarray]]:
             continue
         raise CheckpointError(f"unrecognized checkpoint line: {line!r}")
 
-
-def _rows_by_float(texts: list[str], name: str, cols: int) -> np.ndarray:
-    """The rows of tensor ``name`` parsed one at a time with ``float``,
-    which also reads digit underscores and non-ASCII digits; raises at the
-    first row that is not ``cols`` numbers."""
-    mat = np.empty((len(texts), cols))
-    for r, text in enumerate(texts):
-        values = text.split()
-        if len(values) != cols:
-            raise TruncatedCheckpointError(
-                f"tensor {name!r} row {r} has {len(values)} values, expected {cols}"
-            )
-        try:
-            mat[r] = [float(v) for v in values]
-        except ValueError:
-            raise TruncatedCheckpointError(
-                f"tensor {name!r} row {r} has non-numeric values"
-            ) from None
-    return mat

@@ -5,21 +5,40 @@ optionally preceded by a ``COUNT DIM`` header).  Its vocabulary is fixed
 from then on, and so are its vectors: training reads them and never writes.
 Out-of-vocabulary tokens look up as the all-zero vector, so they contribute
 nothing to sentence means and never crash mining or the classifier.
+
+A table read from a file is parsed once: the parsed table is cached in
+``__sslstm_cache__/<basename>.<sha256>.v1.npy`` beside the file, keyed by
+the SHA-256 of the file's bytes, and later loads of the same bytes read
+that instead of the text.  A cache hit gives the table a parse gives, so
+the cache never changes an output.  A cache file that is not what a parse
+gives is ignored, a folder that cannot be written gets no cache, and the
+folder is safe to delete at any time.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import os
+import re
+import tempfile
 from collections.abc import Mapping
 
 import numpy as np
 
-from sslstm.textfile import DataFormatError, _open_write, _read, _split_lines, float_rows
+from sslstm.textfile import (BadRow, DataFormatError, _open_write, _read, _split_lines,
+                             float_rows, rows_by_float)
 from sslstm.text_norm import surfaces
 
 # Fallback dimensionalities for channels constructed without a file.
 DEFAULT_SEMANTIC_DIM = 100
 DEFAULT_SENTIMENT_DIM = 50
+
+# Parsed tables are cached in this folder beside each table file.
+CACHE_DIR = "__sslstm_cache__"
+CACHE_SUFFIX = ".v1.npy"
+_NPY_HEADER_MAX = 4096  # bytes; a 2-D float64 matrix's .npy header takes 128
 
 
 class EmbeddingFormatError(DataFormatError):
@@ -87,16 +106,35 @@ def load_embedding_file(source) -> EmbeddingTable:
     rule of :mod:`sslstm.textfile`, so U+2028 and the like inside a line
     separate fields like any other whitespace.
 
+    The table of a regular file is cached beside it, keyed by that hash
+    (:func:`_cache_file`): a load that finds the cache returns the table a
+    parse gives without parsing, and a parse that succeeds writes it.
+    """
+    data, label = _read(source)
+    digest = hashlib.sha256(data).hexdigest()
+    cache = None
+    if isinstance(source, (str, os.PathLike)) and os.path.isfile(source):
+        cache = _cache_file(source, digest)
+    table = _read_cache(cache, digest) if cache else None
+    if table is None:
+        lines = _split_lines(data, label)
+        del data
+        table = _parse_table(lines, label, digest)
+        if cache:
+            _write_cache(cache, table, source)
+    return table
+
+
+def _parse_table(lines: list[str], label: str, digest: str) -> EmbeddingTable:
+    """The table the text ``lines`` hold, or the first fault as an
+    :class:`EmbeddingFormatError`.
+
     One pass in Python splits each line at its first whitespace run and
     checks the header and the tokens; it hands each line's value text to
     numpy's C float parser (:func:`~sslstm.textfile.float_rows`) as it goes.
     Only when that parser rejects a row are the rows parsed again one at a
-    time with ``float`` (:func:`_rows_by_float`).
+    time with ``float`` (:func:`~sslstm.textfile.rows_by_float`).
     """
-    data, label = _read(source)
-    digest = hashlib.sha256(data).hexdigest()
-    lines = _split_lines(data, label)
-    del data
     head = lines[0].split() if lines else []
     declared = None
     if len(head) == 2:
@@ -109,7 +147,7 @@ def load_embedding_file(source) -> EmbeddingTable:
     fault: list[EmbeddingFormatError] = []
 
     def entries():
-        """``(line number, token, value text)`` of each entry in file order,
+        """The value text of each entry in file order, its token and line
         recorded in ``index`` and ``linenos``.  A token with no values or
         seen before ends the walk in ``fault``, raised once the rows before
         it parse."""
@@ -129,11 +167,19 @@ def load_embedding_file(source) -> EmbeddingTable:
                 return
             index[token] = len(index)
             linenos.append(lineno)
-            yield lineno, token, fields[1]
+            yield fields[1]
 
-    matrix = float_rows(text for _, _, text in entries())
+    matrix = float_rows(entries())
     if matrix is None or len(matrix) != len(index):
-        matrix = _rows_by_float(entries(), label)
+        try:
+            matrix = rows_by_float(entries())
+        except BadRow as bad:
+            where = f"{label}:{linenos[bad.row]}"
+            raise EmbeddingFormatError(
+                f"{where}: dimension mismatch: expected {bad.width} values, got {bad.values}"
+                if bad.numeric else
+                f"{where}: non-numeric value in entry for {list(index)[bad.row]!r}"
+            ) from None
     if fault:
         raise fault[0]
     if not index:
@@ -150,30 +196,73 @@ def load_embedding_file(source) -> EmbeddingTable:
             raise EmbeddingFormatError(f"{label}: header declares {count} entries, file has {len(index)}")
         if hdim != matrix.shape[1]:
             raise EmbeddingFormatError(f"{label}: header declares dim {hdim}, file has {matrix.shape[1]}")
+    return _checked_table(index, matrix, digest)
+
+
+def _checked_table(index: dict[str, int], matrix: np.ndarray, digest: str) -> EmbeddingTable:
+    """A table of rows already checked, taken as they are."""
     table = EmbeddingTable(matrix.shape[1], source_sha256=digest)
-    table.index, table.matrix = index, matrix  # already checked: taken as is
+    table.index, table.matrix = index, matrix
     return table
 
 
-def _rows_by_float(entries, label: str) -> np.ndarray:
-    """The value texts of ``(line number, token, value text)`` entries
-    parsed one at a time with ``float``, which also reads digit underscores
-    and non-ASCII digits; raises at the first non-numeric entry or width
-    change."""
-    rows: list[list[float]] = []
-    for lineno, token, text in entries:
-        try:
-            row = [float(v) for v in text.split()]
-        except ValueError:
-            raise EmbeddingFormatError(
-                f"{label}:{lineno}: non-numeric value in entry for {token!r}"
-            ) from None
-        if rows and len(row) != len(rows[0]):
-            raise EmbeddingFormatError(
-                f"{label}:{lineno}: dimension mismatch: expected {len(rows[0])} values, got {len(row)}"
-            )
-        rows.append(row)
-    return np.array(rows, dtype=np.float64)
+def _cache_file(path, digest: str) -> str:
+    """Where the table read from ``path`` with SHA-256 ``digest`` is cached:
+    ``<table dir>/__sslstm_cache__/<basename>.<digest>.v1.npy``, an ``.npy``
+    float64 matrix followed by its tokens in row order, joined by ``\\n``."""
+    folder, name = os.path.split(os.fspath(path))
+    return os.path.join(folder, CACHE_DIR, f"{name}.{digest}{CACHE_SUFFIX}")
+
+
+def _read_cache(path: str, digest: str) -> EmbeddingTable | None:
+    """The table cached at ``path``; None when the file cannot be read or
+    is not what a parse gives: a 2-D float64 matrix of finite values with
+    one token per row, no token twice."""
+    try:
+        raw = np.fromfile(path, dtype=np.uint8)
+        head = io.BytesIO(raw[:_NPY_HEADER_MAX].tobytes())
+        if np.lib.format.read_magic(head) != (1, 0):
+            return None
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(head)
+        start = head.tell()
+        if dtype != np.float64 or fortran_order or len(shape) != 2 or min(shape) < 1:
+            return None
+        end = start + 8 * shape[0] * shape[1]
+        matrix = raw[start:end].view(np.float64).reshape(shape)  # ValueError if short
+        tokens = _split_lines(raw[end:].tobytes(), path)
+    except (OSError, ValueError, EOFError):
+        return None
+    index = {token: row for row, token in enumerate(tokens)}
+    if len(tokens) != len(matrix) or len(index) != len(tokens) or not np.isfinite(matrix).all():
+        return None
+    return _checked_table(index, matrix, digest)
+
+
+def _write_cache(path: str, table: EmbeddingTable, source) -> None:
+    """Cache ``table``, parsed from ``source``, at ``path``: written to a
+    temporary file that then replaces it, readable by whoever may read
+    ``source``.  The older entries of ``source`` are deleted.  A folder
+    that cannot be written is left as it is."""
+    folder, entry = os.path.split(path)
+    older = re.compile(re.escape(os.path.basename(source)) + r"\.[0-9a-f]{64}"
+                       + re.escape(CACHE_SUFFIX))
+    tmp = None
+    try:
+        os.makedirs(folder, exist_ok=True)
+        with tempfile.NamedTemporaryFile(dir=folder, suffix=".tmp", delete=False) as fh:
+            tmp = fh.name
+            np.save(fh, table.matrix, allow_pickle=False)
+            fh.write("\n".join(table.index).encode("utf-8"))
+        os.chmod(tmp, os.stat(source).st_mode & 0o777)
+        os.replace(tmp, path)
+        tmp = None
+        for name in os.listdir(folder):
+            if name != entry and older.fullmatch(name):
+                os.remove(os.path.join(folder, name))
+    except OSError:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
 
 
 def save_embedding_file(table: EmbeddingTable, sink, header: bool = False) -> None:

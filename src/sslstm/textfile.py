@@ -106,3 +106,35 @@ def float_rows(texts) -> np.ndarray | None:
                           ndmin=2, comments=None)
     except ValueError:
         return None
+
+
+class BadRow(ValueError):
+    """The first row :func:`rows_by_float` cannot read: its index among the
+    rows, how many values it has, the width expected of it (None when it is
+    the first row and not numeric) and whether ``float`` reads every value."""
+
+    def __init__(self, row: int, values: int, width: int | None, numeric: bool):
+        super().__init__(f"row {row}: {values} values, expected {width}, numeric: {numeric}")
+        self.row, self.values, self.width, self.numeric = row, values, width, numeric
+
+
+def rows_by_float(texts, width: int | None = None) -> np.ndarray:
+    """Lines of whitespace-separated floats parsed one at a time with
+    ``float``, which also reads the forms :func:`float_rows` rejects: the
+    pass a caller makes when that parse returns None, to read the rows or
+    to find the first bad one.  Every row must hold ``width`` values, or
+    as many as the first row when ``width`` is None; :class:`BadRow` names
+    the first row that is not that many numbers, for the caller's message."""
+    rows: list[list[float]] = []
+    for k, text in enumerate(texts):
+        values = text.split()
+        try:
+            row = [float(v) for v in values]
+        except ValueError:
+            raise BadRow(k, len(values), width, False) from None
+        if width is None:
+            width = len(row)
+        if len(row) != width:
+            raise BadRow(k, len(row), width, True)
+        rows.append(row)
+    return np.array(rows, dtype=np.float64).reshape(len(rows), width or 0)

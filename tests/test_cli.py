@@ -326,6 +326,27 @@ class TestTrainEvalPredict:
         assert len(calls) == 1
         assert len(capsys.readouterr().out.splitlines()) == 24
 
+    def test_a_second_predict_reads_the_cached_tables(self, ws, tmp_path, monkeypatch):
+        import shutil
+
+        import sslstm.embeddings
+
+        tables = []
+        for key in ("semantic_emb", "sentiment_emb"):
+            tables += [f"--{key.replace('_', '-')}", shutil.copy(ws[key], tmp_path)]
+        outputs = [tmp_path / "first.tsv", tmp_path / "second.tsv"]
+        argv = ["predict", "--model", ws["sslstm_model"], "--data", ws["train"], *tables]
+        assert main(argv + ["--output", str(outputs[0])]) == 0
+        assert len(list((tmp_path / "__sslstm_cache__").iterdir())) == 2
+
+        def forbidden(*args):
+            raise AssertionError("a cached table was parsed")
+
+        monkeypatch.setattr(sslstm.embeddings, "float_rows", forbidden)
+        assert main(argv + ["--output", str(outputs[1])]) == 0
+        assert outputs[1].read_bytes() == outputs[0].read_bytes()
+        assert len(outputs[0].read_text(encoding="utf-8").splitlines()) == 24
+
     def test_train_summary_lines(self, ws, tmp_path, capsys):
         model = tmp_path / "m.ckpt"
         assert main(["train", "--train", ws["train"], "--model", str(model),

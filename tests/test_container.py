@@ -176,7 +176,7 @@ class TestReadContainer:
         def forbidden(*args):
             raise AssertionError("row-by-row pass on rows the C parser reads")
 
-        monkeypatch.setattr(sslstm.container, "_rows_by_float", forbidden)
+        monkeypatch.setattr(sslstm.container, "rows_by_float", forbidden)
         _, back = read_container(io.StringIO(sink.getvalue()))
         for name, arr in tensors.items():
             assert back[name].tobytes() == np.atleast_2d(arr).tobytes()
@@ -185,3 +185,19 @@ class TestReadContainer:
         text = "SSLSTM-CKPT 1\ntensor w 3 2\n1 2\n3 x\nend\n"
         with pytest.raises(TruncatedCheckpointError, match="row 1 has non-numeric"):
             read_container(io.StringIO(text))
+
+
+class TestWriteContainer:
+    @pytest.mark.parametrize(("meta", "message"), [
+        ({"kind": "test", "a b": "1"}, "illegal meta key"),
+        ({"kind": "test", "a=b": "1"}, "illegal meta key"),
+        ({"kind": "test", "note": "two\nlines"}, "would not read back"),
+        ({"kind": "test", "note": "ends in\r"}, "would not read back"),
+    ])
+    def test_a_rejected_write_leaves_the_file_as_it_was(self, tmp_path, meta, message):
+        path = tmp_path / "model.ckpt"
+        write_container(path, {"kind": "test"}, {"w": np.arange(6.0).reshape(2, 3)})
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=message):
+            write_container(path, meta, {"w": np.ones((2, 3))})
+        assert path.read_bytes() == before

@@ -3,6 +3,7 @@ import io
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -346,8 +347,8 @@ class TestLoaderMatchesReference:
             return wrapper
 
         monkeypatch.setattr(np, "loadtxt", counted("loadtxt", np.loadtxt))
-        monkeypatch.setattr(sslstm.embeddings, "_rows_by_float",
-                            counted("by_float", sslstm.embeddings._rows_by_float))
+        monkeypatch.setattr(sslstm.embeddings, "rows_by_float",
+                            counted("by_float", sslstm.embeddings.rows_by_float))
         try:
             load_str(text)
         except EmbeddingFormatError:
@@ -503,3 +504,147 @@ class TestTable:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             EmbeddingTable(dim=2, vectors={"a": np.array([1.0, np.nan])})
+
+
+def table_state(table):
+    """What a caller can see of a table: row order, matrix bits and hash."""
+    return (list(table.index.items()), table.matrix.dtype, table.matrix.shape,
+            table.matrix.tobytes(), table.source_sha256)
+
+
+def cache_entries(folder):
+    """The files of the table cache beside the tables in ``folder``."""
+    cache = Path(folder) / "__sslstm_cache__"
+    return sorted(p.name for p in cache.iterdir()) if cache.exists() else []
+
+
+def cache_path(table_file, data: bytes) -> Path:
+    """Where the table in ``table_file`` holding ``data`` is cached."""
+    sha = hashlib.sha256(data).hexdigest()
+    return table_file.parent / "__sslstm_cache__" / f"{table_file.name}.{sha}.v1.npy"
+
+
+def write_cache(path, matrix, tokens):
+    """A cache file as the loader writes one: the ``.npy`` matrix, then
+    the tokens joined by newlines."""
+    with open(path, "wb") as fh:
+        np.save(fh, matrix, allow_pickle=False)
+        fh.write("\n".join(tokens).encode("utf-8"))
+
+
+class TestCache:
+    @settings(max_examples=60, deadline=None)
+    @given(table=tables(), header=st.booleans())
+    def test_cold_load_cache_hit_and_bytes_load_agree(self, table, header):
+        sink = io.StringIO()
+        save_embedding_file(table, sink, header=header)
+        data = sink.getvalue().encode("utf-8")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "emb.txt"
+            path.write_bytes(data)
+            cold = load_embedding_file(path)
+            assert cache_entries(tmp) == [cache_path(path, data).name]
+            with mock.patch.object(sslstm.embeddings, "_parse_table", None):  # a hit must not parse
+                hit = load_embedding_file(path)
+        assert table_state(hit) == table_state(cold) == table_state(load_embedding_file(data))
+        assert list(hit.index.values()) == list(range(len(table)))
+        assert hit.matrix.flags.writeable and hit.matrix.flags.c_contiguous
+
+    @pytest.mark.parametrize("fault", ["truncated", "empty", "not npy", "1-D", "3-D", "float32",
+                                       "int64", "big-endian",
+                                       "fortran", "fewer tokens", "more tokens",
+                                       "duplicate token", "nan", "inf"])
+    def test_a_bad_cache_file_is_ignored_and_replaced(self, tmp_path, fault):
+        data = GENERATED_TABLE.encode("utf-8")
+        path = tmp_path / "emb.txt"
+        path.write_bytes(data)
+        parsed = table_state(load_embedding_file(data))
+        cache = cache_path(path, data)
+        cache.parent.mkdir()
+        matrix = load_embedding_file(data).matrix
+        tokens = [f"w{i}" for i in range(len(matrix))]
+        if fault == "truncated":
+            write_cache(cache, matrix, tokens)
+            cache.write_bytes(cache.read_bytes()[:5000])
+        elif fault == "empty":
+            cache.write_bytes(b"")
+        elif fault == "not npy":
+            cache.write_bytes(data)
+        elif fault == "1-D":
+            write_cache(cache, matrix.ravel(), tokens)
+        elif fault == "3-D":
+            write_cache(cache, matrix[None], tokens)
+        elif fault == "float32":
+            write_cache(cache, matrix.astype(np.float32), tokens)
+        elif fault == "int64":  # small non-negative ints: finite if read as float64
+            write_cache(cache, np.abs(matrix).astype(np.int64), tokens)
+        elif fault == "big-endian":
+            write_cache(cache, matrix.astype(">f8"), tokens)
+        elif fault == "fortran":
+            write_cache(cache, np.asfortranarray(matrix), tokens)
+        elif fault == "fewer tokens":
+            write_cache(cache, matrix, tokens[:-1])
+        elif fault == "more tokens":
+            write_cache(cache, matrix, tokens + ["extra"])
+        elif fault == "duplicate token":
+            write_cache(cache, matrix, tokens[:-1] + [tokens[0]])
+        else:
+            planted = matrix.copy()
+            planted[7, 3] = float(fault)
+            write_cache(cache, planted, tokens)
+        assert table_state(load_embedding_file(path)) == parsed
+        # The parse wrote a good entry over the bad one; it is a hit now.
+        assert cache_entries(tmp_path) == [cache.name]
+        assert table_state(sslstm.embeddings._read_cache(str(cache), parsed[-1])) == parsed
+
+    @pytest.mark.parametrize("text", ["a 1 2\nb 3\n", "a 1 2\na 3 4\n", "a 1 nan\n", "", "3 2\na 1 2\n"])
+    def test_a_malformed_table_raises_the_same_error_again_and_caches_nothing(self, tmp_path, text):
+        path = tmp_path / "emb.txt"
+        path.write_text(text, encoding="utf-8")
+        messages = []
+        for _ in range(2):
+            with pytest.raises(EmbeddingFormatError) as caught:
+                load_embedding_file(path)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        assert not (tmp_path / "__sslstm_cache__").exists()
+
+    def test_a_folder_it_cannot_write_still_loads(self, tmp_path):
+        data = b"a 1 2\nb 3 4\n"
+        path = tmp_path / "emb.txt"
+        path.write_bytes(data)
+        (tmp_path / "__sslstm_cache__").write_bytes(b"a file where the folder would be")
+        for _ in range(2):
+            assert table_state(load_embedding_file(path)) == table_state(load_embedding_file(data))
+
+    def test_a_failed_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        data = b"a 1 2\nb 3 4\n"
+        path = tmp_path / "emb.txt"
+        path.write_bytes(data)
+
+        def refused(src, dst):
+            raise PermissionError(13, "Permission denied", dst)
+
+        monkeypatch.setattr(sslstm.embeddings.os, "replace", refused)
+        assert table_state(load_embedding_file(path)) == table_state(load_embedding_file(data))
+        assert cache_entries(tmp_path) == []
+
+    def test_a_rewritten_table_gives_its_new_values_and_one_entry(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        other = tmp_path / "emb.txt.old"
+        other.write_bytes(b"z 9 9\n")
+        load_embedding_file(other)
+        for values in ("1 2", "3 4", "1 2"):
+            data = f"a {values}\nb 5 6\n".encode()
+            path.write_bytes(data)
+            assert table_state(load_embedding_file(path)) == table_state(load_embedding_file(data))
+            assert table_state(load_embedding_file(path)) == table_state(load_embedding_file(data))
+            # One entry per table file; the other table's entry stays.
+            assert cache_entries(tmp_path) == sorted([cache_path(path, data).name,
+                                                      cache_path(other, b"z 9 9\n").name])
+
+    def test_streams_and_bytes_are_not_cached(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        load_embedding_file(b"a 1 2\n")
+        load_embedding_file(io.BytesIO(b"a 1 2\n"))
+        assert list(tmp_path.iterdir()) == []
