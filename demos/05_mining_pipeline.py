@@ -68,8 +68,9 @@ for cand in mine_by_response(raw_pairs, class_utterances, lex):
 print()
 
 # ---------------------------------------------------------------------------
-# Negative sampling: pool items far from every positive set.
+# Negative sampling: pool items far from every positive set (one list of
+# utterances per class; here only happy).
 
-positives = {"happy": ["won the game", "party and cake"]}
+positives = [["won the game", "party and cake"]]
 negatives = sample_negatives(pool, positives, table, lex, cfg, n=2, seed=1)
 print(f"sampled negatives: {negatives}")

@@ -7,10 +7,11 @@ optional McNemar comparison, predict), embedding inspection (embcos),
 data mining (mine), annotation agreement (kappa), and gradient
 verification (gradcheck).
 
-Exit codes: 0 success; 1 usage error (bad flags, bad values, missing
-files); 2 data-format error (malformed dataset, embedding, lexicon, or
-checkpoint files); 3 numeric failure (non-finite loss or a gradient
-check exceeding its tolerance).  Every flag default mirrors the
+Exit codes: 0 success; 1 usage error (bad flags, bad values with NaN
+and infinities among them, missing files); 2 data-format error
+(malformed dataset, embedding, lexicon, or checkpoint files); 3 numeric
+failure (non-finite loss or a gradient check exceeding its tolerance or
+not finite).  Every flag default mirrors the
 corresponding library default.  The library has no default emoticon
 lexicon: each command resolves ``--lexicon`` or the packaged one once
 and passes it to everything that reads text.
@@ -229,6 +230,13 @@ def cmd_train(args) -> None:
         print(f"algorithm: {args.algo}  examples: {len(dataset)}  vocabulary: {len(model.vocab)}")
         return
 
+    train_config = TrainConfig(
+        learning_rate=args.lr,
+        token_budget=args.token_budget,
+        max_epochs=_TRAIN_DEFAULTS.max_epochs if args.epochs is None else args.epochs,
+        patience=args.patience,
+        seed=args.seed,
+    )
     semantic = _table_or_empty(args.semantic_emb, DEFAULT_SEMANTIC_DIM)
     sentiment = _table_or_empty(args.sentiment_emb, DEFAULT_SENTIMENT_DIM)
     if args.val:
@@ -245,13 +253,6 @@ def cmd_train(args) -> None:
         max_seq_len=args.max_seq_len,
     )
     _warn_missing_tables(args, model_config, "training")
-    train_config = TrainConfig(
-        learning_rate=args.lr,
-        token_budget=args.token_budget,
-        max_epochs=_TRAIN_DEFAULTS.max_epochs if args.epochs is None else args.epochs,
-        patience=args.patience,
-        seed=args.seed,
-    )
     model = init_model(model_config, semantic, sentiment, seed=args.seed)
     best, history = train(model, train_set, val_set, train_config)
     save_checkpoint(best, train_config, args.model, lex)
@@ -359,6 +360,8 @@ def cmd_kappa(args) -> None:
 
 
 def cmd_gradcheck(args) -> None:
+    if not (np.isfinite(args.tolerance) and args.tolerance > 0):
+        raise UsageError(f"--tolerance must be finite and positive, got {args.tolerance!r}")
     rng = np.random.default_rng(args.seed)
     vocab = [f"w{i}" for i in range(8)]
     semantic = EmbeddingTable(dim=4, vectors={w: rng.standard_normal(4) for w in vocab})

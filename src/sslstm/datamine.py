@@ -223,7 +223,8 @@ def sample_negatives(
     n: int = 1,
     seed: int = 0,
 ) -> list:
-    """Draw ``n`` pool utterances far from every positive utterance (all strings).
+    """Draw ``n`` pool utterances far from every positive utterance (all
+    strings); ``positive_sets`` holds one list of utterances per class.
 
     A pool item is eligible when its cosine similarity to *each*
     utterance in every positive set stays below
@@ -235,8 +236,6 @@ def sample_negatives(
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     pool = list(pool)
-    if isinstance(positive_sets, dict):
-        positive_sets = positive_sets.values()
     positives = [u for group in positive_sets for u in group]
     eligible = []
     for start, _, sims in _similarities(pool, positives, table, lex):

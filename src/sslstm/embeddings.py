@@ -265,15 +265,14 @@ def _write_cache(path: str, table: EmbeddingTable, source) -> None:
                 os.remove(tmp)
 
 
-def save_embedding_file(table: EmbeddingTable, sink, header: bool = False) -> None:
-    """Write a table in the loadable format (repr-precision floats); raises
-    ValueError, writing nothing, for an empty token or one holding whitespace."""
+def save_embedding_file(table: EmbeddingTable, sink) -> None:
+    """Write a table in the loadable format (repr-precision floats, no
+    ``COUNT DIM`` header); raises ValueError, writing nothing, for an empty
+    token or one holding whitespace."""
     for token in table.index:
         if token.split() != [token]:
             raise ValueError(f"embedding token would not read back: {token!r}")
     with _open_write(sink) as fh:
-        if header:
-            fh.write(f"{len(table)} {table.dim}\n")
         for token, vec in zip(table.index, table.matrix):
             fh.write(token + " " + " ".join(repr(float(v)) for v in vec) + "\n")
 

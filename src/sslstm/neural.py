@@ -41,10 +41,6 @@ CHUNK = 32
 GATES = ("i", "f", "o", "c")
 
 
-class StaleCacheError(ValueError):
-    """Raised when a forward cache does not fit the model it is replayed on."""
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) <= 1 never overflows.  The numerator is 1 where x >= 0 and
     # exp(x) elsewhere, picked without a branch: max(e, 1) = 1, max(e, 0) = e.
@@ -102,10 +98,6 @@ class LSTMParams:
     def hidden_dim(self) -> int:
         return self.U.shape[1]
 
-    @property
-    def input_dim(self) -> int:
-        return self.W.shape[1]
-
 
 @dataclass
 class SSLSTMModel:
@@ -160,10 +152,9 @@ class BatchCache:
     """Backward cache of a list of token sequences (see :func:`batch_forward`).
 
     Rows are sorted longest first: row ``r`` holds input sequence
-    ``order[r]``, and ``tokens`` and the head arrays follow that order.
+    ``order[r]``, and the head arrays follow that order.
     """
 
-    tokens: list[list[str]]
     order: list[int]
     sem: LSTMCache | None
     sent: LSTMCache | None
@@ -171,7 +162,6 @@ class BatchCache:
     z1: np.ndarray
     a1: np.ndarray
     logits: np.ndarray
-    probs: np.ndarray
 
 
 def _glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -334,12 +324,12 @@ def _step_major(sequences: list[list[str]]) -> tuple[list[int], list[str]]:
 
 
 def _channels(model: SSLSTMModel):
-    """(gradient prefix, name, active?, params, table) per channel, semantic
+    """(gradient prefix, active?, params, table) per channel, semantic
     first: the concat order."""
     active = model.config.active_channels()
     return (
-        ("sem", "semantic", "semantic" in active, model.sem, model.semantic_table),
-        ("sent", "sentiment", "sentiment" in active, model.sent, model.sentiment_table),
+        ("sem", "semantic" in active, model.sem, model.semantic_table),
+        ("sent", "sentiment" in active, model.sent, model.sentiment_table),
     )
 
 
@@ -358,7 +348,7 @@ def batch_forward(model: SSLSTMModel, sequences) -> tuple[np.ndarray, BatchCache
     lengths = [len(seq) for seq in tokens]
     caches = {"sem": None, "sent": None}
     finals = []
-    for prefix, _, active, params, table in _channels(model):
+    for prefix, active, params, table in _channels(model):
         if active:
             caches[prefix] = _lstm_run(params, table.rows(table.ids(row_tokens)), steps)
             finals.append(_final_states(caches[prefix], lengths))
@@ -368,7 +358,6 @@ def batch_forward(model: SSLSTMModel, sequences) -> tuple[np.ndarray, BatchCache
     logits = a1 @ model.out_W.T + model.out_b
     probs = softmax(logits)
     cache = BatchCache(
-        tokens=tokens,
         order=order,
         sem=caches["sem"],
         sent=caches["sent"],
@@ -376,28 +365,10 @@ def batch_forward(model: SSLSTMModel, sequences) -> tuple[np.ndarray, BatchCache
         z1=z1,
         a1=a1,
         logits=logits,
-        probs=probs,
     )
     in_order = np.empty_like(probs)
     in_order[order] = probs
     return in_order, cache
-
-
-def _check_cache(model: SSLSTMModel, cache: BatchCache) -> None:
-    width = model.config.concat_width()
-    if cache.concat.shape[-1] != width:
-        raise StaleCacheError(
-            f"cache concat width {cache.concat.shape[-1]} does not match model {width}"
-        )
-    if cache.z1.shape[-1] != model.fc_W.shape[0]:
-        raise StaleCacheError("cache FC width does not match model")
-    for prefix, name, active, params, _ in _channels(model):
-        ch_cache = getattr(cache, prefix)
-        if active:
-            if ch_cache is None:
-                raise StaleCacheError(f"cache is missing the {name} channel")
-            if ch_cache.xs.shape[1:] != (params.input_dim,) or ch_cache.h.shape[1:] != (params.hidden_dim,):
-                raise StaleCacheError(f"cache {name} channel shapes do not match model")
 
 
 def batch_backward(model: SSLSTMModel, cache: BatchCache, dlogits) -> dict[str, np.ndarray]:
@@ -406,10 +377,9 @@ def batch_backward(model: SSLSTMModel, cache: BatchCache, dlogits) -> dict[str, 
     loss gradient at each sequence's logits (rows in input order).  The
     embedding tables are inputs, not parameters, and get no gradient.
 
-    For cross-entropy a row is ``probs - onehot(target)``, times any weight
-    the caller gives that example.
+    For the cross-entropy of one example a row is ``probs - onehot(target)``.
+    ``cache`` must come from :func:`batch_forward` on this same model.
     """
-    _check_cache(model, cache)
     dlogits = np.asarray(dlogits, dtype=np.float64)
     if dlogits.shape != cache.logits.shape:
         raise ValueError(
@@ -429,7 +399,7 @@ def batch_backward(model: SSLSTMModel, cache: BatchCache, dlogits) -> dict[str, 
 
     tensors: dict[str, np.ndarray] = {}
     offset = 0
-    for prefix, _, active, params, _ in _channels(model):
+    for prefix, active, params, _ in _channels(model):
         if active:
             dh_final = dconcat[:, offset : offset + params.hidden_dim]
             offset += params.hidden_dim

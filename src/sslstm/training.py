@@ -23,7 +23,7 @@ import numpy as np
 
 from sslstm.container import CheckpointError, TruncatedCheckpointError, read_container, write_container
 from sslstm.embeddings import EmbeddingTable, empty_table
-from sslstm.labels import LABELS, N_CLASSES, label_index
+from sslstm.labels import LABELS, label_index
 from sslstm.metrics import confusion, macro_f1
 from sslstm.neural import (
     GATES,
@@ -55,22 +55,19 @@ class TrainConfig:
     max_epochs: int = 100
     patience: int = 5
     seed: int = 0
-    class_weights: tuple[float, float, float, float] | None = None
     # Optional convergence target: stop once training accuracy, scored each
     # epoch only when this is set, reaches this fraction.  None disables it.
     stop_when_train_accuracy: float | None = None
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate!r}")
         if self.token_budget <= 0:
             raise ValueError("token_budget must be positive")
         if self.max_epochs <= 0:
             raise ValueError("max_epochs must be positive")
         if self.patience < 0:
             raise ValueError("patience must be non-negative")
-        if self.class_weights is not None and len(self.class_weights) != N_CLASSES:
-            raise ValueError(f"class_weights needs {N_CLASSES} entries")
 
 
 @dataclass
@@ -96,29 +93,26 @@ def cross_entropy(probabilities, target) -> float:
     return float(-np.log(np.asarray(probabilities)[idx]))
 
 
-def utterance_length(conv, max_len: int | None = None) -> int:
-    """Token count of one conversation's final turn, after truncation when a
-    maximum sequence length applies."""
-    n = len(conv.tokens)
-    return min(n, max_len) if max_len is not None else n
+def utterance_length(conv, max_len: int) -> int:
+    """Token count of one conversation's final turn after truncation to
+    ``max_len`` tokens."""
+    return min(len(conv.tokens), max_len)
 
 
-def make_batches(dataset, token_budget: int, seed: int | None, max_len: int | None = None):
-    """Shuffle, then greedily pack utterances into batches by token count.
+def make_batches(dataset, token_budget: int, seed: int, max_len: int):
+    """Shuffle with ``seed``, then greedily pack utterances into batches by
+    token count, each utterance counted as truncated to ``max_len`` tokens.
 
     A batch closes as soon as the next utterance would push its token total
     over the budget; an utterance longer than the whole budget travels
-    alone.  ``seed=None`` skips the shuffle and packs in the given order.
+    alone.
     """
     if token_budget <= 0:
         raise ValueError("token_budget must be positive")
     items = list(dataset)
     if not items:
         return []
-    if seed is None:
-        order = range(len(items))
-    else:
-        order = np.random.default_rng(seed).permutation(len(items))
+    order = np.random.default_rng(seed).permutation(len(items))
     batches: list[list] = []
     current: list = []
     used = 0
@@ -184,10 +178,10 @@ def split_dataset(dataset, ratio: float, seed: int):
     return train, validation
 
 
-def _batch_gradient(model, batch, weights):
-    """Weighted loss sum and mean gradient of one batch, one kernel call per
-    :func:`~sslstm.neural.chunks` group.  Each example's row of the logit
-    gradient carries its class weight and 1/len(batch)."""
+def _batch_gradient(model, batch):
+    """Cross-entropy loss sum and mean gradient of one batch, one kernel call
+    per :func:`~sslstm.neural.chunks` group.  Each example's row of the logit
+    gradient carries 1/len(batch)."""
     loss = 0.0
     total = None
     tokens = [c.tokens for c in batch]
@@ -195,11 +189,10 @@ def _batch_gradient(model, batch, weights):
         probs, cache = batch_forward(model, [tokens[k] for k in group])
         targets = np.array([label_index(batch[k].label) for k in group])
         rows = np.arange(len(group))
-        w = np.ones(len(group)) if weights is None else weights[targets]
-        loss += float(np.sum(w * -np.log(probs[rows, targets])))
+        loss += float(np.sum(-np.log(probs[rows, targets])))
         dlogits = probs.copy()
         dlogits[rows, targets] -= 1.0
-        dlogits *= (w / len(batch))[:, None]
+        dlogits *= 1.0 / len(batch)
         grads = batch_backward(model, cache, dlogits)
         if total is None:
             total = grads
@@ -240,9 +233,6 @@ def train(model: SSLSTMModel, train_set, validation_set, config: TrainConfig):
         raise ValueError("training set is empty")
     if not validation_set:
         raise ValueError("validation set is empty")
-    weights = None
-    if config.class_weights is not None:
-        weights = np.asarray(config.class_weights, dtype=np.float64)
 
     best = clone_model(model)
     best_f1 = -np.inf
@@ -258,7 +248,7 @@ def train(model: SSLSTMModel, train_set, validation_set, config: TrainConfig):
         )
         loss_total = 0.0
         for index, batch in enumerate(batches):
-            loss, total = _batch_gradient(model, batch, weights)
+            loss, total = _batch_gradient(model, batch)
             loss_total += loss
             if not math.isfinite(loss_total):
                 raise FloatingPointError(
@@ -291,10 +281,12 @@ def gradient_check(model: SSLSTMModel, example, epsilon: float = 1e-4) -> float:
     ``example`` is a ``(tokens, target)`` pair, the target a label name or
     class index.  Every parameter coordinate is checked (a seeded random
     subsample of 2,000 above 10,000 parameters); the relative error
-    denominator is max(|analytic|, |numeric|, 1e-8).
+    denominator is max(|analytic|, |numeric|, 1e-8).  The result is NaN
+    when any coordinate's error is, so a NaN never passes a tolerance.
+    Raises ValueError unless ``epsilon`` is finite and positive.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     tokens, target = example
     target = label_index(target)
     probs, cache = batch_forward(model, [tokens])
@@ -307,7 +299,7 @@ def gradient_check(model: SSLSTMModel, example, epsilon: float = 1e-4) -> float:
         rng = np.random.default_rng(0)
         chosen = rng.choice(len(coords), size=GRADCHECK_SAMPLE, replace=False)
         coords = [coords[int(i)] for i in chosen]
-    worst = 0.0
+    errors = []
     for name, i in coords:
         flat = tensors[name].reshape(-1)
         orig = flat[i]
@@ -318,9 +310,8 @@ def gradient_check(model: SSLSTMModel, example, epsilon: float = 1e-4) -> float:
         flat[i] = orig
         numeric = (up - down) / (2.0 * epsilon)
         a = float(analytic[name].reshape(-1)[i])
-        rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-        worst = max(worst, rel)
-    return worst
+        errors.append(abs(a - numeric) / max(abs(a), abs(numeric), 1e-8))
+    return float(np.max(errors))  # unlike max(), np.max keeps a NaN
 
 
 def save_checkpoint(

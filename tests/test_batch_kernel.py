@@ -65,23 +65,21 @@ setups = st.fixed_dictionaries({
     "channels": st.sampled_from(CHANNELS),
     "fc_activation": st.sampled_from(FC_ACTIVATIONS),
     "seed": st.integers(0, 3),
-    "weights": st.none() | st.tuples(*[st.sampled_from([0.0, 0.5, 1.0, 2.5])] * 4),
 })
 
 
-def reference_gradient(model, batch, weights):
-    """Per-example gradients (batches of one), each times weight/len(batch), summed."""
+def reference_gradient(model, batch):
+    """Per-example gradients (batches of one), each times 1/len(batch), summed."""
     loss = 0.0
     tensors = {}
     for conv in batch:
         target = LABELS.index(conv.label)
-        w = 1.0 if weights is None else weights[target]
         probs, cache = batch_forward(model, [conv.tokens])
-        loss += w * -np.log(probs[0, target])
+        loss += -np.log(probs[0, target])
         dlogits = probs.copy()
         dlogits[0, target] -= 1.0
         grads = batch_backward(model, cache, dlogits)
-        scale = w / len(batch)
+        scale = 1.0 / len(batch)
         for name, value in grads.items():
             tensors[name] = tensors.get(name, 0.0) + scale * value
     return loss, tensors
@@ -98,9 +96,8 @@ def assert_gradients_close(grads, tensors):
 def test_batch_gradient_matches_per_example_sums(batch, setup):
     model = model_for(setup["channels"], setup["fc_activation"], setup["seed"])
     batch = [SimpleNamespace(tokens=tokens, label=label) for tokens, label in batch]
-    weights = None if setup["weights"] is None else np.array(setup["weights"])
-    loss, grads = _batch_gradient(model, batch, weights)
-    ref_loss, tensors = reference_gradient(model, batch, setup["weights"])
+    loss, grads = _batch_gradient(model, batch)
+    ref_loss, tensors = reference_gradient(model, batch)
     np.testing.assert_allclose(loss, ref_loss, rtol=RTOL, atol=ATOL)
     assert_gradients_close(grads, tensors)
 
@@ -128,13 +125,12 @@ def test_batch_results_do_not_depend_on_batch_order(batch, setup, data):
     perm = data.draw(st.permutations(range(len(batch))))
     convs = [SimpleNamespace(tokens=tokens, label=label) for tokens, label in batch]
     shuffled = [convs[k] for k in perm]
-    weights = None if setup["weights"] is None else np.array(setup["weights"])
 
     probs, _ = batch_forward(model, [c.tokens for c in convs])
     probs_shuffled, _ = batch_forward(model, [c.tokens for c in shuffled])
     np.testing.assert_allclose(probs_shuffled, probs[list(perm)], rtol=RTOL, atol=ATOL)
 
-    loss, grads = _batch_gradient(model, convs, weights)
-    loss_shuffled, grads_shuffled = _batch_gradient(model, shuffled, weights)
+    loss, grads = _batch_gradient(model, convs)
+    loss_shuffled, grads_shuffled = _batch_gradient(model, shuffled)
     np.testing.assert_allclose(loss_shuffled, loss, rtol=RTOL, atol=ATOL)
     assert_gradients_close(grads_shuffled, grads)

@@ -263,6 +263,17 @@ class TestTrainEvalPredict:
         assert main(args + ["--model", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_a_non_finite_learning_rate_is_a_usage_error(self, ws, tmp_path, lr, capsys):
+        model = tmp_path / "m.ckpt"
+        assert main(["train", "--train", ws["train"], "--model", str(model),
+                     "--semantic-emb", ws["semantic_emb"],
+                     "--sentiment-emb", ws["sentiment_emb"],
+                     "--sem-hidden", "4", "--sent-hidden", "3", "--fc-hidden", "5",
+                     "--epochs", "2", "--lr", lr]) == 1
+        assert "learning_rate must be finite and positive" in capsys.readouterr().err
+        assert not model.exists()
+
     @pytest.mark.filterwarnings("ignore:divide by zero")
     def test_non_finite_loss_stops_at_its_batch(self, ws, tmp_path, capsys, monkeypatch):
         import sslstm.training
@@ -715,6 +726,28 @@ class TestGradcheck:
     def test_passes_within_tolerance(self, channels, capsys):
         assert main(["gradcheck", "--channels", channels, "--seed", "1"]) == 0
         assert "max relative error" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--epsilon", "--tolerance"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-4"])
+    def test_a_non_finite_or_non_positive_step_or_tolerance_is_a_usage_error(self, flag, value, capsys):
+        assert main(["gradcheck", f"{flag}={value}"]) == 1
+        captured = capsys.readouterr()
+        assert "must be finite and positive" in captured.err
+        assert captured.out == ""
+
+    def test_a_nan_weight_is_a_numeric_error(self, monkeypatch, capsys):
+        import sslstm.cli
+
+        real_init = sslstm.cli.init_model
+
+        def poisoned(*args, **kwargs):
+            model = real_init(*args, **kwargs)
+            model.out_b[0] = np.nan
+            return model
+
+        monkeypatch.setattr(sslstm.cli, "init_model", poisoned)
+        assert main(["gradcheck"]) == 3
+        assert "max relative error: nan" in capsys.readouterr().out
 
     def test_reports_error_magnitude(self, capsys):
         assert main(["gradcheck"]) == 0

@@ -662,8 +662,7 @@ class TestMineByResponse:
 class TestSampleNegatives:
     def test_identical_pool_item_never_sampled(self):
         table = unit_table()
-        positives = {"happy": ["t0"]}
-        out = sample_negatives(["t0", "t1", "t2", "t3"], positives, table, LEX, n=3, seed=0)
+        out = sample_negatives(["t0", "t1", "t2", "t3"], [["t0"]], table, LEX, n=3, seed=0)
         assert out == ["t1", "t2", "t3"]
 
     def test_orthogonal_pool_returned_whole(self):
@@ -714,7 +713,7 @@ class TestSampleNegatives:
         ]
         n = min(5, len(eligible))
         seed = 500 + trial
-        got = sample_negatives(pool, positives, table, LEX, cfg, n=n, seed=seed)
+        got = sample_negatives(pool, list(positives.values()), table, LEX, cfg, n=n, seed=seed)
         picks = np.random.default_rng(seed).choice(len(eligible), size=n, replace=False)
         expected = [pool[eligible[i]] for i in sorted(picks)]
         assert got == expected
@@ -732,13 +731,6 @@ class TestSampleNegatives:
         pool = ["t4", "t2", "t0", "t3"]
         out = sample_negatives(pool, [["t5"]], table, LEX, n=3, seed=1)
         assert out == [u for u in pool if u in out]
-
-    def test_list_and_dict_positive_sets_agree(self):
-        table = unit_table()
-        pool = [f"t{i}" for i in range(5)]
-        by_dict = sample_negatives(pool, {"happy": ["t0"], "sad": ["t1"]}, table, LEX, n=2, seed=7)
-        by_list = sample_negatives(pool, [["t0"], ["t1"]], table, LEX, n=2, seed=7)
-        assert by_dict == by_list
 
     def test_zero_requested_is_empty(self):
         assert sample_negatives(["t0"], [["t1"]], unit_table(), LEX, n=0, seed=0) == []

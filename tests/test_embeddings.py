@@ -30,6 +30,14 @@ def load_str(text):
     return load_embedding_file(io.StringIO(text))
 
 
+def table_text(table, header):
+    """The text ``save_embedding_file`` writes, after a ``COUNT DIM`` header
+    line when ``header`` is set."""
+    sink = io.StringIO()
+    save_embedding_file(table, sink)
+    return (f"{len(table)} {table.dim}\n" if header else "") + sink.getvalue()
+
+
 class TestLoad:
     def test_basic_readback(self):
         t = load_str("a 1.0 0.0\nb 0.0 1.0")
@@ -94,7 +102,7 @@ class TestLoad:
     def test_round_trip_with_header(self, tmp_path):
         t = load_str("a 0.1 0.2\nb -1e-9 4.0")
         path = tmp_path / "emb.txt"
-        save_embedding_file(t, path, header=True)
+        path.write_bytes(table_text(t, header=True).encode("utf-8"))
         back = load_embedding_file(path)
         np.testing.assert_array_equal(back.matrix[back.index["b"]], t.matrix[t.index["b"]])
 
@@ -118,9 +126,7 @@ class TestRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(table=tables(), header=st.booleans())
     def test_save_then_load_gives_back_the_table(self, table, header):
-        sink = io.StringIO()
-        save_embedding_file(table, sink, header=header)
-        data = sink.getvalue().encode("utf-8")
+        data = table_text(table, header).encode("utf-8")
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "emb.txt"
             path.write_bytes(data)
@@ -140,13 +146,12 @@ class TestRoundTrip:
         tokens=st.lists(st.text(st.characters(exclude_categories=("Cs",)), max_size=4),
                         min_size=1, max_size=5, unique=True),
         dim=st.integers(1, 2),
-        header=st.booleans(),
     )
-    def test_save_refuses_a_table_that_would_not_read_back(self, tokens, dim, header):
+    def test_save_refuses_a_table_that_would_not_read_back(self, tokens, dim):
         table = EmbeddingTable(dim, {tok: np.full(dim, k + 0.5) for k, tok in enumerate(tokens)})
         sink = io.StringIO()
         try:
-            save_embedding_file(table, sink, header=header)
+            save_embedding_file(table, sink)
         except ValueError:
             assert sink.getvalue() == ""
             assert any(tok.split() != [tok] for tok in tokens)
@@ -295,13 +300,7 @@ def table_files(draw):
     return (eol.join(lines) + draw(st.sampled_from(["", eol]))).encode("utf-8")
 
 
-def _generated_table() -> str:
-    sink = io.StringIO()
-    save_embedding_file(make_table([f"w{i}" for i in range(300)], dim=20), sink, header=True)
-    return sink.getvalue()
-
-
-GENERATED_TABLE = _generated_table()
+GENERATED_TABLE = table_text(make_table([f"w{i}" for i in range(300)], dim=20), header=True)
 
 
 class TestLoaderMatchesReference:
@@ -536,9 +535,7 @@ class TestCache:
     @settings(max_examples=60, deadline=None)
     @given(table=tables(), header=st.booleans())
     def test_cold_load_cache_hit_and_bytes_load_agree(self, table, header):
-        sink = io.StringIO()
-        save_embedding_file(table, sink, header=header)
-        data = sink.getvalue().encode("utf-8")
+        data = table_text(table, header).encode("utf-8")
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "emb.txt"
             path.write_bytes(data)

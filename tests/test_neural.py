@@ -11,7 +11,6 @@ from sslstm.neural import (
     FC_ACTIVATIONS,
     LSTMParams,
     ModelConfig,
-    StaleCacheError,
     _final_states,
     _lstm_run,
     _sigmoid,
@@ -53,7 +52,7 @@ def unit_lstm(b_c=0.0):
 def run_lstm(params, xs):
     """One input sequence through the kernel, one row per step: the hidden
     states, the final state (zeros for an empty input) and the cache."""
-    xs = np.array(xs, dtype=np.float64).reshape(len(xs), params.input_dim)
+    xs = np.array(xs, dtype=np.float64).reshape(len(xs), params.W.shape[1])
     cache = _lstm_run(params, xs, [1] * len(xs))
     return cache.h, _final_states(cache, [len(xs)])[0], cache
 
@@ -119,7 +118,7 @@ class TestLSTMForward:
     def test_matches_naive_recurrence(self):
         rng = np.random.default_rng(3)
         params = tiny_model(seed=5).sem
-        xs = [rng.standard_normal(params.input_dim) for _ in range(4)]
+        xs = [rng.standard_normal(params.W.shape[1]) for _ in range(4)]
         hs, h_final, _ = run_lstm(params, xs)
 
         def sig(v):
@@ -145,7 +144,7 @@ class TestLSTMForward:
     def test_gate_ranges(self):
         params = tiny_model(seed=9).sent
         rng = np.random.default_rng(4)
-        xs = [10.0 * rng.standard_normal(params.input_dim) for _ in range(6)]
+        xs = [10.0 * rng.standard_normal(params.W.shape[1]) for _ in range(6)]
         _, _, cache = run_lstm(params, xs)
         for name in ("i", "f", "o"):
             vals = getattr(cache, name)
@@ -154,7 +153,7 @@ class TestLSTMForward:
 
     def test_extreme_inputs_stay_finite(self):
         params = tiny_model(seed=2).sem
-        xs = [np.full(params.input_dim, 1e4), np.full(params.input_dim, -1e4)]
+        xs = [np.full(params.W.shape[1], 1e4), np.full(params.W.shape[1], -1e4)]
         hs, h_final, _ = run_lstm(params, xs)
         assert np.all(np.isfinite(hs))
         assert np.all(np.isfinite(h_final))
@@ -189,10 +188,12 @@ class TestForwardPass:
 
     def test_truncates_to_max_seq_len(self):
         model = tiny_model(seed=3, max_seq_len=3)
-        long_probs, long_cache = batch_forward(model, [["a", "b", "c", "good", "bad"]])
-        short_probs, _ = batch_forward(model, [["a", "b", "c"]])
+        long_probs, long_cache = batch_forward(model, [["a"], ["a", "b", "c", "good", "bad"], ["a", "b"]])
+        short_probs, _ = batch_forward(model, [["a"], ["a", "b", "c"], ["a", "b"]])
         np.testing.assert_allclose(long_probs, short_probs, rtol=1e-12)
-        assert long_cache.tokens == [["a", "b", "c"]]
+        # Rows run longest first after truncation: 3, 2, then 1 token.
+        assert long_cache.order == [1, 2, 0]
+        assert long_cache.sem.steps == [3, 2, 1]
 
     def test_accepts_token_objects(self):
         model = tiny_model(seed=3)
@@ -363,20 +364,6 @@ class TestBackward:
         assert set(grads) == set(model.param_tensors())
         for name, tensor in model.param_tensors().items():
             assert grads[name].shape == tensor.shape
-
-    def test_stale_cache_rejected(self):
-        model_a = tiny_model(seed=1, fc_hidden=4)
-        model_b = tiny_model(seed=1, fc_hidden=6)
-        _, cache = batch_forward(model_a, [["good"]])
-        with pytest.raises(StaleCacheError):
-            batch_backward(model_b, cache, np.zeros((1, N_CLASSES)))
-
-    def test_stale_cache_missing_channel(self):
-        single = tiny_model(seed=1, channels="semantic", sem_hidden=3, fc_hidden=4)
-        dual = tiny_model(seed=1, channels="both", sem_hidden=3, sent_hidden=2, fc_hidden=4)
-        _, cache = batch_forward(single, [["good"]])
-        with pytest.raises(StaleCacheError):
-            batch_backward(dual, cache, np.zeros((1, N_CLASSES)))
 
     def test_target_out_of_range(self):
         model = tiny_model(seed=1)

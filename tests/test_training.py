@@ -108,25 +108,38 @@ class TestCrossEntropy:
         )
 
 
+# Longer than any utterance the packing tests build: nothing is truncated.
+NO_TRUNCATION = 100
+
+
+def in_packing_order(convs, seed):
+    """``convs`` arranged so that ``make_batches(..., seed=seed)`` packs them
+    in the given order."""
+    arranged = [None] * len(convs)
+    for conv_, index in zip(convs, np.random.default_rng(seed).permutation(len(convs))):
+        arranged[index] = conv_
+    return arranged
+
+
 class TestMakeBatches:
     def test_hand_traced_greedy_fill(self):
         convs = [conv(i, words(n)) for i, n in enumerate([3, 5, 2, 7])]
-        batches = make_batches(convs, token_budget=8, seed=None)
+        batches = make_batches(in_packing_order(convs, 1), token_budget=8, seed=1, max_len=NO_TRUNCATION)
         grouped = [[c.id for c in batch] for batch in batches]
         assert grouped == [["0", "1"], ["2"], ["3"]]
 
     def test_oversize_utterance_is_singleton(self):
         convs = [conv(0, words(10))]
-        batches = make_batches(convs, token_budget=8, seed=None)
+        batches = make_batches(convs, token_budget=8, seed=0, max_len=NO_TRUNCATION)
         assert [len(b) for b in batches] == [1]
 
     def test_oversize_between_normal(self):
         convs = [conv(i, words(n)) for i, n in enumerate([2, 12, 3])]
-        batches = make_batches(convs, token_budget=8, seed=None)
+        batches = make_batches(in_packing_order(convs, 2), token_budget=8, seed=2, max_len=NO_TRUNCATION)
         assert [[c.id for c in b] for b in batches] == [["0"], ["1"], ["2"]]
 
     def test_empty_dataset(self):
-        assert make_batches([], token_budget=8, seed=0) == []
+        assert make_batches([], token_budget=8, seed=0, max_len=NO_TRUNCATION) == []
 
     def test_partition_invariants(self):
         rng = np.random.default_rng(5)
@@ -135,7 +148,7 @@ class TestMakeBatches:
                 conv(i, words(int(rng.integers(1, 12)))) for i in range(30)
             ]
             budget = int(rng.integers(5, 25))
-            batches = make_batches(convs, token_budget=budget, seed=trial)
+            batches = make_batches(convs, token_budget=budget, seed=trial, max_len=NO_TRUNCATION)
             seen = [c.id for batch in batches for c in batch]
             assert sorted(seen) == sorted(c.id for c in convs)
             assert len(seen) == len(set(seen))
@@ -145,27 +158,28 @@ class TestMakeBatches:
 
     def test_deterministic_per_seed(self):
         convs = [conv(i, words(i % 5 + 1)) for i in range(20)]
-        a = make_batches(convs, 10, seed=3)
-        b = make_batches(convs, 10, seed=3)
+        a = make_batches(convs, 10, seed=3, max_len=NO_TRUNCATION)
+        b = make_batches(convs, 10, seed=3, max_len=NO_TRUNCATION)
         assert [[c.id for c in x] for x in a] == [[c.id for c in x] for x in b]
-        c = make_batches(convs, 10, seed=4)
+        c = make_batches(convs, 10, seed=4, max_len=NO_TRUNCATION)
         assert [[x.id for x in y] for y in a] != [[x.id for x in y] for y in c]
 
     def test_truncated_lengths_counted(self):
         convs = [conv(0, words(10)), conv(1, words(10))]
         assert utterance_length(convs[0], max_len=4) == 4
-        batches = make_batches(convs, token_budget=8, seed=None, max_len=4)
+        assert utterance_length(convs[0], max_len=NO_TRUNCATION) == 10
+        batches = make_batches(convs, token_budget=8, seed=0, max_len=4)
         assert len(batches) == 1  # 4 + 4 fits the budget
 
     def test_zero_length_utterances_pack_together(self):
         convs = [conv(i, "@somebody") for i in range(5)]
         assert all(len(c.tokens) == 0 for c in convs)
-        batches = make_batches(convs, token_budget=3, seed=None)
+        batches = make_batches(convs, token_budget=3, seed=0, max_len=NO_TRUNCATION)
         assert len(batches) == 1
 
     def test_bad_budget(self):
         with pytest.raises(ValueError, match="token_budget"):
-            make_batches([conv(0, "hey")], token_budget=0, seed=0)
+            make_batches([conv(0, "hey")], token_budget=0, seed=0, max_len=NO_TRUNCATION)
 
 
 class TestSgdStep:
@@ -390,7 +404,6 @@ class TestTrain:
             max_epochs=1,
             patience=1,
             seed=5,
-            class_weights=(1.0, 2.0, 0.5, 1.5),
         )
         trained, _ = train(tiny_random_model(seed=6), train_set, val_set, config)
 
@@ -402,11 +415,8 @@ class TestTrain:
         for batch in batches:
             tensors = {}
             for c in batch:
-                target = LABELS.index(c.label)
-                weight = config.class_weights[target]
-                grads = example_gradients(reference, c.tokens, target)
+                grads = example_gradients(reference, c.tokens, LABELS.index(c.label))
                 for key, value in grads.items():
-                    value = value * weight
                     tensors[key] = tensors[key] + value if key in tensors else value
             scale = 1.0 / len(batch)
             mean = {k: v * scale for k, v in tensors.items()}
@@ -439,23 +449,6 @@ class TestTrain:
         with pytest.raises(FloatingPointError, match=r"at epoch 0, batch \d+$"):
             train(keyword_model(seed=1), train_set, val_set, config)
 
-    def test_zero_class_weight_freezes_training(self):
-        sem, sent = keyword_tables()
-        config = ModelConfig(channels="both", sem_hidden=4, sent_hidden=3, fc_hidden=6)
-        model = init_model(config, sem, sent, seed=5)
-        before = {k: v.copy() for k, v in model.param_tensors().items()}
-        data = [conv(i, "alpha", "happy") for i in range(4)]
-        train_cfg = TrainConfig(
-            learning_rate=0.5,
-            token_budget=8,
-            max_epochs=2,
-            patience=5,
-            class_weights=(0.0, 1.0, 1.0, 1.0),
-        )
-        train(model, data, [conv(99, "alpha", "happy")], train_cfg)
-        for k, v in model.param_tensors().items():
-            np.testing.assert_array_equal(v, before[k])
-
     def test_empty_sets_rejected(self):
         train_set, val_set = keyword_dataset()
         model = keyword_model()
@@ -465,14 +458,13 @@ class TestTrain:
             train(model, train_set, [], self.run_config())
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="learning_rate"):
-            TrainConfig(learning_rate=0.0)
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="learning_rate must be finite and positive"):
+                TrainConfig(learning_rate=bad)
         with pytest.raises(ValueError, match="token_budget"):
             TrainConfig(token_budget=-1)
         with pytest.raises(ValueError, match="patience"):
             TrainConfig(patience=-1)
-        with pytest.raises(ValueError, match="class_weights"):
-            TrainConfig(class_weights=(1.0, 1.0))
 
 
 class TestGradientCheck:
@@ -490,10 +482,14 @@ class TestGradientCheck:
 
     def test_epsilon_validation(self):
         model = tiny_random_model()
-        with pytest.raises(ValueError, match="epsilon"):
-            gradient_check(model, (["good"], 0), epsilon=0.0)
-        with pytest.raises(ValueError, match="epsilon"):
-            gradient_check(model, (["good"], 0), epsilon=-1e-4)
+        for bad in (0.0, -1e-4, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+                gradient_check(model, (["good"], 0), epsilon=bad)
+
+    def test_a_nan_weight_gives_a_nan_result(self):
+        model = tiny_random_model(seed=6)
+        model.out_b[0] = np.nan
+        assert np.isnan(gradient_check(model, (["good", "bad"], 2), epsilon=1e-4))
 
     def test_large_model_subsamples(self):
         vocab = ["good", "bad"]
