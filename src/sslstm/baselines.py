@@ -3,7 +3,7 @@ scorers over one sparse design matrix (Wang and Manning, 2012).
 
 :func:`design_matrix` builds one CSR matrix per dataset in a single pass: a
 row per utterance with the counts of its contiguous 1/2/3-grams over
-normalized token surfaces in columns ``0``..``V-1``, then its happy/sad/angry
+normalized tokens in columns ``0``..``V-1``, then its happy/sad/angry
 emoticon counts in columns ``V``..``V+2``.  NB weighs the n-gram columns by
 their smoothed log-likelihoods on top of the log priors; the SVM weighs every
 column by its one-vs-rest weights on top of its biases and is trained by
@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from sslstm.labels import LABELS, N_CLASSES, label_index
-from sslstm.text_norm import EmoticonLexicon, emoticon_class, surfaces
+from sslstm.text_norm import EmoticonLexicon, emoticon_class
 from sslstm.container import CheckpointError, read_container, write_container
 
 NGRAM_ORDERS = (1, 2, 3)
@@ -63,18 +63,17 @@ def design_matrix(token_lists, lex: EmoticonLexicon, vocab: dict[str, int] | Non
         vocab = {}
     indptr, cols, vals = [0], [], []
     for tokens in token_lists:
-        texts = surfaces(tokens)
         grams = Counter(
-            " ".join(texts[start : start + order])
+            " ".join(tokens[start : start + order])
             for order in NGRAM_ORDERS
-            for start in range(len(texts) - order + 1)
+            for start in range(len(tokens) - order + 1)
         )
         for gram, count in grams.items():
             col = vocab.setdefault(gram, len(vocab)) if grow else vocab.get(gram)
             if col is not None:
                 cols.append(col)
                 vals.append(count)
-        classes = Counter(emoticon_class(text, lex) for text in texts)
+        classes = Counter(emoticon_class(tok, lex) for tok in tokens)
         for slot, name in enumerate(_EMOTICON_CLASSES):
             if classes[name]:
                 cols.append(-1 - slot)  # moved behind the n-grams once V is known

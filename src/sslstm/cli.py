@@ -153,8 +153,13 @@ def _parse_emb_specs(specs) -> dict[str, str]:
     return tables
 
 
+def _given(args, flags: list[str]) -> list[str]:
+    return [f for f in flags if getattr(args, f.lstrip("-").replace("-", "_")) is not None]
+
+
 def _require(args, flags: list[str], context: str) -> None:
-    missing = [f for f in flags if getattr(args, f.lstrip("-").replace("-", "_")) is None]
+    given = _given(args, flags)
+    missing = [f for f in flags if f not in given]
     if missing:
         raise UsageError(f"{context} requires {', '.join(missing)}")
 
@@ -163,14 +168,15 @@ def _require(args, flags: list[str], context: str) -> None:
 # model loading shared by eval/predict
 
 
-def _load_predictor(args, lex):
-    """A callable list of conversations -> list of labels for any saved
-    model file; a file that records its lexicon's hash must match ``lex``."""
-    meta, tensors = read_container(args.model)
+def _load_predictor(path: str, args, lex):
+    """A callable list of conversations -> list of labels for the saved
+    model file ``path``, any kind, with the tables ``args`` names; a file
+    that records its lexicon's hash must match ``lex``."""
+    meta, tensors = read_container(path)
     stored = meta.get("lexicon_sha256", "-")
     if stored not in ("", "-") and stored != lex.sha256:
         raise CheckpointError(
-            f"{args.model} was trained with another emoticon lexicon "
+            f"{path} was trained with another emoticon lexicon "
             f"({stored[:12]} vs {lex.sha256[:12]}); pass that one as --lexicon"
         )
     kind = meta.get("model", "sslstm")
@@ -181,7 +187,7 @@ def _load_predictor(args, lex):
             path = getattr(args, f"{channel}_emb")
             tables[channel] = None if path is None else load_embedding_file(path)
         model = model_from_container(meta, tensors, tables["semantic"], tables["sentiment"])
-        _warn_missing_tables(args, model.config, f"{args.model} uses")
+        _warn_missing_tables(args, model.config, f"{path} uses")
         return lambda convs: batch_predict(model, [conv.tokens for conv in convs])
     baseline = baseline_from_container(meta, tensors)
     return lambda convs: baseline_predict(baseline, [conv.tokens for conv in convs], lex)
@@ -217,7 +223,17 @@ def cmd_split(args) -> None:
     print(f"validation: {len(val_set)} examples -> {args.val_out}")
 
 
+# train flags that only the neural model reads, which a baseline refuses unread.
+_NEURAL_ONLY = {
+    "nb": ["--val", "--semantic-emb", "--sentiment-emb", "--epochs"],
+    "svm": ["--val", "--semantic-emb", "--sentiment-emb"],
+}
+
+
 def cmd_train(args) -> None:
+    unused = _given(args, _NEURAL_ONLY.get(args.algo, []))
+    if unused:
+        raise UsageError(f"train --algo {args.algo} does not use {', '.join(unused)}")
     lex = _lexicon(args)
     dataset = require_labeled(read_dataset(args.train, lex))
     if args.algo != "sslstm":
@@ -269,13 +285,13 @@ def cmd_train(args) -> None:
 def cmd_eval(args) -> None:
     lex = _lexicon(args)
     dataset = require_labeled(read_dataset(args.data, lex))
-    predictor = _load_predictor(args, lex)
+    predictor = _load_predictor(args.model, args, lex)
     predictions = predictor(dataset)
     golds = [conv.label for conv in dataset]
     report = evaluate(predictions, golds)
     text = report_tsv(report) if args.format == "tsv" else format_report(report)
     if args.compare_model:
-        other = _load_predictor(argparse.Namespace(**{**vars(args), "model": args.compare_model}), lex)
+        other = _load_predictor(args.compare_model, args, lex)
         other_predictions = other(dataset)
         correct_a = [p == g for p, g in zip(predictions, golds)]
         correct_b = [p == g for p, g in zip(other_predictions, golds)]
@@ -290,7 +306,7 @@ def cmd_eval(args) -> None:
 def cmd_predict(args) -> None:
     lex = _lexicon(args)
     dataset = read_dataset(args.data, lex)
-    predictor = _load_predictor(args, lex)
+    predictor = _load_predictor(args.model, args, lex)
     rows = [f"{conv.id}\t{label}" for conv, label in zip(dataset, predictor(dataset))]
     _emit(rows, args.output)
 
@@ -427,10 +443,10 @@ def build_parser() -> _Parser:
     p.add_argument("--algo", choices=("sslstm", "nb", "svm"), default="sslstm",
                    help="classifier family (default sslstm)")
     p.add_argument("--train", required=True, help="labeled conversation TSV")
-    p.add_argument("--val", help="labeled validation TSV (default: split from --train)")
+    p.add_argument("--val", help="labeled validation TSV (sslstm only; default: split from --train)")
     p.add_argument("--model", required=True, help="where to save the fitted model")
-    p.add_argument("--semantic-emb", help="semantic embedding text file")
-    p.add_argument("--sentiment-emb", help="sentiment embedding text file")
+    p.add_argument("--semantic-emb", help="semantic embedding text file (sslstm only)")
+    p.add_argument("--sentiment-emb", help="sentiment embedding text file (sslstm only)")
     p.add_argument("--channels", choices=CHANNELS, default=_MODEL_DEFAULTS.channels,
                    help="embedding channels to use (default both)")
     p.add_argument("--sem-hidden", type=int, default=_MODEL_DEFAULTS.sem_hidden,
@@ -451,7 +467,7 @@ def build_parser() -> _Parser:
                    help=f"tokens per batch (default {_TRAIN_DEFAULTS.token_budget})")
     p.add_argument("--epochs", type=int,
                    help=f"maximum epochs (default {_TRAIN_DEFAULTS.max_epochs} "
-                        f"for sslstm, {SVM_EPOCHS} for svm)")
+                        f"for sslstm, {SVM_EPOCHS} for svm; not for nb)")
     p.add_argument("--patience", type=int, default=_TRAIN_DEFAULTS.patience,
                    help=f"early-stopping patience (default {_TRAIN_DEFAULTS.patience})")
     p.add_argument("--ratio", type=float, default=0.9,

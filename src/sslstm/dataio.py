@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from sslstm.labels import LABELS, N_CLASSES, label_index
-from sslstm.text_norm import EmoticonLexicon, Token, normalize_utterance
+from sslstm.text_norm import EmoticonLexicon, normalize_utterance
 from sslstm.textfile import DataFormatError, _lines, _open_write
 
 
@@ -44,7 +44,7 @@ class Conversation:
             self.label = LABELS[label_index(self.label)]
 
     @cached_property
-    def tokens(self) -> list[Token]:
+    def tokens(self) -> list[str]:
         """Normalized token sequence of the final turn (computed once)."""
         return normalize_utterance(self.turn3, self.lex)
 

@@ -98,11 +98,11 @@ def _check_target(target) -> None:
 
 
 def _prune_reason(tokens, target, lex: EmoticonLexicon, config: MiningConfig) -> str:
-    """Why an utterance of ``tokens`` (tokens or their surfaces) plainly
-    cannot belong to the ``target`` class; empty when it may, or when there
-    is no target.  An emoticon of a *different* emotion class rules it out
-    (neutral emoticons are fine); failing that, more than
-    ``config.max_utterance_len`` tokens do."""
+    """Why an utterance of ``tokens`` plainly cannot belong to the
+    ``target`` class; empty when it may, or when there is no target.  An
+    emoticon of a *different* emotion class rules it out (neutral emoticons
+    are fine); failing that, more than ``config.max_utterance_len`` tokens
+    do."""
     if target is None:
         return ""
     for tok in tokens:
@@ -208,7 +208,7 @@ def mine_by_response(
             continue
         if a_key in frequent:
             seen_questions.add(q_key)
-            # token surfaces hold no whitespace, so the key splits back into them
+            # tokens hold no whitespace, so the key splits back into them
             reason = _prune_reason(q_key.split(), target, lex, config)
             candidates.append(Candidate(q, float(counts[a_key]), first_text[a_key], reason))
     return _queue(candidates)

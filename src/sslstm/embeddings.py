@@ -29,7 +29,6 @@ import numpy as np
 
 from sslstm.textfile import (BadRow, DataFormatError, _open_write, _read, _split_lines,
                              float_rows, rows_by_float)
-from sslstm.text_norm import surfaces
 
 # Fallback dimensionalities for channels constructed without a file.
 DEFAULT_SEMANTIC_DIM = 100
@@ -73,9 +72,9 @@ class EmbeddingTable:
         return self.matrix.shape[1]
 
     def ids(self, tokens) -> np.ndarray:
-        """Row of each token (strings or ``Token``), -1 where out of vocabulary."""
+        """Row of each token, -1 where out of vocabulary."""
         get = self.index.get
-        return np.array([get(s, -1) for s in surfaces(tokens)], dtype=np.int64)
+        return np.array([get(tok, -1) for tok in tokens], dtype=np.int64)
 
     def rows(self, ids: np.ndarray) -> np.ndarray:
         """The rows ``ids`` as a new ``(len(ids), dim)`` matrix, zero where an id is -1."""

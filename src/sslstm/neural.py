@@ -27,7 +27,6 @@ import numpy as np
 
 from sslstm.embeddings import EmbeddingTable
 from sslstm.labels import LABELS, N_CLASSES
-from sslstm.text_norm import surfaces
 
 CHANNELS = ("both", "semantic", "sentiment")
 FC_ACTIVATIONS = ("relu", "tanh")
@@ -341,9 +340,9 @@ def batch_forward(model: SSLSTMModel, sequences) -> tuple[np.ndarray, BatchCache
     grows with the batch: callers pass at most :data:`CHUNK` sequences.
     """
     max_len = model.config.max_seq_len
-    texts = [surfaces(seq[:max_len]) for seq in sequences]
-    order = sorted(range(len(texts)), key=lambda k: -len(texts[k]))
-    tokens = [texts[k] for k in order]
+    truncated = [seq[:max_len] for seq in sequences]
+    order = sorted(range(len(truncated)), key=lambda k: -len(truncated[k]))
+    tokens = [truncated[k] for k in order]
     steps, row_tokens = _step_major(tokens)
     lengths = [len(seq) for seq in tokens]
     caches = {"sem": None, "sent": None}

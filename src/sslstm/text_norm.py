@@ -6,6 +6,9 @@ emoticon, and punctuation tokens (dropping @-handles and URLs), and
 single canonical form, e.g. ``:(((`` and the frowning-face emoji both become
 ``:(``.  The combined pipeline is :func:`normalize_utterance`.
 
+A token is a ``str``: its text, never empty and never holding whitespace.
+Whether it is an emoticon follows from the text (:func:`emoticon_class`).
+
 Every function that scans or classifies emoticons takes the lexicon as an
 argument; nothing falls back to one.  The lexicon shipped with the package
 (``data/emoticons.tsv``) is :func:`default_lexicon`, and a command-line run
@@ -18,7 +21,6 @@ import hashlib
 import re
 import sys
 import unicodedata
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 
@@ -26,25 +28,23 @@ from sslstm.textfile import DataFormatError, _read, _split_lines
 
 EMOTICON_CLASSES = ("happy", "sad", "angry", "neutral")
 
-TOKEN_KINDS = ("word", "emoticon", "punctuation")
-
 
 class LexiconFormatError(DataFormatError):
     """Raised for malformed lexicon files or inconsistent lexicon entries."""
 
 
-@dataclass(frozen=True)
-class Token:
-    """One normalized token.  ``kind`` is "emoticon" only for canonical forms."""
+class Token(str):
+    """A token of :func:`normalize_utterance`: a ``str`` whose ``surface``
+    is its text as an exact ``str``.
 
-    surface: str
-    kind: str
+    It exists only because ``perfbench/gen.py`` reads ``.surface`` from
+    normalized tokens.  It goes, and :func:`normalize_utterance` returns
+    plain ``str``, in the first benchmark change that edits that line
+    (ROADMAP item 2).
+    """
 
-    def __post_init__(self):
-        if self.surface.split() != [self.surface]:
-            raise ValueError(f"token surface must be non-empty and whitespace-free: {self.surface!r}")
-        if self.kind not in TOKEN_KINDS:
-            raise ValueError(f"unknown token kind: {self.kind!r}")
+    __slots__ = ()
+    surface = property(str.__str__)
 
 
 def _is_word_char(ch: str) -> bool:
@@ -95,7 +95,7 @@ class EmoticonLexicon:
         self.canonical_class = {c: raw_class[c] for c in raw_to_canonical.values()}
         self._scanner = self._compile_scanner()
         # normalize_utterance's memo: whitespace chunk -> its normalized tokens.
-        self._chunk_tokens: dict[str, tuple[Token, ...]] = {}
+        self._chunk_tokens: dict[str, tuple[str, ...]] = {}
 
     def _compile_scanner(self, marks: str = "") -> re.Pattern:
         # One alternation over all raw forms, longest first.  Each form may be
@@ -207,7 +207,7 @@ def _drop_chunk(chunk: str) -> bool:
     return low.startswith(("http://", "https://", "www."))
 
 
-def tokenize(raw: str, lex: EmoticonLexicon) -> list[Token]:
+def tokenize(raw: str, lex: EmoticonLexicon) -> list[str]:
     """Split raw text into tokens.
 
     Word tokens are lowercased and keep internal apostrophes ("don't")
@@ -218,7 +218,7 @@ def tokenize(raw: str, lex: EmoticonLexicon) -> list[Token]:
     tokens; everything else becomes one punctuation token per character.
     """
     text = raw.translate(_VARIATION_SELECTORS)
-    tokens: list[Token] = []
+    tokens: list[str] = []
     for chunk in text.split():
         if _drop_chunk(chunk):
             whole = lex.match_emoticon(chunk)
@@ -228,9 +228,7 @@ def tokenize(raw: str, lex: EmoticonLexicon) -> list[Token]:
         while pos < len(chunk):
             m = lex.match_emoticon(chunk, pos)
             if m:
-                surface = m.group(0)
-                kind = "emoticon" if surface in lex.canonical_class else "punctuation"
-                tokens.append(Token(surface, kind))
+                tokens.append(m.group(0))
                 pos = m.end()
                 continue
             end = _word_end(chunk, pos)
@@ -240,10 +238,10 @@ def tokenize(raw: str, lex: EmoticonLexicon) -> list[Token]:
                     # Lowercased, it may start with an emoticon or split.
                     chunk = chunk[:pos] + word.lower() + chunk[end:]
                     continue
-                tokens.append(Token(word, "word"))
+                tokens.append(word)
                 pos = end
                 continue
-            tokens.append(Token(chunk[pos], "punctuation"))
+            tokens.append(chunk[pos])
             pos += 1
     return tokens
 
@@ -251,25 +249,21 @@ def tokenize(raw: str, lex: EmoticonLexicon) -> list[Token]:
 _TRAILING_RUN_RE = re.compile(r"(.)\1+\Z")
 
 
-def normalize_emoticons(tokens, lex: EmoticonLexicon) -> list[Token]:
+def normalize_emoticons(tokens, lex: EmoticonLexicon) -> list[str]:
     """Replace every recognized emoticon variant by its canonical form.
 
     A token matches either directly or after collapsing a trailing repeated-
     character run (":(((" -> ":(").  Unrecognized tokens pass through
     unchanged; the operation is idempotent.
     """
-    out: list[Token] = []
+    out: list[str] = []
     for tok in tokens:
-        surface = tok.surface
-        canonical = lex.raw_to_canonical.get(surface)
+        canonical = lex.raw_to_canonical.get(tok)
         if canonical is None:
-            collapsed = _TRAILING_RUN_RE.sub(r"\1", surface)
-            if collapsed != surface:
+            collapsed = _TRAILING_RUN_RE.sub(r"\1", tok)
+            if collapsed != tok:
                 canonical = lex.raw_to_canonical.get(collapsed)
-        if canonical is None:
-            out.append(tok)
-        else:
-            out.append(Token(canonical, "emoticon"))
+        out.append(tok if canonical is None else canonical)
     return out
 
 
@@ -277,41 +271,31 @@ def normalize_emoticons(tokens, lex: EmoticonLexicon) -> list[Token]:
 _CHUNK_MEMO = 1 << 14
 
 
-def normalize_utterance(raw: str, lex: EmoticonLexicon) -> list[Token]:
+def normalize_utterance(raw: str, lex: EmoticonLexicon) -> list[str]:
     """Tokenize and emoticon-normalize one utterance.
 
     Equal to ``normalize_emoticons(tokenize(raw, lex), lex)``: both steps
     read one whitespace chunk at a time, so each distinct chunk is
-    normalized once per lexicon and then looked up in its memo.
+    normalized once per lexicon and then looked up in its memo.  The
+    tokens are :class:`Token`, built once per chunk as the memo is filled.
     """
     memo = lex._chunk_tokens
-    out: list[Token] = []
+    out: list[str] = []
     for chunk in raw.translate(_VARIATION_SELECTORS).split():
         tokens = memo.get(chunk)
         if tokens is None:
             if len(memo) >= _CHUNK_MEMO:
                 memo.clear()
-            tokens = memo[chunk] = tuple(normalize_emoticons(tokenize(chunk, lex), lex))
+            tokens = memo[chunk] = tuple(map(Token, normalize_emoticons(tokenize(chunk, lex), lex)))
         out.extend(tokens)
     return out
 
 
-def surface(token) -> str:
-    """The text of a token; every function taking tokens accepts either
-    :class:`Token` objects or their plain-string surfaces."""
-    return token.surface if isinstance(token, Token) else token
-
-
-def surfaces(tokens) -> list[str]:
-    """Token surfaces as plain strings."""
-    return list(map(surface, tokens))
-
-
 def emoticon_class(token, lex: EmoticonLexicon) -> str | None:
     """Class of a canonical emoticon token; None for anything else."""
-    return lex.canonical_class.get(surface(token))
+    return lex.canonical_class.get(token)
 
 
 def serialize_tokens(tokens) -> str:
     """Join tokens back into a space-separated string."""
-    return " ".join(surfaces(tokens))
+    return " ".join(tokens)

@@ -38,7 +38,7 @@ from sslstm.embeddings import EmbeddingTable
 from sslstm.labels import LABELS
 from sslstm.metrics import dataset_stats, f1_score, fleiss_kappa, mcnemar
 from sslstm.neural import ModelConfig, batch_forward, batch_predict, init_model
-from sslstm.text_norm import normalize_utterance, serialize_tokens, surfaces
+from sslstm.text_norm import normalize_utterance, serialize_tokens
 from sslstm.training import TrainConfig, gradient_check, load_checkpoint, save_checkpoint, train
 
 
@@ -80,7 +80,7 @@ def accuracy(model, data):
 
 
 def naive_sentence_vec(table, text):
-    tokens = surfaces(normalize_utterance(text, LEX))
+    tokens = normalize_utterance(text, LEX)
     vecs = [table.matrix[table.index[s]] for s in tokens if s in table.index]
     if not vecs:
         return np.zeros(table.dim)
@@ -222,7 +222,7 @@ def test_5_normalization_example_and_idempotence():
         got = normalize_utterance(
             "Yeah! :((( My plan is cancelled \N{UNAMUSED FACE}\N{WHITE FROWNING FACE}", LEX
         )
-        assert surfaces(got) == ["yeah", "!", ":(", "my", "plan", "is", "cancelled", ":|", ":("]
+        assert got == ["yeah", "!", ":(", "my", "plan", "is", "cancelled", ":|", ":("]
 
         rng = random.Random(77)
         pieces = (

@@ -25,7 +25,7 @@ from sslstm.baselines import (
 from sslstm.dataio import Conversation
 from sslstm.labels import LABELS, N_CLASSES
 from sslstm.training import CheckpointError
-from sslstm.text_norm import default_lexicon, emoticon_class, normalize_utterance, surfaces
+from sslstm.text_norm import default_lexicon, emoticon_class, normalize_utterance
 
 
 def conv(cid, text, label=None):
@@ -142,7 +142,7 @@ def dense_fit_reference(X, y, lambda_reg, epochs, seed):
 
 def reference_features(tokens):
     lex = default_lexicon()
-    texts = surfaces(tokens)
+    texts = list(tokens)
     ngrams = {}
     for order in (1, 2, 3):
         for start in range(len(texts) - order + 1):

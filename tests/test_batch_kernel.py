@@ -34,8 +34,8 @@ RTOL, ATOL = 1e-12, 1e-14
 MAX_LEN = 5
 VOCAB = ["good", "bad", "mad", "meh", ":)", ":("]
 # Tokens the model may see: the table vocabulary, one out-of-vocabulary
-# word, and one Token object.
-SYMBOLS = VOCAB + ["zzz-unknown", Token("good", "word")]
+# word, and one Token, so that sequences mix str and Token.
+SYMBOLS = VOCAB + ["zzz-unknown", Token("good")]
 
 
 def model_for(channels, fc_activation, seed):

@@ -16,7 +16,7 @@ from sslstm.dataio import read_dataset
 from sslstm.datamine import read_judge_queue
 from sslstm.embeddings import EmbeddingTable, save_embedding_file
 from sslstm.labels import LABELS
-from sslstm.text_norm import EmoticonLexicon, load_lexicon, normalize_utterance, surfaces
+from sslstm.text_norm import EmoticonLexicon, load_lexicon, normalize_utterance
 
 KEYWORD = {"happy": "alpha", "sad": "beta", "angry": "gamma", "others": "delta"}
 
@@ -224,6 +224,37 @@ class TestTrainEvalPredict:
         assert main(["train", "--train", ws["train"], "--model", str(model), *flags]) == 1
         assert "must be finite and positive" in capsys.readouterr().err
         assert not model.exists()
+
+    @pytest.mark.parametrize("algo,flag,value", [
+        (algo, flag, value)
+        for algo in ("nb", "svm")
+        for flag, value in (("--val", "{tmp}/missing.tsv"), ("--semantic-emb", "{tmp}/missing.txt"),
+                            ("--sentiment-emb", "{tmp}/missing.txt"), ("--epochs", "7"))
+        if (algo, flag) != ("svm", "--epochs")
+    ])
+    def test_a_baseline_refuses_the_neural_flags_unread(self, ws, tmp_path, monkeypatch, capsys,
+                                                        algo, flag, value):
+        import sslstm.cli
+
+        def refuse(*args):
+            raise AssertionError("read a file")
+
+        monkeypatch.setattr(sslstm.cli, "read_dataset", refuse)
+        monkeypatch.setattr(sslstm.cli, "load_lexicon", refuse)
+        model = tmp_path / "m.model"
+        argv = ["train", "--algo", algo, "--train", ws["train"], "--model", str(model),
+                "--lexicon", ws["train"], flag, value.format(tmp=tmp_path)]
+        assert main(argv) == 1
+        assert f"train --algo {algo} does not use {flag}" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_svm_takes_epochs(self, ws, tmp_path):
+        model = tmp_path / "svm.model"
+        assert main(["train", "--algo", "svm", "--train", ws["train"], "--model", str(model),
+                     "--epochs", "2"]) == 0
+        expected = io.StringIO()
+        save_baseline(svm_train(read_dataset(ws["train"], LEX), LEX, epochs=2), expected, LEX)
+        assert model.read_text(encoding="utf-8") == expected.getvalue()
 
     def test_svm_epochs_default_is_the_library_default(self, ws, tmp_path, capsys):
         model = tmp_path / "svm.model"
@@ -471,7 +502,7 @@ class TestOneLexiconPerCommand:
         monkeypatch.setattr(sslstm.cli, "batch_predict", recording)
         assert main(["predict", "--model", model, "--data", yay["data"],
                      "--lexicon", yay["lexicon"]]) == 0
-        assert [surfaces(t)[0] for t in seen] == [":)"] * len(LABELS)
+        assert [t[0] for t in seen] == [":)"] * len(LABELS)
         lex = load_lexicon(yay["lexicon"])
         assert seen[0] == normalize_utterance("yay so good alpha", lex)
         assert seen == [c.tokens for c in read_dataset(yay["data"], lex)]

@@ -13,7 +13,7 @@ from sslstm.dataio import (
     write_dataset,
 )
 from sslstm.metrics import dataset_stats
-from sslstm.text_norm import EmoticonLexicon, surfaces
+from sslstm.text_norm import EmoticonLexicon
 
 SAMPLE = """# three-turn conversations
 1\thi\thello\tI won! :)\thappy
@@ -33,16 +33,15 @@ class TestReadDataset:
 
     def test_tokens_come_from_final_turn(self):
         convs = read_dataset(io.StringIO(SAMPLE), LEX)
-        surfaces = [t.surface for t in convs[0].tokens]
-        assert surfaces == ["i", "won", "!", ":)"]
+        assert convs[0].tokens == ["i", "won", "!", ":)"]
         assert convs[0].tokens is convs[0].tokens  # cached
 
     def test_tokens_follow_the_lexicon_given(self):
         custom = EmoticonLexicon(LEX.entries + [("yay", ":)", "happy")])
         (packaged,) = read_dataset(io.StringIO("1\ta\tb\tyay :)\n"), LEX)
         (conv,) = read_dataset(io.StringIO("1\ta\tb\tyay :)\n"), custom)
-        assert surfaces(packaged.tokens) == ["yay", ":)"]
-        assert surfaces(conv.tokens) == [":)", ":)"]
+        assert packaged.tokens == ["yay", ":)"]
+        assert conv.tokens == [":)", ":)"]
         assert conv.lex is custom
 
     def test_unlabeled_rows(self):
@@ -157,7 +156,7 @@ class TestConversation:
 
     def test_context_turns_may_be_empty(self):
         conv = Conversation("1", "", "", "hello", lex=LEX)
-        assert conv.tokens[0].surface == "hello"
+        assert conv.tokens[0] == "hello"
 
 
 class TestReadJudgments:

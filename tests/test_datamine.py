@@ -34,7 +34,6 @@ from sslstm.text_norm import (
     emoticon_class,
     normalize_utterance,
     serialize_tokens,
-    surfaces,
 )
 
 
@@ -51,8 +50,8 @@ def random_table(words, dim, seed):
 
 def naive_sentence_vec(table, text):
     """Mean pooling written out longhand, independent of the library path."""
-    surfaces = [t.surface for t in normalize_utterance(text, LEX)]
-    vecs = [table.matrix[table.index[s]] for s in surfaces if s in table.index]
+    tokens = normalize_utterance(text, LEX)
+    vecs = [table.matrix[table.index[t]] for t in tokens if t in table.index]
     if not vecs:
         return np.zeros(table.dim)
     total = np.zeros(table.dim)
@@ -422,7 +421,7 @@ def mined(texts, target, config=MiningConfig()):
     mining calls, check that they queue them alike, and return the queue
     split into (live, pruned) after checking that it is live then pruned."""
     # t1: every token pools to the seed's vector, so each text scores 1.0
-    words = {w for text in texts for w in surfaces(normalize_utterance(text, LEX))}
+    words = {w for text in texts for w in normalize_utterance(text, LEX)}
     table = EmbeddingTable(dim=1, vectors={w: np.ones(1) for w in words | {"seed"}})
     t1_config = dataclasses.replace(config, threshold=1.0)
     by_similarity = mine_candidates(["seed"], texts, table, LEX, t1_config, target=target)

@@ -43,8 +43,12 @@ def library() -> list[ast.Module]:
     return [parsed(path) for path in sorted(SRC.glob("*.py"))]
 
 
+def program_paths() -> list[Path]:
+    return [path for folder in (SRC, DEMOS, PERFBENCH) for path in sorted(folder.glob("*.py"))]
+
+
 def program() -> list[ast.Module]:
-    return library() + [parsed(path) for folder in (DEMOS, PERFBENCH) for path in sorted(folder.glob("*.py"))]
+    return [parsed(path) for path in program_paths()]
 
 
 def public_definitions() -> list[tuple[str, str]]:
@@ -243,3 +247,34 @@ def test_the_scan_finds_the_defaults_and_fields_no_call_sets():
     definitions = ast.parse(SAMPLE_LIBRARY)
     callers = [definitions, ast.parse(SAMPLE_CALLERS)]
     assert unset_slots([definitions], callers) == ["Box.__init__.h", "Point.y", "f.d"]
+
+
+def _surface_reads(path: Path) -> list[str]:
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(parsed(path))
+        if isinstance(node, ast.Attribute) and node.attr == "surface"
+    ]
+
+
+def test_token_is_built_only_by_normalize_utterance():
+    outside = []
+    for path in program_paths():
+        for top in parsed(path).body:
+            if isinstance(top, ast.FunctionDef) and top.name == "normalize_utterance":
+                continue
+            outside += [f"{path.name}:{node.lineno}" for node in ast.walk(top) if _name(node) == "Token"]
+    assert outside == []
+
+
+def test_the_library_and_demos_read_no_token_surface():
+    paths = [path for folder in (SRC, DEMOS) for path in sorted(folder.glob("*.py"))]
+    assert [read for path in paths for read in _surface_reads(path)] == []
+
+
+def test_the_benchmark_generator_still_reads_token_surface():
+    # The only reason text_norm.Token exists.
+    assert _surface_reads(PERFBENCH / "gen.py"), (
+        "perfbench/gen.py no longer reads .surface: delete the Token subclass "
+        "and have normalize_utterance return plain str"
+    )

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import sslstm
 import sslstm.text_norm as text_norm
 from conftest import LEX
+from sslstm.embeddings import EmbeddingTable
 from sslstm.text_norm import (
     EMOTICON_CLASSES,
     EmoticonLexicon,
@@ -24,7 +25,6 @@ from sslstm.text_norm import (
     normalize_emoticons,
     normalize_utterance,
     serialize_tokens,
-    surfaces,
     tokenize,
 )
 
@@ -36,44 +36,47 @@ class TestTokenize:
 
     def test_words_and_trailing_punctuation(self):
         # Hand application of the rules: lowercase, split "!", keep "don't".
-        assert surfaces(tokenize("Why don't you ever text me!", LEX)) == [
+        assert tokenize("Why don't you ever text me!", LEX) == [
             "why", "don't", "you", "ever", "text", "me", "!",
         ]
 
     def test_handles_and_urls_dropped(self):
-        assert surfaces(tokenize("@bob :) ok", LEX)) == [":)", "ok"]
+        assert tokenize("@bob :) ok", LEX) == [":)", "ok"]
         text = "see http://t.co/abc and www.example.com now"
-        assert surfaces(tokenize(text, LEX)) == ["see", "and", "now"]
+        assert tokenize(text, LEX) == ["see", "and", "now"]
 
     def test_emoticon_survives_as_single_token(self):
         toks = tokenize("gone :(((", LEX)
-        assert surfaces(toks) == ["gone", ":((("]
+        assert toks == ["gone", ":((("]
 
     def test_emoticon_glued_to_word(self):
-        assert surfaces(tokenize("ok:)fine", LEX)) == ["ok", ":)", "fine"]
+        assert tokenize("ok:)fine", LEX) == ["ok", ":)", "fine"]
 
     def test_letter_final_emoticon_does_not_eat_words(self):
         # "xD" is an emoticon alone but not inside a word.
-        assert surfaces(tokenize("xD", LEX)) == ["xD"]
-        assert surfaces(tokenize("xDude", LEX)) == ["xdude"]
+        assert tokenize("xD", LEX) == ["xD"]
+        assert tokenize("xDude", LEX) == ["xdude"]
 
-    def test_kinds(self):
-        kinds = {t.surface: t.kind for t in tokenize("hi :) !", LEX)}
-        assert kinds == {"hi": "word", ":)": "emoticon", "!": "punctuation"}
+    def test_only_the_emoticon_has_a_class(self):
+        toks = tokenize("hi :) !", LEX)
+        assert toks == ["hi", ":)", "!"]
+        assert [emoticon_class(t, LEX) for t in toks] == [None, "happy", None]
 
-    def test_non_canonical_emoticon_kind_is_not_emoticon(self):
+    def test_non_canonical_emoticon_has_no_class(self):
         (tok,) = tokenize(":(((", LEX)
-        assert tok.kind == "punctuation"
+        assert tok == ":((("
+        assert emoticon_class(tok, LEX) is None
 
     def test_unknown_punctuation_split_per_character(self):
-        assert surfaces(tokenize("wow?!*", LEX)) == ["wow", "?", "!", "*"]
+        assert tokenize("wow?!*", LEX) == ["wow", "?", "!", "*"]
 
     def test_no_whitespace_and_lowercase_words(self):
-        for tok in tokenize("Some MIXED case,text :) 12Three", LEX):
-            assert tok.surface == tok.surface.strip()
-            assert not any(c.isspace() for c in tok.surface)
-            if tok.kind == "word":
-                assert tok.surface == tok.surface.lower()
+        toks = tokenize("Some MIXED case,text :) 12Three", LEX)
+        assert toks == ["some", "mixed", "case", ",", "text", ":)", "12three"]
+        for tok in toks:
+            assert not any(c.isspace() for c in tok)
+            if emoticon_class(tok, LEX) is None:
+                assert tok == tok.lower()
 
     @pytest.mark.parametrize(
         "text,expected",
@@ -86,8 +89,8 @@ class TestTokenize:
     )
     def test_combining_marks_stay_in_the_word(self, text, expected):
         toks = normalize_utterance(text, LEX)
-        assert surfaces(toks) == expected
-        assert [t.kind for t in toks] == ["punctuation" if t in "!\u0301" else "word" for t in expected]
+        assert toks == expected
+        assert [emoticon_class(t, LEX) for t in toks] == [None] * len(expected)
 
     def test_determinism(self):
         text = "Some :))) input!! with @stuff and don't"
@@ -96,23 +99,23 @@ class TestTokenize:
 
 class TestNormalizeEmoticons:
     def test_mouth_run_collapse(self):
-        assert surfaces(normalize_emoticons(tokenize(":(((", LEX), LEX)) == [":("]
+        assert normalize_emoticons(tokenize(":(((", LEX), LEX) == [":("]
 
     def test_already_canonical_is_fixed_point(self):
-        assert surfaces(normalize_emoticons(tokenize(":)", LEX), LEX)) == [":)"]
+        assert normalize_emoticons(tokenize(":)", LEX), LEX) == [":)"]
 
     def test_emoji_to_ascii(self):
         toks = tokenize("\N{UNAMUSED FACE} \N{WHITE FROWNING FACE}", LEX)
-        assert surfaces(normalize_emoticons(toks, LEX)) == [":|", ":("]
+        assert normalize_emoticons(toks, LEX) == [":|", ":("]
 
     def test_variants_collapse_to_singular_form(self):
         toks = normalize_emoticons(tokenize(":-) =) (: ^_^", LEX), LEX)
-        assert surfaces(toks) == [":)"] * 4
-        assert all(t.kind == "emoticon" for t in toks)
+        assert toks == [":)"] * 4
+        assert [emoticon_class(t, LEX) for t in toks] == ["happy"] * 4
 
     def test_unrecognized_pass_through(self):
         toks = tokenize("soooo *", LEX)
-        assert surfaces(normalize_emoticons(toks, LEX)) == ["soooo", "*"]
+        assert normalize_emoticons(toks, LEX) == ["soooo", "*"]
 
     def test_idempotent(self):
         toks = normalize_emoticons(tokenize("wow :((( \N{UNAMUSED FACE} fine", LEX), LEX)
@@ -125,7 +128,7 @@ class TestNormalizeEmoticons:
             for k in (1, 2, 5):
                 extended = raw + raw[-1] * (k - 1)
                 out = normalize_emoticons(tokenize(f"x {extended} y", LEX), LEX)
-                assert canonical in surfaces(out), (raw, extended)
+                assert canonical in out, (raw, extended)
 
 
 # Emoticon forms mix punctuation, both letter cases and digits (so a form
@@ -155,13 +158,13 @@ class TestNormalizeUtterance:
         got = normalize_utterance(
             "Yeah! :((( My plan is cancelled \N{UNAMUSED FACE}\N{WHITE FROWNING FACE}", LEX
         )
-        assert surfaces(got) == ["yeah", "!", ":(", "my", "plan", "is", "cancelled", ":|", ":("]
+        assert got == ["yeah", "!", ":(", "my", "plan", "is", "cancelled", ":|", ":("]
 
     def test_empty(self):
         assert normalize_utterance("", LEX) == []
 
     def test_lowercasing(self):
-        assert surfaces(normalize_utterance("HELLO", LEX)) == ["hello"]
+        assert normalize_utterance("HELLO", LEX) == ["hello"]
 
     def test_reserialization_idempotence_fuzz(self):
         rng = random.Random(20240817)
@@ -227,10 +230,6 @@ def reference_normalize(raw, lex):
     return normalize_emoticons(tokenize(raw, lex), lex)
 
 
-def kinds_and_surfaces(tokens):
-    return [(t.surface, t.kind) for t in tokens]
-
-
 # Chunks that repeat across texts, so the memo is both filled and read:
 # capitals that rescan lowercased, combining marks, variation selectors
 # inside chunks, handles, URLs and emoticon mouth runs.  Separators put
@@ -253,8 +252,7 @@ def texts_from(pieces):
 class TestChunkMemo:
     def assert_matches_reference(self, texts, lex):
         for text in texts + texts:  # the second round reads the memo only
-            expected = kinds_and_surfaces(reference_normalize(text, lex))
-            assert kinds_and_surfaces(normalize_utterance(text, lex)) == expected, text
+            assert normalize_utterance(text, lex) == reference_normalize(text, lex), text
 
     @settings(max_examples=300, deadline=None)
     @given(texts=texts_from(CHUNKS))
@@ -272,7 +270,7 @@ class TestChunkMemo:
     def test_memo_is_cleared_at_its_bound(self, monkeypatch):
         monkeypatch.setattr(text_norm, "_CHUNK_MEMO", 2)
         lex = EmoticonLexicon(LEX.entries)
-        assert surfaces(normalize_utterance("a b c", lex)) == ["a", "b", "c"]
+        assert normalize_utterance("a b c", lex) == ["a", "b", "c"]
         assert list(lex._chunk_tokens) == ["c"]  # full at "c": cleared, then "c" stored
         rng = random.Random(15)
         for _ in range(200):
@@ -283,21 +281,45 @@ class TestChunkMemo:
     def test_each_call_returns_a_fresh_list(self):
         lex = EmoticonLexicon(LEX.entries)
         first = normalize_utterance("hi :) hi", lex)
-        first[0] = Token("bye", "word")
-        first.append(Token("!", "punctuation"))
-        assert surfaces(normalize_utterance("hi :) hi", lex)) == ["hi", ":)", "hi"]
+        first[0] = "bye"
+        first.append("!")
+        assert normalize_utterance("hi :) hi", lex) == ["hi", ":)", "hi"]
+
+
+# Whitespace a token must never hold: ASCII, a no-break space, a line
+# separator and an ideographic space.
+WHITESPACE = [" ", "\t", "\n", "\u00a0", "\u2028", "\u3000"]
 
 
 class TestToken:
-    @pytest.mark.parametrize("surface", ["", " ", "a b", "a\tb", "\u00a0", "a\u2028", "\u3000x"])
-    def test_rejects_empty_or_whitespace_surface(self, surface):
-        with pytest.raises(ValueError, match="whitespace-free"):
-            Token(surface, "word")
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_no_token_is_empty_or_holds_whitespace(self, data):
+        lex = data.draw(st.just(LEX) | lexicon_entries().map(EmoticonLexicon))
+        raws = [raw for raw, _, _ in lex.entries]
+        piece = (
+            st.text()
+            | st.sampled_from(raws)
+            | st.text(st.sampled_from(TEXT_CHARS), max_size=4)
+            | st.sampled_from(WHITESPACE)
+        )
+        text = "".join(data.draw(st.lists(piece, max_size=8)))
+        for tok in normalize_utterance(text, lex):
+            assert tok.split() == [tok], (text, tok)
 
     def test_split_finds_exactly_the_whitespace_characters(self):
-        # Token checks c.split() != [c]; str.split splits at str.isspace characters.
+        # The property above checks t.split() == [t]; str.split splits at
+        # exactly the str.isspace characters.
         chars = map(chr, range(sys.maxunicode + 1))
         assert all((c.split() != [c]) == c.isspace() for c in chars)
+
+    def test_a_token_is_its_text(self):
+        (tok,) = normalize_utterance("Good", LEX)
+        assert isinstance(tok, Token)
+        assert tok == "good" and hash(tok) == hash("good")
+        assert type(tok.surface) is str and tok.surface == "good"
+        table = EmbeddingTable(dim=1, vectors={"good": [1.0]})
+        assert table.ids([tok, "bad"]).tolist() == table.ids(["good", "bad"]).tolist() == [0, -1]
 
 
 class TestEmoticonClass:
@@ -309,7 +331,7 @@ class TestEmoticonClass:
         assert emoticon_class(surface, LEX) == expected
 
     def test_token_object(self):
-        assert emoticon_class(Token(":)", "emoticon"), LEX) == "happy"
+        assert emoticon_class(Token(":)"), LEX) == "happy"
 
     def test_raw_non_canonical_form_has_no_class(self):
         # Classes are assigned to canonical forms; variants normalize first.
@@ -350,7 +372,7 @@ class TestLexicon:
 
     def test_whole_chunk_emoticon_is_not_a_handle(self):
         lex = EmoticonLexicon([("@_@", "@_@", "neutral")])
-        assert surfaces(normalize_utterance("wow@_@ @_@ @_@x @bob", lex)) == ["wow", "@_@", "@_@"]
+        assert normalize_utterance("wow@_@ @_@ @_@x @bob", lex) == ["wow", "@_@", "@_@"]
 
     def test_comments_and_blanks_skipped(self):
         data = "# comment\n\n:)\t:)\thappy\n"

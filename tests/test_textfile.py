@@ -20,7 +20,7 @@ from sslstm.container import TruncatedCheckpointError, read_container, write_con
 from sslstm.dataio import Conversation, read_dataset, read_judgments, write_dataset
 from sslstm.datamine import Candidate, read_judge_queue, write_judge_queue
 from sslstm.embeddings import load_embedding_file
-from sslstm.text_norm import default_lexicon, load_lexicon, normalize_utterance, surfaces
+from sslstm.text_norm import default_lexicon, load_lexicon, normalize_utterance
 from sslstm.textfile import DataFormatError, _split_lines
 
 SRC = Path(sslstm.__file__).resolve().parent
@@ -168,12 +168,12 @@ class TestNegativeTensorDimensions:
 class TestEmoticonBeforeCombiningMark:
     def test_mark_after_a_letter_final_emoticon_stays_in_the_word(self):
         assert normalize_utterance("xD\u0301", LEX) == normalize_utterance("xd\u0301", LEX)
-        assert surfaces(normalize_utterance("xD\u0301", LEX)) == ["xd\u0301"]
-        got = surfaces(normalize_utterance("ok <3\u0301 :D\u0301", LEX))
+        assert normalize_utterance("xD\u0301", LEX) == ["xd\u0301"]
+        got = normalize_utterance("ok <3\u0301 :D\u0301", LEX)
         assert got == ["ok", "<", "3\u0301", ":", "d\u0301"]
 
     def test_mark_after_a_punctuation_final_emoticon_splits_off(self):
-        assert surfaces(normalize_utterance(":(\u0301", LEX)) == [":(", "\u0301"]
+        assert normalize_utterance(":(\u0301", LEX) == [":(", "\u0301"]
 
     def test_ascii_text_never_needs_the_mark_scanner(self):
         lex = default_lexicon()
