@@ -11,10 +11,11 @@ Exit codes: 0 success; 1 usage error (bad flags, bad values with NaN
 and infinities among them, missing files); 2 data-format error
 (malformed dataset, embedding, lexicon, or checkpoint files); 3 numeric
 failure (non-finite loss or a gradient check exceeding its tolerance or
-not finite).  Every flag default mirrors the
-corresponding library default.  The library has no default emoticon
-lexicon: each command resolves ``--lexicon`` or the packaged one once
-and passes it to everything that reads text.
+not finite).  A flag left out takes the library's default; a flag that the
+chosen ``train`` algorithm or ``mine`` mode does not read is a usage
+error.  The library has no default emoticon lexicon: each command
+resolves ``--lexicon`` or the packaged one once and passes it to
+everything that reads text.
 """
 
 from __future__ import annotations
@@ -91,9 +92,28 @@ EXIT_USAGE = 1
 EXIT_DATA_FORMAT = 2
 EXIT_NUMERIC = 3
 
-_MODEL_DEFAULTS = ModelConfig()
-_TRAIN_DEFAULTS = TrainConfig()
-_MINING_DEFAULTS = MiningConfig()
+# The optional flags each train algorithm and each mine mode reads, by
+# argparse destination.  A command given any other one of them is a usage
+# error before it reads a file.
+_READS = {
+    "train": {
+        "sslstm": {"lexicon", "val", "semantic_emb", "sentiment_emb", "channels", "sem_hidden",
+                   "sent_hidden", "fc_hidden", "fc_activation", "max_seq_len", "lr",
+                   "token_budget", "epochs", "patience", "ratio", "seed"},
+        "nb": {"lexicon", "alpha"},
+        "svm": {"lexicon", "epochs", "seed", "lambda"},
+    },
+    "mine": {
+        "t1": {"lexicon", "output", "seeds", "pool", "emb", "target", "threshold", "max_len"},
+        "t2": {"lexicon", "output", "pairs", "class_utterances", "target", "max_len", "top_k",
+               "min_freq"},
+        "neg": {"lexicon", "output", "pool", "emb", "positives", "threshold", "n", "seed"},
+    },
+}
+# Flags read only beside another: --max-len prunes only together with
+# --target, and --ratio splits --train only when no --val is given.
+_READ_WITH = {"max_len": "target"}
+_READ_WITHOUT = {"ratio": "val"}
 
 
 class UsageError(Exception):
@@ -153,15 +173,43 @@ def _parse_emb_specs(specs) -> dict[str, str]:
     return tables
 
 
-def _given(args, flags: list[str]) -> list[str]:
-    return [f for f in flags if getattr(args, f.lstrip("-").replace("-", "_")) is not None]
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
-def _require(args, flags: list[str], context: str) -> None:
-    given = _given(args, flags)
-    missing = [f for f in flags if f not in given]
+def _require(args, dests: list[str], context: str) -> None:
+    missing = [_flag(dest) for dest in dests if getattr(args, dest) is None]
     if missing:
         raise UsageError(f"{context} requires {', '.join(missing)}")
+
+
+def _refuse_unread(args, selector: str) -> None:
+    """Usage error naming every given flag that the train algorithm or mine
+    mode chosen by ``--selector`` does not read (see :data:`_READS`)."""
+    choice = getattr(args, selector)
+    table = _READS[args.command]
+    flags = set().union(*table.values())
+    unread = []
+    for dest, value in vars(args).items():
+        if dest not in flags or value is None:
+            continue
+        if dest not in table[choice]:
+            unread.append(_flag(dest))
+        elif dest in _READ_WITH and getattr(args, _READ_WITH[dest]) is None:
+            unread.append(f"{_flag(dest)} without {_flag(_READ_WITH[dest])}")
+        elif dest in _READ_WITHOUT and getattr(args, _READ_WITHOUT[dest]) is not None:
+            unread.append(f"{_flag(dest)} with {_flag(_READ_WITHOUT[dest])}")
+    if unread:
+        raise UsageError(f"{args.command} --{selector} {choice} does not use {', '.join(unread)}")
+
+
+def _given_kwargs(args, *same: str, **renamed: str) -> dict:
+    """Keyword arguments for a library call from the flags given: ``same``
+    are destinations named like their parameter, ``renamed`` maps a
+    parameter to its destination.  A flag not given is left out, so the
+    library's default applies."""
+    pairs = [(dest, dest) for dest in same] + list(renamed.items())
+    return {name: getattr(args, dest) for name, dest in pairs if getattr(args, dest) is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +232,8 @@ def _load_predictor(path: str, args, lex):
         # A missing table loads as an empty one of the checkpoint's dimension.
         tables = {}
         for channel in ("semantic", "sentiment"):
-            path = getattr(args, f"{channel}_emb")
-            tables[channel] = None if path is None else load_embedding_file(path)
+            table_path = getattr(args, f"{channel}_emb")
+            tables[channel] = None if table_path is None else load_embedding_file(table_path)
         model = model_from_container(meta, tensors, tables["semantic"], tables["sentiment"])
         _warn_missing_tables(args, model.config, f"{path} uses")
         return lambda convs: batch_predict(model, [conv.tokens for conv in convs])
@@ -216,64 +264,48 @@ def cmd_normalize(args) -> None:
 
 def cmd_split(args) -> None:
     dataset = require_labeled(read_dataset(args.data, _lexicon(args)))
-    train_set, val_set = split_dataset(dataset, args.ratio, args.seed)
+    train_set, val_set = split_dataset(dataset, **_given_kwargs(args, "ratio", "seed"))
     write_dataset(train_set, args.train_out)
     write_dataset(val_set, args.val_out)
     print(f"train: {len(train_set)} examples -> {args.train_out}")
     print(f"validation: {len(val_set)} examples -> {args.val_out}")
 
 
-# train flags that only the neural model reads, which a baseline refuses unread.
-_NEURAL_ONLY = {
-    "nb": ["--val", "--semantic-emb", "--sentiment-emb", "--epochs"],
-    "svm": ["--val", "--semantic-emb", "--sentiment-emb"],
-}
-
-
 def cmd_train(args) -> None:
-    unused = _given(args, _NEURAL_ONLY.get(args.algo, []))
-    if unused:
-        raise UsageError(f"train --algo {args.algo} does not use {', '.join(unused)}")
+    _refuse_unread(args, "algo")
     lex = _lexicon(args)
     dataset = require_labeled(read_dataset(args.train, lex))
     if args.algo != "sslstm":
         if args.algo == "nb":
-            model = nb_train(dataset, lex, alpha=args.alpha)
+            model = nb_train(dataset, lex, **_given_kwargs(args, "alpha"))
         else:
-            epochs = SVM_EPOCHS if args.epochs is None else args.epochs
-            model = svm_train(dataset, lex, lambda_reg=args.lambda_reg, epochs=epochs, seed=args.seed)
+            kwargs = _given_kwargs(args, "epochs", "seed", lambda_reg="lambda")
+            model = svm_train(dataset, lex, **kwargs)
         save_baseline(model, args.model, lex)
         print(f"algorithm: {args.algo}  examples: {len(dataset)}  vocabulary: {len(model.vocab)}")
         return
 
-    train_config = TrainConfig(
-        learning_rate=args.lr,
-        token_budget=args.token_budget,
-        max_epochs=_TRAIN_DEFAULTS.max_epochs if args.epochs is None else args.epochs,
-        patience=args.patience,
-        seed=args.seed,
-    )
+    train_config = TrainConfig(**_given_kwargs(
+        args, "token_budget", "patience", "seed", learning_rate="lr", max_epochs="epochs"
+    ))
+    # One seed, given or the library's, initializes the model and splits.
+    seed = train_config.seed
     semantic = _table_or_empty(args.semantic_emb, DEFAULT_SEMANTIC_DIM)
     sentiment = _table_or_empty(args.sentiment_emb, DEFAULT_SENTIMENT_DIM)
     if args.val:
         train_set = dataset
         val_set = require_labeled(read_dataset(args.val, lex))
     else:
-        train_set, val_set = split_dataset(dataset, args.ratio, args.seed)
-    model_config = ModelConfig(
-        channels=args.channels,
-        sem_hidden=args.sem_hidden,
-        sent_hidden=args.sent_hidden,
-        fc_hidden=args.fc_hidden,
-        fc_activation=args.fc_activation,
-        max_seq_len=args.max_seq_len,
-    )
+        train_set, val_set = split_dataset(dataset, **_given_kwargs(args, "ratio"), seed=seed)
+    model_config = ModelConfig(**_given_kwargs(
+        args, "channels", "sem_hidden", "sent_hidden", "fc_hidden", "fc_activation", "max_seq_len"
+    ))
     _warn_missing_tables(args, model_config, "training")
-    model = init_model(model_config, semantic, sentiment, seed=args.seed)
+    model = init_model(model_config, semantic, sentiment, seed=seed)
     best, history = train(model, train_set, val_set, train_config)
     save_checkpoint(best, train_config, args.model, lex)
     print(
-        f"algorithm: sslstm  channels: {args.channels}  "
+        f"algorithm: sslstm  channels: {model_config.channels}  "
         f"train: {len(train_set)}  validation: {len(val_set)}"
     )
     print(
@@ -324,38 +356,30 @@ def cmd_embcos(args) -> None:
     _emit(lines, args.output)
 
 
-def _mining_config(args) -> MiningConfig:
-    return MiningConfig(
-        threshold=args.threshold,
-        max_utterance_len=args.max_len,
-        top_k=args.top_k,
-        min_response_freq=args.min_freq,
-    )
-
-
 def cmd_mine(args) -> None:
+    _refuse_unread(args, "mode")
     lex = _lexicon(args)
-    cfg = _mining_config(args)
+    cfg = MiningConfig(**_given_kwargs(
+        args, "threshold", "top_k", max_utterance_len="max_len", min_response_freq="min_freq"
+    ))
     if args.mode == "t1":
-        _require(args, ["--seeds", "--pool", "--emb"], "mine --mode t1")
+        _require(args, ["seeds", "pool", "emb"], "mine --mode t1")
         table = load_embedding_file(args.emb)
         candidates = mine_candidates(
             _read_lines(args.seeds), _read_lines(args.pool), table, lex, cfg, target=args.target
         )
     elif args.mode == "t2":
-        _require(args, ["--pairs", "--class-utterances"], "mine --mode t2")
+        _require(args, ["pairs", "class_utterances"], "mine --mode t2")
         pairs = [fields for _, _, fields in _tsv_rows(args.pairs, 2)]
         class_utterances = set(_read_lines(args.class_utterances))
         candidates = mine_by_response(pairs, class_utterances, lex, cfg, target=args.target)
     else:
-        _require(args, ["--pool", "--emb", "--positives"], "mine --mode neg")
-        if args.target:
-            raise UsageError("--target prunes mined candidates; mine --mode neg has none")
+        _require(args, ["pool", "emb", "positives"], "mine --mode neg")
         table = load_embedding_file(args.emb)
         positive_sets = [_read_lines(path) for path in args.positives]
-        negatives = sample_negatives(
-            _read_lines(args.pool), positive_sets, table, lex, cfg, n=args.n, seed=args.seed
-        )
+        pool = _read_lines(args.pool)
+        kwargs = _given_kwargs(args, "n", "seed")
+        negatives = sample_negatives(pool, positive_sets, table, lex, cfg, **kwargs)
         _emit(negatives, args.output)
         return
     write_judge_queue(candidates, args.output or sys.stdout)
@@ -393,7 +417,7 @@ def cmd_gradcheck(args) -> None:
     tokens = [vocab[int(i)] for i in rng.integers(0, len(vocab), size=args.length)]
     target = int(rng.integers(0, 4))
     error = gradient_check(model, (tokens, target), epsilon=args.epsilon)
-    n_params = sum(t.size for t in model.param_tensors().values())
+    n_params = sum(t.size for t in model.params.values())
     checked = f"all {n_params}"
     if n_params > GRADCHECK_EXHAUSTIVE_LIMIT:
         checked = f"{GRADCHECK_SAMPLE} of {n_params}"
@@ -435,8 +459,8 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="labeled conversation TSV")
     p.add_argument("--train-out", required=True, help="training subset destination")
     p.add_argument("--val-out", required=True, help="validation subset destination")
-    p.add_argument("--ratio", type=float, default=0.9, help="training fraction (default 0.9)")
-    p.add_argument("--seed", type=int, default=0, help="shuffle seed (default 0)")
+    p.add_argument("--ratio", type=float, help="training fraction (default 0.9)")
+    p.add_argument("--seed", type=int, help="shuffle seed (default 0)")
     p.set_defaults(handler=cmd_split)
 
     p = sub.add_parser("train", help="fit a classifier and save it")
@@ -447,36 +471,36 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True, help="where to save the fitted model")
     p.add_argument("--semantic-emb", help="semantic embedding text file (sslstm only)")
     p.add_argument("--sentiment-emb", help="sentiment embedding text file (sslstm only)")
-    p.add_argument("--channels", choices=CHANNELS, default=_MODEL_DEFAULTS.channels,
-                   help="embedding channels to use (default both)")
-    p.add_argument("--sem-hidden", type=int, default=_MODEL_DEFAULTS.sem_hidden,
-                   help=f"semantic hidden units (default {_MODEL_DEFAULTS.sem_hidden})")
-    p.add_argument("--sent-hidden", type=int, default=_MODEL_DEFAULTS.sent_hidden,
-                   help=f"sentiment hidden units (default {_MODEL_DEFAULTS.sent_hidden})")
-    p.add_argument("--fc-hidden", type=int, default=_MODEL_DEFAULTS.fc_hidden,
-                   help=f"hidden layer width (default {_MODEL_DEFAULTS.fc_hidden})")
+    # Left out, each flag takes its library default, which the help repeats.
+    p.add_argument("--channels", choices=CHANNELS,
+                   help=f"embedding channels to use (default {ModelConfig.channels})")
+    p.add_argument("--sem-hidden", type=int,
+                   help=f"semantic hidden units (default {ModelConfig.sem_hidden})")
+    p.add_argument("--sent-hidden", type=int,
+                   help=f"sentiment hidden units (default {ModelConfig.sent_hidden})")
+    p.add_argument("--fc-hidden", type=int,
+                   help=f"hidden layer width (default {ModelConfig.fc_hidden})")
     p.add_argument("--fc-activation", choices=FC_ACTIVATIONS,
-                   default=_MODEL_DEFAULTS.fc_activation,
-                   help="hidden layer activation (default relu)")
-    p.add_argument("--max-seq-len", type=int, default=_MODEL_DEFAULTS.max_seq_len,
+                   help=f"hidden layer activation (default {ModelConfig.fc_activation})")
+    p.add_argument("--max-seq-len", type=int,
                    help=f"truncate utterances to this many tokens "
-                        f"(default {_MODEL_DEFAULTS.max_seq_len})")
-    p.add_argument("--lr", type=float, default=_TRAIN_DEFAULTS.learning_rate,
-                   help=f"learning rate (default {_TRAIN_DEFAULTS.learning_rate})")
-    p.add_argument("--token-budget", type=int, default=_TRAIN_DEFAULTS.token_budget,
-                   help=f"tokens per batch (default {_TRAIN_DEFAULTS.token_budget})")
+                        f"(default {ModelConfig.max_seq_len})")
+    p.add_argument("--lr", type=float,
+                   help=f"learning rate (default {TrainConfig.learning_rate})")
+    p.add_argument("--token-budget", type=int,
+                   help=f"tokens per batch (default {TrainConfig.token_budget})")
     p.add_argument("--epochs", type=int,
-                   help=f"maximum epochs (default {_TRAIN_DEFAULTS.max_epochs} "
+                   help=f"maximum epochs (default {TrainConfig.max_epochs} "
                         f"for sslstm, {SVM_EPOCHS} for svm; not for nb)")
-    p.add_argument("--patience", type=int, default=_TRAIN_DEFAULTS.patience,
-                   help=f"early-stopping patience (default {_TRAIN_DEFAULTS.patience})")
-    p.add_argument("--ratio", type=float, default=0.9,
-                   help="training fraction when splitting (default 0.9)")
-    p.add_argument("--seed", type=int, default=_TRAIN_DEFAULTS.seed,
-                   help="initialization and shuffle seed (default 0)")
-    p.add_argument("--alpha", type=float, default=1.0,
+    p.add_argument("--patience", type=int,
+                   help=f"early-stopping patience (default {TrainConfig.patience})")
+    p.add_argument("--ratio", type=float,
+                   help="training fraction when splitting --train, without --val (default 0.9)")
+    p.add_argument("--seed", type=int,
+                   help=f"initialization and shuffle seed (default {TrainConfig.seed}; not for nb)")
+    p.add_argument("--alpha", type=float,
                    help="additive smoothing for --algo nb (default 1.0)")
-    p.add_argument("--lambda", dest="lambda_reg", type=float, default=0.005,
+    p.add_argument("--lambda", type=float,
                    help="regularization for --algo svm (default 0.005)")
     add_common(p, output=False)
     p.set_defaults(handler=cmd_train)
@@ -520,20 +544,18 @@ def build_parser() -> _Parser:
     p.add_argument("--emb", help="embedding table for sentence similarity (t1, neg)")
     p.add_argument("--target", choices=EMOTION_LABELS,
                    help="prune candidates that cannot belong to this class (t1, t2)")
-    p.add_argument("--threshold", type=float, default=_MINING_DEFAULTS.threshold,
-                   help=f"cosine similarity cutoff "
-                        f"(default {_MINING_DEFAULTS.threshold})")
-    p.add_argument("--max-len", type=int, default=_MINING_DEFAULTS.max_utterance_len,
-                   help=f"prune candidates longer than this many tokens "
-                        f"(default {_MINING_DEFAULTS.max_utterance_len})")
-    p.add_argument("--top-k", type=int, default=_MINING_DEFAULTS.top_k,
-                   help=f"frequent responses to expand "
-                        f"(default {_MINING_DEFAULTS.top_k})")
-    p.add_argument("--min-freq", type=int, default=_MINING_DEFAULTS.min_response_freq,
+    p.add_argument("--threshold", type=float,
+                   help=f"cosine similarity cutoff (t1, neg; default {MiningConfig.threshold})")
+    p.add_argument("--max-len", type=int,
+                   help=f"with --target, prune candidates longer than this many tokens "
+                        f"(default {MiningConfig.max_utterance_len})")
+    p.add_argument("--top-k", type=int,
+                   help=f"frequent responses to expand (t2; default {MiningConfig.top_k})")
+    p.add_argument("--min-freq", type=int,
                    help=f"minimum response frequency "
-                        f"(default {_MINING_DEFAULTS.min_response_freq})")
-    p.add_argument("--n", type=int, default=1, help="negatives to draw (default 1)")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
+                        f"(t2; default {MiningConfig.min_response_freq})")
+    p.add_argument("--n", type=int, help="negatives to draw (neg; default 1)")
+    p.add_argument("--seed", type=int, help="sampling seed (neg; default 0)")
     add_common(p)
     p.set_defaults(handler=cmd_mine)
 

@@ -9,10 +9,12 @@ Forward and backward passes are hand-written in float64 numpy.  The backward
 pass is exact backpropagation through time; its correctness is pinned by
 finite-difference checks in the training module and the test suite.
 
-Each LSTM stores its four gates stacked: one weight matrix per input and
-one bias, gate blocks in :data:`GATES` order (Appleyard et al. 2016,
-arXiv:1604.01946).  One kernel serves the three entry points,
-:func:`batch_forward`, :func:`batch_backward` and :func:`batch_predict`.
+All trainable state is one dict of ten arrays, :attr:`SSLSTMModel.params`,
+and a gradient is a dict with the same keys.  Each LSTM stores its four
+gates stacked: one weight matrix per input and one bias, gate blocks in
+:data:`GATES` order (Appleyard et al. 2016, arXiv:1604.01946).  One kernel
+serves the three entry points, :func:`batch_forward`,
+:func:`batch_backward` and :func:`batch_predict`.
 It takes a chunk of sequences sorted longest first, computes the input
 projection of every token in one matrix product, and at each step runs
 only the sequences still going.  A single sequence is a batch of one.
@@ -83,46 +85,21 @@ class ModelConfig:
 
 
 @dataclass
-class LSTMParams:
-    """Weights of one LSTM with its four gates stacked in :data:`GATES`
-    order: ``W`` (4H, D) acts on the input, ``U`` (4H, H) on the previous
-    hidden state, ``b`` (4H) is the bias.  Rows ``k*H:(k+1)*H`` of each
-    belong to gate ``k``."""
-
-    W: np.ndarray
-    U: np.ndarray
-    b: np.ndarray
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.U.shape[1]
-
-
-@dataclass
 class SSLSTMModel:
+    """The classifier: its two embedding tables, its configuration and
+    ``params``, every trainable tensor by name.
+
+    ``params`` holds ``sem_W``, ``sem_U`` and ``sem_b``, the same three for
+    ``sent``, then ``fc_W``, ``fc_b``, ``out_W`` and ``out_b``, in that
+    order.  Each LSTM's four gates are stacked in :data:`GATES` order: ``W``
+    (4H, D) acts on the input, ``U`` (4H, H) on the previous hidden state,
+    ``b`` (4H) is the bias, and rows ``k*H:(k+1)*H`` of each belong to gate
+    ``k``.  Both LSTMs are built whichever channels are active."""
+
     semantic_table: EmbeddingTable
     sentiment_table: EmbeddingTable
-    sem: LSTMParams
-    sent: LSTMParams
-    fc_W: np.ndarray
-    fc_b: np.ndarray
-    out_W: np.ndarray
-    out_b: np.ndarray
     config: ModelConfig
-
-    def param_tensors(self) -> dict[str, np.ndarray]:
-        """Live views of every trainable tensor: ``sem_W``, ``sem_U``,
-        ``sem_b``, the same three for ``sent``, then ``fc_W``, ``fc_b``,
-        ``out_W`` and ``out_b``.  The LSTM tensors hold the gates stacked."""
-        out: dict[str, np.ndarray] = {}
-        for prefix, params in (("sem", self.sem), ("sent", self.sent)):
-            for name, tensor in vars(params).items():
-                out[f"{prefix}_{name}"] = tensor
-        out["fc_W"] = self.fc_W
-        out["fc_b"] = self.fc_b
-        out["out_W"] = self.out_W
-        out["out_b"] = self.out_b
-        return out
+    params: dict[str, np.ndarray]
 
 
 @dataclass
@@ -155,8 +132,7 @@ class BatchCache:
     """
 
     order: list[int]
-    sem: LSTMCache | None
-    sent: LSTMCache | None
+    lstm: dict[str, LSTMCache]  # per active channel, keyed by its prefix
     concat: np.ndarray  # (batch, concat width)
     z1: np.ndarray
     a1: np.ndarray
@@ -168,13 +144,15 @@ def _glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarra
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
-def _init_lstm(rng: np.random.Generator, input_dim: int, hidden_dim: int) -> LSTMParams:
+def _init_lstm(
+    rng: np.random.Generator, prefix: str, input_dim: int, hidden_dim: int
+) -> dict[str, np.ndarray]:
     # One draw per gate block, scaled by its own fan; all of W before U.
     W = np.concatenate([_glorot_uniform(rng, hidden_dim, input_dim) for _ in GATES])
     U = np.concatenate([_glorot_uniform(rng, hidden_dim, hidden_dim) for _ in GATES])
     # Forget gate starts open so early training can carry state.
     b = np.concatenate([np.full(hidden_dim, float(gate == "f")) for gate in GATES])
-    return LSTMParams(W=W, U=U, b=b)
+    return {f"{prefix}_W": W, f"{prefix}_U": U, f"{prefix}_b": b}
 
 
 def init_model(
@@ -186,37 +164,24 @@ def init_model(
     """Fresh model with symmetric-uniform (fan-in + fan-out scaled) weights,
     zero biases except the forget-gate bias at 1.  Deterministic in ``seed``."""
     rng = np.random.default_rng(seed)
-    sem = _init_lstm(rng, semantic_table.dim, config.sem_hidden)
-    sent = _init_lstm(rng, sentiment_table.dim, config.sent_hidden)
-    fc_W = _glorot_uniform(rng, config.fc_hidden, config.concat_width())
-    fc_b = np.zeros(config.fc_hidden)
-    out_W = _glorot_uniform(rng, N_CLASSES, config.fc_hidden)
-    out_b = np.zeros(N_CLASSES)
-    return SSLSTMModel(
-        semantic_table=semantic_table,
-        sentiment_table=sentiment_table,
-        sem=sem,
-        sent=sent,
-        fc_W=fc_W,
-        fc_b=fc_b,
-        out_W=out_W,
-        out_b=out_b,
-        config=config,
-    )
+    # A dict display evaluates in order, so the draws are: sem W, sem U,
+    # sent W, sent U, fc_W, out_W.
+    params = {
+        **_init_lstm(rng, "sem", semantic_table.dim, config.sem_hidden),
+        **_init_lstm(rng, "sent", sentiment_table.dim, config.sent_hidden),
+        "fc_W": _glorot_uniform(rng, config.fc_hidden, config.concat_width()),
+        "fc_b": np.zeros(config.fc_hidden),
+        "out_W": _glorot_uniform(rng, N_CLASSES, config.fc_hidden),
+        "out_b": np.zeros(N_CLASSES),
+    }
+    return SSLSTMModel(semantic_table, sentiment_table, config, params)
 
 
 def clone_model(model: SSLSTMModel) -> SSLSTMModel:
     """Deep copy of all trainable state.  Embedding tables are shared:
     nothing trains them."""
-    new = copy.copy(model)
-    new.sem = copy.deepcopy(model.sem)
-    new.sent = copy.deepcopy(model.sent)
-    new.fc_W = model.fc_W.copy()
-    new.fc_b = model.fc_b.copy()
-    new.out_W = model.out_W.copy()
-    new.out_b = model.out_b.copy()
-    new.config = copy.copy(model.config)
-    return new
+    params = {name: tensor.copy() for name, tensor in model.params.items()}
+    return SSLSTMModel(model.semantic_table, model.sentiment_table, copy.copy(model.config), params)
 
 
 def _step_starts(steps: list[int]) -> np.ndarray:
@@ -224,15 +189,17 @@ def _step_starts(steps: list[int]) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(steps[:-1], dtype=np.int64)))
 
 
-def _lstm_run(params: LSTMParams, xs: np.ndarray, steps: list[int]) -> LSTMCache:
+def _lstm_run(
+    W: np.ndarray, U: np.ndarray, b: np.ndarray, xs: np.ndarray, steps: list[int]
+) -> LSTMCache:
     """The LSTM recurrence over step-major rows (see :class:`LSTMCache`),
-    from zero initial state.  The input projection of every row is one
-    matrix product; each step then adds the recurrent term for the
-    sequences still running."""
-    H = params.hidden_dim
+    from zero initial state, for the stacked tensors ``W``, ``U`` and ``b``.
+    The input projection of every row is one matrix product; each step then
+    adds the recurrent term for the sequences still running."""
+    H = U.shape[1]
     # Each step overwrites its own rows of the pre-activations with the
     # gate outputs.
-    act = xs @ params.W.T + params.b
+    act = xs @ W.T + b
     c = np.empty((xs.shape[0], H))
     h = np.empty((xs.shape[0], H))
     start = prev = 0
@@ -240,7 +207,7 @@ def _lstm_run(params: LSTMParams, xs: np.ndarray, steps: list[int]) -> LSTMCache
         rows = slice(start, start + n)
         a = act[rows]
         if t:
-            a = a + h[prev : prev + n] @ params.U.T
+            a = a + h[prev : prev + n] @ U.T
         act[rows, : 3 * H] = _sigmoid(a[:, : 3 * H])
         act[rows, 3 * H :] = np.tanh(a[:, 3 * H :])
         i_t, f_t, o_t, g_t = (act[rows, k * H : (k + 1) * H] for k in range(4))
@@ -266,16 +233,17 @@ def _final_states(cache: LSTMCache, lengths: list[int]) -> np.ndarray:
 
 
 def _lstm_backprop(
-    params: LSTMParams, cache: LSTMCache, dh_final: np.ndarray
-) -> dict[str, np.ndarray]:
-    """BPTT over every sequence of a chunk, given the loss gradient at each
-    sequence's final hidden state (rows in the cache's sequence order).
+    U: np.ndarray, cache: LSTMCache, dh_final: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """BPTT over every sequence of a chunk, given the recurrent tensor ``U``
+    and the loss gradient at each sequence's final hidden state (rows in
+    the cache's sequence order).
 
     Each step backpropagates the sequences running at it together; the
     weight gradients are then one product over all rows: dW = dA^T X,
-    dU = dA^T H_prev, db = sum of dA.  Returns the gradients keyed ``W``,
-    ``U`` and ``b``, stacked like the parameters."""
-    H = params.hidden_dim
+    dU = dA^T H_prev, db = sum of dA.  Returns ``(dW, dU, db)``, stacked
+    like the parameters."""
+    H = U.shape[1]
     steps = cache.steps
     starts = _step_starts(steps)
     tanh_c = np.tanh(cache.c)
@@ -301,7 +269,7 @@ def _lstm_backprop(
         dA[rows, 3 * H :] = dc_t * i_t * (1.0 - g_t**2)
         dc[:n] = dc_t * f_t
         if t:
-            dh[:n] = dA[rows] @ params.U
+            dh[:n] = dA[rows] @ U
     dW = dA.T @ cache.xs
     db = dA.sum(axis=0)
     # Row r of step t >= 1 follows row r - steps[t-1] of step t - 1.
@@ -310,7 +278,7 @@ def _lstm_backprop(
         np.array(steps[:-1], dtype=np.int64), steps[1:]
     )
     dU = dA[first:].T @ cache.h[prev_rows]
-    return {"W": dW, "U": dU, "b": db}
+    return dW, dU, db
 
 
 def _step_major(sequences: list[list[str]]) -> tuple[list[int], list[str]]:
@@ -323,13 +291,18 @@ def _step_major(sequences: list[list[str]]) -> tuple[list[int], list[str]]:
 
 
 def _channels(model: SSLSTMModel):
-    """(gradient prefix, active?, params, table) per channel, semantic
-    first: the concat order."""
+    """(parameter prefix, active?, table) per channel, semantic first: the
+    concat order."""
     active = model.config.active_channels()
     return (
-        ("sem", "semantic" in active, model.sem, model.semantic_table),
-        ("sent", "sentiment" in active, model.sent, model.sentiment_table),
+        ("sem", "semantic" in active, model.semantic_table),
+        ("sent", "sentiment" in active, model.sentiment_table),
     )
+
+
+def _lstm_tensors(model: SSLSTMModel, prefix: str) -> list[np.ndarray]:
+    """The ``W``, ``U`` and ``b`` tensors of one channel's LSTM."""
+    return [model.params[f"{prefix}_{kind}"] for kind in "WUb"]
 
 
 def batch_forward(model: SSLSTMModel, sequences) -> tuple[np.ndarray, BatchCache]:
@@ -345,34 +318,26 @@ def batch_forward(model: SSLSTMModel, sequences) -> tuple[np.ndarray, BatchCache
     tokens = [truncated[k] for k in order]
     steps, row_tokens = _step_major(tokens)
     lengths = [len(seq) for seq in tokens]
-    caches = {"sem": None, "sent": None}
-    finals = []
-    for prefix, active, params, table in _channels(model):
+    params = model.params
+    caches = {}
+    for prefix, active, table in _channels(model):
         if active:
-            caches[prefix] = _lstm_run(params, table.rows(table.ids(row_tokens)), steps)
-            finals.append(_final_states(caches[prefix], lengths))
-    concat = np.concatenate(finals, axis=1)
-    z1 = concat @ model.fc_W.T + model.fc_b
+            xs = table.rows(table.ids(row_tokens))
+            caches[prefix] = _lstm_run(*_lstm_tensors(model, prefix), xs, steps)
+    concat = np.concatenate([_final_states(c, lengths) for c in caches.values()], axis=1)
+    z1 = concat @ params["fc_W"].T + params["fc_b"]
     a1 = np.maximum(z1, 0.0) if model.config.fc_activation == "relu" else np.tanh(z1)
-    logits = a1 @ model.out_W.T + model.out_b
+    logits = a1 @ params["out_W"].T + params["out_b"]
     probs = softmax(logits)
-    cache = BatchCache(
-        order=order,
-        sem=caches["sem"],
-        sent=caches["sent"],
-        concat=concat,
-        z1=z1,
-        a1=a1,
-        logits=logits,
-    )
+    cache = BatchCache(order=order, lstm=caches, concat=concat, z1=z1, a1=a1, logits=logits)
     in_order = np.empty_like(probs)
     in_order[order] = probs
     return in_order, cache
 
 
 def batch_backward(model: SSLSTMModel, cache: BatchCache, dlogits) -> dict[str, np.ndarray]:
-    """Loss gradient of every trainable parameter, keyed like
-    :meth:`SSLSTMModel.param_tensors` and summed over the batch, given the
+    """Loss gradient of every trainable parameter, keyed and ordered like
+    :attr:`SSLSTMModel.params` and summed over the batch, given the
     loss gradient at each sequence's logits (rows in input order).  The
     embedding tables are inputs, not parameters, and get no gradient.
 
@@ -385,33 +350,31 @@ def batch_backward(model: SSLSTMModel, cache: BatchCache, dlogits) -> dict[str, 
             f"dlogits has shape {dlogits.shape}, expected {cache.logits.shape}"
         )
     dlogits = dlogits[cache.order]
-    d_out_W = dlogits.T @ cache.a1
-    d_out_b = dlogits.sum(axis=0)
-    da1 = dlogits @ model.out_W
+    params = model.params
+    da1 = dlogits @ params["out_W"]
     if model.config.fc_activation == "relu":
         dz1 = da1 * (cache.z1 > 0.0)
     else:
         dz1 = da1 * (1.0 - cache.a1**2)
-    d_fc_W = dz1.T @ cache.concat
-    d_fc_b = dz1.sum(axis=0)
-    dconcat = dz1 @ model.fc_W
+    dconcat = dz1 @ params["fc_W"]
 
-    tensors: dict[str, np.ndarray] = {}
+    grads: dict[str, np.ndarray] = {}
     offset = 0
-    for prefix, active, params, _ in _channels(model):
+    for prefix, active, _ in _channels(model):
+        W, U, b = _lstm_tensors(model, prefix)
         if active:
-            dh_final = dconcat[:, offset : offset + params.hidden_dim]
-            offset += params.hidden_dim
-            ch_grads = _lstm_backprop(params, getattr(cache, prefix), dh_final)
+            H = U.shape[1]
+            dh_final = dconcat[:, offset : offset + H]
+            offset += H
+            dW, dU, db = _lstm_backprop(U, cache.lstm[prefix], dh_final)
         else:
-            ch_grads = {name: np.zeros_like(tensor) for name, tensor in vars(params).items()}
-        for key, val in ch_grads.items():
-            tensors[f"{prefix}_{key}"] = val
-    tensors["fc_W"] = d_fc_W
-    tensors["fc_b"] = d_fc_b
-    tensors["out_W"] = d_out_W
-    tensors["out_b"] = d_out_b
-    return tensors
+            dW, dU, db = np.zeros_like(W), np.zeros_like(U), np.zeros_like(b)
+        grads.update({f"{prefix}_W": dW, f"{prefix}_U": dU, f"{prefix}_b": db})
+    grads["fc_W"] = dz1.T @ cache.concat
+    grads["fc_b"] = dz1.sum(axis=0)
+    grads["out_W"] = dlogits.T @ cache.a1
+    grads["out_b"] = dlogits.sum(axis=0)
+    return grads
 
 
 def chunks(sequences) -> list[list[int]]:

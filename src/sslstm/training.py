@@ -133,11 +133,11 @@ def make_batches(dataset, token_budget: int, seed: int, max_len: int):
 def sgd_step(
     model: SSLSTMModel, gradients: dict[str, np.ndarray], learning_rate: float
 ) -> SSLSTMModel:
-    """In-place update w <- w - lr*g for every parameter tensor, with
-    ``gradients`` keyed like :meth:`~sslstm.neural.SSLSTMModel.param_tensors`;
-    plain SGD, no momentum or weight decay.  Every name and shape is
-    validated before any write; the embedding tables are never touched."""
-    tensors = model.param_tensors()
+    """In-place update w <- w - lr*g of every tensor in ``model.params``,
+    with ``gradients`` keyed like it; plain SGD, no momentum or weight
+    decay.  Every name and shape is validated before any write; the
+    embedding tables are never touched."""
+    tensors = model.params
     if set(gradients) != set(tensors):
         raise ValueError("gradient tensor names do not match the model")
     for name, grad in gradients.items():
@@ -150,7 +150,7 @@ def sgd_step(
     return model
 
 
-def split_dataset(dataset, ratio: float, seed: int):
+def split_dataset(dataset, ratio: float = 0.9, seed: int = 0):
     """Stratified split: per label, floor(ratio*n) examples go to train and
     the rest to validation.  Original order is preserved within each side."""
     items = list(dataset)
@@ -293,7 +293,7 @@ def gradient_check(model: SSLSTMModel, example, epsilon: float = 1e-4) -> float:
     dlogits = probs.copy()
     dlogits[0, target] -= 1.0
     analytic = batch_backward(model, cache, dlogits)
-    tensors = model.param_tensors()
+    tensors = model.params
     coords = [(name, i) for name, t in tensors.items() for i in range(t.size)]
     if len(coords) > GRADCHECK_EXHAUSTIVE_LIMIT:
         rng = np.random.default_rng(0)
@@ -353,7 +353,7 @@ def _file_tensors(model: SSLSTMModel) -> dict[str, np.ndarray]:
     order: each stacked LSTM tensor as its gate blocks, ``sem_W`` as
     ``sem_W_i`` ... ``sem_W_c``.  Writing into a view writes into the model."""
     out: dict[str, np.ndarray] = {}
-    for name, tensor in model.param_tensors().items():
+    for name, tensor in model.params.items():
         if name.startswith(("sem_", "sent_")):
             for gate, block in zip(GATES, np.split(tensor, len(GATES))):
                 out[f"{name}_{gate}"] = block

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import argparse
 import io
 import re
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 from conftest import LEX, src_env
 from sslstm.baselines import SVM_EPOCHS, load_baseline, save_baseline, svm_train
-from sslstm.cli import main
+from sslstm.cli import _READ_WITH, _READ_WITHOUT, _READS, build_parser, main
 from sslstm.dataio import read_dataset
 from sslstm.datamine import read_judge_queue
 from sslstm.embeddings import EmbeddingTable, save_embedding_file
@@ -225,29 +226,6 @@ class TestTrainEvalPredict:
         assert "must be finite and positive" in capsys.readouterr().err
         assert not model.exists()
 
-    @pytest.mark.parametrize("algo,flag,value", [
-        (algo, flag, value)
-        for algo in ("nb", "svm")
-        for flag, value in (("--val", "{tmp}/missing.tsv"), ("--semantic-emb", "{tmp}/missing.txt"),
-                            ("--sentiment-emb", "{tmp}/missing.txt"), ("--epochs", "7"))
-        if (algo, flag) != ("svm", "--epochs")
-    ])
-    def test_a_baseline_refuses_the_neural_flags_unread(self, ws, tmp_path, monkeypatch, capsys,
-                                                        algo, flag, value):
-        import sslstm.cli
-
-        def refuse(*args):
-            raise AssertionError("read a file")
-
-        monkeypatch.setattr(sslstm.cli, "read_dataset", refuse)
-        monkeypatch.setattr(sslstm.cli, "load_lexicon", refuse)
-        model = tmp_path / "m.model"
-        argv = ["train", "--algo", algo, "--train", ws["train"], "--model", str(model),
-                "--lexicon", ws["train"], flag, value.format(tmp=tmp_path)]
-        assert main(argv) == 1
-        assert f"train --algo {algo} does not use {flag}" in capsys.readouterr().err
-        assert not model.exists()
-
     def test_svm_takes_epochs(self, ws, tmp_path):
         model = tmp_path / "svm.model"
         assert main(["train", "--algo", "svm", "--train", ws["train"], "--model", str(model),
@@ -330,18 +308,29 @@ class TestTrainEvalPredict:
         assert len(steps) == int(found.group(2))
         assert not model.exists()
 
-    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("command", ["eval", "predict", "eval --compare-model"])
     def test_missing_table_warns_per_active_channel(self, ws, command, capsys):
-        base = [command, "--model", ws["sslstm_model"], "--data", ws["train"]]
+        if command == "eval --compare-model":
+            base = ["eval", "--model", ws["nb_model"], "--compare-model", ws["sslstm_model"]]
+        else:
+            base = [command, "--model", ws["sslstm_model"]]
+        base += ["--data", ws["train"]]
+        uses = f"warning: {ws['sslstm_model']} uses the"
         assert main(base) == 0
         warnings = capsys.readouterr().err.splitlines()
         assert len(warnings) == 2
-        assert all(line.startswith("warning: ") for line in warnings)
-        assert "--semantic-emb" in warnings[0] and "--sentiment-emb" in warnings[1]
+        assert warnings[0].startswith(f"{uses} semantic channel but no --semantic-emb")
+        assert warnings[1].startswith(f"{uses} sentiment channel but no --sentiment-emb")
 
         assert main(base + ["--semantic-emb", ws["semantic_emb"]]) == 0
         warnings = capsys.readouterr().err.splitlines()
-        assert len(warnings) == 1 and "--sentiment-emb" in warnings[0]
+        assert len(warnings) == 1
+        assert warnings[0].startswith(f"{uses} sentiment channel but no --sentiment-emb")
+
+        assert main(base + ["--sentiment-emb", ws["sentiment_emb"]]) == 0
+        warnings = capsys.readouterr().err.splitlines()
+        assert len(warnings) == 1
+        assert warnings[0].startswith(f"{uses} semantic channel but no --semantic-emb")
 
         assert main(base + ["--semantic-emb", ws["semantic_emb"],
                             "--sentiment-emb", ws["sentiment_emb"]]) == 0
@@ -407,8 +396,9 @@ class TestTrainEvalPredict:
         captured = capsys.readouterr()
         warnings = captured.err.splitlines()
         assert len(warnings) == 2
-        assert all(line.startswith("warning: ") for line in warnings)
-        assert "--semantic-emb" in warnings[0] and "--sentiment-emb" in warnings[1]
+        for line, channel in zip(warnings, ("semantic", "sentiment")):
+            assert line.startswith(f"warning: training the {channel} channel "
+                                   f"but no --{channel}-emb")
         silent_stdout = captured.out
 
         assert main(base + ["--channels", "sentiment"]) == 0
@@ -773,7 +763,7 @@ class TestGradcheck:
 
         def poisoned(*args, **kwargs):
             model = real_init(*args, **kwargs)
-            model.out_b[0] = np.nan
+            model.params["out_b"][0] = np.nan
             return model
 
         monkeypatch.setattr(sslstm.cli, "init_model", poisoned)
@@ -792,6 +782,180 @@ class TestGradcheck:
     def test_reports_parameters_checked(self, hidden, checked, capsys):
         assert main(["gradcheck", "--hidden", hidden]) == 0
         assert f"parameters checked: {checked}  " in capsys.readouterr().out
+
+
+def subparser(command):
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return subparsers.choices[command]
+
+
+SELECTOR = {"train": "algo", "mine": "mode"}
+
+# A value argparse takes for each flag of the read table.  Paths name files
+# that do not exist: a refused flag is refused before anything is read.
+FLAG_VALUES = {
+    "val": "{tmp}/missing.tsv", "semantic_emb": "{tmp}/missing.txt",
+    "sentiment_emb": "{tmp}/missing.txt", "channels": "semantic", "sem_hidden": "3",
+    "sent_hidden": "3", "fc_hidden": "3", "fc_activation": "tanh", "max_seq_len": "9",
+    "lr": "0.5", "token_budget": "9", "epochs": "2", "patience": "2", "ratio": "0.5",
+    "seed": "4", "alpha": "0.5", "lambda": "0.5", "seeds": "{tmp}/missing.txt",
+    "pool": "{tmp}/missing.txt", "emb": "{tmp}/missing.txt", "target": "happy",
+    "threshold": "0.5", "max_len": "9", "pairs": "{tmp}/missing.tsv",
+    "class_utterances": "{tmp}/missing.txt", "top_k": "9", "min_freq": "9",
+    "positives": "{tmp}/missing.txt", "n": "2",
+}
+
+
+def flag(dest):
+    return "--" + dest.replace("_", "-")
+
+
+def refused_cases():
+    """(command, choice, destinations given, what the error names) for every
+    flag a train algorithm or mine mode does not read, and for every flag
+    read only beside another, given without it (or with it, for --ratio)."""
+    cases = []
+    for command, table in _READS.items():
+        flags = set().union(*table.values())
+        for choice, reads in table.items():
+            cases += [(command, choice, [dest], flag(dest)) for dest in sorted(flags - reads)]
+            cases += [(command, choice, [dest], f"{flag(dest)} without {flag(_READ_WITH[dest])}")
+                      for dest in sorted(reads & set(_READ_WITH))]
+            cases += [(command, choice, [_READ_WITHOUT[dest], dest],
+                       f"{flag(dest)} with {flag(_READ_WITHOUT[dest])}")
+                      for dest in sorted(reads & set(_READ_WITHOUT))]
+    return [pytest.param(*case, id=f"{case[0]} {case[1]} {case[3]}") for case in cases]
+
+
+class TestFlagsTheChoiceReads:
+    @pytest.mark.parametrize("command,choice,dests,named", refused_cases())
+    def test_a_flag_the_choice_does_not_read_is_refused_unread(self, ws, tmp_path, monkeypatch,
+                                                               capsys, command, choice, dests,
+                                                               named):
+        import sslstm.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("read a file")
+
+        for name in ("read_dataset", "load_lexicon", "load_embedding_file", "_read_lines",
+                     "_tsv_rows"):
+            monkeypatch.setattr(sslstm.cli, name, refuse)
+        out = tmp_path / "out"
+        if command == "train":
+            argv = ["train", "--algo", choice, "--train", ws["train"], "--model", str(out)]
+        else:
+            argv = ["mine", "--mode", choice, "--output", str(out)]
+        argv += ["--lexicon", ws["train"]]
+        for dest in dests:
+            argv += [flag(dest), FLAG_VALUES[dest].format(tmp=tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{command} --{SELECTOR[command]} {choice} does not use {named}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,named", [
+        pytest.param(["--algo", "nb", "--lambda", "9", "--lr", "3", "--channels", "semantic",
+                      "--ratio", "0.5", "--patience", "1"],
+                     "train --algo nb does not use --channels, --lr, --patience, --ratio, --lambda",
+                     id="nb"),
+        pytest.param(["--algo", "svm", "--alpha", "9", "--token-budget", "3"],
+                     "train --algo svm does not use --token-budget, --alpha", id="svm"),
+        pytest.param(["--val", "{val}", "--ratio", "0.3", "--alpha", "5", "--lambda", "7"],
+                     "train --algo sslstm does not use --ratio with --val, --alpha, --lambda",
+                     id="sslstm"),
+        pytest.param(["--algo", "nb", "--seed", "1"], "train --algo nb does not use --seed",
+                     id="nb-seed"),
+    ])
+    def test_train_refuses_the_flags_its_algorithm_ignored(self, ws, tmp_path, capsys, flags,
+                                                           named):
+        model = tmp_path / "m.model"
+        flags = [f.format(val=ws["train"]) for f in flags]
+        assert main(["train", "--train", ws["train"], "--model", str(model), *flags]) == 1
+        assert f"error: {named}\n" in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("mode,flags,named", [
+        pytest.param("t1", ["--max-len", "3"], "--max-len without --target", id="t1"),
+        pytest.param("t2", ["--max-len", "3", "--threshold", "0.5"],
+                     "--threshold, --max-len without --target", id="t2"),
+        pytest.param("neg", ["--target", "happy", "--top-k", "3"], "--target, --top-k", id="neg"),
+    ])
+    def test_mine_refuses_the_flags_its_mode_ignored(self, ws, tmp_path, capsys, mode, flags,
+                                                     named):
+        out = tmp_path / "out"
+        assert main(["mine", "--mode", mode, "--output", str(out), *flags]) == 1
+        assert f"error: mine --mode {mode} does not use {named}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_train_takes_one_seed_for_the_split_the_init_and_the_batches(self, ws, tmp_path):
+        from sslstm.embeddings import load_embedding_file
+        from sslstm.neural import ModelConfig, init_model
+        from sslstm.training import TrainConfig, save_checkpoint, split_dataset, train
+
+        # Every row differs, so another split trains another model.
+        words = list(KEYWORD.values())
+        data = write_lines(tmp_path / "data.tsv", [
+            f"{label[0]}{i}\ta\tb\t{KEYWORD[label]} {words[i % 4]} {words[i // 2]}\t{label}"
+            for label in LABELS for i in range(6)
+        ])
+        model = tmp_path / "m.ckpt"
+        assert main(["train", "--train", data, "--model", str(model),
+                     "--semantic-emb", ws["semantic_emb"], "--sentiment-emb", ws["sentiment_emb"],
+                     "--sem-hidden", "3", "--sent-hidden", "2", "--fc-hidden", "4",
+                     "--epochs", "3", "--ratio", "0.5", "--seed", "7"]) == 0
+        train_set, val_set = split_dataset(read_dataset(data, LEX), 0.5, 7)
+        config = ModelConfig(sem_hidden=3, sent_hidden=2, fc_hidden=4)
+        tables = [load_embedding_file(ws[key]) for key in ("semantic_emb", "sentiment_emb")]
+        train_config = TrainConfig(max_epochs=3, seed=7)
+        best, _ = train(init_model(config, *tables, seed=7), train_set, val_set, train_config)
+        expected = io.StringIO()
+        save_checkpoint(best, train_config, expected, LEX)
+        assert model.read_text(encoding="utf-8") == expected.getvalue()
+
+    @pytest.mark.parametrize("command", ["train", "mine"])
+    def test_every_optional_flag_is_read_by_some_choice(self, command):
+        parser = subparser(command)
+        selector = next(a for a in parser._actions if a.dest == SELECTOR[command])
+        assert set(_READS[command]) == set(selector.choices)
+        optional = {a.dest for a in parser._actions if a.option_strings and not a.required}
+        optional -= {"help", selector.dest}
+        assert sorted(optional - set().union(*_READS[command].values())) == []
+
+    def test_the_read_table_names_only_real_destinations(self):
+        stale = []
+        for command, table in _READS.items():
+            actions = {a.dest: a for a in subparser(command)._actions}
+            for choice, reads in table.items():
+                stale += [f"{command} {choice}: {dest}" for dest in sorted(reads - set(actions))]
+            # A flag is given when it is not None, so none may default to a value.
+            stale += [f"{command}: {dest} defaults to {actions[dest].default!r}"
+                      for dest in sorted(set().union(*table.values()) & set(actions))
+                      if actions[dest].default is not None]
+        for dest, other in {**_READ_WITH, **_READ_WITHOUT}.items():
+            if not any(dest in set().union(*table.values())
+                       and other in {a.dest for a in subparser(command)._actions}
+                       for command, table in _READS.items()):
+                stale.append(f"{dest} beside {other}")
+        assert stale == []
+
+    @pytest.mark.parametrize("algo,defaults", [
+        ("sslstm", ["--channels", "both", "--sem-hidden", "128", "--sent-hidden", "128",
+                    "--fc-hidden", "128", "--fc-activation", "relu", "--max-seq-len", "50",
+                    "--lr", "0.005", "--token-budget", "4000", "--epochs", "100",
+                    "--patience", "5", "--ratio", "0.9", "--seed", "0"]),
+        ("nb", ["--alpha", "1.0"]),
+        ("svm", ["--lambda", "0.005", "--epochs", str(SVM_EPOCHS), "--seed", "0"]),
+    ], ids=["sslstm", "nb", "svm"])
+    def test_train_without_flags_writes_what_every_library_default_writes(self, ws, tmp_path,
+                                                                          algo, defaults):
+        base = ["train", "--algo", algo, "--train", ws["train"]]
+        if algo == "sslstm":
+            base += ["--semantic-emb", ws["semantic_emb"], "--sentiment-emb", ws["sentiment_emb"]]
+        implicit, explicit = tmp_path / "implicit.model", tmp_path / "explicit.model"
+        assert main(base + ["--model", str(implicit)]) == 0
+        assert main(base + ["--model", str(explicit), *defaults]) == 0
+        assert implicit.read_bytes() == explicit.read_bytes()
 
 
 class TestConsoleEntry:

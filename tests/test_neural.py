@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,8 +11,8 @@ from sslstm.labels import LABELS, N_CLASSES
 from sslstm.neural import (
     CHANNELS,
     FC_ACTIVATIONS,
-    LSTMParams,
     ModelConfig,
+    SSLSTMModel,
     _final_states,
     _lstm_run,
     _sigmoid,
@@ -22,7 +24,7 @@ from sslstm.neural import (
     softmax,
 )
 from sslstm.text_norm import Token
-from sslstm.training import gradient_check
+from sslstm.training import _file_tensors, gradient_check
 
 VOCAB = ["good", "bad", "mad", "meh", "a", "b", "c", ":)", ":(", ">:(", ":|"]
 
@@ -43,17 +45,24 @@ def tiny_model(seed=0, channels="both", fc_activation="relu", max_seq_len=50,
 
 
 def unit_lstm(b_c=0.0):
-    """1-dim LSTM with every weight zero (so each gate is exactly sigmoid of
-    its bias) and every bias zero but the cell candidate's ``b_c``; lets
-    single steps be checked by hand.  Gates are stacked (i, f, o, c)."""
-    return LSTMParams(W=np.zeros((4, 1)), U=np.zeros((4, 1)), b=np.array([0.0, 0.0, 0.0, b_c]))
+    """(W, U, b) of a 1-dim LSTM with every weight zero (so each gate is
+    exactly sigmoid of its bias) and every bias zero but the cell
+    candidate's ``b_c``; lets single steps be checked by hand.  Gates are
+    stacked (i, f, o, c)."""
+    return np.zeros((4, 1)), np.zeros((4, 1)), np.array([0.0, 0.0, 0.0, b_c])
 
 
-def run_lstm(params, xs):
-    """One input sequence through the kernel, one row per step: the hidden
-    states, the final state (zeros for an empty input) and the cache."""
-    xs = np.array(xs, dtype=np.float64).reshape(len(xs), params.W.shape[1])
-    cache = _lstm_run(params, xs, [1] * len(xs))
+def lstm_of(model, prefix):
+    """(W, U, b) of one channel's LSTM in ``model.params``."""
+    return tuple(model.params[f"{prefix}_{kind}"] for kind in "WUb")
+
+
+def run_lstm(lstm, xs):
+    """One input sequence through the kernel for the LSTM tensors ``lstm``
+    = (W, U, b), one row per step: the hidden states, the final state (zeros
+    for an empty input) and the cache."""
+    xs = np.array(xs, dtype=np.float64).reshape(len(xs), lstm[0].shape[1])
+    cache = _lstm_run(*lstm, xs, [1] * len(xs))
     return cache.h, _final_states(cache, [len(xs)])[0], cache
 
 
@@ -117,17 +126,17 @@ class TestLSTMForward:
 
     def test_matches_naive_recurrence(self):
         rng = np.random.default_rng(3)
-        params = tiny_model(seed=5).sem
-        xs = [rng.standard_normal(params.W.shape[1]) for _ in range(4)]
+        params = lstm_of(tiny_model(seed=5), "sem")
+        xs = [rng.standard_normal(params[0].shape[1]) for _ in range(4)]
         hs, h_final, _ = run_lstm(params, xs)
 
         def sig(v):
             return 1.0 / (1.0 + np.exp(-v))
 
-        H = params.hidden_dim
+        H = params[1].shape[1]
         W, U, b = (
             {gate: t[k * H : (k + 1) * H] for k, gate in enumerate("ifoc")}
-            for t in (params.W, params.U, params.b)
+            for t in params
         )
         h = np.zeros(H)
         c = np.zeros(H)
@@ -142,9 +151,9 @@ class TestLSTMForward:
         np.testing.assert_allclose(h_final, h, rtol=1e-12)
 
     def test_gate_ranges(self):
-        params = tiny_model(seed=9).sent
+        params = lstm_of(tiny_model(seed=9), "sent")
         rng = np.random.default_rng(4)
-        xs = [10.0 * rng.standard_normal(params.W.shape[1]) for _ in range(6)]
+        xs = [10.0 * rng.standard_normal(params[0].shape[1]) for _ in range(6)]
         _, _, cache = run_lstm(params, xs)
         for name in ("i", "f", "o"):
             vals = getattr(cache, name)
@@ -152,8 +161,8 @@ class TestLSTMForward:
         assert np.all(np.abs(cache.h) < 1.0)
 
     def test_extreme_inputs_stay_finite(self):
-        params = tiny_model(seed=2).sem
-        xs = [np.full(params.W.shape[1], 1e4), np.full(params.W.shape[1], -1e4)]
+        params = lstm_of(tiny_model(seed=2), "sem")
+        xs = [np.full(params[0].shape[1], 1e4), np.full(params[0].shape[1], -1e4)]
         hs, h_final, _ = run_lstm(params, xs)
         assert np.all(np.isfinite(hs))
         assert np.all(np.isfinite(h_final))
@@ -169,8 +178,8 @@ class TestForwardPass:
 
     def test_zero_output_layer_is_uniform(self):
         model = tiny_model(seed=1)
-        model.out_W[:] = 0.0
-        model.out_b[:] = 0.0
+        model.params["out_W"][:] = 0.0
+        model.params["out_b"][:] = 0.0
         probs = probs_of(model, ["good"])
         np.testing.assert_allclose(probs, 0.25)
         assert batch_predict(model, [["good"]]) == ["happy"]
@@ -179,10 +188,11 @@ class TestForwardPass:
         model = tiny_model(seed=7)
         tokens = ["good", "mad"]
         _, cache = batch_forward(model, [tokens])
-        table = model.semantic_table
-        _, sem_final, _ = run_lstm(model.sem, [table.matrix[table.index[t]] for t in tokens])
-        table = model.sentiment_table
-        _, sent_final, _ = run_lstm(model.sent, [table.matrix[table.index[t]] for t in tokens])
+        finals = []
+        for prefix, table in (("sem", model.semantic_table), ("sent", model.sentiment_table)):
+            xs = [table.matrix[table.index[t]] for t in tokens]
+            finals.append(run_lstm(lstm_of(model, prefix), xs)[1])
+        sem_final, sent_final = finals
         np.testing.assert_allclose(cache.concat[0, :3], sem_final, rtol=1e-12)
         np.testing.assert_allclose(cache.concat[0, 3:], sent_final, rtol=1e-12)
 
@@ -193,7 +203,7 @@ class TestForwardPass:
         np.testing.assert_allclose(long_probs, short_probs, rtol=1e-12)
         # Rows run longest first after truncation: 3, 2, then 1 token.
         assert long_cache.order == [1, 2, 0]
-        assert long_cache.sem.steps == [3, 2, 1]
+        assert long_cache.lstm["sem"].steps == [3, 2, 1]
 
     def test_accepts_token_objects(self):
         model = tiny_model(seed=3)
@@ -205,7 +215,7 @@ class TestForwardPass:
         model = tiny_model(seed=3)
         probs, cache = batch_forward(model, [["zzz-unknown"]])
         assert np.all(np.isfinite(probs))
-        np.testing.assert_array_equal(cache.sem.xs[0], np.zeros(4))
+        np.testing.assert_array_equal(cache.lstm["sem"].xs[0], np.zeros(4))
 
     def test_empty_utterance_runs(self):
         model = tiny_model(seed=3)
@@ -250,26 +260,25 @@ class TestInit:
         a = tiny_model(seed=42)
         b = tiny_model(seed=42)
         c = tiny_model(seed=43)
-        for key, val in a.param_tensors().items():
-            np.testing.assert_array_equal(b.param_tensors()[key], val)
-        assert any(
-            np.any(c.param_tensors()[k] != v) for k, v in a.param_tensors().items()
-        )
+        for key, val in a.params.items():
+            np.testing.assert_array_equal(b.params[key], val)
+        assert any(np.any(c.params[k] != v) for k, v in a.params.items())
 
     def test_bias_initialisation(self):
         model = tiny_model(seed=0)
-        for params in (model.sem, model.sent):
-            H = params.hidden_dim
-            b_i, b_f, b_o, b_c = (params.b[k * H : (k + 1) * H] for k in range(4))
+        for prefix in ("sem", "sent"):
+            _, U, b = lstm_of(model, prefix)
+            H = U.shape[1]
+            b_i, b_f, b_o, b_c = (b[k * H : (k + 1) * H] for k in range(4))
             np.testing.assert_array_equal(b_f, np.ones(H))
             for gate_bias in (b_i, b_o, b_c):
                 np.testing.assert_array_equal(gate_bias, np.zeros(H))
-        np.testing.assert_array_equal(model.fc_b, 0.0)
-        np.testing.assert_array_equal(model.out_b, 0.0)
+        np.testing.assert_array_equal(model.params["fc_b"], 0.0)
+        np.testing.assert_array_equal(model.params["out_b"], 0.0)
 
     def test_weight_scale_bounds(self):
         model = tiny_model(seed=1, sem_hidden=8, sent_hidden=8, fc_hidden=8)
-        for name, tensor in model.param_tensors().items():
+        for name, tensor in model.params.items():
             if name.endswith("_b"):
                 continue
             # Each LSTM gate block is scaled by its own (H, cols) fan.
@@ -280,18 +289,43 @@ class TestInit:
                 assert np.max(np.abs(block)) <= limit
                 assert np.max(np.abs(block)) > 0.25 * limit  # not degenerate
 
-    def test_param_tensor_keys(self):
-        model = tiny_model()
-        keys = set(model.param_tensors())
-        expected = {
-            f"{ch}_{kind}" for ch in ("sem", "sent") for kind in ("W", "U", "b")
-        } | {"fc_W", "fc_b", "out_W", "out_b"}
-        assert keys == expected
+    @pytest.mark.parametrize("channels", CHANNELS)
+    def test_params_gradients_and_file_tensors_keep_their_order(self, channels):
+        # The order of params sets gradient_check's coordinate list, and the
+        # order of the file tensors sets the checkpoint bytes.
+        model = tiny_model(channels=channels)
+        expected = [f"{ch}_{kind}" for ch in ("sem", "sent") for kind in "WUb"]
+        expected += ["fc_W", "fc_b", "out_W", "out_b"]
+        assert list(model.params) == expected
+        assert list(example_gradients(model, ["good"], 0)) == expected
+        assert list(_file_tensors(model)) == [
+            f"{name}_{gate}" for name in expected[:6] for gate in "ifoc"
+        ] + expected[6:]
+
+    def test_init_draws_sem_then_sent_then_fc_then_out(self):
+        model = tiny_model(seed=3)
+        rng = np.random.default_rng(3)
+
+        def glorot(rows, cols):
+            limit = np.sqrt(6.0 / (rows + cols))
+            return rng.uniform(-limit, limit, size=(rows, cols))
+
+        for prefix, dim, H in (("sem", 4, 3), ("sent", 3, 2)):
+            for kind, cols in (("W", dim), ("U", H)):
+                want = np.concatenate([glorot(H, cols) for _ in range(4)])
+                np.testing.assert_array_equal(model.params[f"{prefix}_{kind}"], want)
+        np.testing.assert_array_equal(model.params["fc_W"], glorot(4, 5))
+        np.testing.assert_array_equal(model.params["out_W"], glorot(N_CLASSES, 4))
+
+    def test_the_model_has_four_fields(self):
+        assert [f.name for f in fields(SSLSTMModel)] == [
+            "semantic_table", "sentiment_table", "config", "params"
+        ]
 
     def test_single_channel_still_builds_both_lstms(self):
         model = tiny_model(channels="semantic")
-        assert model.sent.W.shape == (4 * 2, 3)
-        assert model.fc_W.shape == (4, 3)  # FC sees only the semantic block
+        assert model.params["sent_W"].shape == (4 * 2, 3)
+        assert model.params["fc_W"].shape == (4, 3)  # FC sees only the semantic block
         assert model.config.concat_width() == 3
 
     def test_concat_width_both(self):
@@ -309,8 +343,8 @@ class TestInit:
 class TestBackward:
     def test_output_bias_gradient_is_probs_minus_onehot(self):
         model = tiny_model(seed=1)
-        model.out_W[:] = 0.0
-        model.out_b[:] = 0.0
+        model.params["out_W"][:] = 0.0
+        model.params["out_b"][:] = 0.0
         grads = example_gradients(model, ["good"], 0)
         np.testing.assert_allclose(
             grads["out_b"], [-0.75, 0.25, 0.25, 0.25], rtol=1e-12
@@ -335,7 +369,7 @@ class TestBackward:
             # floor; 3e-4 keeps near-flat coordinates under the 1e-8-floored
             # relative tolerance.
             eps = 3e-4
-            for name, tensor in model.param_tensors().items():
+            for name, tensor in model.params.items():
                 flat = tensor.reshape(-1)
                 analytic = grads[name].reshape(-1)
                 for idx in range(flat.size):
@@ -358,11 +392,11 @@ class TestBackward:
                 np.testing.assert_array_equal(g, 0.0)
         assert np.any(grads["sem_W"] != 0.0)
 
-    def test_gradient_keys_match_param_tensors(self):
+    def test_gradient_keys_match_params(self):
         model = tiny_model(seed=2)
         grads = example_gradients(model, ["a"], 3)
-        assert set(grads) == set(model.param_tensors())
-        for name, tensor in model.param_tensors().items():
+        assert set(grads) == set(model.params)
+        for name, tensor in model.params.items():
             assert grads[name].shape == tensor.shape
 
     def test_target_out_of_range(self):
@@ -376,7 +410,7 @@ class TestBackward:
         target = 2
         before = loss_of(model, tokens, target)
         grads = example_gradients(model, tokens, target)
-        for name, tensor in model.param_tensors().items():
+        for name, tensor in model.params.items():
             tensor -= 0.05 * grads[name]
         assert loss_of(model, tokens, target) < before
 
@@ -391,10 +425,11 @@ class TestPredictAndClone:
     def test_clone_isolates_parameters(self):
         model = tiny_model(seed=2)
         snap = clone_model(model)
-        model.fc_W += 1.0
-        model.sem.W += 1.0
-        assert np.all(snap.fc_W != model.fc_W)
-        assert np.all(snap.sem.W != model.sem.W)
+        for tensor in model.params.values():
+            tensor += 1.0
+        for name, tensor in model.params.items():
+            assert np.all(snap.params[name] != tensor), name
+        assert snap.config is not model.config and snap.config == model.config
 
     def test_clone_shares_frozen_tables(self):
         model = tiny_model(seed=2)

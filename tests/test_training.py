@@ -74,7 +74,7 @@ def keyword_model(seed=0):
 
 
 def zero_gradients(model):
-    return {k: np.zeros_like(v) for k, v in model.param_tensors().items()}
+    return {k: np.zeros_like(v) for k, v in model.params.items()}
 
 
 def tiny_random_model(seed=0, channels="both"):
@@ -185,17 +185,17 @@ class TestMakeBatches:
 class TestSgdStep:
     def test_single_coordinate_arithmetic(self):
         model = tiny_random_model()
-        model.fc_b[0] = 1.0
+        model.params["fc_b"][0] = 1.0
         grads = zero_gradients(model)
         grads["fc_b"][0] = 0.5
         sgd_step(model, grads, learning_rate=0.1)
-        assert model.fc_b[0] == pytest.approx(0.95, abs=1e-12)
+        assert model.params["fc_b"][0] == pytest.approx(0.95, abs=1e-12)
 
     def test_zero_gradient_is_identity(self):
         model = tiny_random_model(seed=3)
-        before = {k: v.copy() for k, v in model.param_tensors().items()}
+        before = {k: v.copy() for k, v in model.params.items()}
         sgd_step(model, zero_gradients(model), learning_rate=0.5)
-        for k, v in model.param_tensors().items():
+        for k, v in model.params.items():
             np.testing.assert_array_equal(v, before[k])
 
     def test_two_steps_equal_one_double_step(self):
@@ -211,18 +211,18 @@ class TestSgdStep:
         sgd_step(m2, double, 0.01)
         for k in grads:
             np.testing.assert_allclose(
-                m1.param_tensors()[k], m2.param_tensors()[k], atol=1e-12
+                m1.params[k], m2.params[k], atol=1e-12
             )
 
     def test_shape_mismatch_leaves_model_untouched(self):
         model = tiny_random_model(seed=1)
-        before = {k: v.copy() for k, v in model.param_tensors().items()}
+        before = {k: v.copy() for k, v in model.params.items()}
         grads = zero_gradients(model)
         grads["fc_W"] = np.zeros((1, 1))
         grads["fc_b"][0] = 9.9
         with pytest.raises(ValueError, match="shape mismatch"):
             sgd_step(model, grads, 0.1)
-        for k, v in model.param_tensors().items():
+        for k, v in model.params.items():
             np.testing.assert_array_equal(v, before[k])
 
     def test_missing_tensor_rejected(self):
@@ -341,8 +341,8 @@ class TestTrain:
             model = keyword_model(seed=4)
             runs.append(train(model, train_set, val_set, self.run_config(max_epochs=8, stop_when_train_accuracy=None, patience=8)))
         assert runs[0][1] == runs[1][1]
-        for k, v in runs[0][0].param_tensors().items():
-            np.testing.assert_array_equal(v, runs[1][0].param_tensors()[k])
+        for k, v in runs[0][0].params.items():
+            np.testing.assert_array_equal(v, runs[1][0].params[k])
 
     def test_train_accuracy_pass_only_with_a_target(self, monkeypatch):
         import sslstm.training
@@ -425,9 +425,9 @@ class TestTrain:
         # The batched kernel sums each chunk's gradients in one matrix
         # product, so the order of the float additions differs from the
         # per-example sums here.
-        for name, tensor in reference.param_tensors().items():
+        for name, tensor in reference.params.items():
             np.testing.assert_allclose(
-                trained.param_tensors()[name], tensor, rtol=1e-12, atol=1e-14
+                trained.params[name], tensor, rtol=1e-12, atol=1e-14
             )
 
     def test_leaves_the_given_tables_unchanged(self):
@@ -476,8 +476,8 @@ class TestGradientCheck:
 
     def test_zero_output_layer_model(self):
         model = tiny_random_model(seed=5)
-        model.out_W[:] = 0.0
-        model.out_b[:] = 0.0
+        model.params["out_W"][:] = 0.0
+        model.params["out_b"][:] = 0.0
         assert gradient_check(model, (["good"], 0), epsilon=1e-4) < 1e-4
 
     def test_epsilon_validation(self):
@@ -488,7 +488,7 @@ class TestGradientCheck:
 
     def test_a_nan_weight_gives_a_nan_result(self):
         model = tiny_random_model(seed=6)
-        model.out_b[0] = np.nan
+        model.params["out_b"][0] = np.nan
         assert np.isnan(gradient_check(model, (["good", "bad"], 2), epsilon=1e-4))
 
     def test_large_model_subsamples(self):
@@ -497,7 +497,7 @@ class TestGradientCheck:
         sem = make_table(vocab, dim=10, seed=1)
         sent = make_table(vocab, dim=10, seed=2)
         model = init_model(config, sem, sent, seed=0)
-        n_params = sum(t.size for t in model.param_tensors().values())
+        n_params = sum(t.size for t in model.params.values())
         assert n_params > 10_000
         err = gradient_check(model, (["good", "bad"], 1), epsilon=3e-4)
         assert err < 1e-4
@@ -597,8 +597,8 @@ class TestCheckpoint:
         first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
         save_checkpoint(model, TrainConfig(seed=5), first, LEX)
         loaded = load_checkpoint(first, model.semantic_table, model.sentiment_table)
-        for name, tensor in model.param_tensors().items():
-            np.testing.assert_array_equal(loaded.param_tensors()[name], tensor)
+        for name, tensor in model.params.items():
+            np.testing.assert_array_equal(loaded.params[name], tensor)
         save_checkpoint(loaded, TrainConfig(seed=5), second, LEX)
         assert second.read_bytes() == first.read_bytes()
 
@@ -631,16 +631,16 @@ class TestCheckpoint:
         text = "\n".join(lines + ["end"]) + "\n"
 
         model = load_checkpoint(io.StringIO(text))
-        for prefix, params in (("sem", model.sem), ("sent", model.sent)):
+        for prefix in ("sem", "sent"):
             H = dims[prefix][1]
             for kind in ("W", "U", "b"):
-                stacked = getattr(params, kind)
+                stacked = model.params[f"{prefix}_{kind}"]
                 for k, gate in enumerate(("i", "f", "o", "c")):
                     block = blocks[f"{prefix}_{kind}_{gate}"]
                     np.testing.assert_array_equal(
                         stacked[k * H : (k + 1) * H], block if kind != "b" else block[0]
                     )
-        np.testing.assert_array_equal(model.fc_W, blocks["fc_W"])
+        np.testing.assert_array_equal(model.params["fc_W"], blocks["fc_W"])
         assert self.save_text(model) == text
 
     def test_corrupt_header(self):
