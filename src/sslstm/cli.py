@@ -21,6 +21,7 @@ everything that reads text.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -216,29 +217,33 @@ def _given_kwargs(args, *same: str, **renamed: str) -> dict:
 # model loading shared by eval/predict
 
 
-def _load_predictor(path: str, args, lex):
-    """A callable list of conversations -> list of labels for the saved
-    model file ``path``, any kind, with the tables ``args`` names; a file
-    that records its lexicon's hash must match ``lex``."""
-    meta, tensors = read_container(path)
-    stored = meta.get("lexicon_sha256", "-")
-    if stored not in ("", "-") and stored != lex.sha256:
-        raise CheckpointError(
-            f"{path} was trained with another emoticon lexicon "
-            f"({stored[:12]} vs {lex.sha256[:12]}); pass that one as --lexicon"
-        )
-    kind = meta.get("model", "sslstm")
-    if kind == "sslstm":
-        # A missing table loads as an empty one of the checkpoint's dimension.
-        tables = {}
-        for channel in ("semantic", "sentiment"):
-            table_path = getattr(args, f"{channel}_emb")
-            tables[channel] = None if table_path is None else load_embedding_file(table_path)
-        model = model_from_container(meta, tensors, tables["semantic"], tables["sentiment"])
-        _warn_missing_tables(args, model.config, f"{path} uses")
-        return lambda convs: batch_predict(model, [conv.tokens for conv in convs])
-    baseline = baseline_from_container(meta, tensors)
-    return lambda convs: baseline_predict(baseline, [conv.tokens for conv in convs], lex)
+def _predictor_loader(args, lex):
+    """A function from a saved model file, any kind, to a callable list of
+    conversations -> list of labels.  Neural models get the tables ``args``
+    names, each file loaded at most once for all of them; a baseline loads
+    none.  A file that records its lexicon's hash must match ``lex``."""
+    load_table = functools.cache(load_embedding_file)
+
+    def load(path: str):
+        meta, tensors = read_container(path)
+        stored = meta.get("lexicon_sha256", "-")
+        if stored not in ("", "-") and stored != lex.sha256:
+            raise CheckpointError(
+                f"{path} was trained with another emoticon lexicon "
+                f"({stored[:12]} vs {lex.sha256[:12]}); pass that one as --lexicon"
+            )
+        kind = meta.get("model", "sslstm")
+        if kind == "sslstm":
+            # A missing table loads as an empty one of the checkpoint's dimension.
+            tables = [None if table_path is None else load_table(table_path)
+                      for table_path in (args.semantic_emb, args.sentiment_emb)]
+            model = model_from_container(meta, tensors, *tables)
+            _warn_missing_tables(args, model.config, f"{path} uses")
+            return lambda convs: batch_predict(model, [conv.tokens for conv in convs])
+        baseline = baseline_from_container(meta, tensors)
+        return lambda convs: baseline_predict(baseline, [conv.tokens for conv in convs], lex)
+
+    return load
 
 
 def _warn_missing_tables(args, config: ModelConfig, doing: str) -> None:
@@ -317,13 +322,14 @@ def cmd_train(args) -> None:
 def cmd_eval(args) -> None:
     lex = _lexicon(args)
     dataset = require_labeled(read_dataset(args.data, lex))
-    predictor = _load_predictor(args.model, args, lex)
+    load = _predictor_loader(args, lex)
+    predictor = load(args.model)
     predictions = predictor(dataset)
     golds = [conv.label for conv in dataset]
     report = evaluate(predictions, golds)
     text = report_tsv(report) if args.format == "tsv" else format_report(report)
     if args.compare_model:
-        other = _load_predictor(args.compare_model, args, lex)
+        other = load(args.compare_model)
         other_predictions = other(dataset)
         correct_a = [p == g for p, g in zip(predictions, golds)]
         correct_b = [p == g for p, g in zip(other_predictions, golds)]
@@ -338,7 +344,7 @@ def cmd_eval(args) -> None:
 def cmd_predict(args) -> None:
     lex = _lexicon(args)
     dataset = read_dataset(args.data, lex)
-    predictor = _load_predictor(args.model, args, lex)
+    predictor = _predictor_loader(args, lex)(args.model)
     rows = [f"{conv.id}\t{label}" for conv, label in zip(dataset, predictor(dataset))]
     _emit(rows, args.output)
 

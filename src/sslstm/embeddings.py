@@ -9,10 +9,11 @@ nothing to sentence means and never crash mining or the classifier.
 A table read from a file is parsed once: the parsed table is cached in
 ``__sslstm_cache__/<basename>.<sha256>.v1.npy`` beside the file, keyed by
 the SHA-256 of the file's bytes, and later loads of the same bytes read
-that instead of the text.  A cache hit gives the table a parse gives, so
-the cache never changes an output.  A cache file that is not what a parse
-gives is ignored, a folder that cannot be written gets no cache, and the
-folder is safe to delete at any time.
+that instead of the text.  A load that finds its entry reads the file only
+to hash it, block by block, and never holds its text.  A cache hit gives
+the table a parse gives, so the cache never changes an output.  A cache
+file that is not what a parse gives is ignored, a folder that cannot be
+written gets no cache, and the folder is safe to delete at any time.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from sslstm.textfile import (BadRow, DataFormatError, _open_write, _read, _split_lines,
-                             float_rows, rows_by_float)
+from sslstm.textfile import (BadRow, DataFormatError, _open_read, _open_write, _read,
+                             _split_lines, file_sha256, float_rows, rows_by_float)
 
 # Fallback dimensionalities for channels constructed without a file.
 DEFAULT_SEMANTIC_DIM = 100
@@ -106,21 +107,26 @@ def load_embedding_file(source) -> EmbeddingTable:
     separate fields like any other whitespace.
 
     The table of a regular file is cached beside it, keyed by that hash
-    (:func:`_cache_file`): a load that finds the cache returns the table a
-    parse gives without parsing, and a parse that succeeds writes it.
+    (:func:`_cache_file`).  The file is first hashed block by block
+    (:func:`~sslstm.textfile.file_sha256`); a load that finds that entry
+    returns the table a parse gives without parsing, and without ever
+    holding the text.  Otherwise the file is read whole and the hash of
+    those bytes names the table and the entry the parse writes, so a file
+    rewritten between the two reads gets the hash of the bytes parsed.
     """
+    cached = isinstance(source, (str, os.PathLike)) and os.path.isfile(source)
+    if cached:
+        digest = file_sha256(source)
+        table = _read_cache(_cache_file(source, digest), digest)
+        if table is not None:
+            return table
     data, label = _read(source)
     digest = hashlib.sha256(data).hexdigest()
-    cache = None
-    if isinstance(source, (str, os.PathLike)) and os.path.isfile(source):
-        cache = _cache_file(source, digest)
-    table = _read_cache(cache, digest) if cache else None
-    if table is None:
-        lines = _split_lines(data, label)
-        del data
-        table = _parse_table(lines, label, digest)
-        if cache:
-            _write_cache(cache, table, source)
+    lines = _split_lines(data, label)
+    del data
+    table = _parse_table(lines, label, digest)
+    if cached:
+        _write_cache(_cache_file(source, digest), table, source)
     return table
 
 
@@ -218,7 +224,8 @@ def _read_cache(path: str, digest: str) -> EmbeddingTable | None:
     is not what a parse gives: a 2-D float64 matrix of finite values with
     one token per row, no token twice."""
     try:
-        raw = np.fromfile(path, dtype=np.uint8)
+        with _open_read(path) as fh:
+            raw = np.fromfile(fh, dtype=np.uint8)
         head = io.BytesIO(raw[:_NPY_HEADER_MAX].tobytes())
         if np.lib.format.read_magic(head) != (1, 0):
             return None

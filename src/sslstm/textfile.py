@@ -5,25 +5,38 @@ as its UTF-8 encoding).  The one line rule (:func:`_split_lines`): decode
 as UTF-8, split at ``\\n`` only, drop a ``\\r`` just before it, and add no
 empty line after a final ``\\n``; so the same bytes give the same lines
 however they are passed in.  Each format keeps its own comment rule.
+
+Every file the package reads is opened by the one reading opener,
+:func:`_open_read`: :func:`_read` takes the whole of a file,
+:func:`file_sha256` hashes it block by block, and the table cache reads
+its entries through it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import os
 from contextlib import contextmanager
 
 import numpy as np
 
+BLOCK_BYTES = 1 << 20  # how much of a file :func:`file_sha256` holds at once
+
 
 class DataFormatError(ValueError):
     """Malformed input file; messages name the file and the line at fault."""
 
 
+def _open_read(path):
+    """The file at ``path`` opened to read its bytes."""
+    return open(path, "rb")
+
+
 def _read(source) -> tuple[bytes, str]:
     """The bytes of ``source`` and the label messages name it by."""
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as fh:
+        with _open_read(source) as fh:
             return fh.read(), str(source)
     if isinstance(source, (bytes, bytearray)):
         return bytes(source), "<bytes>"
@@ -31,6 +44,17 @@ def _read(source) -> tuple[bytes, str]:
     if isinstance(data, str):
         data = data.encode("utf-8")
     return data, getattr(source, "name", "<stream>")
+
+
+def file_sha256(path) -> str:
+    """The SHA-256 of the file at ``path`` as hex, read :data:`BLOCK_BYTES`
+    at a time so the whole file is never held."""
+    digest = hashlib.sha256()
+    block = memoryview(bytearray(BLOCK_BYTES))
+    with _open_read(path) as fh:
+        while size := fh.readinto(block):
+            digest.update(block[:size])
+    return digest.hexdigest()
 
 
 def _split_lines(data: bytes, label: str) -> list[str]:

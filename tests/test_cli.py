@@ -418,6 +418,33 @@ class TestTrainEvalPredict:
         assert "McNemar statistic: 18.05" in out
         assert "significant at p < 0.005: yes" in out
 
+    @pytest.mark.parametrize("models,loads", [
+        (("sslstm_model", "sslstm_model"), 2),
+        (("nb_model", "sslstm_model"), 2),
+        (("nb_model", "svm_model"), 0),
+    ], ids=["two neural", "baseline and neural", "two baselines"])
+    def test_eval_loads_each_table_once_for_both_models(self, ws, monkeypatch, capsys, models,
+                                                        loads):
+        import sslstm.cli
+
+        loaded = []
+        load = sslstm.cli.load_embedding_file
+
+        def counted(path):
+            loaded.append(path)
+            return load(path)
+
+        model, other = (ws[name] for name in models)
+        tables = ["--data", ws["train"], "--semantic-emb", ws["semantic_emb"],
+                  "--sentiment-emb", ws["sentiment_emb"]]
+        assert main(["eval", "--model", model, *tables]) == 0
+        alone = capsys.readouterr().out
+        monkeypatch.setattr(sslstm.cli, "load_embedding_file", counted)
+        assert main(["eval", "--model", model, "--compare-model", other, *tables]) == 0
+        assert sorted(loaded) == [ws["semantic_emb"], ws["sentiment_emb"]][:loads]
+        report = capsys.readouterr().out
+        assert report.startswith(alone.removesuffix("\n") + "\nMcNemar statistic: ")
+
     def test_mcnemar_against_itself_is_not_significant(self, ws, capsys):
         assert main(["eval", "--model", ws["svm_model"], "--data", ws["emotions"],
                      "--compare-model", ws["svm_model"]]) == 0

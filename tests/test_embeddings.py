@@ -1,6 +1,8 @@
 import hashlib
 import io
+import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -24,6 +26,7 @@ from sslstm.embeddings import (
     sentence_embedding,
 )
 from sslstm.text_norm import normalize_utterance
+from sslstm.textfile import BLOCK_BYTES
 
 
 def load_str(text):
@@ -645,3 +648,42 @@ class TestCache:
         load_embedding_file(b"a 1 2\n")
         load_embedding_file(io.BytesIO(b"a 1 2\n"))
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_hit_never_holds_the_text(self, tmp_path):
+        # Wide rows spaced out, so that even a brief copy of the text
+        # outweighs the table it holds.
+        rng = np.random.default_rng(0)
+        text = "".join(f"w{i}   " + "   ".join(map(repr, row.tolist())) + "\n"
+                       for i, row in enumerate(rng.normal(size=(2000, 100))))
+        assert len(text) >= 4 * BLOCK_BYTES
+        path = tmp_path / "emb.txt"
+        path.write_text(text, encoding="utf-8")
+        load_embedding_file(path)  # parses and writes the cache
+        tracemalloc.start()
+        try:
+            table = load_embedding_file(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        index_bytes = sys.getsizeof(table.index) + sum(
+            sys.getsizeof(token) + sys.getsizeof(row) for token, row in table.index.items())
+        assert peak - (table.matrix.nbytes + index_bytes) < len(text) / 2
+
+    def test_a_table_rewritten_before_a_miss_reads_it_gets_the_hash_of_what_was_parsed(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"a 1 2\nb 3 4\n")
+        rewritten = b"a 5 6\nb 7 8\nc 9 0\n"
+        read = sslstm.embeddings._read
+
+        def rewrite_then_read(source):
+            path.write_bytes(rewritten)
+            return read(source)
+
+        monkeypatch.setattr(sslstm.embeddings, "_read", rewrite_then_read)
+        table = load_embedding_file(path)
+        assert table.source_sha256 == hashlib.sha256(rewritten).hexdigest()
+        assert table_state(table) == table_state(load_embedding_file(rewritten))
+        assert cache_entries(tmp_path) == [cache_path(path, rewritten).name]
+        monkeypatch.setattr(sslstm.embeddings, "_parse_table", None)  # a hit must not parse
+        assert table_state(load_embedding_file(path)) == table_state(table)

@@ -3,10 +3,12 @@ from a path, ``bytes``, a byte stream or a text stream, and no other module
 opens or splits a file itself."""
 
 import ast
+import hashlib
 import io
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,13 +17,14 @@ from hypothesis import strategies as st
 
 from conftest import LEX
 import sslstm
+import sslstm.textfile
 from sslstm.cli import main
 from sslstm.container import TruncatedCheckpointError, read_container, write_container
 from sslstm.dataio import Conversation, read_dataset, read_judgments, write_dataset
 from sslstm.datamine import Candidate, read_judge_queue, write_judge_queue
 from sslstm.embeddings import load_embedding_file
 from sslstm.text_norm import default_lexicon, load_lexicon, normalize_utterance
-from sslstm.textfile import DataFormatError, _split_lines
+from sslstm.textfile import BLOCK_BYTES, DataFormatError, _split_lines, file_sha256
 
 SRC = Path(sslstm.__file__).resolve().parent
 
@@ -281,4 +284,33 @@ class TestOneReader:
         for fn in (n for n in tree.body if isinstance(n, ast.FunctionDef)):
             for hit in _file_text_violations(fn):
                 where.setdefault(re.sub(r"^\d+: ", "", hit), []).append(fn.name)
-        assert where == {"open(": ["_read", "_open_write"], ".split('\\n')": ["_split_lines"]}
+        assert where == {"open(": ["_open_read", "_open_write"], ".split('\\n')": ["_split_lines"]}
+
+
+@st.composite
+def block_and_size(draw):
+    """A block size and a file size about it: empty, one byte, one block
+    give or take a byte, or several blocks and a remainder."""
+    block = draw(st.integers(2, 64))
+    several = draw(st.integers(2, 5)) * block + draw(st.integers(1, block - 1))
+    return block, draw(st.sampled_from([0, 1, block - 1, block, block + 1, several]))
+
+
+class TestBlockDigest:
+    @settings(max_examples=80, deadline=None)
+    @given(block_size=block_and_size(), seed=st.binary(max_size=8))
+    def test_equals_the_digest_of_the_whole_file(self, block_size, seed):
+        block, size = block_size
+        data = (hashlib.sha512(seed).digest() * (size // 64 + 1))[:size]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.txt"
+            path.write_bytes(data)
+            with mock.patch.object(sslstm.textfile, "BLOCK_BYTES", block):
+                assert file_sha256(path) == hashlib.sha256(data).hexdigest()
+
+    @pytest.mark.parametrize("size", [BLOCK_BYTES - 1, BLOCK_BYTES, 3 * BLOCK_BYTES + 1])
+    def test_at_the_real_block_size(self, tmp_path, size):
+        data = bytes(range(256)) * (size // 256) + b"x" * (size % 256)
+        path = tmp_path / "table.txt"
+        path.write_bytes(data)
+        assert file_sha256(str(path)) == hashlib.sha256(data).hexdigest()
