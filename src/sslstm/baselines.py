@@ -179,33 +179,44 @@ def svm_fit_vectors(matrix: DesignMatrix, y, lambda_reg: float, epochs: int, see
     weights are kept scaled as ``u = t*w``, which turns the shrink into a
     no-op and the move into ``u += sign*x/lambda`` on the row's columns
     only.  Biases are unregularized.  Returns (weights, bias).
+
+    Per example the four class dot products are one numpy product; the
+    margins (divide, bias add, sign) and their test against 1 are then
+    computed on Python floats, which round exactly as the numpy ops would,
+    and the biases are a list until the return.  Only the violating
+    classes' rows of ``u`` are updated in numpy.
     """
     y = np.asarray(y, dtype=np.int64)
     indptr, cols, vals, dim = matrix
     if len(cols) and (cols.min() < 0 or cols.max() >= dim):
         raise ValueError(f"feature column out of range [0, {dim})")
     # The update below is buffered: a repeated column would move only once.
-    if len(np.unique(matrix.row_ids() * dim + cols)) != len(cols):
+    # Sorted, not np.unique: its hash path is slower and it imports numpy.ma.
+    cells = np.sort(matrix.row_ids() * dim + cols)
+    if np.any(cells[1:] == cells[:-1]):
         raise ValueError("a feature row repeats a column")
     # Each row's columns, values and moves (values / lambda), split once.
     row_cols, row_vals, row_moves = (np.split(a, indptr[1:-1]) for a in (cols, vals, vals / lambda_reg))
     u = np.zeros((N_CLASSES, dim))
-    bias = np.zeros(N_CLASSES)
+    bias = [0.0] * N_CLASSES
     signs = np.where(y[:, None] == np.arange(N_CLASSES)[None, :], 1.0, -1.0)  # (n, 4)
+    sign_lists = signs.tolist()
     rng = np.random.default_rng(seed)
     t = 0
     for _ in range(epochs):
-        for idx in rng.permutation(len(indptr) - 1):
+        for idx in rng.permutation(len(indptr) - 1).tolist():
             t += 1
             eta = 1.0 / (lambda_reg * t)
-            c, sign = row_cols[idx], signs[idx]
+            c, sign = row_cols[idx], sign_lists[idx]
             # w_{t-1} = u/(t-1); u is still zero at t = 1, where w_0 = 0.
-            margins = sign * (u[:, c] @ row_vals[idx] / max(t - 1, 1) + bias)
-            violating = margins < 1.0
-            if violating.any():
-                u[np.flatnonzero(violating)[:, None], c] += sign[violating][:, None] * row_moves[idx]
-                bias[violating] += eta * sign[violating]
-    return u / max(t, 1), bias
+            scale = max(t - 1, 1)
+            dots = (u[:, c] @ row_vals[idx]).tolist()
+            violating = [k for k in range(N_CLASSES) if sign[k] * (dots[k] / scale + bias[k]) < 1.0]
+            if violating:
+                u[np.array(violating)[:, None], c] += signs[idx, violating][:, None] * row_moves[idx]
+                for k in violating:
+                    bias[k] += eta * sign[k]
+    return u / max(t, 1), np.array(bias)
 
 
 def svm_train(

@@ -157,10 +157,6 @@ def _lexicon(args):
     return EmoticonLexicon(packaged.entries, packaged.sha256)
 
 
-def _table_or_empty(path: str | None, dim: int):
-    return empty_table(dim) if path is None else load_embedding_file(path)
-
-
 def _parse_emb_specs(specs) -> dict[str, str]:
     """--emb NAME=PATH pairs, in flag order."""
     tables = {}
@@ -295,8 +291,12 @@ def cmd_train(args) -> None:
     ))
     # One seed, given or the library's, initializes the model and splits.
     seed = train_config.seed
-    semantic = _table_or_empty(args.semantic_emb, DEFAULT_SEMANTIC_DIM)
-    sentiment = _table_or_empty(args.sentiment_emb, DEFAULT_SENTIMENT_DIM)
+    load_table = functools.cache(load_embedding_file)  # one load for a file given twice
+    semantic, sentiment = (
+        empty_table(dim) if path is None else load_table(path)
+        for path, dim in ((args.semantic_emb, DEFAULT_SEMANTIC_DIM),
+                          (args.sentiment_emb, DEFAULT_SENTIMENT_DIM))
+    )
     if args.val:
         train_set = dataset
         val_set = require_labeled(read_dataset(args.val, lex))

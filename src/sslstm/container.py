@@ -26,12 +26,44 @@ class TruncatedCheckpointError(CheckpointError):
     """File ends or loses structure before the closing ``end`` line."""
 
 
+def _few_distinct(bits: np.ndarray) -> np.ndarray | None:
+    """The sorted distinct values of ``bits`` when they are at most half of
+    its values, else None.  Nothing of the size of ``bits`` outlives the call."""
+    ordered = np.sort(bits, axis=None)
+    new = ordered[1:] != ordered[:-1]  # new[i]: ordered[i + 1] starts a run
+    if 2 * (min(ordered.size, 1) + np.count_nonzero(new)) > ordered.size:
+        return None
+    return np.concatenate((ordered[:1], ordered[1:][new]))
+
+
+def _write_rows(fh, mat: np.ndarray) -> None:
+    """One line per row of ``mat``: each value's ``repr``, space-separated.
+    Values are told apart by their bits, so ``-0.0`` and ``0.0`` stay apart.
+    When at most half of the values are distinct, each distinct value is
+    formatted once and the rows are joined from those strings; otherwise
+    each row is formatted as it is written."""
+    bits = mat.view(np.int64)
+    keys = _few_distinct(bits)
+    if keys is None:
+        for row in mat:
+            fh.write(" ".join(map(repr, row.tolist())) + "\n")
+        return
+    texts = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+    for row in np.searchsorted(keys, bits):
+        fh.write(" ".join(texts[row].tolist()) + "\n")
+
+
 def write_container(sink, meta: dict[str, str], tensors: dict[str, np.ndarray]) -> None:
     """Serialize meta lines and tensor blocks in the versioned text format.
     1-D tensors are stored as single-row matrices; floats are written at
     ``repr`` precision, so reading them back gives the exact values.  A meta
     key or value that would not read back raises ValueError before the sink
-    is opened, so an existing file keeps its bytes."""
+    is opened, so an existing file keeps its bytes.
+
+    A tensor of which at most half the values are distinct (by bits) has
+    each distinct value formatted once (:func:`_write_rows`); any other
+    tensor is formatted row by row as it is written, never held whole as
+    text.  Either way the bytes are the same."""
     meta = {key: str(value) for key, value in meta.items()}
     for key, value in meta.items():
         if " " in key or "=" in key or "\n" in key:
@@ -45,8 +77,7 @@ def write_container(sink, meta: dict[str, str], tensors: dict[str, np.ndarray]) 
         for name, arr in tensors.items():
             mat = np.atleast_2d(np.asarray(arr, dtype=np.float64))
             fh.write(f"tensor {name} {mat.shape[0]} {mat.shape[1]}\n")
-            for row in mat:
-                fh.write(" ".join(map(repr, row.tolist())) + "\n")
+            _write_rows(fh, mat)
         fh.write("end\n")
 
 

@@ -390,7 +390,7 @@ def batch_predict(model: SSLSTMModel, sequences) -> list[str]:
     sequences = list(sequences)
     labels = [""] * len(sequences)
     for group in chunks(sequences):
-        probs, _ = batch_forward(model, [sequences[k] for k in group])
+        probs = batch_forward(model, [sequences[k] for k in group])[0]  # the cache goes at once
         for k, best in zip(group, np.argmax(probs, axis=1)):
             labels[k] = LABELS[int(best)]
     return labels

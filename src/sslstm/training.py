@@ -199,6 +199,7 @@ def _batch_gradient(model, batch):
         else:
             for name, tensor in grads.items():
                 total[name] += tensor
+        del cache, grads  # freed before the next chunk's forward pass
     return loss, total
 
 

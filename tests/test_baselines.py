@@ -135,6 +135,57 @@ def dense_fit_reference(X, y, lambda_reg, epochs, seed):
     return weights, bias
 
 
+def numpy_margins_fit(matrix, y, lambda_reg, epochs, seed, on_hinge=None):
+    """The loop of :func:`svm_fit_vectors` as it was when it computed the
+    margins in numpy, kept as its bit-for-bit reference (input checks left
+    out).  ``on_hinge``, if given, collects the number of margins of each
+    step that are exactly 1.0."""
+    y = np.asarray(y, dtype=np.int64)
+    indptr, cols, vals, dim = matrix
+    row_cols, row_vals, row_moves = (np.split(a, indptr[1:-1]) for a in (cols, vals, vals / lambda_reg))
+    u = np.zeros((N_CLASSES, dim))
+    bias = np.zeros(N_CLASSES)
+    signs = np.where(y[:, None] == np.arange(N_CLASSES)[None, :], 1.0, -1.0)  # (n, 4)
+    rng = np.random.default_rng(seed)
+    t = 0
+    for _ in range(epochs):
+        for idx in rng.permutation(len(indptr) - 1):
+            t += 1
+            eta = 1.0 / (lambda_reg * t)
+            c, sign = row_cols[idx], signs[idx]
+            # w_{t-1} = u/(t-1); u is still zero at t = 1, where w_0 = 0.
+            margins = sign * (u[:, c] @ row_vals[idx] / max(t - 1, 1) + bias)
+            if on_hinge is not None:
+                on_hinge.append(int(np.sum(margins == 1.0)))
+            violating = margins < 1.0
+            if violating.any():
+                u[np.flatnonzero(violating)[:, None], c] += sign[violating][:, None] * row_moves[idx]
+                bias[violating] += eta * sign[violating]
+    return u / max(t, 1), bias
+
+
+@st.composite
+def sparse_problems(draw):
+    """A :class:`DesignMatrix` (rows of integer counts or of arbitrary
+    floats, some empty), its targets, and the remaining fit arguments."""
+    n, dim = draw(st.integers(1, 30)), draw(st.integers(1, 40))
+    value = (st.integers(1, 3).map(float) if draw(st.booleans())
+             else st.floats(-4.0, 4.0, allow_nan=False))
+    rows = []
+    for _ in range(n):
+        cols = draw(st.lists(st.integers(0, dim - 1), unique=True, max_size=dim))
+        rows.append((cols, [draw(value) for _ in cols]))
+    y = draw(st.lists(st.integers(0, N_CLASSES - 1), min_size=n, max_size=n))
+    return (matrix_of(rows, dim), np.array(y), draw(st.sampled_from([0.25, 0.5, 1.0, 0.005, 0.1])),
+            draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1)))
+
+
+def assert_same_bits(fit, reference):
+    for got, want in zip(fit, reference):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 # The per-utterance code that the design matrix replaced, kept as the
 # reference: a gram -> count dict and an emoticon 3-vector per utterance, NB
 # counts and scores walked one gram at a time, SVM rows built gram by gram.
@@ -576,6 +627,20 @@ class TestLinearSVM:
         ref_weights, ref_bias = dense_fit_reference(X, y, lambda_reg, epochs, seed)
         np.testing.assert_allclose(weights, ref_weights, rtol=1e-12, atol=1e-13)
         np.testing.assert_array_equal(bias, ref_bias)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_problems())
+    def test_fit_is_bit_identical_to_numpy_margins(self, problem):
+        assert_same_bits(svm_fit_vectors(*problem), numpy_margins_fit(*problem))
+
+    def test_margins_exactly_on_the_hinge_take_the_same_branch(self):
+        # Integer counts and lambda 1/2 put two margins exactly on 1.0, where
+        # any other rounding of the margin would flip the update.
+        problem = (matrix_of([([0], [2.0]), ([0], [1.0])], 1), np.array([1, 0]), 0.5, 3, 30)
+        on_hinge = []
+        reference = numpy_margins_fit(*problem, on_hinge=on_hinge)
+        assert sum(on_hinge) == 2
+        assert_same_bits(svm_fit_vectors(*problem), reference)
 
     def test_malformed_rows_rejected(self):
         y = np.array([0, 1])

@@ -9,9 +9,11 @@ independent references for the maths itself are the finite-difference
 checks and ``test_neural.py::TestLSTMForward::test_matches_naive_recurrence``.
 """
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -134,3 +136,30 @@ def test_batch_results_do_not_depend_on_batch_order(batch, setup, data):
     loss_shuffled, grads_shuffled = _batch_gradient(model, shuffled)
     np.testing.assert_allclose(loss_shuffled, loss, rtol=RTOL, atol=ATOL)
     assert_gradients_close(grads_shuffled, grads)
+
+
+def traced_peak(run) -> int:
+    """Peak bytes allocated while ``run()`` runs, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kernel", ["batch_predict", "_batch_gradient"])
+def test_a_chunk_is_freed_before_the_next_one_runs(kernel):
+    # One chunk's forward cache (about 9 MB here) is by far the largest
+    # allocation, so holding the previous chunk's while the next one runs
+    # would nearly double the peak.
+    config = ModelConfig(sem_hidden=64, sent_hidden=64, fc_hidden=8, max_seq_len=40)
+    model = init_model(config, make_table(VOCAB, dim=16, seed=1), make_table(VOCAB, dim=8, seed=2))
+    convs = [SimpleNamespace(tokens=[VOCAB[(k + j) % len(VOCAB)] for j in range(40)],
+                             label=LABELS[k % len(LABELS)]) for k in range(3 * CHUNK)]
+    run = {
+        "batch_predict": lambda batch: batch_predict(model, [c.tokens for c in batch]),
+        "_batch_gradient": lambda batch: _batch_gradient(model, batch),
+    }[kernel]
+    one, three = traced_peak(lambda: run(convs[:CHUNK])), traced_peak(lambda: run(convs))
+    assert three <= 1.25 * one, f"{three / 1e6:.1f} MB for three chunks, {one / 1e6:.1f} MB for one"

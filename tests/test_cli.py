@@ -418,6 +418,25 @@ class TestTrainEvalPredict:
         assert "McNemar statistic: 18.05" in out
         assert "significant at p < 0.005: yes" in out
 
+    @pytest.mark.parametrize("sentiment,loads", [("semantic_emb", 1), ("sentiment_emb", 2)],
+                             ids=["one path twice", "two paths"])
+    def test_train_loads_each_table_file_once(self, ws, tmp_path, monkeypatch, sentiment, loads):
+        import sslstm.cli
+
+        loaded = []
+        load = sslstm.cli.load_embedding_file
+
+        def counted(path):
+            loaded.append(path)
+            return load(path)
+
+        monkeypatch.setattr(sslstm.cli, "load_embedding_file", counted)
+        assert main(["train", "--train", ws["train"], "--model", str(tmp_path / "m.ckpt"),
+                     "--semantic-emb", ws["semantic_emb"], "--sentiment-emb", ws[sentiment],
+                     "--sem-hidden", "3", "--sent-hidden", "3", "--fc-hidden", "3",
+                     "--epochs", "1", "--ratio", "0.75"]) == 0
+        assert len(loaded) == loads
+
     @pytest.mark.parametrize("models,loads", [
         (("sslstm_model", "sslstm_model"), 2),
         (("nb_model", "sslstm_model"), 2),

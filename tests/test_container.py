@@ -1,6 +1,8 @@
 """Tests for the model-file container's tensor parsing."""
 
 import io
+import math
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -187,7 +189,76 @@ class TestReadContainer:
             read_container(io.StringIO(text))
 
 
+def reference_write(tensors) -> str:
+    """The container text of ``tensors`` with every value through ``repr``
+    on its own, row by row: the oracle for :func:`write_container`."""
+    out = [f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}\n"]
+    for name, arr in tensors.items():
+        mat = np.atleast_2d(arr)
+        out.append(f"tensor {name} {mat.shape[0]} {mat.shape[1]}\n")
+        out += [" ".join(repr(float(value)) for value in row) + "\n" for row in mat]
+    return "".join(out + ["end\n"])
+
+
+# Values whose repr is out of the ordinary: signed zeros, subnormals, and
+# values that repr writes with an exponent (or just without one).
+ODD_VALUES = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e-05, 0.0001,
+              1e16, 9999999999999998.0, -1.2345e22, 1.7976931348623157e308, float("inf")]
+VALUES = st.sampled_from(ODD_VALUES) | st.floats(allow_nan=False)
+
+
+@st.composite
+def tensors(draw):
+    """1-D or 2-D tensors, possibly with no rows or no columns, whose share
+    of distinct values runs from one value repeated to all distinct."""
+    shape = draw(st.sampled_from([(draw(st.integers(0, 9)),),
+                                  (draw(st.integers(0, 6)), draw(st.integers(0, 8)))]))
+    size = math.prod(shape)
+    if draw(st.booleans()):  # all distinct
+        values = draw(st.lists(VALUES, min_size=size, max_size=size, unique_by=repr))
+    else:
+        pool = draw(st.lists(VALUES, min_size=1, max_size=max(size, 1), unique_by=repr))
+        values = [pool[k] for k in draw(st.lists(st.integers(0, len(pool) - 1),
+                                                 min_size=size, max_size=size))]
+    return np.array(values, dtype=np.float64).reshape(shape)
+
+
 class TestWriteContainer:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(tensors(), min_size=1, max_size=3))
+    def test_bytes_equal_repr_of_each_value(self, arrays):
+        tensors = {f"t{k}": arr for k, arr in enumerate(arrays)}
+        sink = io.StringIO()
+        write_container(sink, {}, tensors)
+        assert sink.getvalue() == reference_write(tensors)
+
+    @pytest.mark.parametrize("distinct", range(1, 9))
+    def test_values_are_formatted_once_when_at_most_half_are_distinct(self, distinct):
+        # 8 values of which 1..8 are distinct, -0.0 and 0.0 among them.
+        pool = [0.0, -0.0, 1e-310, 0.1, -2.5, 1e22, 3.0, 7.25]
+        mat = np.array([pool[k % distinct] for k in range(8)]).reshape(2, 4)
+        few = sslstm.container._few_distinct(mat.view(np.int64))
+        if 2 * distinct <= mat.size:
+            assert sorted(few.view(np.float64).tolist()) == sorted(pool[:distinct])
+        else:
+            assert few is None
+        sink = io.StringIO()
+        write_container(sink, {}, {"w": mat})
+        assert sink.getvalue() == reference_write({"w": mat})
+
+    def test_a_mostly_distinct_tensor_is_never_held_whole_as_text(self, tmp_path):
+        mat = np.random.default_rng(0).standard_normal((1000, 256))
+        assert len(np.unique(mat)) == mat.size
+        path = tmp_path / "big.ckpt"
+        tracemalloc.start()
+        try:
+            write_container(path, {}, {"w": mat})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        written = path.stat().st_size
+        assert peak < written / 2, f"traced peak {peak / 1e6:.2f} MB for {written / 1e6:.2f} MB"
+
     @pytest.mark.parametrize(("meta", "message"), [
         ({"kind": "test", "a b": "1"}, "illegal meta key"),
         ({"kind": "test", "a=b": "1"}, "illegal meta key"),
