@@ -26,7 +26,7 @@ import numpy as np
 
 from sslstm.labels import LABELS, N_CLASSES, label_index
 from sslstm.text_norm import EmoticonLexicon, emoticon_class
-from sslstm.container import CheckpointError, read_container, write_container
+from sslstm.container import CheckpointError, write_container
 
 NGRAM_ORDERS = (1, 2, 3)
 SVM_EPOCHS = 30
@@ -297,13 +297,8 @@ def save_baseline(model, sink, lex: EmoticonLexicon) -> None:
         raise TypeError(f"not a baseline model: {type(model).__name__}")
 
 
-def load_baseline(source):
-    """Read back a baseline model; dispatches on ``meta model``."""
-    return baseline_from_container(*read_container(source))
-
-
 def baseline_from_container(meta: dict[str, str], tensors: dict[str, np.ndarray]):
-    """:func:`load_baseline` on an already parsed container."""
+    """The NB or SVM model in a parsed container; dispatches on ``meta model``."""
     kind = meta.get("model")
     if kind == "nb":
         vocab = _vocab_from_meta(meta.get("vocab", ""))

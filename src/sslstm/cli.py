@@ -26,15 +26,7 @@ import sys
 
 import numpy as np
 
-from .baselines import (
-    SVM_EPOCHS,
-    baseline_from_container,
-    baseline_predict,
-    nb_train,
-    save_baseline,
-    svm_train,
-)
-from .container import CheckpointError, read_container
+from .baselines import SVM_EPOCHS, nb_train, save_baseline, svm_train
 from .dataio import read_dataset, read_judgments, require_labeled, write_dataset
 from .datamine import (
     MiningConfig,
@@ -62,13 +54,7 @@ from .metrics import (
     mcnemar,
     report_tsv,
 )
-from .neural import (
-    CHANNELS,
-    FC_ACTIVATIONS,
-    ModelConfig,
-    batch_predict,
-    init_model,
-)
+from .neural import CHANNELS, FC_ACTIVATIONS, ModelConfig, SSLSTMModel, init_model
 from .text_norm import (
     EmoticonLexicon,
     default_lexicon,
@@ -81,7 +67,8 @@ from .training import (
     GRADCHECK_SAMPLE,
     TrainConfig,
     gradient_check,
-    model_from_container,
+    load_model,
+    predict,
     save_checkpoint,
     split_dataset,
     train,
@@ -210,34 +197,28 @@ def _given_kwargs(args, *same: str, **renamed: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# model loading shared by eval/predict
+# embedding tables and model loading
 
 
-def _predictor_loader(args, lex):
-    """A function from a saved model file, any kind, to a callable list of
-    conversations -> list of labels.  Neural models get the tables ``args``
-    names, each file loaded at most once for all of them; a baseline loads
-    none.  A file that records its lexicon's hash must match ``lex``."""
+def _tables(args) -> tuple[EmbeddingTable | None, EmbeddingTable | None]:
+    """The (semantic, sentiment) tables ``args`` names, None for one not
+    given; a file given for both channels is loaded once."""
     load_table = functools.cache(load_embedding_file)
+    return tuple(None if path is None else load_table(path)
+                 for path in (args.semantic_emb, args.sentiment_emb))
+
+
+def _model_loader(args, lex):
+    """A function from a saved model file, any kind, to its model (see
+    :func:`~sslstm.training.load_model`).  Neural models share the tables
+    ``args`` names, loaded once for all of them; a baseline loads none."""
+    tables = functools.cache(lambda: _tables(args))
 
     def load(path: str):
-        meta, tensors = read_container(path)
-        stored = meta.get("lexicon_sha256", "-")
-        if stored not in ("", "-") and stored != lex.sha256:
-            raise CheckpointError(
-                f"{path} was trained with another emoticon lexicon "
-                f"({stored[:12]} vs {lex.sha256[:12]}); pass that one as --lexicon"
-            )
-        kind = meta.get("model", "sslstm")
-        if kind == "sslstm":
-            # A missing table loads as an empty one of the checkpoint's dimension.
-            tables = [None if table_path is None else load_table(table_path)
-                      for table_path in (args.semantic_emb, args.sentiment_emb)]
-            model = model_from_container(meta, tensors, *tables)
+        model = load_model(path, lex, tables)
+        if isinstance(model, SSLSTMModel):
             _warn_missing_tables(args, model.config, f"{path} uses")
-            return lambda convs: batch_predict(model, [conv.tokens for conv in convs])
-        baseline = baseline_from_container(meta, tensors)
-        return lambda convs: baseline_predict(baseline, [conv.tokens for conv in convs], lex)
+        return model
 
     return load
 
@@ -291,11 +272,9 @@ def cmd_train(args) -> None:
     ))
     # One seed, given or the library's, initializes the model and splits.
     seed = train_config.seed
-    load_table = functools.cache(load_embedding_file)  # one load for a file given twice
     semantic, sentiment = (
-        empty_table(dim) if path is None else load_table(path)
-        for path, dim in ((args.semantic_emb, DEFAULT_SEMANTIC_DIM),
-                          (args.sentiment_emb, DEFAULT_SENTIMENT_DIM))
+        empty_table(dim) if table is None else table
+        for table, dim in zip(_tables(args), (DEFAULT_SEMANTIC_DIM, DEFAULT_SENTIMENT_DIM))
     )
     if args.val:
         train_set = dataset
@@ -322,15 +301,14 @@ def cmd_train(args) -> None:
 def cmd_eval(args) -> None:
     lex = _lexicon(args)
     dataset = require_labeled(read_dataset(args.data, lex))
-    load = _predictor_loader(args, lex)
-    predictor = load(args.model)
-    predictions = predictor(dataset)
+    load = _model_loader(args, lex)
+    token_lists = [conv.tokens for conv in dataset]
+    predictions = predict(load(args.model), token_lists, lex)
     golds = [conv.label for conv in dataset]
     report = evaluate(predictions, golds)
     text = report_tsv(report) if args.format == "tsv" else format_report(report)
     if args.compare_model:
-        other = load(args.compare_model)
-        other_predictions = other(dataset)
+        other_predictions = predict(load(args.compare_model), token_lists, lex)
         correct_a = [p == g for p, g in zip(predictions, golds)]
         correct_b = [p == g for p, g in zip(other_predictions, golds)]
         statistic, significant = mcnemar(correct_a, correct_b)
@@ -344,8 +322,9 @@ def cmd_eval(args) -> None:
 def cmd_predict(args) -> None:
     lex = _lexicon(args)
     dataset = read_dataset(args.data, lex)
-    predictor = _predictor_loader(args, lex)(args.model)
-    rows = [f"{conv.id}\t{label}" for conv, label in zip(dataset, predictor(dataset))]
+    model = _model_loader(args, lex)(args.model)
+    labels = predict(model, [conv.tokens for conv in dataset], lex)
+    rows = [f"{conv.id}\t{label}" for conv, label in zip(dataset, labels)]
     _emit(rows, args.output)
 
 
@@ -408,6 +387,8 @@ def cmd_kappa(args) -> None:
 def cmd_gradcheck(args) -> None:
     if not (np.isfinite(args.tolerance) and args.tolerance > 0):
         raise UsageError(f"--tolerance must be finite and positive, got {args.tolerance!r}")
+    if args.length < 1:
+        raise UsageError(f"--length must be at least 1, got {args.length}")
     rng = np.random.default_rng(args.seed)
     vocab = [f"w{i}" for i in range(8)]
     semantic = EmbeddingTable(dim=4, vectors={w: rng.standard_normal(4) for w in vocab})
@@ -417,7 +398,7 @@ def cmd_gradcheck(args) -> None:
         sem_hidden=args.hidden,
         sent_hidden=args.hidden,
         fc_hidden=args.hidden,
-        max_seq_len=max(args.length, 1),
+        max_seq_len=args.length,
     )
     model = init_model(config, semantic, sentiment, seed=args.seed)
     tokens = [vocab[int(i)] for i in rng.integers(0, len(vocab), size=args.length)]

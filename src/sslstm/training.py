@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from sslstm.baselines import baseline_from_container, baseline_predict
 from sslstm.container import CheckpointError, TruncatedCheckpointError, read_container, write_container
 from sslstm.embeddings import EmbeddingTable, empty_table
 from sslstm.labels import LABELS, label_index
@@ -384,6 +385,31 @@ def _check_table(table: EmbeddingTable | None, dim: int, stored_hash: str, role:
     return table
 
 
+def load_model(source, lex: EmoticonLexicon, tables):
+    """The model in a saved file of either kind.  A file recording a lexicon
+    hash other than ``lex``'s is refused; ``-`` or no hash is not checked.
+    A neural checkpoint is built on ``tables()``, its ``(semantic,
+    sentiment)`` pair, None standing for an empty table of the checkpoint's
+    dimension; an NB or SVM file never calls ``tables``."""
+    meta, tensors = read_container(source)
+    stored = meta.get("lexicon_sha256", "-")
+    if stored not in ("", "-") and stored != lex.sha256:
+        raise CheckpointError(
+            f"{source} was trained with another emoticon lexicon "
+            f"({stored[:12]} vs {lex.sha256[:12]}); pass that one as --lexicon"
+        )
+    if meta.get("model", "sslstm") == "sslstm":
+        return model_from_container(meta, tensors, *tables())
+    return baseline_from_container(meta, tensors)
+
+
+def predict(model, token_lists, lex: EmoticonLexicon) -> list[str]:
+    """One label per token list from a model of either kind."""
+    if isinstance(model, SSLSTMModel):
+        return batch_predict(model, token_lists)
+    return baseline_predict(model, token_lists, lex)
+
+
 def load_checkpoint(
     source,
     semantic_table: EmbeddingTable | None = None,
@@ -392,7 +418,8 @@ def load_checkpoint(
     """Rebuild a model from a checkpoint plus its embedding tables.
 
     Tables omitted here come back empty (every token out-of-vocabulary), so
-    predictions then reflect only the stored weights.
+    predictions then reflect only the stored weights.  The lexicon hash is
+    not checked; :func:`load_model` checks it.
     """
     return model_from_container(*read_container(source), semantic_table, sentiment_table)
 
@@ -400,8 +427,8 @@ def load_checkpoint(
 def model_from_container(
     meta: dict[str, str],
     stored: dict[str, np.ndarray],
-    semantic_table: EmbeddingTable | None = None,
-    sentiment_table: EmbeddingTable | None = None,
+    semantic_table: EmbeddingTable | None,
+    sentiment_table: EmbeddingTable | None,
 ) -> SSLSTMModel:
     """:func:`load_checkpoint` on an already parsed container."""
     if meta.get("model", "sslstm") != "sslstm":

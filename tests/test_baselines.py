@@ -13,15 +13,16 @@ from sslstm.baselines import (
     DesignMatrix,
     LinearSVMModel,
     NBModel,
+    baseline_from_container,
     baseline_predict,
     baseline_scores,
     design_matrix,
-    load_baseline,
     nb_train,
     save_baseline,
     svm_fit_vectors,
     svm_train,
 )
+from sslstm.container import read_container
 from sslstm.dataio import Conversation
 from sslstm.labels import LABELS, N_CLASSES
 from sslstm.training import CheckpointError
@@ -71,6 +72,11 @@ def nb_oracle_predict(token_corpus, doc_tokens, alpha=Fraction(1)):
         if best_score is None or score > best_score:
             best_label, best_score = label, score
     return best_label
+
+
+def read_baseline(source):
+    """The NB or SVM model in a model file."""
+    return baseline_from_container(*read_container(source))
 
 
 def predict(model, tokens):
@@ -700,7 +706,7 @@ class TestBaselineCheckpoints:
         save_baseline(model, sink, LEX)
         text = sink.getvalue()
         assert "meta model=nb" in text
-        loaded = load_baseline(io.StringIO(text))
+        loaded = read_baseline(io.StringIO(text))
         assert isinstance(loaded, NBModel)
         assert loaded.alpha == 0.5
         assert loaded.vocab == model.vocab
@@ -718,7 +724,7 @@ class TestBaselineCheckpoints:
         save_baseline(model, sink, LEX)
         text = sink.getvalue()
         assert "meta model=svm" in text
-        loaded = load_baseline(io.StringIO(text))
+        loaded = read_baseline(io.StringIO(text))
         assert isinstance(loaded, LinearSVMModel)
         assert loaded.vocab == model.vocab
         assert loaded.lambda_reg == model.lambda_reg
@@ -753,7 +759,7 @@ class TestBaselineCheckpoints:
             fields = ("weights", "bias", "lambda_reg")
         first = io.StringIO()
         save_baseline(model, first, LEX)
-        loaded = load_baseline(io.StringIO(first.getvalue()))
+        loaded = read_baseline(io.StringIO(first.getvalue()))
         assert type(loaded) is type(model)
         assert loaded.vocab == model.vocab
         for name in fields:
@@ -766,7 +772,7 @@ class TestBaselineCheckpoints:
         model = nb_train(corpus(("one two three", "happy"), ("four", "sad")), LEX)
         sink = io.StringIO()
         save_baseline(model, sink, LEX)
-        loaded = load_baseline(io.StringIO(sink.getvalue()))
+        loaded = read_baseline(io.StringIO(sink.getvalue()))
         assert "one two three" in loaded.vocab
 
     def test_empty_vocab_round_trip(self):
@@ -774,7 +780,7 @@ class TestBaselineCheckpoints:
         assert model.vocab == {}
         sink = io.StringIO()
         save_baseline(model, sink, LEX)
-        loaded = load_baseline(io.StringIO(sink.getvalue()))
+        loaded = read_baseline(io.StringIO(sink.getvalue()))
         assert loaded.vocab == {}
         assert predict(loaded, ["any"]) == "happy"
 
@@ -790,18 +796,18 @@ class TestBaselineCheckpoints:
         text = (f"SSLSTM-CKPT 1\nmeta model=nb\nmeta alpha={alpha}\nmeta vocab=\n"
                 f"tensor priors 1 4\n{priors}\nend\n")
         with pytest.raises(CheckpointError, match=message):
-            load_baseline(io.StringIO(text))
+            read_baseline(io.StringIO(text))
 
     def test_svm_file_with_bad_lambda_rejected(self):
         text = ("SSLSTM-CKPT 1\nmeta model=svm\nmeta lambda=nan\nmeta vocab=\n"
                 "tensor weights 4 3\n" + "0 0 0\n" * 4 + "tensor bias 1 4\n0 0 0 0\nend\n")
         with pytest.raises(CheckpointError, match="regularization"):
-            load_baseline(io.StringIO(text))
-        assert load_baseline(io.StringIO(text.replace("nan", "0.5"))).lambda_reg == 0.5
+            read_baseline(io.StringIO(text))
+        assert read_baseline(io.StringIO(text.replace("nan", "0.5"))).lambda_reg == 0.5
 
     def test_wrong_model_kind_rejected(self):
         with pytest.raises(CheckpointError, match="not a baseline"):
-            load_baseline(io.StringIO("SSLSTM-CKPT 1\nmeta model=sslstm\nend\n"))
+            read_baseline(io.StringIO("SSLSTM-CKPT 1\nmeta model=sslstm\nend\n"))
 
     def test_save_rejects_unknown_types(self):
         with pytest.raises(TypeError, match="not a baseline model"):

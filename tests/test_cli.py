@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from conftest import LEX, src_env
-from sslstm.baselines import SVM_EPOCHS, load_baseline, save_baseline, svm_train
+from sslstm.baselines import SVM_EPOCHS, save_baseline, svm_train
 from sslstm.cli import _READ_WITH, _READ_WITHOUT, _READS, build_parser, main
 from sslstm.dataio import read_dataset
 from sslstm.datamine import read_judge_queue
 from sslstm.embeddings import EmbeddingTable, save_embedding_file
 from sslstm.labels import LABELS
 from sslstm.text_norm import EmoticonLexicon, load_lexicon, normalize_utterance
+from sslstm.training import load_model
 
 KEYWORD = {"happy": "alpha", "sad": "beta", "angry": "gamma", "others": "delta"}
 
@@ -338,8 +339,6 @@ class TestTrainEvalPredict:
 
     @pytest.mark.parametrize("model_key", ["sslstm_model", "nb_model", "svm_model"])
     def test_predict_parses_the_model_file_once(self, ws, model_key, monkeypatch, capsys):
-        import sslstm.baselines
-        import sslstm.cli
         import sslstm.training
 
         calls = []
@@ -349,8 +348,7 @@ class TestTrainEvalPredict:
             calls.append(source)
             return real(source)
 
-        for module in (sslstm.cli, sslstm.training, sslstm.baselines):
-            monkeypatch.setattr(module, "read_container", counting)
+        monkeypatch.setattr(sslstm.training, "read_container", counting)
         assert main(["predict", "--model", ws[model_key], "--data", ws["train"],
                      "--semantic-emb", ws["semantic_emb"],
                      "--sentiment-emb", ws["sentiment_emb"]]) == 0
@@ -514,7 +512,7 @@ class TestOneLexiconPerCommand:
         model = tmp_path / "nb.model"
         assert main(["train", "--algo", "nb", "--train", yay["data"], "--model", str(model),
                      "--lexicon", yay["lexicon"]]) == 0
-        vocab = load_baseline(str(model)).vocab
+        vocab = load_model(str(model), load_lexicon(yay["lexicon"]), tables=None).vocab
         assert ":)" in vocab and ":) so good" in vocab
         assert not any("yay" in gram for gram in vocab)
         sha = load_lexicon(yay["lexicon"]).sha256
@@ -522,20 +520,20 @@ class TestOneLexiconPerCommand:
 
     def test_predict_feeds_the_model_tokens_of_the_lexicon(self, ws, yay, tmp_path,
                                                            monkeypatch, capsys):
-        import sslstm.cli
+        import sslstm.training
 
         model = str(tmp_path / "m.ckpt")
         assert main(["train", "--train", yay["data"], "--val", yay["data"], "--model", model,
                      "--lexicon", yay["lexicon"], "--sem-hidden", "2", "--sent-hidden", "2",
                      "--fc-hidden", "2", "--epochs", "1"]) == 0
         seen = []
-        real = sslstm.cli.batch_predict
+        real = sslstm.training.batch_predict
 
         def recording(model, token_lists):
             seen.extend(token_lists)
             return real(model, token_lists)
 
-        monkeypatch.setattr(sslstm.cli, "batch_predict", recording)
+        monkeypatch.setattr(sslstm.training, "batch_predict", recording)
         assert main(["predict", "--model", model, "--data", yay["data"],
                      "--lexicon", yay["lexicon"]]) == 0
         assert [t[0] for t in seen] == [":)"] * len(LABELS)
@@ -563,7 +561,7 @@ class TestOneLexiconPerCommand:
     def test_a_model_without_a_lexicon_hash_is_not_checked(self, ws, yay, tmp_path, capsys):
         model = tmp_path / "nb.model"
         built = EmoticonLexicon(LEX.entries)  # built in code: no file, no hash
-        save_baseline(load_baseline(ws["nb_model"]), str(model), built)
+        save_baseline(load_model(ws["nb_model"], LEX, tables=None), str(model), built)
         assert "meta lexicon_sha256=-\n" in model.read_text(encoding="utf-8")
         assert main(["predict", "--model", str(model), "--data", ws["train"],
                      "--lexicon", yay["lexicon"]]) == 0
@@ -800,6 +798,13 @@ class TestGradcheck:
         assert main(["gradcheck", f"{flag}={value}"]) == 1
         captured = capsys.readouterr()
         assert "must be finite and positive" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("length", ["0", "-3"])
+    def test_a_length_below_one_is_a_usage_error(self, length, capsys):
+        assert main(["gradcheck", "--length", length]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --length must be at least 1, got {length}\n"
         assert captured.out == ""
 
     def test_a_nan_weight_is_a_numeric_error(self, monkeypatch, capsys):

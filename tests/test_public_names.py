@@ -23,14 +23,13 @@ PERFBENCH = ROOT / "perfbench"
 ALLOWED = {
     "read_judge_queue": "reads what write_judge_queue writes; CLI and textfile tests check queues with it",
     "save_embedding_file": "writes what load_embedding_file reads; tests build table files with it",
-    "load_baseline": "reads what save_baseline writes; the CLI calls baseline_from_container on a container it parsed once",
 }
 
 # Parameters ("function.parameter") and fields ("Class.field") kept although
 # no call in the program sets them.
 ALLOWED_UNSET = {
-    "load_checkpoint.semantic_table": "the benchmark loads a checkpoint from its path alone; the CLI hands its tables to model_from_container",
-    "load_checkpoint.sentiment_table": "the benchmark loads a checkpoint from its path alone; the CLI hands its tables to model_from_container",
+    "load_checkpoint.semantic_table": "the benchmark loads a checkpoint from its path alone; the CLI loads every model file through load_model",
+    "load_checkpoint.sentiment_table": "the benchmark loads a checkpoint from its path alone; the CLI loads every model file through load_model",
 }
 
 
@@ -247,6 +246,25 @@ def test_the_scan_finds_the_defaults_and_fields_no_call_sets():
     definitions = ast.parse(SAMPLE_LIBRARY)
     callers = [definitions, ast.parse(SAMPLE_CALLERS)]
     assert unset_slots([definitions], callers) == ["Box.__init__.h", "Point.y", "f.d"]
+
+
+def test_only_training_reads_model_files():
+    readers = {
+        path.name for path in SRC.glob("*.py") if path.name != "container.py"
+        for node in ast.walk(parsed(path))
+        if isinstance(node, ast.Call) and _name(node.func) == "read_container"
+    }
+    assert readers == {"training.py"}
+
+
+def test_the_command_line_leaves_model_files_to_the_library():
+    nodes = list(ast.walk(parsed(SRC / "cli.py")))
+    modules = [node.module for node in nodes if isinstance(node, ast.ImportFrom)]
+    modules += [alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names]
+    assert modules and not [m for m in modules if m and m.rpartition(".")[2] == "container"]
+    assert "meta" not in {_name(node) for node in nodes}
+    strings = [node.value for node in nodes if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert not [text for text in strings if "lexicon_sha256" in text]
 
 
 def _surface_reads(path: Path) -> list[str]:

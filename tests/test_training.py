@@ -2,14 +2,18 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import LEX, example_gradients, make_table, probs_of
+from sslstm.baselines import nb_train, save_baseline, svm_train
 from sslstm.container import UnknownVersionError
 from sslstm.dataio import Conversation
 from sslstm.embeddings import EmbeddingTable, load_embedding_file, save_embedding_file
 from sslstm.labels import LABELS
 from sslstm.neural import (
     ModelConfig,
+    SSLSTMModel,
     batch_predict,
     init_model,
 )
@@ -22,7 +26,9 @@ from sslstm.training import (
     cross_entropy,
     gradient_check,
     load_checkpoint,
+    load_model,
     make_batches,
+    predict,
     read_container,
     save_checkpoint,
     sgd_step,
@@ -724,3 +730,108 @@ class TestCheckpoint:
         assert meta2 == meta
         np.testing.assert_allclose(tensors2["m"], [[1.5, -2.25]])
         np.testing.assert_allclose(tensors2["v"], [[0.0, 1.0, 2.0]])
+
+
+MODEL_WORDS = ["good", "bad", "mad", "a", "zzz", ":)", ":("]
+KINDS = ["sslstm", "nb", "svm"]
+
+
+def hashed_table(dim, seed):
+    """A table of MODEL_WORDS read from text, so it carries its source's hash."""
+    src = io.StringIO()
+    save_embedding_file(make_table(MODEL_WORDS, dim=dim, seed=seed), src)
+    return load_embedding_file(io.StringIO(src.getvalue()))
+
+
+def fitted(kind, docs, seed):
+    """A small model of ``kind``: a seeded LSTM on tables of MODEL_WORDS, or
+    a baseline trained on ``docs``, (tokens, label) pairs."""
+    if kind == "sslstm":
+        config = ModelConfig(sem_hidden=3, sent_hidden=2, fc_hidden=4)
+        return init_model(config, hashed_table(4, seed), hashed_table(3, seed + 1), seed=seed)
+    data = [conv(i, " ".join(tokens), label) for i, (tokens, label) in enumerate(docs)]
+    if kind == "nb":
+        return nb_train(data, LEX)
+    return svm_train(data, LEX, epochs=2, seed=seed)
+
+
+def saved(model, lex=LEX) -> str:
+    sink = io.StringIO()
+    if isinstance(model, SSLSTMModel):
+        save_checkpoint(model, None, sink, lex)
+    else:
+        save_baseline(model, sink, lex)
+    return sink.getvalue()
+
+
+class CountingTables:
+    """A ``tables`` argument of load_model that counts its calls."""
+
+    def __init__(self, pair):
+        self.pair = pair
+        self.calls = 0
+
+    def __call__(self):
+        self.calls += 1
+        return self.pair
+
+
+def tables_of(model):
+    if isinstance(model, SSLSTMModel):
+        return CountingTables((model.semantic_table, model.sentiment_table))
+    return CountingTables((None, None))
+
+
+SOME_DOCS = [(["good", ":)"], "happy"), (["bad", ":("], "sad"), (["mad"], "angry"), (["a"], "others")]
+
+
+class TestLoadModel:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        docs=st.lists(
+            st.tuples(st.lists(st.sampled_from(MODEL_WORDS), min_size=1, max_size=5),
+                      st.sampled_from(LABELS)),
+            min_size=1,
+            max_size=6,
+        ),
+        probes=st.lists(st.lists(st.sampled_from(MODEL_WORDS), max_size=6), max_size=6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_round_trip_gives_the_same_labels(self, kind, docs, probes, seed):
+        model = fitted(kind, docs, seed)
+        tables = tables_of(model)
+        loaded = load_model(io.StringIO(saved(model)), LEX, tables)
+        assert type(loaded) is type(model)
+        assert predict(loaded, probes, LEX) == predict(model, probes, LEX)
+        assert tables.calls == (kind == "sslstm")  # a baseline loads no table
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_another_hashed_lexicon_is_refused(self, kind):
+        model = fitted(kind, SOME_DOCS, seed=3)
+        other = load_lexicon(b":)\t:)\thappy\n")
+        tables = tables_of(model)
+        with pytest.raises(CheckpointError, match="another emoticon lexicon"):
+            load_model(io.StringIO(saved(model)), other, tables)
+        assert tables.calls == 0  # refused before any table is loaded
+        assert type(load_model(io.StringIO(saved(model, other)), other, tables)) is type(model)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_file_without_a_lexicon_hash_is_not_checked(self, kind):
+        model = fitted(kind, SOME_DOCS, seed=4)
+        text = saved(model, EmoticonLexicon(LEX.entries))  # built in code: no hash
+        assert "meta lexicon_sha256=-\n" in text
+        other = load_lexicon(b":)\t:)\thappy\n")
+        assert type(load_model(io.StringIO(text), other, tables_of(model))) is type(model)
+
+    def test_a_missing_table_loads_empty_at_the_checkpoint_dimension(self):
+        model = fitted("sslstm", [], seed=5)
+        loaded = load_model(io.StringIO(saved(model)), LEX, lambda: (None, model.sentiment_table))
+        assert (loaded.semantic_table.dim, len(loaded.semantic_table)) == (4, 0)
+        assert loaded.sentiment_table is model.sentiment_table
+
+    def test_an_unknown_model_kind_is_refused(self):
+        tables = CountingTables((None, None))
+        with pytest.raises(CheckpointError, match="model='crf'"):
+            load_model(io.StringIO("SSLSTM-CKPT 1\nmeta model=crf\nend\n"), LEX, tables)
+        assert tables.calls == 0
