@@ -20,15 +20,15 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, count
 from typing import NamedTuple
 
 import numpy as np
 
 from sslstm.labels import LABELS, N_CLASSES, label_index
-from sslstm.text_norm import EmoticonLexicon, emoticon_class
+from sslstm.text_norm import EmoticonLexicon
 from sslstm.container import CheckpointError, write_container
 
-NGRAM_ORDERS = (1, 2, 3)
 SVM_EPOCHS = 30
 
 # The emoticon classes counted, in the order of their columns after the n-grams.
@@ -62,18 +62,21 @@ def design_matrix(token_lists, lex: EmoticonLexicon, vocab: dict[str, int] | Non
     if grow:
         vocab = {}
     indptr, cols, vals = [0], [], []
-    for tokens in token_lists:
-        grams = Counter(
-            " ".join(tokens[start : start + order])
-            for order in NGRAM_ORDERS
-            for start in range(len(tokens) - order + 1)
-        )
-        for gram, count in grams.items():
-            col = vocab.setdefault(gram, len(vocab)) if grow else vocab.get(gram)
-            if col is not None:
-                cols.append(col)
-                vals.append(count)
-        classes = Counter(emoticon_class(tok, lex) for tok in tokens)
+    for t in token_lists:
+        # The 1-, 2- and 3-grams, each order in utterance order.
+        grams = Counter(chain(map(str, t), map(" ".join, zip(t, t[1:])),
+                              map(" ".join, zip(t, t[1:], t[2:]))))
+        if grow:
+            vocab.update(zip([gram for gram in grams if gram not in vocab], count(len(vocab))))
+            cols += map(vocab.__getitem__, grams)
+            vals += grams.values()
+        else:
+            for gram, n in grams.items():
+                col = vocab.get(gram)
+                if col is not None:
+                    cols.append(col)
+                    vals.append(n)
+        classes = Counter(map(lex.canonical_class.get, t))
         for slot, name in enumerate(_EMOTICON_CLASSES):
             if classes[name]:
                 cols.append(-1 - slot)  # moved behind the n-grams once V is known
@@ -180,11 +183,15 @@ def svm_fit_vectors(matrix: DesignMatrix, y, lambda_reg: float, epochs: int, see
     no-op and the move into ``u += sign*x/lambda`` on the row's columns
     only.  Biases are unregularized.  Returns (weights, bias).
 
-    Per example the four class dot products are one numpy product; the
-    margins (divide, bias add, sign) and their test against 1 are then
-    computed on Python floats, which round exactly as the numpy ops would,
-    and the biases are a list until the return.  Only the violating
-    classes' rows of ``u`` are updated in numpy.
+    Per example the four class dot products are one numpy product over
+    ``uT``, the scaled weights kept transposed as ``(dim, 4)`` so that a
+    row's columns are one ``take``; its transpose has the layout of
+    ``u[:, c]``, so the products round alike.  The margins (divide, bias
+    add, sign) and their test against 1 are then computed on Python floats,
+    which round exactly as the numpy ops would, and the biases are a list
+    until the return.  Only the violating classes' weights are updated in
+    numpy: one column of ``uT`` per class, or all four as one block of
+    rows when all four violate.
     """
     y = np.asarray(y, dtype=np.int64)
     indptr, cols, vals, dim = matrix
@@ -195,9 +202,12 @@ def svm_fit_vectors(matrix: DesignMatrix, y, lambda_reg: float, epochs: int, see
     cells = np.sort(matrix.row_ids() * dim + cols)
     if np.any(cells[1:] == cells[:-1]):
         raise ValueError("a feature row repeats a column")
-    # Each row's columns, values and moves (values / lambda), split once.
-    row_cols, row_vals, row_moves = (np.split(a, indptr[1:-1]) for a in (cols, vals, vals / lambda_reg))
-    u = np.zeros((N_CLASSES, dim))
+    del cells  # freed before the weights are allocated, which lowers the peak
+    # Each row's columns, values and moves (values / lambda), sliced once.
+    ends = indptr.tolist()
+    row_cols, row_vals, row_moves = ([a[start:end] for start, end in zip(ends, ends[1:])]
+                                     for a in (cols, vals, vals / lambda_reg))
+    uT = np.zeros((dim, N_CLASSES))
     bias = [0.0] * N_CLASSES
     signs = np.where(y[:, None] == np.arange(N_CLASSES)[None, :], 1.0, -1.0)  # (n, 4)
     sign_lists = signs.tolist()
@@ -210,13 +220,19 @@ def svm_fit_vectors(matrix: DesignMatrix, y, lambda_reg: float, epochs: int, see
             c, sign = row_cols[idx], sign_lists[idx]
             # w_{t-1} = u/(t-1); u is still zero at t = 1, where w_0 = 0.
             scale = max(t - 1, 1)
-            dots = (u[:, c] @ row_vals[idx]).tolist()
+            dots = uT.take(c, axis=0).T.dot(row_vals[idx]).tolist()
             violating = [k for k in range(N_CLASSES) if sign[k] * (dots[k] / scale + bias[k]) < 1.0]
-            if violating:
-                u[np.array(violating)[:, None], c] += signs[idx, violating][:, None] * row_moves[idx]
-                for k in violating:
-                    bias[k] += eta * sign[k]
-    return u / max(t, 1), np.array(bias)
+            if len(violating) == N_CLASSES:
+                uT[c] += row_moves[idx][:, None] * signs[idx]
+            else:
+                for k in violating:  # u - m rounds as u + (-1.0 * m) does
+                    if sign[k] > 0:
+                        uT[c, k] += row_moves[idx]
+                    else:
+                        uT[c, k] -= row_moves[idx]
+            for k in violating:
+                bias[k] += eta * sign[k]
+    return np.divide(uT.T, max(t, 1), order="C"), np.array(bias)
 
 
 def svm_train(

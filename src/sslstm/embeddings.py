@@ -299,14 +299,19 @@ def cosines(a, b) -> np.ndarray:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError(f"cosine: length mismatch {a.shape} vs {b.shape}")
     dots = np.empty((len(a), len(b)))
-    equal = np.empty(dots.shape, dtype=bool)
     for k, row in enumerate(b):
-        dots[:, k], equal[:, k] = (a * row).sum(axis=1), (a == row).all(axis=1)
+        dots[:, k] = (a * row).sum(axis=1)
     norms = np.outer(np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1))
     nonzero = norms > 0
     sims = np.divide(dots, norms, out=np.zeros_like(dots), where=nonzero)
-    # dot/(nu*nv) can round equal rows to 1 - 2 ulp; thresholds reach 1.0 inclusive.
-    sims[equal & nonzero] = 1.0
+    # dot/(nu*nv) can round equal rows to 1 - 2 ulp; thresholds reach 1.0
+    # inclusive.  Equal rows share one sum of squares, so they score within
+    # a few ulp of 1 or not finite (an overflow or an inf): only such pairs
+    # are compared element by element.
+    check = nonzero & ~((sims < 1.0 - 1e-9) | (sims > 1.0 + 1e-9))
+    for k in np.flatnonzero(check.any(axis=0)):
+        rows = np.flatnonzero(check[:, k])
+        sims[rows[(a[rows] == b[k]).all(axis=1)], k] = 1.0
     return sims
 
 
@@ -321,4 +326,5 @@ def sentence_embedding(table: EmbeddingTable, tokens) -> np.ndarray:
     ids = ids[ids >= 0]
     if not ids.size:
         return np.zeros(table.dim)
-    return table.matrix[ids].mean(axis=0)
+    # What mean(axis=0) computes, without its Python wrapper.
+    return table.matrix[ids].sum(axis=0) / ids.size

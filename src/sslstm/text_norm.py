@@ -23,6 +23,7 @@ import sys
 import unicodedata
 from functools import cached_property, lru_cache
 from importlib import resources
+from itertools import chain
 
 from sslstm.textfile import DataFormatError, _read, _split_lines
 
@@ -196,6 +197,14 @@ def _word_end(chunk: str, pos: int) -> int | None:
 # Emoji variation selectors change rendering only; drop them before scanning.
 _VARIATION_SELECTORS = dict.fromkeys((0xFE0E, 0xFE0F), None)
 
+
+def _drop_selectors(text: str) -> str:
+    # They almost never occur, so the test spares nearly every text the translate.
+    if "\ufe0e" in text or "\ufe0f" in text:
+        return text.translate(_VARIATION_SELECTORS)
+    return text
+
+
 def _drop_chunk(chunk: str) -> bool:
     # Twitter handles and URLs.  The prefixes are chosen so that no word or
     # punctuation token ("@" alone, the bare word "http") matches, and
@@ -217,9 +226,8 @@ def tokenize(raw: str, lex: EmoticonLexicon) -> list[str]:
     (lexicon raw forms, including repeated-mouth runs) survive as single
     tokens; everything else becomes one punctuation token per character.
     """
-    text = raw.translate(_VARIATION_SELECTORS)
     tokens: list[str] = []
-    for chunk in text.split():
+    for chunk in _drop_selectors(raw).split():
         if _drop_chunk(chunk):
             whole = lex.match_emoticon(chunk)
             if not whole or whole.end() < len(chunk):
@@ -259,7 +267,8 @@ def normalize_emoticons(tokens, lex: EmoticonLexicon) -> list[str]:
     out: list[str] = []
     for tok in tokens:
         canonical = lex.raw_to_canonical.get(tok)
-        if canonical is None:
+        # Only a token whose last two characters are equal ends in a run.
+        if canonical is None and len(tok) > 1 and tok[-1] == tok[-2]:
             collapsed = _TRAILING_RUN_RE.sub(r"\1", tok)
             if collapsed != tok:
                 canonical = lex.raw_to_canonical.get(collapsed)
@@ -276,19 +285,36 @@ def normalize_utterance(raw: str, lex: EmoticonLexicon) -> list[str]:
 
     Equal to ``normalize_emoticons(tokenize(raw, lex), lex)``: both steps
     read one whitespace chunk at a time, so each distinct chunk is
-    normalized once per lexicon and then looked up in its memo.  The
-    tokens are :class:`Token`, built once per chunk as the memo is filled.
+    normalized once per lexicon and then looked up in its memo.  A chunk
+    the memo lacks that is a lowercase ASCII word no emoticon starts is its
+    own token without a :func:`tokenize` scan.  The tokens are
+    :class:`Token`, built once per chunk as the memo is filled.
     """
     memo = lex._chunk_tokens
-    out: list[str] = []
-    for chunk in raw.translate(_VARIATION_SELECTORS).split():
-        tokens = memo.get(chunk)
-        if tokens is None:
-            if len(memo) >= _CHUNK_MEMO:
-                memo.clear()
-            tokens = memo[chunk] = tuple(map(Token, normalize_emoticons(tokenize(chunk, lex), lex)))
-        out.extend(tokens)
-    return out
+    chunks = _drop_selectors(raw).split()
+    parts = list(map(memo.get, chunks))
+    if None in parts:
+        for i, tokens in enumerate(parts):
+            if tokens is None:
+                chunk = chunks[i]
+                tokens = memo.get(chunk)  # a chunk may repeat within the utterance
+                if tokens is None:
+                    if len(memo) >= _CHUNK_MEMO:
+                        memo.clear()
+                    tokens = memo[chunk] = tuple(map(Token, _normalize_chunk(chunk, lex)))
+                parts[i] = tokens
+    return list(chain.from_iterable(parts))
+
+
+def _normalize_chunk(chunk: str, lex: EmoticonLexicon) -> list[str]:
+    """``normalize_emoticons(tokenize(chunk, lex), lex)`` for one whitespace chunk."""
+    # A lowercase ASCII word that no emoticon starts is one word token:
+    # with no "@", ":" or "." tokenize drops nothing, and its word scan
+    # takes the whole chunk.  normalize_emoticons keeps it too, since the
+    # scanner would match a raw form with or without a repeated mouth.
+    if chunk.isascii() and chunk.isalnum() and chunk.islower() and not lex._scanner.match(chunk):
+        return [chunk]
+    return normalize_emoticons(tokenize(chunk, lex), lex)
 
 
 def emoticon_class(token, lex: EmoticonLexicon) -> str | None:

@@ -33,17 +33,28 @@ def _open_read(path):
     return open(path, "rb")
 
 
+def _label(source) -> str:
+    """The name messages give ``source``: its path, ``<bytes>``, or the
+    stream's ``name`` (``<stream>`` if it has none)."""
+    if isinstance(source, (str, os.PathLike)):
+        return str(source)
+    if isinstance(source, (bytes, bytearray)):
+        return "<bytes>"
+    return getattr(source, "name", "<stream>")
+
+
 def _read(source) -> tuple[bytes, str]:
     """The bytes of ``source`` and the label messages name it by."""
     if isinstance(source, (str, os.PathLike)):
         with _open_read(source) as fh:
-            return fh.read(), str(source)
-    if isinstance(source, (bytes, bytearray)):
-        return bytes(source), "<bytes>"
-    data = source.read()
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    return data, getattr(source, "name", "<stream>")
+            data = fh.read()
+    elif isinstance(source, (bytes, bytearray)):
+        data = bytes(source)
+    else:
+        data = source.read()
+        if isinstance(data, str):
+            data = data.encode("utf-8")
+    return data, _label(source)
 
 
 def file_sha256(path) -> str:

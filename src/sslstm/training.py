@@ -38,11 +38,15 @@ from sslstm.neural import (
     init_model,
 )
 from sslstm.text_norm import EmoticonLexicon
+from sslstm.textfile import _label
 
 # Above this many parameters, gradient_check verifies a seeded random
 # subsample of this many coordinates instead of every coordinate.
 GRADCHECK_EXHAUSTIVE_LIMIT = 10_000
 GRADCHECK_SAMPLE = 2_000
+
+# The ``meta model`` values :func:`load_model` reads.
+_MODEL_KINDS = ("sslstm", "nb", "svm")
 
 
 class ShapeMismatchError(CheckpointError):
@@ -390,15 +394,20 @@ def load_model(source, lex: EmoticonLexicon, tables):
     hash other than ``lex``'s is refused; ``-`` or no hash is not checked.
     A neural checkpoint is built on ``tables()``, its ``(semantic,
     sentiment)`` pair, None standing for an empty table of the checkpoint's
-    dimension; an NB or SVM file never calls ``tables``."""
+    dimension; an NB or SVM file never calls ``tables``.  A file of
+    another kind is refused.  Messages name ``source`` by its path,
+    ``<bytes>`` or the stream's name."""
     meta, tensors = read_container(source)
+    kind = meta.get("model", "sslstm")
+    if kind not in _MODEL_KINDS:
+        raise CheckpointError(f"{_label(source)} holds no model of a known kind (model={kind!r})")
     stored = meta.get("lexicon_sha256", "-")
     if stored not in ("", "-") and stored != lex.sha256:
         raise CheckpointError(
-            f"{source} was trained with another emoticon lexicon "
+            f"{_label(source)} was trained with another emoticon lexicon "
             f"({stored[:12]} vs {lex.sha256[:12]}); pass that one as --lexicon"
         )
-    if meta.get("model", "sslstm") == "sslstm":
+    if kind == "sslstm":
         return model_from_container(meta, tensors, *tables())
     return baseline_from_container(meta, tensors)
 

@@ -639,6 +639,28 @@ class TestLinearSVM:
     def test_fit_is_bit_identical_to_numpy_margins(self, problem):
         assert_same_bits(svm_fit_vectors(*problem), numpy_margins_fit(*problem))
 
+    def test_a_step_where_all_four_classes_violate(self):
+        # Lambda 2 keeps every bias below 1 in size after the first step
+        # (eta 1/2), so the second example, on a column the first did not
+        # touch, has margins of +/-1/2 and violates in all four classes:
+        # every bias moves again, by 1/4, classes 2 and 3 to -3/4.
+        problem = (matrix_of([([0, 2], [1.0, 3.0]), ([1], [2.0])], 3), np.array([0, 1]), 2.0, 1, 7)
+        reference = numpy_margins_fit(*problem)
+        assert sorted(np.abs(reference[1]).tolist()) == [0.25, 0.25, 0.75, 0.75]
+        assert_same_bits(svm_fit_vectors(*problem), reference)
+        longer = problem[:3] + (6, 7)
+        assert_same_bits(svm_fit_vectors(*longer), numpy_margins_fit(*longer))
+
+    def test_steps_where_no_class_violates(self):
+        # One example of class 2 and lambda 1/2: the first step moves all four
+        # classes (every margin is 0); after it each margin is
+        # 20 / (t - 1) + 2 > 1, so nothing moves and the biases keep their
+        # first-step values of +/-1/lambda.
+        problem = (matrix_of([([0, 2], [1.0, 3.0])], 3), np.array([2]), 0.5, 5, 0)
+        reference = numpy_margins_fit(*problem)
+        assert reference[1].tolist() == [-2.0, -2.0, 2.0, -2.0]
+        assert_same_bits(svm_fit_vectors(*problem), reference)
+
     def test_margins_exactly_on_the_hinge_take_the_same_branch(self):
         # Integer counts and lambda 1/2 put two margins exactly on 1.0, where
         # any other rounding of the margin would flip the update.

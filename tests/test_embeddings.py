@@ -414,6 +414,22 @@ def scalar_cosine(u, v):
     return float(np.dot(u, v) / (nu * nv))
 
 
+def reference_cosines(a, b):
+    """:func:`cosines` as it was when it compared every pair of rows for
+    equality, kept as the reference for its ties."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    dots = np.empty((len(a), len(b)))
+    equal = np.empty(dots.shape, dtype=bool)
+    for k, row in enumerate(b):
+        dots[:, k], equal[:, k] = (a * row).sum(axis=1), (a == row).all(axis=1)
+    norms = np.outer(np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1))
+    nonzero = norms > 0
+    sims = np.divide(dots, norms, out=np.zeros_like(dots), where=nonzero)
+    sims[equal & nonzero] = 1.0
+    return sims
+
+
 _ENTRIES = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
 
 
@@ -448,9 +464,22 @@ class TestCosines:
                 elif np.array_equal(u, v):
                     assert sims[i, j] == 1.0
                 assert abs(sims[i, j] - scalar_cosine(u, v)) <= 1e-12
+        assert sims.tobytes() == reference_cosines(a, b).tobytes()
         # Each entry depends on its two rows only, not on the block around them.
         assert np.array_equal(cosines(a[:split], b), sims[:split])
         assert np.array_equal(cosines(a, b[:split]), sims[:, :split])
+
+    def test_equal_rows_score_one_where_the_division_does_not(self):
+        # Equal up to the sign of a zero, equal with an inf (inf / inf is
+        # NaN), and zero rows, which score 0 even against themselves.
+        a = np.array([[0.0, 0.3, -0.7], [np.inf, 1.0, -0.0], [0.0, 0.0, 0.0], [0.1, 0.2, 0.3]])
+        b = np.array([[-0.0, 0.3, -0.7], [np.inf, 1.0, 0.0], [-0.0, 0.0, -0.0], [0.3, 0.2, 0.1]])
+        with np.errstate(invalid="ignore"):
+            sims = cosines(a, b)
+            want = reference_cosines(a, b)
+        assert sims.tobytes() == want.tobytes()
+        assert np.diag(sims).tolist()[:3] == [1.0, 1.0, 0.0]
+        assert not sims[2].any() and not sims[:, 2].any()
 
     def test_empty_blocks(self):
         assert cosines(np.zeros((0, 3)), np.ones((2, 3))).shape == (0, 2)

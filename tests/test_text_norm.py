@@ -49,6 +49,11 @@ class TestTokenize:
         toks = tokenize("gone :(((", LEX)
         assert toks == ["gone", ":((("]
 
+    @pytest.mark.parametrize("selector", ["\N{VARIATION SELECTOR-15}", "\N{VARIATION SELECTOR-16}"])
+    def test_variation_selectors_are_dropped(self, selector):
+        assert tokenize(f":{selector}) x{selector}d{selector}", LEX) == [":)", "xd"]
+        assert normalize_utterance(f"x{selector}d {selector}", LEX) == [":D"]
+
     def test_emoticon_glued_to_word(self):
         assert tokenize("ok:)fine", LEX) == ["ok", ":)", "fine"]
 
@@ -232,14 +237,20 @@ def reference_normalize(raw, lex):
 
 # Chunks that repeat across texts, so the memo is both filled and read:
 # capitals that rescan lowercased, combining marks, variation selectors
-# inside chunks, handles, URLs and emoticon mouth runs.  Separators put
-# whitespace and lone variation selectors between chunks.
+# inside chunks, handles, URLs and emoticon mouth runs.  The second group
+# sits at the edge of the plain-word path (a lowercase ASCII word no
+# emoticon starts): lowercase words that begin with the raw form "xd",
+# digit-only words, the bare words "www" and "http", and words that hold a
+# variation selector.  Separators put whitespace and lone variation
+# selectors between chunks.
 CHUNKS = [
     "Hello", "hello", "HELLO!", "Xd'c", "XDd’s", "\N{LATIN CAPITAL LETTER I WITH DOT ABOVE}x",
     "Cafe\u0301's", "xD\u0301", "\u0301e", "नमस्ते",
     "\N{WHITE SMILING FACE}\N{VARIATION SELECTOR-16}", ":\N{VARIATION SELECTOR-15})", "ok\N{VARIATION SELECTOR-16}!",
     "@user", "@", "http://x.co", "www.x.org", "@_@",
     ":(((", ":-DDD", "xDDD", "<3", "wow:))", "?!*", "don't",
+    "xd", "xdd", "xdx", "xdxd", "x2", "2x", "123", "0", "www", "http", "https", "wwwx",
+    "x\N{VARIATION SELECTOR-16}d", "xd\N{VARIATION SELECTOR-15}", "ab\N{VARIATION SELECTOR-16}c",
 ]
 SEPARATORS = [" ", "  ", "\t", "\n", " \N{VARIATION SELECTOR-16} ", "\N{VARIATION SELECTOR-16}"]
 
@@ -264,7 +275,8 @@ class TestChunkMemo:
     def test_matches_the_reference_with_any_lexicon(self, data):
         lex = EmoticonLexicon(data.draw(lexicon_entries()))
         raws = [raw for raw, _, _ in lex.entries]
-        pieces = CHUNKS + raws + [r + r[-1] * 2 for r in raws] + [r.swapcase() for r in raws]
+        pieces = (CHUNKS + raws + [r + r[-1] * 2 for r in raws] + [r.swapcase() for r in raws]
+                  + [r.lower() for r in raws] + [r.lower() + "ab" for r in raws])
         self.assert_matches_reference(data.draw(texts_from(pieces)), lex)
 
     def test_memo_is_cleared_at_its_bound(self, monkeypatch):
@@ -277,6 +289,25 @@ class TestChunkMemo:
             text = " ".join(rng.choices(CHUNKS, k=rng.randint(0, 5)))
             assert normalize_utterance(text, lex) == reference_normalize(text, lex), text
             assert len(lex._chunk_tokens) <= 2
+
+    def test_tokenize_runs_once_per_distinct_chunk_that_is_not_a_plain_word(self, monkeypatch):
+        calls = []
+
+        def counted(raw, lex):
+            calls.append(raw)
+            return tokenize(raw, lex)
+
+        monkeypatch.setattr(text_norm, "tokenize", counted)
+        lex = EmoticonLexicon(LEX.entries)
+        assert normalize_utterance("so good to see you2 xdx", lex) == ["so", "good", "to", "see", "you2", "xdx"]
+        assert calls == []
+        text = "Hello :) hi :) xd x\N{VARIATION SELECTOR-16}d 42 www hi Hello"
+        want = reference_normalize(text, lex)
+        assert normalize_utterance(text, lex) == want
+        # "x<VS16>d" is "xd" once its selector is dropped; "www" is a plain word.
+        assert calls == ["Hello", ":)", "xd", "42"]
+        assert normalize_utterance(text, lex) == want
+        assert len(calls) == 4
 
     def test_each_call_returns_a_fresh_list(self):
         lex = EmoticonLexicon(LEX.entries)

@@ -835,3 +835,27 @@ class TestLoadModel:
         with pytest.raises(CheckpointError, match="model='crf'"):
             load_model(io.StringIO("SSLSTM-CKPT 1\nmeta model=crf\nend\n"), LEX, tables)
         assert tables.calls == 0
+
+    # A source is named as textfile names it: its path, <bytes>, or the
+    # stream's name (<stream> without one), never an object repr.
+    @pytest.mark.parametrize("kind", ["nb", "sslstm"])
+    def test_a_lexicon_refusal_names_a_stream_or_bytes_source(self, kind, tmp_path):
+        text = saved(fitted(kind, SOME_DOCS, seed=6))
+        other = load_lexicon(b":)\t:)\thappy\n")
+        path = tmp_path / "m.model"
+        path.write_text(text, encoding="utf-8")
+        named = io.StringIO(text)
+        named.name = "named.model"
+        for source, label in [(io.StringIO(text), "<stream>"), (text.encode("utf-8"), "<bytes>"),
+                              (named, "named.model"), (path, str(path))]:
+            with pytest.raises(CheckpointError) as info:
+                load_model(source, other, CountingTables((None, None)))
+            assert str(info.value) == (f"{label} was trained with another emoticon lexicon "
+                                       f"({LEX.sha256[:12]} vs {other.sha256[:12]}); pass that one as --lexicon")
+
+    def test_an_unknown_model_kind_names_its_source(self):
+        text = "SSLSTM-CKPT 1\nmeta model=crf\nmeta lexicon_sha256=0123456789abcdef\nend\n"
+        for source, label in [(io.StringIO(text), "<stream>"), (text.encode("utf-8"), "<bytes>")]:
+            with pytest.raises(CheckpointError) as info:
+                load_model(source, LEX, CountingTables((None, None)))
+            assert str(info.value) == f"{label} holds no model of a known kind (model='crf')"
