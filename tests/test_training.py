@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import LEX, example_gradients, make_table, probs_of
-from sslstm.baselines import nb_train, save_baseline, svm_train
+from sslstm.baselines import LinearSVMModel, NBModel, nb_train, save_baseline, svm_train
 from sslstm.container import UnknownVersionError
 from sslstm.dataio import Conversation
 from sslstm.embeddings import EmbeddingTable, load_embedding_file, save_embedding_file
@@ -755,10 +755,10 @@ def fitted(kind, docs, seed):
     return svm_train(data, LEX, epochs=2, seed=seed)
 
 
-def saved(model, lex=LEX) -> str:
+def saved(model, lex=LEX, config=None) -> str:
     sink = io.StringIO()
     if isinstance(model, SSLSTMModel):
-        save_checkpoint(model, None, sink, lex)
+        save_checkpoint(model, config, sink, lex)
     else:
         save_baseline(model, sink, lex)
     return sink.getvalue()
@@ -859,3 +859,158 @@ class TestLoadModel:
             with pytest.raises(CheckpointError) as info:
                 load_model(source, LEX, CountingTables((None, None)))
             assert str(info.value) == f"{label} holds no model of a known kind (model='crf')"
+
+
+# Every model file's bytes, pinned.  The models are hand-set, with no RNG:
+# one-unit LSTMs, a two-gram NB model (its vocabulary built out of column
+# order), one with no vocabulary, and an SVM.  Floats that need 17 digits,
+# -0.0 and 1e+300 check repr precision; the NB table has few distinct
+# values and the SVM weights none repeated, so both row writers run.
+HASHED_LEX = load_lexicon(b":)\t:)\thappy\n")
+BUILT_LEX = EmoticonLexicon([(":)", ":)", "happy")])
+HASHED_LEX_LINE = "meta lexicon_sha256=23573a1fda852c657c7552e9ca6af0019833072c4d3949603614e597f84999a0\n"
+
+
+def golden_neural():
+    def lstm(prefix, scale):
+        return {f"{prefix}_W": scale * np.arange(1.0, 5.0).reshape(4, 1),
+                f"{prefix}_U": np.full((4, 1), -scale), f"{prefix}_b": np.array([0.0, 1.0, 0.0, 0.0])}
+
+    params = {**lstm("sem", 0.5), **lstm("sent", 0.1),
+              "fc_W": np.array([[0.125, -2.0]]), "fc_b": np.array([0.3]),
+              "out_W": np.array([[1.0], [-1.0], [0.5], [1e-17]]),
+              "out_b": np.array([0.0, -0.0, 2.5, 1e300])}
+    config = ModelConfig(sem_hidden=1, sent_hidden=1, fc_hidden=1, fc_activation="tanh", max_seq_len=7)
+    sem = EmbeddingTable(1, {"good": [0.5]}, source_sha256="a" * 64)
+    return SSLSTMModel(sem, EmbeddingTable(1, {":)": [-0.25]}), config, params)
+
+
+GOLDEN_NEURAL_META = """\
+SSLSTM-CKPT 1
+meta model=sslstm
+meta channels=both
+meta fc_activation=tanh
+meta sem_hidden=1
+meta sent_hidden=1
+meta fc_hidden=1
+meta max_seq_len=7
+meta train_embeddings=0
+meta sem_dim=1
+meta sent_dim=1
+meta sem_table_sha256=aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa
+meta sent_table_sha256=-
+"""
+
+GOLDEN_NEURAL_TENSORS = """\
+tensor sem_W_i 1 1
+0.5
+tensor sem_W_f 1 1
+1.0
+tensor sem_W_o 1 1
+1.5
+tensor sem_W_c 1 1
+2.0
+tensor sem_U_i 1 1
+-0.5
+tensor sem_U_f 1 1
+-0.5
+tensor sem_U_o 1 1
+-0.5
+tensor sem_U_c 1 1
+-0.5
+tensor sem_b_i 1 1
+0.0
+tensor sem_b_f 1 1
+1.0
+tensor sem_b_o 1 1
+0.0
+tensor sem_b_c 1 1
+0.0
+tensor sent_W_i 1 1
+0.1
+tensor sent_W_f 1 1
+0.2
+tensor sent_W_o 1 1
+0.30000000000000004
+tensor sent_W_c 1 1
+0.4
+tensor sent_U_i 1 1
+-0.1
+tensor sent_U_f 1 1
+-0.1
+tensor sent_U_o 1 1
+-0.1
+tensor sent_U_c 1 1
+-0.1
+tensor sent_b_i 1 1
+0.0
+tensor sent_b_f 1 1
+1.0
+tensor sent_b_o 1 1
+0.0
+tensor sent_b_c 1 1
+0.0
+tensor fc_W 1 2
+0.125 -2.0
+tensor fc_b 1 1
+0.3
+tensor out_W 4 1
+1.0
+-1.0
+0.5
+1e-17
+tensor out_b 1 4
+0.0 -0.0 2.5 1e+300
+end
+"""
+
+GOLDEN_FILES = {
+    "sslstm with a TrainConfig": (
+        golden_neural, HASHED_LEX, TrainConfig(learning_rate=0.05, token_budget=100, seed=3),
+        GOLDEN_NEURAL_META + HASHED_LEX_LINE
+        + "meta learning_rate=0.05\nmeta token_budget=100\nmeta seed=3\n" + GOLDEN_NEURAL_TENSORS,
+    ),
+    "sslstm without one": (
+        golden_neural, BUILT_LEX, None,
+        GOLDEN_NEURAL_META + "meta lexicon_sha256=-\n" + GOLDEN_NEURAL_TENSORS,
+    ),
+    "nb": (
+        lambda: NBModel(priors=[0.25, 0.25, 0.5, 0.0], vocab={"good day": 1, "good": 0},
+                        log_likelihood=[[-0.5, -1.5], [-0.1, -2.0], [-0.5, -1.5], [-0.5, -0.5]],
+                        alpha=0.5),
+        HASHED_LEX, None,
+        "SSLSTM-CKPT 1\nmeta model=nb\nmeta alpha=0.5\n" + HASHED_LEX_LINE + "meta vocab=good\tgood day\n"
+        "tensor priors 1 4\n0.25 0.25 0.5 0.0\n"
+        "tensor log_likelihood 4 2\n-0.5 -1.5\n-0.1 -2.0\n-0.5 -1.5\n-0.5 -0.5\nend\n",
+    ),
+    "nb without a vocabulary": (
+        lambda: NBModel(priors=[0.5, 0.5, 0.0, 0.0], vocab={}, log_likelihood=np.zeros((4, 0)),
+                        alpha=1.0),
+        BUILT_LEX, None,
+        "SSLSTM-CKPT 1\nmeta model=nb\nmeta alpha=1.0\nmeta lexicon_sha256=-\nmeta vocab=\n"
+        "tensor priors 1 4\n0.5 0.5 0.0 0.0\nend\n",
+    ),
+    "svm": (
+        lambda: LinearSVMModel(vocab={"b": 1, "a": 0}, weights=np.arange(20.0).reshape(4, 5) / 8 - 1,
+                               bias=[0.1, -0.2, 0.0, 3.0], lambda_reg=0.005),
+        HASHED_LEX, None,
+        "SSLSTM-CKPT 1\nmeta model=svm\nmeta lambda=0.005\n" + HASHED_LEX_LINE + "meta vocab=a\tb\n"
+        "tensor weights 4 5\n-1.0 -0.875 -0.75 -0.625 -0.5\n-0.375 -0.25 -0.125 0.0 0.125\n"
+        "0.25 0.375 0.5 0.625 0.75\n0.875 1.0 1.125 1.25 1.375\n"
+        "tensor bias 1 4\n0.1 -0.2 0.0 3.0\nend\n",
+    ),
+}
+
+
+class TestModelFileBytes:
+    @pytest.mark.parametrize("case", GOLDEN_FILES)
+    def test_each_kind_writes_these_bytes(self, case):
+        build, lex, config, expected = GOLDEN_FILES[case]
+        assert saved(build(), lex, config) == expected
+
+    @pytest.mark.parametrize("case", GOLDEN_FILES)
+    def test_reading_them_back_writes_them_again(self, case):
+        build, lex, config, expected = GOLDEN_FILES[case]
+        model = build()
+        tables = lambda: (getattr(model, "semantic_table", None), getattr(model, "sentiment_table", None))
+        assert saved(load_model(io.StringIO(expected), lex, tables), lex, config) == expected
