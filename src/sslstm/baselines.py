@@ -10,9 +10,9 @@ column by its one-vs-rest weights on top of its biases and is trained by
 Pegasos on L2-regularized hinge loss in O(nnz + 4·V) memory, never an n × V
 matrix.  :func:`baseline_scores` is the one sparse product for both.
 
-Baseline models serialize into the same versioned container as the neural
-checkpoints, tagged ``meta model=nb`` or ``meta model=svm``, with the
-SHA-256 of the emoticon lexicon their features were built with.
+:func:`sslstm.training.save_checkpoint` writes these models into the same
+versioned container as the neural checkpoints, tagged ``meta model=nb`` or
+``meta model=svm``, and :func:`sslstm.training.load_model` reads them.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import numpy as np
 
 from sslstm.labels import LABELS, N_CLASSES, label_index
 from sslstm.text_norm import EmoticonLexicon
-from sslstm.container import CheckpointError, write_container
 
 SVM_EPOCHS = 30
 
@@ -274,79 +273,3 @@ def baseline_predict(model, token_lists, lex: EmoticonLexicon) -> list[str]:
     matrix, _ = design_matrix(token_lists, lex, model.vocab)
     return [LABELS[i] for i in np.argmax(baseline_scores(model, matrix), axis=1)]
 
-
-def _vocab_meta(vocab: dict[str, int]) -> str:
-    ordered = sorted(vocab, key=vocab.get)
-    return "\t".join(ordered)
-
-
-def _vocab_from_meta(value: str) -> dict[str, int]:
-    if value == "":
-        return {}
-    return {gram: i for i, gram in enumerate(value.split("\t"))}
-
-
-def save_baseline(model, sink, lex: EmoticonLexicon) -> None:
-    """Write an NB or SVM model, trained with lexicon ``lex``, into the
-    shared checkpoint container."""
-    lexicon_sha256 = lex.sha256 or "-"
-    if isinstance(model, NBModel):
-        meta = {
-            "model": "nb",
-            "alpha": repr(float(model.alpha)),
-            "lexicon_sha256": lexicon_sha256,
-            "vocab": _vocab_meta(model.vocab),
-        }
-        tensors = {"priors": model.priors}
-        if len(model.vocab):
-            tensors["log_likelihood"] = model.log_likelihood
-        write_container(sink, meta, tensors)
-    elif isinstance(model, LinearSVMModel):
-        meta = {
-            "model": "svm",
-            "lambda": repr(float(model.lambda_reg)),
-            "lexicon_sha256": lexicon_sha256,
-            "vocab": _vocab_meta(model.vocab),
-        }
-        write_container(sink, meta, {"weights": model.weights, "bias": model.bias})
-    else:
-        raise TypeError(f"not a baseline model: {type(model).__name__}")
-
-
-def baseline_from_container(meta: dict[str, str], tensors: dict[str, np.ndarray]):
-    """The NB or SVM model in a parsed container; dispatches on ``meta model``."""
-    kind = meta.get("model")
-    if kind == "nb":
-        vocab = _vocab_from_meta(meta.get("vocab", ""))
-        if "priors" not in tensors:
-            raise CheckpointError("NB checkpoint is missing the priors tensor")
-        priors = tensors["priors"].reshape(-1)
-        if vocab:
-            if "log_likelihood" not in tensors:
-                raise CheckpointError("NB checkpoint is missing the likelihood table")
-            table = tensors["log_likelihood"]
-        else:
-            table = np.zeros((N_CLASSES, 0))
-        try:
-            return NBModel(
-                priors=priors,
-                vocab=vocab,
-                log_likelihood=table,
-                alpha=float(meta.get("alpha", "1.0")),
-            )
-        except ValueError as exc:
-            raise CheckpointError(f"invalid NB checkpoint: {exc}") from None
-    if kind == "svm":
-        vocab = _vocab_from_meta(meta.get("vocab", ""))
-        if "weights" not in tensors or "bias" not in tensors:
-            raise CheckpointError("SVM checkpoint is missing weight tensors")
-        try:
-            return LinearSVMModel(
-                vocab=vocab,
-                weights=tensors["weights"],
-                bias=tensors["bias"].reshape(-1),
-                lambda_reg=float(meta.get("lambda", "0.005")),
-            )
-        except ValueError as exc:
-            raise CheckpointError(f"invalid SVM checkpoint: {exc}") from None
-    raise CheckpointError(f"not a baseline checkpoint (model={kind!r})")

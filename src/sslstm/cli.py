@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .baselines import SVM_EPOCHS, nb_train, save_baseline, svm_train
+from .baselines import SVM_EPOCHS, nb_train, svm_train
 from .dataio import read_dataset, read_judgments, require_labeled, write_dataset
 from .datamine import (
     MiningConfig,
@@ -263,7 +263,7 @@ def cmd_train(args) -> None:
         else:
             kwargs = _given_kwargs(args, "epochs", "seed", lambda_reg="lambda")
             model = svm_train(dataset, lex, **kwargs)
-        save_baseline(model, args.model, lex)
+        save_checkpoint(model, None, args.model, lex)
         print(f"algorithm: {args.algo}  examples: {len(dataset)}  vocabulary: {len(model.vocab)}")
         return
 
@@ -423,6 +423,10 @@ def cmd_gradcheck(args) -> None:
 # parser
 
 
+# Built once per process: parsing leaves the parser as it was.  Each
+# handler is bound here, but handlers look up the module functions they
+# call at call time.
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="sslstm",

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import io
 import os
 import re
 import tempfile
@@ -38,7 +37,6 @@ DEFAULT_SENTIMENT_DIM = 50
 # Parsed tables are cached in this folder beside each table file.
 CACHE_DIR = "__sslstm_cache__"
 CACHE_SUFFIX = ".v1.npy"
-_NPY_HEADER_MAX = 4096  # bytes; a 2-D float64 matrix's .npy header takes 128
 
 
 class EmbeddingFormatError(DataFormatError):
@@ -221,25 +219,20 @@ def _cache_file(path, digest: str) -> str:
 
 def _read_cache(path: str, digest: str) -> EmbeddingTable | None:
     """The table cached at ``path``; None when the file cannot be read or
-    is not what a parse gives: a 2-D float64 matrix of finite values with
-    one token per row, no token twice."""
+    is not what a parse gives: a C-order 2-D float64 matrix of finite values
+    with at least one row and one column, and one token per row, no token
+    twice."""
     try:
         with _open_read(path) as fh:
-            raw = np.fromfile(fh, dtype=np.uint8)
-        head = io.BytesIO(raw[:_NPY_HEADER_MAX].tobytes())
-        if np.lib.format.read_magic(head) != (1, 0):
-            return None
-        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(head)
-        start = head.tell()
-        if dtype != np.float64 or fortran_order or len(shape) != 2 or min(shape) < 1:
-            return None
-        end = start + 8 * shape[0] * shape[1]
-        matrix = raw[start:end].view(np.float64).reshape(shape)  # ValueError if short
-        tokens = _split_lines(raw[end:].tobytes(), path)
-    except (OSError, ValueError, EOFError):
+            matrix = np.lib.format.read_array(fh, allow_pickle=False)
+            tokens = _split_lines(fh.read(), path)
+    except (OSError, ValueError, EOFError, MemoryError):  # MemoryError: a header claiming too much
+        return None
+    if (matrix.dtype != np.float64 or matrix.ndim != 2 or not matrix.flags.c_contiguous
+            or min(matrix.shape) < 1 or not np.isfinite(matrix).all()):
         return None
     index = {token: row for row, token in enumerate(tokens)}
-    if len(tokens) != len(matrix) or len(index) != len(tokens) or not np.isfinite(matrix).all():
+    if len(tokens) != len(matrix) or len(index) != len(tokens):
         return None
     return _checked_table(index, matrix, digest)
 

@@ -6,25 +6,27 @@ utterance count), apply the mean batch gradient, early-stop on validation
 macro-F1 and keep the best-epoch parameters.  The embedding tables are
 read-only inputs: training never writes into them.
 
-Checkpoints are :mod:`sslstm.container` files: ``meta`` provenance
+Every model file, neural, NB or SVM, is an :mod:`sslstm.container` file
+written by :func:`save_checkpoint` and read by :func:`load_model`; no other
+module reads or writes one.  A neural checkpoint holds ``meta`` provenance
 (dimensions, channel setup, content hashes) and one tensor per parameter,
-with each LSTM tensor split by gate.
-The weight tables of the embedding channels are not serialized —
-checkpoints store their dimensions and source hashes, and loading takes the
-tables as arguments.
+with each LSTM tensor split by gate.  The weight tables of the embedding
+channels are not serialized — checkpoints store their dimensions and source
+hashes, and loading takes the tables as arguments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
-from sslstm.baselines import baseline_from_container, baseline_predict
+from sslstm.baselines import LinearSVMModel, NBModel, baseline_predict
 from sslstm.container import CheckpointError, TruncatedCheckpointError, read_container, write_container
 from sslstm.embeddings import EmbeddingTable, empty_table
-from sslstm.labels import LABELS, label_index
+from sslstm.labels import LABELS, N_CLASSES, label_index
 from sslstm.metrics import confusion, macro_f1
 from sslstm.neural import (
     GATES,
@@ -320,38 +322,56 @@ def gradient_check(model: SSLSTMModel, example, epsilon: float = 1e-4) -> float:
     return float(np.max(errors))  # unlike max(), np.max keeps a NaN
 
 
-def save_checkpoint(
-    model: SSLSTMModel, config: TrainConfig | None, sink, lex: EmoticonLexicon
-) -> None:
-    """Write the model's parameters plus provenance meta to ``sink``.
+def save_checkpoint(model, config: TrainConfig | None, sink, lex: EmoticonLexicon) -> None:
+    """Write a model of any kind, trained with lexicon ``lex``, to ``sink``.
 
+    A neural model's file holds its parameters plus provenance meta.
     Embedding vectors are not stored; their dimensions and source hashes
-    are, so a load can verify it was handed the right tables.  So is the
-    hash of ``lex``, the lexicon the model's inputs were normalized with.
+    are, so a load can verify it was handed the right tables.  ``config``
+    is its run's :class:`TrainConfig`, recorded when given.  An NB or SVM
+    model's file holds its weights and its n-gram vocabulary in column
+    order; ``config`` is None for them.  Every file records the hash of
+    ``lex``, the lexicon the model's inputs were normalized with.  Any
+    other object raises TypeError.
     """
-    cfg = model.config
-    meta = {
-        "model": "sslstm",
-        "channels": cfg.channels,
-        "fc_activation": cfg.fc_activation,
-        "sem_hidden": cfg.sem_hidden,
-        "sent_hidden": cfg.sent_hidden,
-        "fc_hidden": cfg.fc_hidden,
-        "max_seq_len": cfg.max_seq_len,
-        # Always 0: fine-tuned tables were never saved, and a 1 is refused
-        # on load.
-        "train_embeddings": 0,
-        "sem_dim": model.semantic_table.dim,
-        "sent_dim": model.sentiment_table.dim,
-        "sem_table_sha256": model.semantic_table.source_sha256 or "-",
-        "sent_table_sha256": model.sentiment_table.source_sha256 or "-",
-        "lexicon_sha256": lex.sha256 or "-",
-    }
-    if config is not None:
-        meta["learning_rate"] = repr(config.learning_rate)
-        meta["token_budget"] = config.token_budget
-        meta["seed"] = config.seed
-    write_container(sink, meta, _file_tensors(model))
+    lexicon_sha256 = lex.sha256 or "-"
+    if isinstance(model, SSLSTMModel):
+        cfg = model.config
+        meta = {
+            "model": "sslstm",
+            "channels": cfg.channels,
+            "fc_activation": cfg.fc_activation,
+            "sem_hidden": cfg.sem_hidden,
+            "sent_hidden": cfg.sent_hidden,
+            "fc_hidden": cfg.fc_hidden,
+            "max_seq_len": cfg.max_seq_len,
+            # Always 0: fine-tuned tables were never saved, and a 1 is refused
+            # on load.
+            "train_embeddings": 0,
+            "sem_dim": model.semantic_table.dim,
+            "sent_dim": model.sentiment_table.dim,
+            "sem_table_sha256": model.semantic_table.source_sha256 or "-",
+            "sent_table_sha256": model.sentiment_table.source_sha256 or "-",
+            "lexicon_sha256": lexicon_sha256,
+        }
+        if config is not None:
+            meta["learning_rate"] = repr(config.learning_rate)
+            meta["token_budget"] = config.token_budget
+            meta["seed"] = config.seed
+        tensors = _file_tensors(model)
+    elif isinstance(model, NBModel):
+        meta = {"model": "nb", "alpha": repr(float(model.alpha)), "lexicon_sha256": lexicon_sha256,
+                "vocab": "\t".join(sorted(model.vocab, key=model.vocab.get))}
+        tensors = {"priors": model.priors}
+        if model.vocab:  # an empty vocabulary has no likelihood table
+            tensors["log_likelihood"] = model.log_likelihood
+    elif isinstance(model, LinearSVMModel):
+        meta = {"model": "svm", "lambda": repr(float(model.lambda_reg)), "lexicon_sha256": lexicon_sha256,
+                "vocab": "\t".join(sorted(model.vocab, key=model.vocab.get))}
+        tensors = {"weights": model.weights, "bias": model.bias}
+    else:
+        raise TypeError(f"not a model: {type(model).__name__}")
+    write_container(sink, meta, tensors)
 
 
 def _file_tensors(model: SSLSTMModel) -> dict[str, np.ndarray]:
@@ -390,7 +410,7 @@ def _check_table(table: EmbeddingTable | None, dim: int, stored_hash: str, role:
 
 
 def load_model(source, lex: EmoticonLexicon, tables):
-    """The model in a saved file of either kind.  A file recording a lexicon
+    """The model in a saved file of any kind.  A file recording a lexicon
     hash other than ``lex``'s is refused; ``-`` or no hash is not checked.
     A neural checkpoint is built on ``tables()``, its ``(semantic,
     sentiment)`` pair, None standing for an empty table of the checkpoint's
@@ -408,8 +428,24 @@ def load_model(source, lex: EmoticonLexicon, tables):
             f"({stored[:12]} vs {lex.sha256[:12]}); pass that one as --lexicon"
         )
     if kind == "sslstm":
-        return model_from_container(meta, tensors, *tables())
-    return baseline_from_container(meta, tensors)
+        return _model_from_container(meta, tensors, *tables())
+    vocab = meta.get("vocab", "")
+    vocab = dict(zip(vocab.split("\t"), count())) if vocab else {}
+    if kind == "nb" and "priors" not in tensors:
+        raise CheckpointError("NB checkpoint is missing the priors tensor")
+    if kind == "nb" and vocab and "log_likelihood" not in tensors:
+        raise CheckpointError("NB checkpoint is missing the likelihood table")
+    if kind == "svm" and not ("weights" in tensors and "bias" in tensors):
+        raise CheckpointError("SVM checkpoint is missing weight tensors")
+    try:
+        if kind == "nb":
+            table = tensors["log_likelihood"] if vocab else np.zeros((N_CLASSES, 0))
+            return NBModel(priors=tensors["priors"].reshape(-1), vocab=vocab,
+                           log_likelihood=table, alpha=float(meta.get("alpha", "1.0")))
+        return LinearSVMModel(vocab=vocab, weights=tensors["weights"], bias=tensors["bias"].reshape(-1),
+                              lambda_reg=float(meta.get("lambda", "0.005")))
+    except ValueError as exc:
+        raise CheckpointError(f"invalid {kind.upper()} checkpoint: {exc}") from None
 
 
 def predict(model, token_lists, lex: EmoticonLexicon) -> list[str]:
@@ -430,10 +466,10 @@ def load_checkpoint(
     predictions then reflect only the stored weights.  The lexicon hash is
     not checked; :func:`load_model` checks it.
     """
-    return model_from_container(*read_container(source), semantic_table, sentiment_table)
+    return _model_from_container(*read_container(source), semantic_table, sentiment_table)
 
 
-def model_from_container(
+def _model_from_container(
     meta: dict[str, str],
     stored: dict[str, np.ndarray],
     semantic_table: EmbeddingTable | None,

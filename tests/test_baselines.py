@@ -13,19 +13,16 @@ from sslstm.baselines import (
     DesignMatrix,
     LinearSVMModel,
     NBModel,
-    baseline_from_container,
     baseline_predict,
     baseline_scores,
     design_matrix,
     nb_train,
-    save_baseline,
     svm_fit_vectors,
     svm_train,
 )
-from sslstm.container import read_container
 from sslstm.dataio import Conversation
 from sslstm.labels import LABELS, N_CLASSES
-from sslstm.training import CheckpointError
+from sslstm.training import CheckpointError, load_model, save_checkpoint
 from sslstm.text_norm import default_lexicon, emoticon_class, normalize_utterance
 
 
@@ -76,7 +73,7 @@ def nb_oracle_predict(token_corpus, doc_tokens, alpha=Fraction(1)):
 
 def read_baseline(source):
     """The NB or SVM model in a model file."""
-    return baseline_from_container(*read_container(source))
+    return load_model(source, LEX, tables=None)
 
 
 def predict(model, tokens):
@@ -325,7 +322,7 @@ def pinned_corpus():
 def file_sha256(model):
     """Hash of the model file without its lexicon line, which must name LEX."""
     sink = io.StringIO()
-    save_baseline(model, sink, LEX)
+    save_checkpoint(model, None, sink, LEX)
     line = f"meta lexicon_sha256={LEX.sha256}\n"
     assert sink.getvalue().count(line) == 1
     return hashlib.sha256(sink.getvalue().replace(line, "").encode("utf-8")).hexdigest()
@@ -725,7 +722,7 @@ class TestBaselineCheckpoints:
             alpha=0.5,
         )
         sink = io.StringIO()
-        save_baseline(model, sink, LEX)
+        save_checkpoint(model, None, sink, LEX)
         text = sink.getvalue()
         assert "meta model=nb" in text
         loaded = read_baseline(io.StringIO(text))
@@ -743,7 +740,7 @@ class TestBaselineCheckpoints:
         data = corpus(("good good", "happy"), ("bad bad", "sad"))
         model = svm_train(data, LEX, epochs=15, seed=4)
         sink = io.StringIO()
-        save_baseline(model, sink, LEX)
+        save_checkpoint(model, None, sink, LEX)
         text = sink.getvalue()
         assert "meta model=svm" in text
         loaded = read_baseline(io.StringIO(text))
@@ -780,20 +777,20 @@ class TestBaselineCheckpoints:
             model = svm_train(data, LEX, lambda_reg=lambda_reg, epochs=2, seed=seed)
             fields = ("weights", "bias", "lambda_reg")
         first = io.StringIO()
-        save_baseline(model, first, LEX)
+        save_checkpoint(model, None, first, LEX)
         loaded = read_baseline(io.StringIO(first.getvalue()))
         assert type(loaded) is type(model)
         assert loaded.vocab == model.vocab
         for name in fields:
             np.testing.assert_array_equal(getattr(loaded, name), getattr(model, name))
         second = io.StringIO()
-        save_baseline(loaded, second, LEX)
+        save_checkpoint(loaded, None, second, LEX)
         assert second.getvalue() == first.getvalue()
 
     def test_multiword_grams_survive(self):
         model = nb_train(corpus(("one two three", "happy"), ("four", "sad")), LEX)
         sink = io.StringIO()
-        save_baseline(model, sink, LEX)
+        save_checkpoint(model, None, sink, LEX)
         loaded = read_baseline(io.StringIO(sink.getvalue()))
         assert "one two three" in loaded.vocab
 
@@ -801,7 +798,7 @@ class TestBaselineCheckpoints:
         model = nb_train([conv(0, "@user", "happy"), conv(1, "@x", "sad")], LEX)
         assert model.vocab == {}
         sink = io.StringIO()
-        save_baseline(model, sink, LEX)
+        save_checkpoint(model, None, sink, LEX)
         loaded = read_baseline(io.StringIO(sink.getvalue()))
         assert loaded.vocab == {}
         assert predict(loaded, ["any"]) == "happy"
@@ -828,9 +825,9 @@ class TestBaselineCheckpoints:
         assert read_baseline(io.StringIO(text.replace("nan", "0.5"))).lambda_reg == 0.5
 
     def test_wrong_model_kind_rejected(self):
-        with pytest.raises(CheckpointError, match="not a baseline"):
-            read_baseline(io.StringIO("SSLSTM-CKPT 1\nmeta model=sslstm\nend\n"))
+        with pytest.raises(CheckpointError, match="no model of a known kind"):
+            read_baseline(io.StringIO("SSLSTM-CKPT 1\nmeta model=crf\nend\n"))
 
     def test_save_rejects_unknown_types(self):
-        with pytest.raises(TypeError, match="not a baseline model"):
-            save_baseline(object(), io.StringIO(), LEX)
+        with pytest.raises(TypeError, match="not a model: object"):
+            save_checkpoint(object(), None, io.StringIO(), LEX)

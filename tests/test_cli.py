@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 
 from conftest import LEX, src_env
-from sslstm.baselines import SVM_EPOCHS, save_baseline, svm_train
+from sslstm.baselines import SVM_EPOCHS, svm_train
 from sslstm.cli import _READ_WITH, _READ_WITHOUT, _READS, build_parser, main
 from sslstm.dataio import read_dataset
 from sslstm.datamine import read_judge_queue
 from sslstm.embeddings import EmbeddingTable, save_embedding_file
 from sslstm.labels import LABELS
 from sslstm.text_norm import EmoticonLexicon, load_lexicon, normalize_utterance
-from sslstm.training import load_model
+from sslstm.training import load_model, save_checkpoint
 
 KEYWORD = {"happy": "alpha", "sad": "beta", "angry": "gamma", "others": "delta"}
 
@@ -232,14 +232,14 @@ class TestTrainEvalPredict:
         assert main(["train", "--algo", "svm", "--train", ws["train"], "--model", str(model),
                      "--epochs", "2"]) == 0
         expected = io.StringIO()
-        save_baseline(svm_train(read_dataset(ws["train"], LEX), LEX, epochs=2), expected, LEX)
+        save_checkpoint(svm_train(read_dataset(ws["train"], LEX), LEX, epochs=2), None, expected, LEX)
         assert model.read_text(encoding="utf-8") == expected.getvalue()
 
     def test_svm_epochs_default_is_the_library_default(self, ws, tmp_path, capsys):
         model = tmp_path / "svm.model"
         assert main(["train", "--algo", "svm", "--train", ws["train"], "--model", str(model)]) == 0
         expected = io.StringIO()
-        save_baseline(svm_train(read_dataset(ws["train"], LEX), LEX), expected, LEX)
+        save_checkpoint(svm_train(read_dataset(ws["train"], LEX), LEX), None, expected, LEX)
         assert model.read_text(encoding="utf-8") == expected.getvalue()
         assert main(["train", "--help"]) == 0
         assert f"{SVM_EPOCHS} for svm" in " ".join(capsys.readouterr().out.split())
@@ -561,7 +561,7 @@ class TestOneLexiconPerCommand:
     def test_a_model_without_a_lexicon_hash_is_not_checked(self, ws, yay, tmp_path, capsys):
         model = tmp_path / "nb.model"
         built = EmoticonLexicon(LEX.entries)  # built in code: no file, no hash
-        save_baseline(load_model(ws["nb_model"], LEX, tables=None), str(model), built)
+        save_checkpoint(load_model(ws["nb_model"], LEX, tables=None), None, str(model), built)
         assert "meta lexicon_sha256=-\n" in model.read_text(encoding="utf-8")
         assert main(["predict", "--model", str(model), "--data", ws["train"],
                      "--lexicon", yay["lexicon"]]) == 0
@@ -942,7 +942,7 @@ class TestFlagsTheChoiceReads:
     def test_train_takes_one_seed_for_the_split_the_init_and_the_batches(self, ws, tmp_path):
         from sslstm.embeddings import load_embedding_file
         from sslstm.neural import ModelConfig, init_model
-        from sslstm.training import TrainConfig, save_checkpoint, split_dataset, train
+        from sslstm.training import TrainConfig, split_dataset, train
 
         # Every row differs, so another split trains another model.
         words = list(KEYWORD.values())
@@ -1007,6 +1007,25 @@ class TestFlagsTheChoiceReads:
         assert main(base + ["--model", str(implicit)]) == 0
         assert main(base + ["--model", str(explicit), *defaults]) == 0
         assert implicit.read_bytes() == explicit.read_bytes()
+
+
+def test_main_calls_share_one_parser_and_run_what_is_patched_between_them(tmp_path, monkeypatch, capsys):
+    import sslstm.cli
+
+    parsers = []
+    parse_args = sslstm.cli._Parser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(sslstm.cli._Parser, "parse_args", recording)
+    src = write_lines(tmp_path / "raw.txt", ["Hello :-)"])
+    assert main(["normalize", "--input", src]) == 0
+    monkeypatch.setattr(sslstm.cli, "serialize_tokens", lambda tokens: "patched")
+    assert main(["normalize", "--input", src]) == 0
+    assert capsys.readouterr().out == "hello :)\npatched\n"
+    assert len(parsers) == 2 and parsers[0] is parsers[1] is build_parser()
 
 
 class TestConsoleEntry:

@@ -582,7 +582,8 @@ class TestCache:
     @pytest.mark.parametrize("fault", ["truncated", "empty", "not npy", "1-D", "3-D", "float32",
                                        "int64", "big-endian",
                                        "fortran", "fewer tokens", "more tokens",
-                                       "duplicate token", "nan", "inf"])
+                                       "duplicate token", "no rows", "no columns",
+                                       "header too large", "nan", "inf"])
     def test_a_bad_cache_file_is_ignored_and_replaced(self, tmp_path, fault):
         data = GENERATED_TABLE.encode("utf-8")
         path = tmp_path / "emb.txt"
@@ -617,11 +618,21 @@ class TestCache:
             write_cache(cache, matrix, tokens + ["extra"])
         elif fault == "duplicate token":
             write_cache(cache, matrix, tokens[:-1] + [tokens[0]])
+        elif fault == "no rows":
+            write_cache(cache, matrix[:0], [])
+        elif fault == "no columns":
+            write_cache(cache, matrix[:, :0], tokens)
+        elif fault == "header too large":  # more than any address space holds
+            with open(cache, "wb") as fh:
+                np.lib.format.write_array_header_1_0(
+                    fh, {"descr": "<f8", "fortran_order": False, "shape": (2**40, 2**10)})
+                fh.write(matrix.tobytes() + "\n".join(tokens).encode("utf-8"))
         else:
             planted = matrix.copy()
             planted[7, 3] = float(fault)
             write_cache(cache, planted, tokens)
-        assert table_state(load_embedding_file(path)) == parsed
+        loaded = load_embedding_file(path)
+        assert table_state(loaded) == parsed and loaded.matrix.flags.c_contiguous
         # The parse wrote a good entry over the bad one; it is a hit now.
         assert cache_entries(tmp_path) == [cache.name]
         assert table_state(sslstm.embeddings._read_cache(str(cache), parsed[-1])) == parsed

@@ -248,20 +248,35 @@ def test_the_scan_finds_the_defaults_and_fields_no_call_sets():
     assert unset_slots([definitions], callers) == ["Box.__init__.h", "Point.y", "f.d"]
 
 
-def test_only_training_reads_model_files():
-    readers = {
+def _callers(function: str) -> set[str]:
+    """The library files besides ``container.py`` that call ``function``."""
+    return {
         path.name for path in SRC.glob("*.py") if path.name != "container.py"
         for node in ast.walk(parsed(path))
-        if isinstance(node, ast.Call) and _name(node.func) == "read_container"
+        if isinstance(node, ast.Call) and _name(node.func) == function
     }
-    assert readers == {"training.py"}
+
+
+def _imports_container(path: Path) -> bool:
+    nodes = list(ast.walk(parsed(path)))
+    modules = [node.module for node in nodes if isinstance(node, ast.ImportFrom)]
+    modules += [alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names]
+    assert modules, f"{path.name} imports nothing"
+    return any(m and m.rpartition(".")[2] == "container" for m in modules)
+
+
+def test_only_training_reads_model_files():
+    assert _callers("read_container") == {"training.py"}
+
+
+def test_only_training_writes_model_files():
+    assert _callers("write_container") == {"training.py"}
+    assert not _imports_container(SRC / "baselines.py")
 
 
 def test_the_command_line_leaves_model_files_to_the_library():
     nodes = list(ast.walk(parsed(SRC / "cli.py")))
-    modules = [node.module for node in nodes if isinstance(node, ast.ImportFrom)]
-    modules += [alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names]
-    assert modules and not [m for m in modules if m and m.rpartition(".")[2] == "container"]
+    assert not _imports_container(SRC / "cli.py")
     assert "meta" not in {_name(node) for node in nodes}
     strings = [node.value for node in nodes if isinstance(node, ast.Constant) and isinstance(node.value, str)]
     assert not [text for text in strings if "lexicon_sha256" in text]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import LEX, example_gradients, make_table, probs_of
-from sslstm.baselines import LinearSVMModel, NBModel, nb_train, save_baseline, svm_train
+from sslstm.baselines import LinearSVMModel, NBModel, nb_train, svm_train
 from sslstm.container import UnknownVersionError
 from sslstm.dataio import Conversation
 from sslstm.embeddings import EmbeddingTable, load_embedding_file, save_embedding_file
@@ -757,10 +757,7 @@ def fitted(kind, docs, seed):
 
 def saved(model, lex=LEX, config=None) -> str:
     sink = io.StringIO()
-    if isinstance(model, SSLSTMModel):
-        save_checkpoint(model, config, sink, lex)
-    else:
-        save_baseline(model, sink, lex)
+    save_checkpoint(model, config, sink, lex)
     return sink.getvalue()
 
 
