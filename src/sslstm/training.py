@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import count
 
 import numpy as np
 
@@ -429,8 +428,8 @@ def load_model(source, lex: EmoticonLexicon, tables):
         )
     if kind == "sslstm":
         return _model_from_container(meta, tensors, *tables())
-    vocab = meta.get("vocab", "")
-    vocab = dict(zip(vocab.split("\t"), count())) if vocab else {}
+    grams = meta.get("vocab", "")
+    vocab = {gram: col for col, gram in enumerate(grams.split("\t"))} if grams else {}
     if kind == "nb" and "priors" not in tensors:
         raise CheckpointError("NB checkpoint is missing the priors tensor")
     if kind == "nb" and vocab and "log_likelihood" not in tensors:
