@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 
 import numpy as np
@@ -200,19 +201,32 @@ def _given_kwargs(args, *same: str, **renamed: str) -> dict:
 # embedding tables and model loading
 
 
-def _tables(args) -> tuple[EmbeddingTable | None, EmbeddingTable | None]:
+def _vocab(token_lists) -> set[str]:
+    """Every token of ``token_lists``: the rows a command's tables hold."""
+    return set(itertools.chain.from_iterable(token_lists))
+
+
+def _utterance_vocab(utterances, lex) -> set[str]:
+    """Every token of ``utterances`` normalized with ``lex``; the miners that
+    normalize them again find each chunk in the lexicon's memo."""
+    return _vocab(normalize_utterance(u, lex) for u in utterances)
+
+
+def _tables(args, vocab: set[str]) -> tuple[EmbeddingTable | None, EmbeddingTable | None]:
     """The (semantic, sentiment) tables ``args`` names, None for one not
-    given; a file given for both channels is loaded once."""
-    load_table = functools.cache(load_embedding_file)
+    given, holding the rows of the tokens in ``vocab``; a file given for
+    both channels is loaded once."""
+    load_table = functools.cache(lambda path: load_embedding_file(path, vocab=vocab))
     return tuple(None if path is None else load_table(path)
                  for path in (args.semantic_emb, args.sentiment_emb))
 
 
-def _model_loader(args, lex):
+def _model_loader(args, lex, vocab: set[str]):
     """A function from a saved model file, any kind, to its model (see
     :func:`~sslstm.training.load_model`).  Neural models share the tables
-    ``args`` names, loaded once for all of them; a baseline loads none."""
-    tables = functools.cache(lambda: _tables(args))
+    ``args`` names, holding the rows of the tokens in ``vocab`` and loaded
+    once for all of them; a baseline loads none."""
+    tables = functools.cache(lambda: _tables(args, vocab))
 
     def load(path: str):
         model = load_model(path, lex, tables)
@@ -272,15 +286,16 @@ def cmd_train(args) -> None:
     ))
     # One seed, given or the library's, initializes the model and splits.
     seed = train_config.seed
-    semantic, sentiment = (
-        empty_table(dim) if table is None else table
-        for table, dim in zip(_tables(args), (DEFAULT_SEMANTIC_DIM, DEFAULT_SENTIMENT_DIM))
-    )
     if args.val:
         train_set = dataset
         val_set = require_labeled(read_dataset(args.val, lex))
     else:
         train_set, val_set = split_dataset(dataset, **_given_kwargs(args, "ratio"), seed=seed)
+    vocab = _vocab(conv.tokens for conv in [*train_set, *val_set])
+    semantic, sentiment = (
+        empty_table(dim) if table is None else table
+        for table, dim in zip(_tables(args, vocab), (DEFAULT_SEMANTIC_DIM, DEFAULT_SENTIMENT_DIM))
+    )
     model_config = ModelConfig(**_given_kwargs(
         args, "channels", "sem_hidden", "sent_hidden", "fc_hidden", "fc_activation", "max_seq_len"
     ))
@@ -301,8 +316,8 @@ def cmd_train(args) -> None:
 def cmd_eval(args) -> None:
     lex = _lexicon(args)
     dataset = require_labeled(read_dataset(args.data, lex))
-    load = _model_loader(args, lex)
     token_lists = [conv.tokens for conv in dataset]
+    load = _model_loader(args, lex, _vocab(token_lists))
     predictions = predict(load(args.model), token_lists, lex)
     golds = [conv.label for conv in dataset]
     report = evaluate(predictions, golds)
@@ -322,8 +337,9 @@ def cmd_eval(args) -> None:
 def cmd_predict(args) -> None:
     lex = _lexicon(args)
     dataset = read_dataset(args.data, lex)
-    model = _model_loader(args, lex)(args.model)
-    labels = predict(model, [conv.tokens for conv in dataset], lex)
+    token_lists = [conv.tokens for conv in dataset]
+    model = _model_loader(args, lex, _vocab(token_lists))(args.model)
+    labels = predict(model, token_lists, lex)
     rows = [f"{conv.id}\t{label}" for conv, label in zip(dataset, labels)]
     _emit(rows, args.output)
 
@@ -332,8 +348,9 @@ def cmd_embcos(args) -> None:
     paths = _parse_emb_specs(args.emb)
     if not paths:
         raise UsageError("embcos requires at least one --emb NAME=PATH")
-    tables = {name: load_embedding_file(path) for name, path in paths.items()}
     pairs = [fields for _, _, fields in _tsv_rows(args.pairs, 2)]
+    vocab = _vocab(pairs)
+    tables = {name: load_embedding_file(path, vocab=vocab) for name, path in paths.items()}
     lines = ["word1\tword2\t" + "\t".join(tables)]
     for w1, w2 in pairs:
         scores = (f"{cosine(lookup(t, w1), lookup(t, w2)):.4f}" for t in tables.values())
@@ -349,10 +366,9 @@ def cmd_mine(args) -> None:
     ))
     if args.mode == "t1":
         _require(args, ["seeds", "pool", "emb"], "mine --mode t1")
-        table = load_embedding_file(args.emb)
-        candidates = mine_candidates(
-            _read_lines(args.seeds), _read_lines(args.pool), table, lex, cfg, target=args.target
-        )
+        seeds, pool = _read_lines(args.seeds), _read_lines(args.pool)
+        table = load_embedding_file(args.emb, vocab=_utterance_vocab(seeds + pool, lex))
+        candidates = mine_candidates(seeds, pool, table, lex, cfg, target=args.target)
     elif args.mode == "t2":
         _require(args, ["pairs", "class_utterances"], "mine --mode t2")
         pairs = [fields for _, _, fields in _tsv_rows(args.pairs, 2)]
@@ -360,9 +376,10 @@ def cmd_mine(args) -> None:
         candidates = mine_by_response(pairs, class_utterances, lex, cfg, target=args.target)
     else:
         _require(args, ["pool", "emb", "positives"], "mine --mode neg")
-        table = load_embedding_file(args.emb)
         positive_sets = [_read_lines(path) for path in args.positives]
         pool = _read_lines(args.pool)
+        utterances = pool + [u for group in positive_sets for u in group]
+        table = load_embedding_file(args.emb, vocab=_utterance_vocab(utterances, lex))
         kwargs = _given_kwargs(args, "n", "seed")
         negatives = sample_negatives(pool, positive_sets, table, lex, cfg, **kwargs)
         _emit(negatives, args.output)

@@ -14,6 +14,10 @@ to hash it, block by block, and never holds its text.  A cache hit gives
 the table a parse gives, so the cache never changes an output.  A cache
 file that is not what a parse gives is ignored, a folder that cannot be
 written gets no cache, and the folder is safe to delete at any time.
+
+A load given a vocabulary holds only the rows of its tokens.  A cache hit
+then streams the cached matrix block by block, checking every row, and
+never holds the whole matrix.
 """
 
 from __future__ import annotations
@@ -23,12 +27,12 @@ import hashlib
 import os
 import re
 import tempfile
-from collections.abc import Mapping
+from collections.abc import Mapping, Set
 
 import numpy as np
 
-from sslstm.textfile import (BadRow, DataFormatError, _open_read, _open_write, _read,
-                             _split_lines, file_sha256, float_rows, rows_by_float)
+from sslstm.textfile import (BLOCK_BYTES, BadRow, DataFormatError, _open_read, _open_write,
+                             _read, _split_lines, file_sha256, float_rows, rows_by_float)
 
 # Fallback dimensionalities for channels constructed without a file.
 DEFAULT_SEMANTIC_DIM = 100
@@ -91,7 +95,7 @@ def empty_table(dim: int) -> EmbeddingTable:
     return EmbeddingTable(dim=dim)
 
 
-def load_embedding_file(source) -> EmbeddingTable:
+def load_embedding_file(source, vocab: Set[str] | None = None) -> EmbeddingTable:
     """Load a table from a path, bytes, or a text/byte stream.
 
     Each data line is a token, whitespace, then the token's values in
@@ -111,11 +115,17 @@ def load_embedding_file(source) -> EmbeddingTable:
     holding the text.  Otherwise the file is read whole and the hash of
     those bytes names the table and the entry the parse writes, so a file
     rewritten between the two reads gets the hash of the bytes parsed.
+
+    Given ``vocab``, the table holds only the rows of the tokens in it, in
+    file order, under the same ``source_sha256``; None keeps every row.
+    Every row is still checked, so whether a file loads and what each kept
+    row holds never depend on ``vocab``.  A hit never holds the whole
+    matrix; a parse, or a table not cached, keeps its rows after parsing.
     """
     cached = isinstance(source, (str, os.PathLike)) and os.path.isfile(source)
     if cached:
         digest = file_sha256(source)
-        table = _read_cache(_cache_file(source, digest), digest)
+        table = _read_cache(_cache_file(source, digest), digest, vocab)
         if table is not None:
             return table
     data, label = _read(source)
@@ -125,7 +135,21 @@ def load_embedding_file(source) -> EmbeddingTable:
     table = _parse_table(lines, label, digest)
     if cached:
         _write_cache(_cache_file(source, digest), table, source)
-    return table
+    if vocab is None:
+        return table
+    index, keep = _selection(list(table.index), vocab)
+    return _checked_table(index, table.matrix[keep], digest)
+
+
+def _selection(tokens: list[str], vocab: Set[str] | None) -> tuple[dict[str, int], list[int]]:
+    """The index of the table of ``tokens``, in row order, that holds only
+    the rows of the tokens in ``vocab`` (every row for None), and those
+    rows in order."""
+    if vocab is None:
+        keep = range(len(tokens))
+    else:
+        keep = [row for row, token in enumerate(tokens) if token in vocab]
+    return {tokens[row]: k for k, row in enumerate(keep)}, keep
 
 
 def _parse_table(lines: list[str], label: str, digest: str) -> EmbeddingTable:
@@ -217,24 +241,57 @@ def _cache_file(path, digest: str) -> str:
     return os.path.join(folder, CACHE_DIR, f"{name}.{digest}{CACHE_SUFFIX}")
 
 
-def _read_cache(path: str, digest: str) -> EmbeddingTable | None:
-    """The table cached at ``path``; None when the file cannot be read or
+def _read_cache(path: str, digest: str, vocab: Set[str] | None) -> EmbeddingTable | None:
+    """The table cached at ``path``, holding the rows of the tokens in
+    ``vocab`` (see :func:`_selection`); None when the file cannot be read or
     is not what a parse gives: a C-order 2-D float64 matrix of finite values
     with at least one row and one column, and one token per row, no token
-    twice."""
+    twice.
+
+    The tokens after the matrix are read first; then the matrix is read
+    :data:`~sslstm.textfile.BLOCK_BYTES` at a time into one buffer, each
+    block checked before its kept rows are copied out (:func:`_kept_rows`),
+    so a load that keeps few rows never holds the whole matrix."""
     try:
         with _open_read(path) as fh:
-            matrix = np.lib.format.read_array(fh, allow_pickle=False)
+            version = np.lib.format.read_magic(fh)
+            if version not in ((1, 0), (2, 0)):
+                return None
+            read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                           else np.lib.format.read_array_header_2_0)
+            shape, fortran_order, dtype = read_header(fh)
+            if dtype != np.float64 or len(shape) != 2 or fortran_order or min(shape) < 1:
+                return None
+            start = fh.tell()
+            fh.seek(start + shape[0] * shape[1] * dtype.itemsize)
             tokens = _split_lines(fh.read(), path)
-    except (OSError, ValueError, EOFError, MemoryError):  # MemoryError: a header claiming too much
-        return None
-    if (matrix.dtype != np.float64 or matrix.ndim != 2 or not matrix.flags.c_contiguous
-            or min(matrix.shape) < 1 or not np.isfinite(matrix).all()):
-        return None
-    index = {token: row for row, token in enumerate(tokens)}
-    if len(tokens) != len(matrix) or len(index) != len(tokens):
-        return None
-    return _checked_table(index, matrix, digest)
+            if len(tokens) != shape[0] or len(set(tokens)) != len(tokens):
+                return None
+            index, keep = _selection(tokens, vocab)
+            del tokens  # only the kept tokens stay held, as the keys of ``index``
+            fh.seek(start)
+            matrix = _kept_rows(fh, shape, np.asarray(keep, dtype=np.intp))
+    except (OSError, ValueError, OverflowError, MemoryError):
+        return None  # MemoryError, OverflowError: a header claiming too much
+    return None if matrix is None else _checked_table(index, matrix, digest)
+
+
+def _kept_rows(fh, shape: tuple[int, int], keep: np.ndarray) -> np.ndarray | None:
+    """The rows ``keep`` (ascending) of the ``shape`` float64 matrix that
+    ``fh`` holds at its position, read a block at a time into one buffer;
+    None when the file ends early or any row, kept or not, is not finite."""
+    rows, width = shape
+    out = np.empty((len(keep), width))
+    block = np.empty((max(1, BLOCK_BYTES // (8 * width)), width))
+    done = 0  # how many of ``keep`` are copied out
+    for first in range(0, rows, len(block)):
+        part = block[:rows - first]
+        if fh.readinto(part) != part.nbytes or not np.isfinite(part).all():
+            return None
+        end = done + int(np.searchsorted(keep[done:], first + len(part)))
+        out[done:end] = part[keep[done:end] - first]
+        done = end
+    return out
 
 
 def _write_cache(path: str, table: EmbeddingTable, source) -> None:

@@ -424,9 +424,9 @@ class TestTrainEvalPredict:
         loaded = []
         load = sslstm.cli.load_embedding_file
 
-        def counted(path):
+        def counted(path, vocab):
             loaded.append(path)
-            return load(path)
+            return load(path, vocab)
 
         monkeypatch.setattr(sslstm.cli, "load_embedding_file", counted)
         assert main(["train", "--train", ws["train"], "--model", str(tmp_path / "m.ckpt"),
@@ -447,9 +447,9 @@ class TestTrainEvalPredict:
         loaded = []
         load = sslstm.cli.load_embedding_file
 
-        def counted(path):
+        def counted(path, vocab):
             loaded.append(path)
-            return load(path)
+            return load(path, vocab)
 
         model, other = (ws[name] for name in models)
         tables = ["--data", ws["train"], "--semantic-emb", ws["semantic_emb"],
@@ -756,6 +756,105 @@ class TestMine:
                          "--n", "2", "--seed", "9", "--output", str(out)]) == 0
             runs.append(out.read_text())
         assert runs[0] == runs[1]
+
+
+@pytest.fixture(scope="module")
+def wide(tmp_path_factory):
+    """Inputs that use a few of the rows of tables that hold many more:
+    ``predict`` and ``eval`` read rows that ``train`` never did, and every
+    file also has tokens no table holds."""
+    root = tmp_path_factory.mktemp("wide")
+    rng = np.random.default_rng(5)
+    words = [f"w{i}" for i in range(40)]
+    vocab = words + list(KEYWORD.values()) + [f"x{i}" for i in range(150)]
+    order = rng.permutation(len(vocab))
+    files = {"root": root, "rows": len(vocab)}
+    for name, dim in (("semantic", 5), ("sentiment", 3)):
+        table = EmbeddingTable(dim, {vocab[k]: rng.standard_normal(dim) for k in order})
+        files[name] = str(root / f"{name}.txt")
+        save_embedding_file(table, files[name])
+
+    def utterances(n, lo, hi, extra):
+        return [" ".join(rng.choice(words[lo:hi], 3).tolist() + [extra]) for _ in range(n)]
+
+    def conversations(name, n, lo, hi):
+        return write_lines(root / f"{name}.tsv", [
+            f"{name}{i}\tx\ty\t{KEYWORD[LABELS[i % 4]]} {text}\t{LABELS[i % 4]}"
+            for i, text in enumerate(utterances(n, lo, hi, f"new{name}"))
+        ])
+
+    files["train"] = conversations("train", 32, 0, 25)
+    files["data"] = conversations("data", 16, 15, 40)
+    files["seeds"] = write_lines(root / "seeds.txt", utterances(3, 0, 20, ":)"))
+    files["pool"] = write_lines(root / "pool.txt", utterances(30, 10, 40, "novel"))
+    files["pairs"] = write_lines(root / "pairs.tsv",
+                                 ["w1\tw2", "w3\tunheard", "alpha\tbeta", "w5\tw5", "x9\tw30"])
+    for name, extra in (("model", []), ("other", ["--val", files["data"]])):
+        files[name] = str(root / f"{name}.ckpt")
+        assert main(["train", "--train", files["train"], "--model", files[name],
+                     "--semantic-emb", files["semantic"], "--sentiment-emb", files["sentiment"],
+                     "--sem-hidden", "3", "--sent-hidden", "3", "--fc-hidden", "4",
+                     "--epochs", "3", "--seed", "2", *extra]) == 0
+    return files
+
+
+_TABLE_FLAGS = ["--semantic-emb", "{semantic}", "--sentiment-emb", "{sentiment}"]
+_COMMANDS_WITH_TABLES = {
+    "train": ["train", "--train", "{train}", "--model", "{out}", *_TABLE_FLAGS,
+              "--sem-hidden", "3", "--sent-hidden", "2", "--fc-hidden", "4", "--epochs", "3",
+              "--ratio", "0.75", "--seed", "1"],
+    "train --val": ["train", "--train", "{train}", "--val", "{data}", "--model", "{out}",
+                    *_TABLE_FLAGS, "--sem-hidden", "2", "--sent-hidden", "3",
+                    "--fc-hidden", "3", "--epochs", "2", "--seed", "4"],
+    "predict": ["predict", "--model", "{model}", "--data", "{data}", *_TABLE_FLAGS,
+                "--output", "{out}"],
+    "eval --compare-model": ["eval", "--model", "{model}", "--compare-model", "{other}",
+                             "--data", "{data}", *_TABLE_FLAGS, "--output", "{out}"],
+    "mine t1": ["mine", "--mode", "t1", "--seeds", "{seeds}", "--pool", "{pool}",
+                "--emb", "{semantic}", "--threshold", "0.5", "--target", "happy",
+                "--output", "{out}"],
+    "mine neg": ["mine", "--mode", "neg", "--pool", "{pool}", "--positives", "{seeds}",
+                 "--positives", "{train}", "--emb", "{sentiment}", "--threshold", "0.95",
+                 "--n", "4", "--seed", "3", "--output", "{out}"],
+    "embcos": ["embcos", "--pairs", "{pairs}", "--emb", "sem={semantic}",
+               "--emb", "sent={sentiment}", "--output", "{out}"],
+}
+
+
+class TestEachCommandHoldsOnlyItsRows:
+    @pytest.mark.parametrize("command", list(_COMMANDS_WITH_TABLES))
+    def test_the_outputs_are_those_of_whole_tables(self, wide, tmp_path, monkeypatch, capsys,
+                                                   command):
+        import sslstm.cli
+
+        load = sslstm.cli.load_embedding_file
+        kept = []
+
+        def restricted(path, vocab):
+            table = load(path, vocab=vocab)
+            kept.append(len(table))
+            return table
+
+        def whole(path, vocab):
+            return load(path)
+
+        tables = {}
+        for name in ("semantic", "sentiment"):  # fresh copies: the first load parses
+            tables[name] = tmp_path / Path(wide[name]).name
+            tables[name].write_bytes(Path(wide[name]).read_bytes())
+        outputs = []
+        # Parsed to restrict, then read from the cache to restrict, then whole.
+        for run, loader in enumerate((restricted, restricted, whole)):
+            monkeypatch.setattr(sslstm.cli, "load_embedding_file", loader)
+            out = tmp_path / f"{run}.out"
+            argv = [arg.format(**{**wide, **tables, "out": out})
+                    for arg in _COMMANDS_WITH_TABLES[command]]
+            assert main(argv) == 0
+            printed = capsys.readouterr()
+            outputs.append((printed.out, printed.err, out.read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0][2].count(b"\n") >= 4
+        assert kept and 0 < min(kept) and max(kept) < wide["rows"]
 
 
 class TestStatsAndKappa:

@@ -579,16 +579,50 @@ class TestCache:
         assert list(hit.index.values()) == list(range(len(table)))
         assert hit.matrix.flags.writeable and hit.matrix.flags.c_contiguous
 
-    @pytest.mark.parametrize("fault", ["truncated", "empty", "not npy", "1-D", "3-D", "float32",
-                                       "int64", "big-endian",
-                                       "fortran", "fewer tokens", "more tokens",
-                                       "duplicate token", "no rows", "no columns",
-                                       "header too large", "nan", "inf"])
-    def test_a_bad_cache_file_is_ignored_and_replaced(self, tmp_path, fault):
+    @settings(max_examples=60, deadline=None)
+    @given(table=tables(), header=st.booleans(), data=st.data())
+    def test_a_vocabulary_keeps_the_rows_a_whole_load_gives_its_tokens(self, table, header,
+                                                                       data):
+        tokens = list(table.index)
+        vocab = data.draw(st.sets(st.sampled_from(tokens) | _TOKENS, max_size=10))
+        text = table_text(table, header).encode("utf-8")
+        whole = load_embedding_file(text)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "emb.txt"
+            path.write_bytes(text)
+            cold = load_embedding_file(path, vocab=vocab)
+            with mock.patch.object(sslstm.embeddings, "_parse_table", None):  # a hit must not parse
+                hit = load_embedding_file(path, vocab=vocab)
+            assert table_state(load_embedding_file(path)) == table_state(whole)
+        probe = sorted(vocab)
+        lacking = [token for token in probe if token not in whole.index]
+        for kept in (cold, hit, load_embedding_file(text, vocab=vocab)):
+            assert list(kept.index) == [token for token in tokens if token in vocab]
+            assert list(kept.index.values()) == list(range(len(kept)))
+            assert kept.matrix.shape == (len(kept), whole.dim)
+            assert kept.matrix.flags.writeable and kept.matrix.flags.c_contiguous
+            assert kept.source_sha256 == whole.source_sha256
+            assert kept.rows(kept.ids(probe)).tobytes() == whole.rows(whole.ids(probe)).tobytes()
+            assert not kept.rows(kept.ids(lacking)).any()
+
+    @pytest.mark.parametrize("fault,vocab", [
+        pytest.param(fault, vocab, id=fault if vocab is None else f"{fault}-vocab")
+        for fault in ["truncated", "empty", "not npy", "1-D", "3-D", "float32", "int64",
+                      "big-endian", "fortran", "fewer tokens", "more tokens", "duplicate token",
+                      "no rows", "no columns", "header too large", "nan", "inf",
+                      "nan outside the vocabulary"]
+        for vocab in (None, {"w3", "w7", "absent"})
+    ])
+    def test_a_bad_cache_file_is_ignored_and_replaced(self, tmp_path, fault, vocab):
         data = GENERATED_TABLE.encode("utf-8")
         path = tmp_path / "emb.txt"
         path.write_bytes(data)
-        parsed = table_state(load_embedding_file(data))
+        parsed = table_state(load_embedding_file(data, vocab=vocab))
+        (tmp_path / "good").mkdir()
+        good = tmp_path / "good" / "emb.txt"
+        good.write_bytes(data)
+        load_embedding_file(good)
+        good_entry = cache_path(good, data).read_bytes()
         cache = cache_path(path, data)
         cache.parent.mkdir()
         matrix = load_embedding_file(data).matrix
@@ -629,13 +663,16 @@ class TestCache:
                 fh.write(matrix.tobytes() + "\n".join(tokens).encode("utf-8"))
         else:
             planted = matrix.copy()
-            planted[7, 3] = float(fault)
+            if fault == "nan outside the vocabulary":
+                planted[200, 3] = np.nan
+            else:
+                planted[7, 3] = float(fault)
             write_cache(cache, planted, tokens)
-        loaded = load_embedding_file(path)
+        loaded = load_embedding_file(path, vocab=vocab)
         assert table_state(loaded) == parsed and loaded.matrix.flags.c_contiguous
         # The parse wrote a good entry over the bad one; it is a hit now.
-        assert cache_entries(tmp_path) == [cache.name]
-        assert table_state(sslstm.embeddings._read_cache(str(cache), parsed[-1])) == parsed
+        assert cache_entries(tmp_path) == [cache.name] and cache.read_bytes() == good_entry
+        assert table_state(sslstm.embeddings._read_cache(str(cache), parsed[-1], vocab)) == parsed
 
     @pytest.mark.parametrize("text", ["a 1 2\nb 3\n", "a 1 2\na 3 4\n", "a 1 nan\n", "", "3 2\na 1 2\n"])
     def test_a_malformed_table_raises_the_same_error_again_and_caches_nothing(self, tmp_path, text):
@@ -708,6 +745,24 @@ class TestCache:
         index_bytes = sys.getsizeof(table.index) + sum(
             sys.getsizeof(token) + sys.getsizeof(row) for token, row in table.index.items())
         assert peak - (table.matrix.nbytes + index_bytes) < len(text) / 2
+
+    def test_a_hit_given_a_vocabulary_never_holds_the_whole_matrix(self, tmp_path):
+        rng = np.random.default_rng(0)
+        whole = EmbeddingTable(400, dict(zip(map("w{}".format, range(2000)),
+                                             rng.normal(size=(2000, 400)))))
+        assert whole.matrix.nbytes >= 6 * BLOCK_BYTES
+        path = tmp_path / "emb.txt"
+        save_embedding_file(whole, path)
+        load_embedding_file(path)  # parses and writes the cache
+        tracemalloc.start()
+        try:
+            table = load_embedding_file(path, vocab={"w1999", "w5", "absent"})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert list(table.index) == ["w5", "w1999"]
+        assert table.matrix.tobytes() == whole.matrix[[5, 1999]].tobytes()
+        assert peak < whole.matrix.nbytes / 4
 
     def test_a_table_rewritten_before_a_miss_reads_it_gets_the_hash_of_what_was_parsed(
             self, tmp_path, monkeypatch):
