@@ -278,19 +278,23 @@ def _read_cache(path: str, digest: str, vocab: Set[str] | None) -> EmbeddingTabl
 
 def _kept_rows(fh, shape: tuple[int, int], keep: np.ndarray) -> np.ndarray | None:
     """The rows ``keep`` (ascending) of the ``shape`` float64 matrix that
-    ``fh`` holds at its position, read a block at a time into one buffer;
-    None when the file ends early or any row, kept or not, is not finite."""
+    ``fh`` holds at its position, read a block at a time into one buffer,
+    or straight into the result when every row is kept; None when the file
+    ends early or any row, kept or not, is not finite."""
     rows, width = shape
+    step = max(1, BLOCK_BYTES // (8 * width))  # rows per block
     out = np.empty((len(keep), width))
-    block = np.empty((max(1, BLOCK_BYTES // (8 * width)), width))
+    whole = len(keep) == rows
+    block = None if whole else np.empty((step, width))
     done = 0  # how many of ``keep`` are copied out
-    for first in range(0, rows, len(block)):
-        part = block[:rows - first]
+    for first in range(0, rows, step):
+        part = out[first : first + step] if whole else block[: rows - first]
         if fh.readinto(part) != part.nbytes or not np.isfinite(part).all():
             return None
-        end = done + int(np.searchsorted(keep[done:], first + len(part)))
-        out[done:end] = part[keep[done:end] - first]
-        done = end
+        if not whole:
+            end = done + int(np.searchsorted(keep[done:], first + len(part)))
+            out[done:end] = part[keep[done:end] - first]
+            done = end
     return out
 
 

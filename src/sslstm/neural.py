@@ -18,6 +18,13 @@ serves the three entry points, :func:`batch_forward`,
 It takes a chunk of sequences sorted longest first, computes the input
 projection of every token in one matrix product, and at each step runs
 only the sequences still going.  A single sequence is a batch of one.
+
+Each entry point holds only the activations it reads next.
+:func:`batch_predict` runs one channel at a time and keeps only its final
+states, so prediction holds one channel's activations at a time.
+:func:`batch_backward` uses up the cache :func:`batch_forward` returns:
+each channel's activations are taken out of it, overwritten with their
+gradients and freed before the next channel's backpropagation.
 """
 
 from __future__ import annotations
@@ -111,13 +118,14 @@ class LSTMCache:
     sequence still running, and so on.  The sequences are sorted longest
     first, so the ``steps[t]`` sequences running at step ``t`` are always the
     first ones.  For a single sequence the rows are just its time steps.
+
+    Backpropagation (:func:`batch_backward`) writes the gradients at the
+    gate pre-activations over ``gates``, so a cache serves one backward
+    pass.
     """
 
     xs: np.ndarray  # (rows, input_dim)
-    i: np.ndarray   # (rows, hidden) gate outputs
-    f: np.ndarray
-    o: np.ndarray
-    g: np.ndarray   # candidate cell values, tanh
+    gates: np.ndarray  # (rows, 4 * hidden) gate outputs in GATES order
     c: np.ndarray   # cell states
     h: np.ndarray   # hidden states
     steps: list[int]
@@ -128,11 +136,12 @@ class BatchCache:
     """Backward cache of a list of token sequences (see :func:`batch_forward`).
 
     Rows are sorted longest first: row ``r`` holds input sequence
-    ``order[r]``, and the head arrays follow that order.
+    ``order[r]``, and the head arrays follow that order.  ``lstm`` loses
+    each channel's entry as :func:`batch_backward` uses it.
     """
 
     order: list[int]
-    lstm: dict[str, LSTMCache]  # per active channel, keyed by its prefix
+    lstm: dict[str, LSTMCache]  # per active channel not yet backpropagated, keyed by its prefix
     concat: np.ndarray  # (batch, concat width)
     z1: np.ndarray
     a1: np.ndarray
@@ -199,7 +208,8 @@ def _lstm_run(
     H = U.shape[1]
     # Each step overwrites its own rows of the pre-activations with the
     # gate outputs.
-    act = xs @ W.T + b
+    act = xs @ W.T
+    act += b
     c = np.empty((xs.shape[0], H))
     h = np.empty((xs.shape[0], H))
     start = prev = 0
@@ -217,8 +227,7 @@ def _lstm_run(
         c[rows] = c_t
         h[rows] = o_t * np.tanh(c_t)
         prev, start = start, start + n
-    i, f, o, g = (act[:, k * H : (k + 1) * H] for k in range(4))
-    return LSTMCache(xs=xs, i=i, f=f, o=o, g=g, c=c, h=h, steps=list(steps))
+    return LSTMCache(xs=xs, gates=act, c=c, h=h, steps=list(steps))
 
 
 def _final_states(cache: LSTMCache, lengths: list[int]) -> np.ndarray:
@@ -239,15 +248,15 @@ def _lstm_backprop(
     and the loss gradient at each sequence's final hidden state (rows in
     the cache's sequence order).
 
-    Each step backpropagates the sequences running at it together; the
-    weight gradients are then one product over all rows: dW = dA^T X,
-    dU = dA^T H_prev, db = sum of dA.  Returns ``(dW, dU, db)``, stacked
-    like the parameters."""
+    Each step backpropagates the sequences running at it together and
+    writes the gradients at its gate pre-activations, dA, over its rows of
+    ``cache.gates``; the weight gradients are then one product over all
+    rows: dW = dA^T X, dU = dA^T H_prev, db = sum of dA.  Returns
+    ``(dW, dU, db)``, stacked like the parameters."""
     H = U.shape[1]
     steps = cache.steps
     starts = _step_starts(steps)
-    tanh_c = np.tanh(cache.c)
-    dA = np.empty((cache.xs.shape[0], 4 * H))
+    dA = cache.gates  # step t's rows turn from gate outputs into dA at step t
     dh = np.zeros_like(dh_final)
     dc = np.zeros_like(dh_final)
     for t in range(len(steps) - 1, -1, -1):
@@ -256,20 +265,26 @@ def _lstm_backprop(
         # Sequences whose last step is t pick up their output gradient here.
         dh[ending:n] = dh_final[ending:n]
         rows = slice(starts[t], starts[t] + n)
-        i_t, f_t, o_t, g_t = cache.i[rows], cache.f[rows], cache.o[rows], cache.g[rows]
-        tc = tanh_c[rows]
+        a = dA[rows]
+        i_t, f_t, o_t, g_t = (a[:, k * H : (k + 1) * H] for k in range(4))
+        tc = np.tanh(cache.c[rows])
         dh_t = dh[:n]
         do = dh_t * tc
         dc_t = dc[:n] + dh_t * o_t * (1.0 - tc**2)
         c_prev = cache.c[starts[t - 1] : starts[t - 1] + n] if t else 0.0
-        # Through the gate nonlinearities to the pre-activations.
-        dA[rows, :H] = dc_t * g_t * i_t * (1.0 - i_t)
-        dA[rows, H : 2 * H] = dc_t * c_prev * f_t * (1.0 - f_t)
-        dA[rows, 2 * H : 3 * H] = do * o_t * (1.0 - o_t)
-        dA[rows, 3 * H :] = dc_t * i_t * (1.0 - g_t**2)
+        # Through the gate nonlinearities to the pre-activations; every gate
+        # output is read before any of them is overwritten.
+        da = (
+            dc_t * g_t * i_t * (1.0 - i_t),
+            dc_t * c_prev * f_t * (1.0 - f_t),
+            do * o_t * (1.0 - o_t),
+            dc_t * i_t * (1.0 - g_t**2),
+        )
         dc[:n] = dc_t * f_t
+        for k, grad in enumerate(da):
+            a[:, k * H : (k + 1) * H] = grad
         if t:
-            dh[:n] = dA[rows] @ U
+            dh[:n] = a @ U
     dW = dA.T @ cache.xs
     db = dA.sum(axis=0)
     # Row r of step t >= 1 follows row r - steps[t-1] of step t - 1.
@@ -281,13 +296,16 @@ def _lstm_backprop(
     return dW, dU, db
 
 
-def _step_major(sequences: list[list[str]]) -> tuple[list[int], list[str]]:
-    """Per-step running counts and the tokens in step-major row order, for
-    sequences sorted longest first."""
-    longest = len(sequences[0]) if sequences else 0
-    steps = [sum(1 for seq in sequences if len(seq) > t) for t in range(longest)]
-    rows = [sequences[k][t] for t in range(longest) for k in range(steps[t])]
-    return steps, rows
+def _step_major(sequences, max_len: int) -> tuple[list[int], list[int], list[int], list[str]]:
+    """The sequences cut to ``max_len`` tokens and sorted longest first, as
+    their input positions in that order, their lengths, the per-step
+    running counts and the tokens in step-major row order."""
+    truncated = [seq[:max_len] for seq in sequences]
+    order = sorted(range(len(truncated)), key=lambda k: -len(truncated[k]))
+    lengths = [len(truncated[k]) for k in order]
+    steps = [sum(1 for n in lengths if n > t) for t in range(lengths[0] if lengths else 0)]
+    rows = [truncated[order[k]][t] for t in range(len(steps)) for k in range(steps[t])]
+    return order, lengths, steps, rows
 
 
 def _channels(model: SSLSTMModel):
@@ -305,6 +323,15 @@ def _lstm_tensors(model: SSLSTMModel, prefix: str) -> list[np.ndarray]:
     return [model.params[f"{prefix}_{kind}"] for kind in "WUb"]
 
 
+def _head(model: SSLSTMModel, concat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The FC layer's pre-activations and activations and the logits, for
+    the concatenated final states ``concat``."""
+    params = model.params
+    z1 = concat @ params["fc_W"].T + params["fc_b"]
+    a1 = np.maximum(z1, 0.0) if model.config.fc_activation == "relu" else np.tanh(z1)
+    return z1, a1, a1 @ params["out_W"].T + params["out_b"]
+
+
 def batch_forward(model: SSLSTMModel, sequences) -> tuple[np.ndarray, BatchCache]:
     """Class probabilities for a list of token sequences, one row per
     sequence in input order, plus the cache for :func:`batch_backward`.
@@ -312,22 +339,13 @@ def batch_forward(model: SSLSTMModel, sequences) -> tuple[np.ndarray, BatchCache
     Every channel runs all sequences through one kernel call, so memory
     grows with the batch: callers pass at most :data:`CHUNK` sequences.
     """
-    max_len = model.config.max_seq_len
-    truncated = [seq[:max_len] for seq in sequences]
-    order = sorted(range(len(truncated)), key=lambda k: -len(truncated[k]))
-    tokens = [truncated[k] for k in order]
-    steps, row_tokens = _step_major(tokens)
-    lengths = [len(seq) for seq in tokens]
-    params = model.params
-    caches = {}
-    for prefix, active, table in _channels(model):
-        if active:
-            xs = table.rows(table.ids(row_tokens))
-            caches[prefix] = _lstm_run(*_lstm_tensors(model, prefix), xs, steps)
+    order, lengths, steps, row_tokens = _step_major(sequences, model.config.max_seq_len)
+    caches = {
+        prefix: _lstm_run(*_lstm_tensors(model, prefix), table.rows(table.ids(row_tokens)), steps)
+        for prefix, active, table in _channels(model) if active
+    }
     concat = np.concatenate([_final_states(c, lengths) for c in caches.values()], axis=1)
-    z1 = concat @ params["fc_W"].T + params["fc_b"]
-    a1 = np.maximum(z1, 0.0) if model.config.fc_activation == "relu" else np.tanh(z1)
-    logits = a1 @ params["out_W"].T + params["out_b"]
+    z1, a1, logits = _head(model, concat)
     probs = softmax(logits)
     cache = BatchCache(order=order, lstm=caches, concat=concat, z1=z1, a1=a1, logits=logits)
     in_order = np.empty_like(probs)
@@ -342,8 +360,14 @@ def batch_backward(model: SSLSTMModel, cache: BatchCache, dlogits) -> dict[str, 
     embedding tables are inputs, not parameters, and get no gradient.
 
     For the cross-entropy of one example a row is ``probs - onehot(target)``.
-    ``cache`` must come from :func:`batch_forward` on this same model.
+    ``cache`` must come from :func:`batch_forward` on this same model, and
+    this call uses it up: each channel's :class:`LSTMCache` is taken out of
+    it, overwritten with gradients and freed before the next channel's.  A
+    second call on the same cache raises :class:`ValueError` before it
+    computes anything.
     """
+    if not cache.lstm:
+        raise ValueError("this cache was already used by batch_backward")
     dlogits = np.asarray(dlogits, dtype=np.float64)
     if dlogits.shape != cache.logits.shape:
         raise ValueError(
@@ -366,7 +390,7 @@ def batch_backward(model: SSLSTMModel, cache: BatchCache, dlogits) -> dict[str, 
             H = U.shape[1]
             dh_final = dconcat[:, offset : offset + H]
             offset += H
-            dW, dU, db = _lstm_backprop(U, cache.lstm[prefix], dh_final)
+            dW, dU, db = _lstm_backprop(U, cache.lstm.pop(prefix), dh_final)
         else:
             dW, dU, db = np.zeros_like(W), np.zeros_like(U), np.zeros_like(b)
         grads.update({f"{prefix}_W": dW, f"{prefix}_U": dU, f"{prefix}_b": db})
@@ -386,12 +410,24 @@ def chunks(sequences) -> list[list[int]]:
 
 def batch_predict(model: SSLSTMModel, sequences) -> list[str]:
     """Most probable label of each token sequence, one kernel call per
-    :func:`chunks` group; ties break in class order (happy first)."""
+    :func:`chunks` group and channel; ties break in class order (happy
+    first).  The labels are those of :func:`batch_forward`'s probabilities,
+    but each channel's activations are freed as soon as its final states
+    are read, so only one channel's are held at a time."""
     sequences = list(sequences)
     labels = [""] * len(sequences)
     for group in chunks(sequences):
-        probs = batch_forward(model, [sequences[k] for k in group])[0]  # the cache goes at once
-        for k, best in zip(group, np.argmax(probs, axis=1)):
-            labels[k] = LABELS[int(best)]
+        order, lengths, steps, row_tokens = _step_major(
+            [sequences[k] for k in group], model.config.max_seq_len
+        )
+        finals = [
+            _final_states(
+                _lstm_run(*_lstm_tensors(model, prefix), table.rows(table.ids(row_tokens)), steps),
+                lengths,
+            )
+            for prefix, active, table in _channels(model) if active
+        ]
+        probs = softmax(_head(model, np.concatenate(finals, axis=1))[2])
+        for row, best in zip(order, np.argmax(probs, axis=1)):
+            labels[group[row]] = LABELS[int(best)]
     return labels
-

@@ -241,7 +241,8 @@ def train(model: SSLSTMModel, train_set, validation_set, config: TrainConfig):
     if not validation_set:
         raise ValueError("validation set is empty")
 
-    best = clone_model(model)
+    # Validation macro-F1 is always finite, so epoch 0 always sets ``best``.
+    best = None
     best_f1 = -np.inf
     best_epoch = -1
     stale = 0

@@ -7,8 +7,14 @@ under test runs whole chunks.  Both go through the same kernel but sum in a
 different order, so they agree to a float tolerance, not bit for bit.  The
 independent references for the maths itself are the finite-difference
 checks and ``test_neural.py::TestLSTMForward::test_matches_naive_recurrence``.
+
+The backward pass writes its gate gradients over the forward activations
+instead of into a buffer of its own.  That keeps the arithmetic and its
+order, so it is checked bit for bit against the buffered form, kept here as
+``reference_backward``.
 """
 
+import pickle
 import tracemalloc
 from types import SimpleNamespace
 
@@ -24,6 +30,9 @@ from sslstm.neural import (
     CHUNK,
     FC_ACTIVATIONS,
     ModelConfig,
+    _channels,
+    _lstm_tensors,
+    _step_starts,
     batch_backward,
     batch_forward,
     batch_predict,
@@ -163,3 +172,122 @@ def test_a_chunk_is_freed_before_the_next_one_runs(kernel):
     }[kernel]
     one, three = traced_peak(lambda: run(convs[:CHUNK])), traced_peak(lambda: run(convs))
     assert three <= 1.25 * one, f"{three / 1e6:.1f} MB for three chunks, {one / 1e6:.1f} MB for one"
+
+
+def reference_lstm_backprop(U, cache, dh_final):
+    """BPTT of one channel with the gate gradients in a buffer of their own,
+    leaving ``cache`` as it was: the form the in-place pass must match bit
+    for bit."""
+    H = U.shape[1]
+    steps = cache.steps
+    starts = _step_starts(steps)
+    tanh_c = np.tanh(cache.c)
+    i, f, o, g = (cache.gates[:, k * H : (k + 1) * H] for k in range(4))
+    dA = np.empty((cache.xs.shape[0], 4 * H))
+    dh = np.zeros_like(dh_final)
+    dc = np.zeros_like(dh_final)
+    for t in range(len(steps) - 1, -1, -1):
+        n = steps[t]
+        ending = steps[t + 1] if t + 1 < len(steps) else 0
+        dh[ending:n] = dh_final[ending:n]
+        rows = slice(starts[t], starts[t] + n)
+        i_t, f_t, o_t, g_t = i[rows], f[rows], o[rows], g[rows]
+        tc = tanh_c[rows]
+        dh_t = dh[:n]
+        do = dh_t * tc
+        dc_t = dc[:n] + dh_t * o_t * (1.0 - tc**2)
+        c_prev = cache.c[starts[t - 1] : starts[t - 1] + n] if t else 0.0
+        dA[rows, :H] = dc_t * g_t * i_t * (1.0 - i_t)
+        dA[rows, H : 2 * H] = dc_t * c_prev * f_t * (1.0 - f_t)
+        dA[rows, 2 * H : 3 * H] = do * o_t * (1.0 - o_t)
+        dA[rows, 3 * H :] = dc_t * i_t * (1.0 - g_t**2)
+        dc[:n] = dc_t * f_t
+        if t:
+            dh[:n] = dA[rows] @ U
+    dW = dA.T @ cache.xs
+    db = dA.sum(axis=0)
+    first = steps[0] if steps else 0
+    prev_rows = np.arange(first, cache.xs.shape[0]) - np.repeat(
+        np.array(steps[:-1], dtype=np.int64), steps[1:]
+    )
+    dU = dA[first:].T @ cache.h[prev_rows]
+    return dW, dU, db
+
+
+def reference_backward(model, cache, dlogits):
+    """``batch_backward`` through :func:`reference_lstm_backprop`."""
+    dlogits = np.asarray(dlogits, dtype=np.float64)[cache.order]
+    params = model.params
+    da1 = dlogits @ params["out_W"]
+    if model.config.fc_activation == "relu":
+        dz1 = da1 * (cache.z1 > 0.0)
+    else:
+        dz1 = da1 * (1.0 - cache.a1**2)
+    dconcat = dz1 @ params["fc_W"]
+    grads = {}
+    offset = 0
+    for prefix, active, _ in _channels(model):
+        W, U, b = _lstm_tensors(model, prefix)
+        if active:
+            H = U.shape[1]
+            dW, dU, db = reference_lstm_backprop(U, cache.lstm[prefix], dconcat[:, offset : offset + H])
+            offset += H
+        else:
+            dW, dU, db = np.zeros_like(W), np.zeros_like(U), np.zeros_like(b)
+        grads.update({f"{prefix}_W": dW, f"{prefix}_U": dU, f"{prefix}_b": db})
+    grads["fc_W"] = dz1.T @ cache.concat
+    grads["fc_b"] = dz1.sum(axis=0)
+    grads["out_W"] = dlogits.T @ cache.a1
+    grads["out_b"] = dlogits.sum(axis=0)
+    return grads
+
+
+def logit_gradient(probs, targets):
+    dlogits = probs.copy()
+    dlogits[np.arange(len(targets)), targets] -= 1.0
+    return dlogits
+
+
+# One kernel call's worth of sequences: empty, length 1 and unequal
+# lengths all occur (see ``sequences``).
+chunk_inputs = st.lists(sequences, min_size=1, max_size=CHUNK)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seqs=chunk_inputs, setup=setups, data=st.data())
+def test_backward_and_labels_are_bit_identical_to_the_reference(seqs, setup, data):
+    model = model_for(setup["channels"], setup["fc_activation"], setup["seed"])
+    targets = data.draw(st.lists(st.integers(0, len(LABELS) - 1), min_size=len(seqs), max_size=len(seqs)))
+    probs, cache = batch_forward(model, seqs)
+    dlogits = logit_gradient(probs, targets)
+    want = reference_backward(model, batch_forward(model, seqs)[1], dlogits)
+    got = batch_backward(model, cache, dlogits)
+    assert list(got) == list(want)
+    for name, tensor in want.items():
+        assert got[name].shape == tensor.shape, name
+        np.testing.assert_array_equal(got[name].view(np.uint64), tensor.view(np.uint64), err_msg=name)
+    assert batch_predict(model, seqs) == [LABELS[int(k)] for k in np.argmax(probs, axis=1)]
+
+
+def test_a_second_backward_on_one_cache_raises_and_writes_nothing():
+    model = model_for("both", "tanh", 1)
+    seqs = [["good", "bad", ":)"], ["meh"], [], ["mad", "mad"]]
+    probs, cache = batch_forward(model, seqs)
+    dlogits = logit_gradient(probs, [0, 1, 2, 3])
+    batch_backward(model, cache, dlogits)
+    before = pickle.dumps((model.params, cache, dlogits))
+    with pytest.raises(ValueError, match="already used"):
+        batch_backward(model, cache, dlogits)
+    assert pickle.dumps((model.params, cache, dlogits)) == before
+
+
+def test_prediction_holds_one_channel_at_a_time():
+    # Each channel's activations over a chunk (about 9 MB each here) are the
+    # largest allocations.  The forward pass keeps both for backpropagation;
+    # prediction needs only the final states, so it holds one channel's.
+    config = ModelConfig(sem_hidden=128, sent_hidden=128, fc_hidden=8, max_seq_len=40)
+    model = init_model(config, make_table(VOCAB, dim=16, seed=1), make_table(VOCAB, dim=8, seed=2))
+    seqs = [[VOCAB[(k + j) % len(VOCAB)] for j in range(40 - k % 3)] for k in range(CHUNK)]
+    forward = traced_peak(lambda: batch_forward(model, seqs))
+    predict = traced_peak(lambda: batch_predict(model, seqs))
+    assert predict <= 0.6 * forward, f"{predict / 1e6:.1f} MB to predict, {forward / 1e6:.1f} MB forward"

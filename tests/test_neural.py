@@ -100,10 +100,9 @@ class TestLSTMForward:
         params = unit_lstm(b_c=1.0)
         hs, h_final, cache = run_lstm(params, [np.array([7.0])])
         assert h_final[0] == pytest.approx(0.18170, abs=5e-6)
-        np.testing.assert_allclose(cache.i[0], 0.5)
-        np.testing.assert_allclose(cache.f[0], 0.5)
-        np.testing.assert_allclose(cache.o[0], 0.5)
-        assert cache.g[0, 0] == pytest.approx(0.76159, abs=5e-6)
+        i, f, o, g = cache.gates[0]  # one gate per column at hidden size 1
+        np.testing.assert_allclose([i, f, o], 0.5)
+        assert g == pytest.approx(0.76159, abs=5e-6)
         assert cache.c[0, 0] == pytest.approx(0.38080, abs=5e-6)
         np.testing.assert_array_equal(hs[-1], h_final)
 
@@ -155,9 +154,8 @@ class TestLSTMForward:
         rng = np.random.default_rng(4)
         xs = [10.0 * rng.standard_normal(params[0].shape[1]) for _ in range(6)]
         _, _, cache = run_lstm(params, xs)
-        for name in ("i", "f", "o"):
-            vals = getattr(cache, name)
-            assert np.all(vals > 0.0) and np.all(vals < 1.0)
+        sigmoid_gates = cache.gates[:, : 3 * params[1].shape[1]]  # i, f and o
+        assert np.all(sigmoid_gates > 0.0) and np.all(sigmoid_gates < 1.0)
         assert np.all(np.abs(cache.h) < 1.0)
 
     def test_extreme_inputs_stay_finite(self):
