@@ -272,17 +272,19 @@ def _lstm_backprop(
         do = dh_t * tc
         dc_t = dc[:n] + dh_t * o_t * (1.0 - tc**2)
         c_prev = cache.c[starts[t - 1] : starts[t - 1] + n] if t else 0.0
-        # Through the gate nonlinearities to the pre-activations; every gate
-        # output is read before any of them is overwritten.
-        da = (
-            dc_t * g_t * i_t * (1.0 - i_t),
-            dc_t * c_prev * f_t * (1.0 - f_t),
-            do * o_t * (1.0 - o_t),
-            dc_t * i_t * (1.0 - g_t**2),
-        )
         dc[:n] = dc_t * f_t
-        for k, grad in enumerate(da):
-            a[:, k * H : (k + 1) * H] = grad
+        # Through the gate nonlinearities to the pre-activations, written over
+        # the gate outputs only once all four are computed.
+        np.concatenate(
+            (
+                dc_t * g_t * i_t * (1.0 - i_t),
+                dc_t * c_prev * f_t * (1.0 - f_t),
+                do * o_t * (1.0 - o_t),
+                dc_t * i_t * (1.0 - g_t**2),
+            ),
+            axis=1,
+            out=a,
+        )
         if t:
             dh[:n] = a @ U
     dW = dA.T @ cache.xs
