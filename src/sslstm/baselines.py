@@ -25,14 +25,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from sslstm.labels import LABELS, N_CLASSES, label_index
+from sslstm.labels import EMOTION_LABELS, LABELS, N_CLASSES, label_index
 from sslstm.text_norm import EmoticonLexicon
 
 SVM_EPOCHS = 30
-
-# The emoticon classes counted, in the order of their columns after the n-grams.
-_EMOTICON_CLASSES = ("happy", "sad", "angry")
-
 
 class DesignMatrix(NamedTuple):
     """Sparse rows in CSR form: row ``i`` holds ``vals[indptr[i]:indptr[i+1]]``
@@ -76,7 +72,7 @@ def design_matrix(token_lists, lex: EmoticonLexicon, vocab: dict[str, int] | Non
                     cols.append(col)
                     vals.append(n)
         classes = Counter(map(lex.canonical_class.get, t))
-        for slot, name in enumerate(_EMOTICON_CLASSES):
+        for slot, name in enumerate(EMOTION_LABELS):
             if classes[name]:
                 cols.append(-1 - slot)  # moved behind the n-grams once V is known
                 vals.append(classes[name])

@@ -41,7 +41,6 @@ from .embeddings import (
     DEFAULT_SENTIMENT_DIM,
     EmbeddingTable,
     cosine,
-    empty_table,
     load_embedding_file,
     lookup,
 )
@@ -293,7 +292,7 @@ def cmd_train(args) -> None:
         train_set, val_set = split_dataset(dataset, **_given_kwargs(args, "ratio"), seed=seed)
     vocab = _vocab(conv.tokens for conv in [*train_set, *val_set])
     semantic, sentiment = (
-        empty_table(dim) if table is None else table
+        EmbeddingTable(dim) if table is None else table
         for table, dim in zip(_tables(args, vocab), (DEFAULT_SEMANTIC_DIM, DEFAULT_SENTIMENT_DIM))
     )
     model_config = ModelConfig(**_given_kwargs(

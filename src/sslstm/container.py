@@ -8,7 +8,7 @@ from functools import partial
 
 import numpy as np
 
-from sslstm.textfile import BadRow, DataFormatError, _lines, _open_write, float_rows, rows_by_float
+from sslstm.textfile import BadRow, DataFormatError, _lines, _open_write, float_matrix
 
 CHECKPOINT_MAGIC = "SSLSTM-CKPT"
 CHECKPOINT_VERSION = 1
@@ -84,14 +84,15 @@ def write_container(sink, meta: dict[str, str], tensors: dict[str, np.ndarray]) 
 def read_container(source) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     """Parse the checkpoint container; inverse of :func:`write_container`.
 
-    Raises :class:`UnknownVersionError` on a bad header and
+    Raises :class:`UnknownVersionError` on a bad header,
     :class:`TruncatedCheckpointError` when the file loses structure or ends
-    before ``end``.  Tensors come back as 2-D float64 arrays.
+    before ``end``, and :class:`CheckpointError` for a repeated meta key or
+    tensor.  Tensors come back as 2-D float64 arrays.
 
-    Each tensor block's rows are parsed in one call to numpy's C float
-    parser (:func:`~sslstm.textfile.float_rows`); only when it rejects a row
-    are they parsed again one at a time with ``float``
-    (:func:`~sslstm.textfile.rows_by_float`), which finds the first bad row.
+    Each tensor block's rows are parsed in one call to
+    :func:`~sslstm.textfile.float_matrix`, which finds the first bad row.
+    Nothing is allocated at the size a tensor header declares: a header
+    that declares more rows than the file holds is a missing-rows fault.
     """
     lines = filter(None, _lines(source)[0])
     next_line = partial(next, lines, None)  # next non-empty line, None at the end
@@ -118,6 +119,8 @@ def read_container(source) -> tuple[dict[str, str], dict[str, np.ndarray]]:
             key, sep, value = body.partition("=")
             if not sep or not key:
                 raise CheckpointError(f"malformed meta line: {line!r}")
+            if key in meta:
+                raise CheckpointError(f"duplicate meta key {key!r}")
             meta[key] = value
             continue
         if line.startswith("tensor "):
@@ -133,22 +136,18 @@ def read_container(source) -> tuple[dict[str, str], dict[str, np.ndarray]]:
                 rows = cols = -1  # not numbers: rejected with negative ones
             if rows < 0 or cols < 0:
                 raise TruncatedCheckpointError(f"malformed tensor dimensions: {line!r}")
-            mat = np.empty((rows, cols))
             texts = []
             for _ in range(rows):
                 row_line = next_line()
                 if row_line is None or row_line.startswith(("tensor ", "meta ")) or row_line == "end":
                     break
                 texts.append(row_line)
-            parsed = float_rows(texts)
-            if parsed is None or parsed.shape != (len(texts), cols):
-                try:
-                    parsed = rows_by_float(texts, cols)
-                except BadRow as bad:
-                    what = (f"has {bad.values} values, expected {cols}" if bad.values != cols
-                            else "has non-numeric values")
-                    raise TruncatedCheckpointError(f"tensor {name!r} row {bad.row} {what}") from None
-            mat[: len(texts)] = parsed
+            try:
+                mat = float_matrix(texts, cols)
+            except BadRow as bad:
+                what = (f"has {bad.values} values, expected {cols}" if bad.values != cols
+                        else "has non-numeric values")
+                raise TruncatedCheckpointError(f"tensor {name!r} row {bad.row} {what}") from None
             if len(texts) < rows:
                 raise TruncatedCheckpointError(
                     f"tensor {name!r} is missing rows ({len(texts)} of {rows} read)"

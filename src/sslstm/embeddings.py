@@ -32,7 +32,7 @@ from collections.abc import Mapping, Set
 import numpy as np
 
 from sslstm.textfile import (BLOCK_BYTES, BadRow, DataFormatError, _open_read, _open_write,
-                             _read, _split_lines, file_sha256, float_rows, rows_by_float)
+                             _read, _split_lines, file_sha256, float_matrix)
 
 # Fallback dimensionalities for channels constructed without a file.
 DEFAULT_SEMANTIC_DIM = 100
@@ -88,11 +88,6 @@ class EmbeddingTable:
 
     def __len__(self) -> int:
         return len(self.index)
-
-
-def empty_table(dim: int) -> EmbeddingTable:
-    """A table with no vocabulary; every lookup is the zero vector."""
-    return EmbeddingTable(dim=dim)
 
 
 def load_embedding_file(source, vocab: Set[str] | None = None) -> EmbeddingTable:
@@ -154,13 +149,14 @@ def _selection(tokens: list[str], vocab: Set[str] | None) -> tuple[dict[str, int
 
 def _parse_table(lines: list[str], label: str, digest: str) -> EmbeddingTable:
     """The table the text ``lines`` hold, or the first fault as an
-    :class:`EmbeddingFormatError`.
+    :class:`EmbeddingFormatError`.  ``lines`` is used up.
 
-    One pass in Python splits each line at its first whitespace run and
-    checks the header and the tokens; it hands each line's value text to
-    numpy's C float parser (:func:`~sslstm.textfile.float_rows`) as it goes.
-    Only when that parser rejects a row are the rows parsed again one at a
-    time with ``float`` (:func:`~sslstm.textfile.rows_by_float`).
+    One pass splits each line at its first whitespace run and checks the
+    header and the tokens; each entry's value text takes the place of a
+    line already read, so ``lines`` ends holding only the value texts,
+    which one call to :func:`~sslstm.textfile.float_matrix` parses.  A
+    token with no values or seen before ends the pass; its fault is raised
+    once the rows before it parse.
     """
     head = lines[0].split() if lines else []
     declared = None
@@ -171,44 +167,31 @@ def _parse_table(lines: list[str], label: str, digest: str) -> EmbeddingTable:
             pass  # two-field first line that is not a header: a 1-dim entry
     index: dict[str, int] = {}
     linenos: list[int] = []  # file line of each row
-    fault: list[EmbeddingFormatError] = []
-
-    def entries():
-        """The value text of each entry in file order, its token and line
-        recorded in ``index`` and ``linenos``.  A token with no values or
-        seen before ends the walk in ``fault``, raised once the rows before
-        it parse."""
-        index.clear()
-        linenos.clear()
-        fault.clear()
-        for lineno, line in enumerate(lines, start=1):
-            fields = line.split(None, 1)
-            if not fields or (lineno == 1 and declared is not None):
-                continue
-            token = fields[0]
-            if len(fields) == 1:
-                fault.append(EmbeddingFormatError(f"{label}:{lineno}: no values for token {token!r}"))
-                return
-            if token in index:
-                fault.append(EmbeddingFormatError(f"{label}:{lineno}: duplicate token {token!r}"))
-                return
-            index[token] = len(index)
-            linenos.append(lineno)
-            yield fields[1]
-
-    matrix = float_rows(entries())
-    if matrix is None or len(matrix) != len(index):
-        try:
-            matrix = rows_by_float(entries())
-        except BadRow as bad:
-            where = f"{label}:{linenos[bad.row]}"
-            raise EmbeddingFormatError(
-                f"{where}: dimension mismatch: expected {bad.width} values, got {bad.values}"
-                if bad.numeric else
-                f"{where}: non-numeric value in entry for {list(index)[bad.row]!r}"
-            ) from None
-    if fault:
-        raise fault[0]
+    fault = None
+    for lineno, line in enumerate(lines, start=1):
+        fields = line.split(None, 1)
+        if not fields or (lineno == 1 and declared is not None):
+            continue
+        token = fields[0]
+        if len(fields) == 1 or token in index:
+            what = "no values for token" if len(fields) == 1 else "duplicate token"
+            fault = EmbeddingFormatError(f"{label}:{lineno}: {what} {token!r}")
+            break
+        lines[len(index)] = fields[1]
+        index[token] = len(index)
+        linenos.append(lineno)
+    del lines[len(index):]
+    try:
+        matrix = float_matrix(lines)
+    except BadRow as bad:
+        where = f"{label}:{linenos[bad.row]}"
+        raise EmbeddingFormatError(
+            f"{where}: dimension mismatch: expected {bad.width} values, got {bad.values}"
+            if bad.numeric else
+            f"{where}: non-numeric value in entry for {list(index)[bad.row]!r}"
+        ) from None
+    if fault is not None:
+        raise fault
     if not index:
         raise EmbeddingFormatError(f"{label}: empty embedding file")
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))

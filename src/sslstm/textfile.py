@@ -15,7 +15,6 @@ its entries through it.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import os
 from contextlib import contextmanager
 
@@ -116,35 +115,8 @@ def _open_write(sink):
         yield sink
 
 
-def float_rows(texts) -> np.ndarray | None:
-    """Parse lines of whitespace-separated floats in one call to numpy's C
-    parser: a ``(lines, values per line)`` float64 matrix, ``(0, 0)`` for
-    no lines, or None when the parser rejects a line (a line of another
-    length, or a value it cannot read).
-
-    The C parser splits at the same whitespace as :meth:`str.split` and
-    reads every value it accepts to the same float as :class:`float`, but
-    it rejects two forms ``float`` reads, digit underscores (``1_0``) and
-    non-ASCII digits, and a lone ``\\r`` in a line: on None, callers parse
-    row by row with ``float``, which also names the first bad line.  It
-    skips a line that is all whitespace, so callers compare the row count
-    with the lines they gave (a blank first line gives None).
-    """
-    texts = iter(texts)
-    first = next(texts, None)
-    if first is None:
-        return np.empty((0, 0))
-    if not first.strip():  # loadtxt would skip it, and warn if no line has data
-        return None
-    try:
-        return np.loadtxt(itertools.chain((first,), texts), dtype=np.float64,
-                          ndmin=2, comments=None)
-    except ValueError:
-        return None
-
-
 class BadRow(ValueError):
-    """The first row :func:`rows_by_float` cannot read: its index among the
+    """The first row :func:`float_matrix` cannot read: its index among the
     rows, how many values it has, the width expected of it (None when it is
     the first row and not numeric) and whether ``float`` reads every value."""
 
@@ -153,13 +125,33 @@ class BadRow(ValueError):
         self.row, self.values, self.width, self.numeric = row, values, width, numeric
 
 
-def rows_by_float(texts, width: int | None = None) -> np.ndarray:
-    """Lines of whitespace-separated floats parsed one at a time with
-    ``float``, which also reads the forms :func:`float_rows` rejects: the
-    pass a caller makes when that parse returns None, to read the rows or
-    to find the first bad one.  Every row must hold ``width`` values, or
-    as many as the first row when ``width`` is None; :class:`BadRow` names
-    the first row that is not that many numbers, for the caller's message."""
+def float_matrix(texts: list[str], width: int | None = None) -> np.ndarray:
+    """Lines of whitespace-separated floats as a ``(len(texts), width)``
+    float64 matrix; ``width`` None takes the first line's count (0 for no
+    lines).  :class:`BadRow` names the first line that is not ``width``
+    numbers, for the caller's message.
+
+    The lines go to numpy's C parser in one call.  It splits at the same
+    whitespace as :meth:`str.split` and reads every value it accepts to the
+    same float as :class:`float`, but it rejects two forms ``float`` reads,
+    digit underscores (``1_0``) and non-ASCII digits, and a lone ``\\r`` in
+    a line, and it skips a line that is all whitespace.  When it fails or
+    gives another shape, the lines are read one at a time with ``float``
+    (:func:`_rows_by_float`), which also finds the bad line.
+    """
+    if texts and texts[0].strip():  # loadtxt warns when no line has data
+        try:
+            matrix = np.loadtxt(texts, dtype=np.float64, ndmin=2, comments=None)
+        except ValueError:
+            pass
+        else:
+            if matrix.shape == (len(texts), matrix.shape[1] if width is None else width):
+                return matrix
+    return _rows_by_float(texts, width)
+
+
+def _rows_by_float(texts: list[str], width: int | None) -> np.ndarray:
+    """:func:`float_matrix` one line at a time with ``float``."""
     rows: list[list[float]] = []
     for k, text in enumerate(texts):
         values = text.split()

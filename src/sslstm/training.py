@@ -24,7 +24,7 @@ import numpy as np
 
 from sslstm.baselines import LinearSVMModel, NBModel, baseline_predict
 from sslstm.container import CheckpointError, TruncatedCheckpointError, read_container, write_container
-from sslstm.embeddings import EmbeddingTable, empty_table
+from sslstm.embeddings import EmbeddingTable
 from sslstm.labels import LABELS, N_CLASSES, label_index
 from sslstm.metrics import confusion, macro_f1
 from sslstm.neural import (
@@ -394,9 +394,9 @@ def _require_meta(meta: dict[str, str], key: str) -> str:
     return meta[key]
 
 
-def _check_table(table: EmbeddingTable | None, dim: int, stored_hash: str, role: str):
+def _check_table(table: EmbeddingTable | None, dim: int, stored_hash: str, role: str) -> None:
     if table is None:
-        return empty_table(dim)
+        return
     if table.dim != dim:
         raise ShapeMismatchError(
             f"{role} table has dimension {table.dim}, checkpoint expects {dim}"
@@ -406,7 +406,19 @@ def _check_table(table: EmbeddingTable | None, dim: int, stored_hash: str, role:
             f"{role} table content hash does not match the checkpoint "
             f"({table.source_sha256[:12]} vs {stored_hash[:12]})"
         )
-    return table
+
+
+def _file_shapes(config: ModelConfig, sem_dim: int, sent_dim: int) -> dict[str, tuple[int, int]]:
+    """The shape of each tensor of a checkpoint of ``config`` on tables of
+    these dimensions, 1-D tensors as one row, in the order of
+    :func:`_file_tensors`; nothing of these sizes is allocated."""
+    shapes = {}
+    for prefix, dim, hidden in (("sem", sem_dim, config.sem_hidden), ("sent", sent_dim, config.sent_hidden)):
+        for kind, shape in (("W", (hidden, dim)), ("U", (hidden, hidden)), ("b", (1, hidden))):
+            shapes.update((f"{prefix}_{kind}_{gate}", shape) for gate in GATES)
+    fc = config.fc_hidden
+    return shapes | {"fc_W": (fc, config.concat_width()), "fc_b": (1, fc),
+                     "out_W": (N_CLASSES, fc), "out_b": (1, N_CLASSES)}
 
 
 def load_model(source, lex: EmoticonLexicon, tables):
@@ -493,20 +505,18 @@ def _model_from_container(
                 f"checkpoint meta train_embeddings={tuned}: its weights were fitted "
                 "to fine-tuned embedding vectors the file does not hold"
             )
-        sem_dim = int(_require_meta(meta, "sem_dim"))
-        sent_dim = int(_require_meta(meta, "sent_dim"))
+        sem_dim, sent_dim = (int(_require_meta(meta, key)) for key in ("sem_dim", "sent_dim"))
+        if min(sem_dim, sent_dim) <= 0:
+            raise ValueError("sem_dim and sent_dim must be positive")
     except ValueError as exc:
         if isinstance(exc, CheckpointError):
             raise
         raise CheckpointError(f"invalid checkpoint meta: {exc}") from None
-    semantic_table = _check_table(
-        semantic_table, sem_dim, meta.get("sem_table_sha256", "-"), "semantic"
-    )
-    sentiment_table = _check_table(
-        sentiment_table, sent_dim, meta.get("sent_table_sha256", "-"), "sentiment"
-    )
-    model = init_model(config, semantic_table, sentiment_table, seed=0)
-    expected = _file_tensors(model)
+    _check_table(semantic_table, sem_dim, meta.get("sem_table_sha256", "-"), "semantic")
+    _check_table(sentiment_table, sent_dim, meta.get("sent_table_sha256", "-"), "sentiment")
+    # Every shape is checked before anything of a size the meta declares is
+    # allocated: past the checks, each size is that of a stored tensor.
+    expected = _file_shapes(config, sem_dim, sent_dim)
     missing = set(expected) - set(stored)
     if missing:
         raise TruncatedCheckpointError(
@@ -517,12 +527,14 @@ def _model_from_container(
         raise ShapeMismatchError(
             f"checkpoint has unexpected tensors: {', '.join(sorted(extra))}"
         )
-    for name, target in expected.items():
-        mat = stored[name]
-        want = target.shape if target.ndim == 2 else (1, target.shape[0])
-        if mat.shape != want:
+    for name, want in expected.items():
+        if stored[name].shape != want:
             raise ShapeMismatchError(
-                f"tensor {name!r} has shape {mat.shape}, expected {want}"
+                f"tensor {name!r} has shape {stored[name].shape}, expected {want}"
             )
-        target[:] = mat if target.ndim == 2 else mat[0]
+    tables = [EmbeddingTable(dim) if table is None else table
+              for table, dim in ((semantic_table, sem_dim), (sentiment_table, sent_dim))]
+    model = init_model(config, *tables, seed=0)
+    for name, target in _file_tensors(model).items():
+        target[:] = stored[name] if target.ndim == 2 else stored[name][0]
     return model

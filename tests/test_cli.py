@@ -143,6 +143,29 @@ class TestExitCodes:
         bad = write_lines(tmp_path / "bad.ckpt", ["SSLSTM-CKPT 9", "end"])
         assert main(["eval", "--model", bad, "--data", ws["train"]]) == 2
 
+    @pytest.mark.parametrize("rows", [10**12, 10**20])
+    def test_a_tensor_header_past_the_file_is_data_format_error(self, tmp_path, ws, capsys, rows):
+        bad = write_lines(tmp_path / "bad.ckpt", ["SSLSTM-CKPT 1", "meta model=nb",
+                                                  f"tensor priors {rows} 4", "0.1 0.2 0.3 0.4", "end"])
+        assert main(["predict", "--model", bad, "--data", ws["train"]]) == 2
+        assert f"tensor 'priors' is missing rows (1 of {rows} read)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(("line", "message"), [
+        ("meta sem_hidden=1000000000000", "expected (1000000000000, 4)"),
+        ("meta sem_dim=1000000000000", "expected (4, 1000000000000)"),
+        ("meta sem_hidden=100000000000000000000", "expected (100000000000000000000, 4)"),
+        ("meta sem_dim=0", "sem_dim and sent_dim must be positive"),
+    ])
+    def test_checkpoint_meta_the_tensors_disagree_with_is_data_format_error(self, tmp_path, ws,
+                                                                            capsys, line, message):
+        text = Path(ws["sslstm_model"]).read_text(encoding="utf-8")
+        key = line.partition("=")[0]
+        bad = tmp_path / "bad.ckpt"
+        bad.write_text(re.sub(rf"^{key}=.*$", line, text, count=1, flags=re.M), encoding="utf-8")
+        assert bad.read_text(encoding="utf-8") != text
+        assert main(["predict", "--model", str(bad), "--data", ws["train"]]) == 2
+        assert message in capsys.readouterr().err
+
     def test_fine_tuned_model_is_data_format_error(self, tmp_path, ws, capsys):
         text = Path(ws["sslstm_model"]).read_text(encoding="utf-8")
         assert "meta train_embeddings=0\n" in text
@@ -371,7 +394,7 @@ class TestTrainEvalPredict:
         def forbidden(*args):
             raise AssertionError("a cached table was parsed")
 
-        monkeypatch.setattr(sslstm.embeddings, "float_rows", forbidden)
+        monkeypatch.setattr(sslstm.embeddings, "float_matrix", forbidden)
         assert main(argv + ["--output", str(outputs[1])]) == 0
         assert outputs[1].read_bytes() == outputs[0].read_bytes()
         assert len(outputs[0].read_text(encoding="utf-8").splitlines()) == 24

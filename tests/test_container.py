@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sslstm.container
+import sslstm.textfile
 from sslstm.container import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -50,6 +51,8 @@ def reference_read_container(source):
             key, sep, value = line[len("meta "):].partition("=")
             if not sep or not key:
                 raise CheckpointError(f"malformed meta line: {line!r}")
+            if key in meta:
+                raise CheckpointError(f"duplicate meta key {key!r}")
             meta[key] = value
             continue
         if line.startswith("tensor "):
@@ -107,7 +110,7 @@ GOOD_VALUES = (
 )
 BAD_VALUES = st.sampled_from(["nan", "-inf", "1e400", "x", "0x1p3", "--1"])
 FAULTS = ("short row", "long row", "non-numeric", "non-finite", "missing row",
-          "blank row", "blank line", "missing end")
+          "blank row", "blank line", "missing end", "repeated meta")
 
 
 @st.composite
@@ -123,6 +126,9 @@ def container_files(draw):
         blocks.append([f"tensor t{t} {rows} {cols}", *body])
     faults = draw(st.lists(st.sampled_from(FAULTS), max_size=3))
     for fault in faults:
+        if fault == "repeated meta":
+            lines.append(f"meta kind={draw(st.sampled_from(['test', 'other']))}")
+            continue
         block = draw(st.sampled_from(blocks))
         if len(block) == 1 and fault != "missing end":
             continue
@@ -178,10 +184,32 @@ class TestReadContainer:
         def forbidden(*args):
             raise AssertionError("row-by-row pass on rows the C parser reads")
 
-        monkeypatch.setattr(sslstm.container, "rows_by_float", forbidden)
+        loadtxt_calls = []
+        loadtxt = np.loadtxt
+
+        def counted(*args, **kwargs):
+            loadtxt_calls.append(args)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        monkeypatch.setattr(sslstm.textfile, "_rows_by_float", forbidden)
         _, back = read_container(io.StringIO(sink.getvalue()))
+        assert len(loadtxt_calls) == len(tensors)
         for name, arr in tensors.items():
             assert back[name].tobytes() == np.atleast_2d(arr).tobytes()
+
+    def test_a_repeated_meta_key_is_refused(self):
+        text = "SSLSTM-CKPT 1\nmeta model=nb\nmeta model=svm\nend\n"
+        with pytest.raises(CheckpointError, match="duplicate meta key 'model'"):
+            read_container(io.StringIO(text))
+        assert read_outcome(read_container, text) == read_outcome(reference_read_container, text)
+
+    @pytest.mark.parametrize("rows", [10**12, 10**20])
+    def test_a_header_declaring_more_rows_than_the_file_holds(self, rows):
+        text = f"SSLSTM-CKPT 1\nmeta model=nb\ntensor priors {rows} 4\n0.1 0.2 0.3 0.4\nend\n"
+        with pytest.raises(TruncatedCheckpointError,
+                           match=rf"tensor 'priors' is missing rows \(1 of {rows} read\)"):
+            read_container(io.StringIO(text))
 
     def test_bad_row_before_missing_rows_names_the_bad_row(self):
         text = "SSLSTM-CKPT 1\ntensor w 3 2\n1 2\n3 x\nend\n"

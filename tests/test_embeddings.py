@@ -13,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sslstm.embeddings
+import sslstm.textfile
 from conftest import LEX, make_table
 from sslstm.embeddings import (
     EmbeddingFormatError,
     EmbeddingTable,
     cosine,
     cosines,
-    empty_table,
     load_embedding_file,
     lookup,
     save_embedding_file,
@@ -349,8 +349,8 @@ class TestLoaderMatchesReference:
             return wrapper
 
         monkeypatch.setattr(np, "loadtxt", counted("loadtxt", np.loadtxt))
-        monkeypatch.setattr(sslstm.embeddings, "rows_by_float",
-                            counted("by_float", sslstm.embeddings.rows_by_float))
+        monkeypatch.setattr(sslstm.textfile, "_rows_by_float",
+                            counted("by_float", sslstm.textfile._rows_by_float))
         try:
             load_str(text)
         except EmbeddingFormatError:
@@ -520,7 +520,7 @@ class TestSentenceEmbedding:
 
 class TestTable:
     def test_empty_table(self):
-        t = empty_table(5)
+        t = EmbeddingTable(5)
         assert len(t) == 0
         np.testing.assert_array_equal(lookup(t, "x"), np.zeros(5))
 

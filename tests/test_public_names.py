@@ -265,6 +265,23 @@ def _imports_container(path: Path) -> bool:
     return any(m and m.rpartition(".")[2] == "container" for m in modules)
 
 
+def test_only_float_matrix_calls_loadtxt():
+    callers = [
+        f"{path.name}:{getattr(top, 'name', top.lineno)}"
+        for path in program_paths() for top in parsed(path).body
+        if any(isinstance(node, ast.Call) and _name(node.func) == "loadtxt" for node in ast.walk(top))
+    ]
+    assert callers == ["textfile.py:float_matrix"]
+
+
+def test_the_table_parser_is_one_pass_and_one_parse():
+    parse = next(top for top in parsed(SRC / "embeddings.py").body
+                 if getattr(top, "name", None) == "_parse_table")
+    nodes = list(ast.walk(parse))[1:]
+    assert [node for node in nodes if isinstance(node, (ast.FunctionDef, ast.Lambda))] == []
+    assert [_name(node.func) for node in nodes if isinstance(node, ast.Call)].count("float_matrix") == 1
+
+
 def test_only_training_reads_model_files():
     assert _callers("read_container") == {"training.py"}
 

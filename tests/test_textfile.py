@@ -24,7 +24,7 @@ from sslstm.dataio import Conversation, read_dataset, read_judgments, write_data
 from sslstm.datamine import Candidate, read_judge_queue, write_judge_queue
 from sslstm.embeddings import load_embedding_file
 from sslstm.text_norm import default_lexicon, load_lexicon, normalize_utterance
-from sslstm.textfile import BLOCK_BYTES, DataFormatError, _split_lines, file_sha256
+from sslstm.textfile import BLOCK_BYTES, BadRow, DataFormatError, _split_lines, file_sha256, float_matrix
 
 SRC = Path(sslstm.__file__).resolve().parent
 
@@ -166,6 +166,31 @@ class TestNegativeTensorDimensions:
         data.write_text("1\ta\tb\tc\n", encoding="utf-8")
         assert main(["predict", "--model", str(model), "--data", str(data)]) == 2
         assert "malformed tensor dimensions" in capsys.readouterr().err
+
+
+class TestFloatMatrix:
+    @pytest.mark.parametrize(("texts", "width", "shape"), [
+        ([], None, (0, 0)), ([], 3, (0, 3)), (["1 2", "3\t4"], None, (2, 2)), (["5"], 1, (1, 1)),
+    ])
+    def test_shape(self, texts, width, shape):
+        assert float_matrix(texts, width).shape == shape
+
+    def test_forms_only_float_reads(self):
+        matrix = float_matrix(["1_0 ١٢", "0.5\r-2"])
+        assert matrix.tobytes() == np.array([[10.0, 12.0], [0.5, -2.0]]).tobytes()
+
+    @pytest.mark.parametrize(("texts", "width", "bad"), [
+        (["1 2", "3"], None, (1, 1, 2, True)),
+        (["1 2"], 3, (0, 2, 3, True)),
+        (["x 1"], None, (0, 2, None, False)),
+        (["1", " ", "2"], None, (1, 0, 1, True)),  # the C parser skips the blank line
+        ([" ", "1"], None, (1, 1, 0, True)),
+        (["1 2", "3 y"], 2, (1, 2, 2, False)),
+    ])
+    def test_bad_row(self, texts, width, bad):
+        with pytest.raises(BadRow) as caught:
+            float_matrix(texts, width)
+        assert (caught.value.row, caught.value.values, caught.value.width, caught.value.numeric) == bad
 
 
 class TestEmoticonBeforeCombiningMark:

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from sslstm.training import (
     utterance_length,
     write_container,
 )
+from sslstm.training import _file_shapes, _file_tensors
 
 
 def conv(cid, text, label=None):
@@ -685,6 +687,34 @@ class TestCheckpoint:
         text = self.save_text(self.build_model()).replace("meta fc_hidden=4", "meta fc_hidden=5")
         with pytest.raises(ShapeMismatchError):
             load_checkpoint(io.StringIO(text))
+
+    @pytest.mark.parametrize(("key", "value", "error", "match"), [
+        ("sem_hidden", 10**12, ShapeMismatchError,
+         r"tensor 'sem_W_i' has shape \(3, 4\), expected \(1000000000000, 4\)"),
+        ("sem_hidden", 10**20, ShapeMismatchError, r"expected \(100000000000000000000, 4\)"),
+        ("sem_hidden", 1000, ShapeMismatchError, r"expected \(1000, 4\)"),
+        ("sem_dim", 10**12, ShapeMismatchError, r"expected \(3, 1000000000000\)"),
+        ("sem_dim", 0, CheckpointError, "sem_dim and sent_dim must be positive"),
+    ])
+    def test_meta_sizes_are_checked_before_anything_is_allocated(self, key, value, error, match):
+        text = self.save_text(self.build_model())
+        old = {"sem_hidden": "meta sem_hidden=3", "sem_dim": "meta sem_dim=4"}[key]
+        assert old + "\n" in text
+        text = text.replace(old + "\n", f"meta {key}={value}\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match=match):
+                load_checkpoint(io.StringIO(text))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # a 1000-hidden LSTM's U alone is 32 MB
+
+    def test_file_shapes_are_the_shapes_a_model_writes(self):
+        model = self.build_model()
+        written = {name: np.atleast_2d(tensor).shape for name, tensor in _file_tensors(model).items()}
+        shapes = _file_shapes(model.config, model.semantic_table.dim, model.sentiment_table.dim)
+        assert list(shapes.items()) == list(written.items())
 
     def test_unexpected_tensor(self):
         text = self.save_text(self.build_model())
