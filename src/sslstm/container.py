@@ -8,7 +8,7 @@ from functools import partial
 
 import numpy as np
 
-from sslstm.textfile import BadRow, DataFormatError, _lines, _open_write, float_matrix
+from sslstm.textfile import BadRow, DataFormatError, _float_rows, _lines, _open_write, float_matrix
 
 CHECKPOINT_MAGIC = "SSLSTM-CKPT"
 CHECKPOINT_VERSION = 1
@@ -26,44 +26,13 @@ class TruncatedCheckpointError(CheckpointError):
     """File ends or loses structure before the closing ``end`` line."""
 
 
-def _few_distinct(bits: np.ndarray) -> np.ndarray | None:
-    """The sorted distinct values of ``bits`` when they are at most half of
-    its values, else None.  Nothing of the size of ``bits`` outlives the call."""
-    ordered = np.sort(bits, axis=None)
-    new = ordered[1:] != ordered[:-1]  # new[i]: ordered[i + 1] starts a run
-    if 2 * (min(ordered.size, 1) + np.count_nonzero(new)) > ordered.size:
-        return None
-    return np.concatenate((ordered[:1], ordered[1:][new]))
-
-
-def _write_rows(fh, mat: np.ndarray) -> None:
-    """One line per row of ``mat``: each value's ``repr``, space-separated.
-    Values are told apart by their bits, so ``-0.0`` and ``0.0`` stay apart.
-    When at most half of the values are distinct, each distinct value is
-    formatted once and the rows are joined from those strings; otherwise
-    each row is formatted as it is written."""
-    bits = mat.view(np.int64)
-    keys = _few_distinct(bits)
-    if keys is None:
-        for row in mat:
-            fh.write(" ".join(map(repr, row.tolist())) + "\n")
-        return
-    texts = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
-    for row in np.searchsorted(keys, bits):
-        fh.write(" ".join(texts[row].tolist()) + "\n")
-
-
 def write_container(sink, meta: dict[str, str], tensors: dict[str, np.ndarray]) -> None:
     """Serialize meta lines and tensor blocks in the versioned text format.
     1-D tensors are stored as single-row matrices; floats are written at
     ``repr`` precision, so reading them back gives the exact values.  A meta
     key or value that would not read back raises ValueError before the sink
-    is opened, so an existing file keeps its bytes.
-
-    A tensor of which at most half the values are distinct (by bits) has
-    each distinct value formatted once (:func:`_write_rows`); any other
-    tensor is formatted row by row as it is written, never held whole as
-    text.  Either way the bytes are the same."""
+    is opened, so an existing file keeps its bytes.  Each row is formatted
+    (:func:`~sslstm.textfile._float_rows`) as it is written."""
     meta = {key: str(value) for key, value in meta.items()}
     for key, value in meta.items():
         if " " in key or "=" in key or "\n" in key:
@@ -77,7 +46,7 @@ def write_container(sink, meta: dict[str, str], tensors: dict[str, np.ndarray]) 
         for name, arr in tensors.items():
             mat = np.atleast_2d(np.asarray(arr, dtype=np.float64))
             fh.write(f"tensor {name} {mat.shape[0]} {mat.shape[1]}\n")
-            _write_rows(fh, mat)
+            fh.writelines(_float_rows(mat))
         fh.write("end\n")
 
 
@@ -92,7 +61,9 @@ def read_container(source) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     Each tensor block's rows are parsed in one call to
     :func:`~sslstm.textfile.float_matrix`, which finds the first bad row.
     Nothing is allocated at the size a tensor header declares: a header
-    that declares more rows than the file holds is a missing-rows fault.
+    that declares more rows than the file holds is a missing-rows fault,
+    and one declaring a row wider than any float64 array can hold is
+    malformed.
     """
     lines = filter(None, _lines(source)[0])
     next_line = partial(next, lines, None)  # next non-empty line, None at the end
@@ -134,7 +105,7 @@ def read_container(source) -> tuple[dict[str, str], dict[str, np.ndarray]]:
                 rows, cols = int(fields[2]), int(fields[3])
             except ValueError:
                 rows = cols = -1  # not numbers: rejected with negative ones
-            if rows < 0 or cols < 0:
+            if rows < 0 or cols < 0 or 8 * cols > np.iinfo(np.intp).max:
                 raise TruncatedCheckpointError(f"malformed tensor dimensions: {line!r}")
             texts = []
             for _ in range(rows):

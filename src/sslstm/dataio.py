@@ -2,9 +2,9 @@
 
 Conversations are 3-turn exchanges stored one per line as UTF-8 TSV:
 ``id<TAB>turn1<TAB>turn2<TAB>turn3<TAB>label`` with the label column
-optional for prediction inputs.  '#'-prefixed lines are comments.  Tabs
-inside utterance text are illegal rather than escaped, which keeps the
-format trivially parseable and diff-able.
+optional for prediction inputs; comment and blank lines as in
+:mod:`sslstm.textfile`.  Tabs inside utterance text are illegal rather
+than escaped, which keeps the format trivially parseable and diff-able.
 
 Judgment files carry per-item label counts from n human judges:
 ``item_id<TAB>happy<TAB>sad<TAB>angry<TAB>others``.
@@ -19,7 +19,7 @@ import numpy as np
 
 from sslstm.labels import LABELS, N_CLASSES, label_index
 from sslstm.text_norm import EmoticonLexicon, normalize_utterance
-from sslstm.textfile import DataFormatError, _lines, _open_write
+from sslstm.textfile import DataFormatError, _content_lines, _label, _write_tsv
 
 
 @dataclass
@@ -59,10 +59,7 @@ def read_dataset(source, lex: EmoticonLexicon) -> list[Conversation]:
     """
     conversations: list[Conversation] = []
     seen: set[str] = set()
-    lines, label_name = _lines(source)
-    for lineno, line in enumerate(lines, start=1):
-        if not line or line.startswith("#"):
-            continue
+    for label_name, lineno, line in _content_lines(source):
         fields = line.split("\t")
         if len(fields) not in (4, 5):
             raise DataFormatError(
@@ -99,21 +96,10 @@ def read_dataset(source, lex: EmoticonLexicon) -> list[Conversation]:
 
 def write_dataset(dataset, sink) -> None:
     """Serialize conversations back to TSV, one line each, trailing newline;
-    a row that would not read back as written raises ValueError."""
-    lines = []
-    for conv in dataset:
-        fields = [conv.id, conv.turn1, conv.turn2, conv.turn3]
-        if conv.label is not None:
-            fields.append(conv.label)
-        for text in fields:
-            if "\t" in text or "\n" in text:
-                raise ValueError(f"conversation {conv.id}: tabs/newlines are not representable")
-        line = "\t".join(fields)
-        if line.startswith("#") or line.endswith("\r"):
-            raise ValueError(f"conversation {conv.id}: line would not read back: {line!r}")
-        lines.append(line)
-    with _open_write(sink) as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
+    a row that would not read back as written raises ValueError
+    (:func:`~sslstm.textfile._write_tsv`)."""
+    _write_tsv(([conv.id, conv.turn1, conv.turn2, conv.turn3]
+                + ([] if conv.label is None else [conv.label]) for conv in dataset), sink)
 
 
 def require_labeled(dataset) -> list[Conversation]:
@@ -130,10 +116,8 @@ def read_judgments(source) -> tuple[np.ndarray, int]:
     rows: list[list[int]] = []
     n = None
     seen: set[str] = set()
-    lines, label_name = _lines(source)
-    for lineno, line in enumerate(lines, start=1):
-        if not line or line.startswith("#"):
-            continue
+    label_name = _label(source)
+    for _, lineno, line in _content_lines(source):
         fields = line.split("\t")
         if len(fields) != 1 + N_CLASSES:
             raise DataFormatError(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .textfile import DataFormatError, _open_write, _tsv_rows
+from .textfile import DataFormatError, _tsv_rows, _write_tsv
 from .embeddings import EmbeddingTable, cosines, sentence_embedding
 from .labels import EMOTION_LABELS
 from .text_norm import EmoticonLexicon, emoticon_class, normalize_utterance, serialize_tokens
@@ -256,18 +256,8 @@ def write_judge_queue(candidates, sink) -> None:
     with columns utterance, score (``%g``, 6 significant digits), matched
     seed or response, and the pruning reason (empty for live candidates).
     A row that would not read back raises ValueError before the sink is
-    opened, so nothing is written."""
-    lines = []
-    for cand in candidates:
-        for text in (cand.utterance, cand.matched, cand.reason):
-            if "\t" in text or "\n" in text:
-                raise ValueError(f"judge queue fields may not hold tabs or newlines: {text!r}")
-        line = f"{cand.utterance}\t{cand.score:g}\t{cand.matched}\t{cand.reason}"
-        if line.lstrip().startswith("#") or line.endswith("\r"):
-            raise ValueError(f"judge queue line would not read back: {line!r}")
-        lines.append(line + "\n")
-    with _open_write(sink) as fh:
-        fh.writelines(lines)
+    opened, so nothing is written (:func:`~sslstm.textfile._write_tsv`)."""
+    _write_tsv(([c.utterance, f"{c.score:g}", c.matched, c.reason] for c in candidates), sink)
 
 
 def read_judge_queue(source) -> list[Candidate]:

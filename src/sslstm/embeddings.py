@@ -31,8 +31,8 @@ from collections.abc import Mapping, Set
 
 import numpy as np
 
-from sslstm.textfile import (BLOCK_BYTES, BadRow, DataFormatError, _open_read, _open_write,
-                             _read, _split_lines, file_sha256, float_matrix)
+from sslstm.textfile import (BLOCK_BYTES, BadRow, DataFormatError, _float_rows, _open_read,
+                             _open_write, _read, _split_lines, file_sha256, float_matrix)
 
 # Fallback dimensionalities for channels constructed without a file.
 DEFAULT_SEMANTIC_DIM = 100
@@ -316,8 +316,7 @@ def save_embedding_file(table: EmbeddingTable, sink) -> None:
         if token.split() != [token]:
             raise ValueError(f"embedding token would not read back: {token!r}")
     with _open_write(sink) as fh:
-        for token, vec in zip(table.index, table.matrix):
-            fh.write(token + " " + " ".join(repr(float(v)) for v in vec) + "\n")
+        fh.writelines(f"{token} {line}" for token, line in zip(table.index, _float_rows(table.matrix)))
 
 
 def lookup(table: EmbeddingTable, token) -> np.ndarray:

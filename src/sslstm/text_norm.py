@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 from importlib import resources
 from itertools import chain
 
-from sslstm.textfile import DataFormatError, _read, _split_lines
+from sslstm.textfile import DataFormatError, _read, _skipped, _split_lines
 
 EMOTICON_CLASSES = ("happy", "sad", "angry", "neutral")
 
@@ -131,15 +131,15 @@ class EmoticonLexicon:
 def load_lexicon(source) -> EmoticonLexicon:
     """Read a lexicon from a path, bytes, or a text/byte stream.
 
-    Format: UTF-8, one ``raw<TAB>canonical<TAB>class`` entry per line; lines
-    starting with '#' and blank lines are ignored.  The lexicon's ``sha256``
-    is the hash of the bytes read.
+    Format: UTF-8, one ``raw<TAB>canonical<TAB>class`` entry per line, and
+    comment and blank lines as in :mod:`sslstm.textfile`.  The lexicon's
+    ``sha256`` is the hash of the bytes read.
     """
     data, name = _read(source)
     lines = _split_lines(data, name)
     entries = []
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip() or line.startswith("#"):
+        if _skipped(line):
             continue
         fields = line.split("\t")
         if len(fields) != 3:

@@ -1,10 +1,15 @@
-"""How the package reads and writes its text files.
+"""How the package reads and writes its text files, and every line-format
+rule.  A reader's ``source`` is a path, ``bytes``, or a byte or text stream
+(taken as its UTF-8 encoding).
 
-A reader's ``source`` is a path, ``bytes``, or a byte or text stream (taken
-as its UTF-8 encoding).  The one line rule (:func:`_split_lines`): decode
-as UTF-8, split at ``\\n`` only, drop a ``\\r`` just before it, and add no
-empty line after a final ``\\n``; so the same bytes give the same lines
-however they are passed in.  Each format keeps its own comment rule.
+- Lines (:func:`_split_lines`): decode as UTF-8, split at ``\\n`` only, drop
+  a ``\\r`` just before it, and add no empty line after a final ``\\n``; so
+  the same bytes give the same lines however they are passed in.
+- Skipped lines (:func:`_skipped`): the tab-separated and one-per-line
+  formats skip an empty or whitespace-only line and one whose first
+  non-blank character is ``#``.  Embedding tables and model files do not.
+- TSV rows (:func:`_write_tsv`): written only when they read back as written.
+- Float rows: parsed by :func:`float_matrix`, formatted by :func:`_float_rows`.
 
 Every file the package reads is opened by the one reading opener,
 :func:`_open_read`: :func:`_read` takes the whole of a file,
@@ -85,12 +90,17 @@ def _lines(source) -> tuple[list[str], str]:
     return _split_lines(data, label), label
 
 
+def _skipped(line: str) -> bool:
+    """Whether a reader skips ``line``: it is empty, whitespace only, or
+    has ``#`` as its first non-blank character."""
+    return not line.strip() or line.lstrip().startswith("#")
+
+
 def _content_lines(source):
-    """(label, line number, text) of each line that is neither blank nor,
-    after leading whitespace, a ``#`` comment."""
+    """(label, line number, text) of each line of ``source`` not :func:`_skipped`."""
     lines, label = _lines(source)
     for lineno, line in enumerate(lines, start=1):
-        if line.strip() and not line.lstrip().startswith("#"):
+        if not _skipped(line):
             yield label, lineno, line
 
 
@@ -113,6 +123,23 @@ def _open_write(sink):
             yield fh
     else:
         yield sink
+
+
+def _write_tsv(rows, sink) -> None:
+    """Write each row of fields to ``sink`` as one tab-joined line.  A field
+    holding a tab or newline, or a line that is :func:`_skipped` or ends in
+    ``\\r``, raises ValueError before the sink is opened: nothing is written."""
+    lines = []
+    for fields in rows:
+        for text in fields:
+            if "\t" in text or "\n" in text:
+                raise ValueError(f"tabs/newlines in a field are not representable: {text!r}")
+        line = "\t".join(fields)
+        if _skipped(line) or line.endswith("\r"):
+            raise ValueError(f"line would not read back: {line!r}")
+        lines.append(line + "\n")
+    with _open_write(sink) as fh:
+        fh.writelines(lines)
 
 
 class BadRow(ValueError):
@@ -165,3 +192,30 @@ def _rows_by_float(texts: list[str], width: int | None) -> np.ndarray:
             raise BadRow(k, len(row), width, True)
         rows.append(row)
     return np.array(rows, dtype=np.float64).reshape(len(rows), width or 0)
+
+
+def _few_distinct(bits: np.ndarray) -> np.ndarray | None:
+    """The sorted distinct values of ``bits`` when they are at most half of
+    its values, else None.  Nothing of the size of ``bits`` outlives the call."""
+    ordered = np.sort(bits, axis=None)
+    new = ordered[1:] != ordered[:-1]  # new[i]: ordered[i + 1] starts a run
+    if 2 * (min(ordered.size, 1) + np.count_nonzero(new)) > ordered.size:
+        return None
+    return np.concatenate((ordered[:1], ordered[1:][new]))
+
+
+def _float_rows(mat: np.ndarray):
+    """Each row of the float64 matrix ``mat`` as a line ending in ``\\n``:
+    each value's ``repr``, space-separated, so the exact values read back
+    (``-0.0`` and ``0.0`` are told apart by their bits).  When at most half
+    are distinct (:func:`_few_distinct`), each distinct value is formatted
+    once.  Given straight to ``writelines``, no row's text outlives its write."""
+    bits = mat.view(np.int64)
+    keys = _few_distinct(bits)
+    if keys is None:
+        for row in mat:
+            yield " ".join(map(repr, row.tolist())) + "\n"
+        return
+    texts = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+    for row in np.searchsorted(keys, bits):
+        yield " ".join(texts[row].tolist()) + "\n"

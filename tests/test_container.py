@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sslstm.container
 import sslstm.textfile
 from sslstm.container import (
     CHECKPOINT_MAGIC,
@@ -265,7 +264,7 @@ class TestWriteContainer:
         # 8 values of which 1..8 are distinct, -0.0 and 0.0 among them.
         pool = [0.0, -0.0, 1e-310, 0.1, -2.5, 1e22, 3.0, 7.25]
         mat = np.array([pool[k % distinct] for k in range(8)]).reshape(2, 4)
-        few = sslstm.container._few_distinct(mat.view(np.int64))
+        few = sslstm.textfile._few_distinct(mat.view(np.int64))
         if 2 * distinct <= mat.size:
             assert sorted(few.view(np.float64).tolist()) == sorted(pool[:distinct])
         else:

@@ -163,6 +163,19 @@ class TestRoundTrip:
         assert list(back.index) == list(table.index)
         assert back.matrix.tobytes() == table.matrix.tobytes()
 
+    @pytest.mark.parametrize("pool", [
+        None,  # every value distinct: each row formatted as it is written
+        [0.0, -0.0, 1e-310, 0.1, -2.5, 1e22],  # few distinct: each value formatted once
+    ], ids=["distinct", "few-distinct"])
+    @pytest.mark.parametrize("rows", [0, 1, 40])
+    def test_save_writes_each_value_repr_after_its_token(self, pool, rows):
+        rng = np.random.default_rng(rows)
+        matrix = rng.standard_normal((rows, 3)) if pool is None else rng.choice(pool, (rows, 3))
+        table = EmbeddingTable(3, {f"t{k}": row for k, row in enumerate(matrix)})
+        expected = "".join(f"t{k} " + " ".join(repr(float(v)) for v in row) + "\n"
+                           for k, row in enumerate(matrix))
+        assert table_text(table, header=False) == expected
+
     @pytest.mark.parametrize("token", ["a b", "a\tb", "a\u2028b", "", " a"])
     def test_save_names_the_token_it_refuses(self, token):
         table = EmbeddingTable(2, {"ok": np.zeros(2), token: np.ones(2)})

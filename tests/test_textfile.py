@@ -7,6 +7,7 @@ import hashlib
 import io
 import re
 import tempfile
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -154,8 +155,13 @@ class TestWritersWriteOnlyWhatReadsBack:
             write_container(io.StringIO(), {"note": "v\r"}, {})
 
 
-class TestNegativeTensorDimensions:
-    @pytest.mark.parametrize("header", ["tensor w -1 2", "tensor w 0 -3"])
+class TestMalformedTensorDimensions:
+    @pytest.mark.parametrize("header", [
+        "tensor w -1 2", "tensor w 0 -3",
+        # wider than any float64 array can hold
+        "tensor w 0 100000000000000000000", "tensor w 2 100000000000000000000",
+        "tensor w 0 9223372036854775807", "tensor w 0 1152921504606846976",
+    ])
     def test_malformed_dimensions(self, tmp_path, capsys, header):
         text = f"SSLSTM-CKPT 1\n{header}\nend\n"
         with pytest.raises(TruncatedCheckpointError, match="malformed tensor dimensions"):
@@ -230,7 +236,7 @@ def outcome(reader, source, label):
     """A reader's result in comparable form, or its error's type and message
     with the source's label factored out."""
     try:
-        value = reader(source)
+        value = reader(source, LEX) if reader is read_dataset else reader(source)
     except Exception as exc:
         return type(exc), str(exc).replace(label, "<label>")
     if reader is read_judgments:
@@ -244,19 +250,34 @@ def outcome(reader, source, label):
     return value
 
 
-@st.composite
-def files(draw, reader):
-    """A file of ``reader``'s format as bytes, with or without one line of
-    noise and a line end after the last line."""
+def draw_lines(draw, reader) -> list[str]:
+    """The lines of a file of ``reader``'s format, with or without one line
+    of noise."""
     head, templates, tail = FORMATS[reader]
     picks = draw(st.lists(st.sampled_from(templates), max_size=6))
     lines = [head] + [t.format(i=i) for i, t in enumerate(picks)] + [tail]
     if draw(st.booleans()):
         lines.insert(draw(st.integers(0, len(lines))), draw(noise))
-    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    return lines
+
+
+def draw_ends(draw, n: int) -> list[str]:
+    """Line ends for ``n`` lines, with or without one after the last."""
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in range(n)]
     if draw(st.booleans()):
         ends[-1] = ""  # no line end after the last line
+    return ends
+
+
+def joined(lines, ends) -> bytes:
     return "".join(map(str.__add__, lines, ends)).encode("utf-8")
+
+
+@st.composite
+def files(draw, reader):
+    """A file of ``reader``'s format as bytes."""
+    lines = draw_lines(draw, reader)
+    return joined(lines, draw_ends(draw, len(lines)))
 
 
 class TestEveryReaderReadsEverySourceAlike:
@@ -269,6 +290,120 @@ class TestEveryReaderReadsEverySourceAlike:
             first, *others = [outcome(reader, source, label)
                               for source, label in sources(content, Path(tmp))]
         assert others == [first] * 3
+
+
+# Whitespace, then nothing or a '#' and noise: lines the skip rule skips.
+skipped_lines = st.builds(str.__add__, st.text(st.sampled_from(" \t\r\x0b\x0c\x1c\x85\u2028"), max_size=3),
+                          st.one_of(st.just(""), noise.map("#".__add__)))
+TSV_READERS = [read_dataset, read_judgments, read_judge_queue, load_lexicon]
+
+
+@st.composite
+def files_and_with_a_skipped_line(draw, reader):
+    """A file of ``reader``'s format, and the same file with one skipped
+    line inserted before one of its lines, as bytes."""
+    lines = draw_lines(draw, reader)
+    ends = draw_ends(draw, len(lines))
+    k = draw(st.integers(0, len(lines) - 1))
+    line, end = draw(skipped_lines), draw(st.sampled_from(["\n", "\r\n"]))
+    return joined(lines, ends), joined(lines[:k] + [line] + lines[k:], ends[:k] + [end] + ends[k:])
+
+
+def record_of(writer, fields, label):
+    """The record ``writer`` writes as ``fields``."""
+    if writer is write_dataset:
+        return Conversation(*fields, label, lex=LEX)
+    return Candidate(fields[0], 0.5, fields[1], fields[2])
+
+
+def reads_back(writer, record) -> bool:
+    """Whether the record's fields, tab-joined on one line, read back as it."""
+    if writer is write_dataset:
+        fields = [record.id, record.turn1, record.turn2, record.turn3]
+        fields += [] if record.label is None else [record.label]
+        read = partial(read_dataset, lex=LEX)
+    else:
+        fields = [record.utterance, "0.5", record.matched, record.reason]
+        read = read_judge_queue
+    try:
+        return read(io.StringIO("\t".join(fields) + "\n")) == [record]
+    except DataFormatError:
+        return False
+
+
+class TestOneSkipRule:
+    @pytest.mark.parametrize("reader", TSV_READERS, ids=lambda r: r.__name__)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_a_skipped_line_changes_no_result(self, reader, data):
+        content, with_skipped = data.draw(files_and_with_a_skipped_line(reader))
+
+        def result(source):  # line numbers in messages shift with the insert
+            got = outcome(reader, source, "<bytes>")
+            failed = isinstance(got, tuple) and isinstance(got[0], type)
+            return (got[0], re.sub(r":\d+:", ":N:", got[1])) if failed else got
+
+        assert result(with_skipped) == result(content)
+
+    @pytest.mark.parametrize("writer", [write_dataset, write_judge_queue], ids=lambda w: w.__name__)
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_writer_refuses_exactly_the_rows_that_would_not_read_back(self, writer, data):
+        fields = data.draw(st.lists(st.text(st.sampled_from(CHARS + "\n"), max_size=4),
+                                    min_size=4 if writer is write_dataset else 3,
+                                    max_size=4 if writer is write_dataset else 3))
+        label = data.draw(st.sampled_from([None, "happy"]))
+        try:
+            record = record_of(writer, fields, label)
+        except ValueError:
+            return  # an empty id or final turn: no record to write
+        sink = io.StringIO()
+        try:
+            writer([record], sink)
+        except ValueError:
+            assert sink.getvalue() == ""
+            assert not reads_back(writer, record)
+        else:
+            assert reads_back(writer, record)
+
+    @pytest.mark.parametrize("line", ["", " ", "\t\t", " \u2028", "# x", "  # x", "\t#1\ta\tb\tc"])
+    @pytest.mark.parametrize(("reader", "row"), [
+        (read_dataset, "1\ta\tb\tc\thappy"),
+        (read_judgments, "q\t1\t1\t0\t0"),
+        (load_lexicon, "x:\t:)\thappy"),
+        (read_judge_queue, "q\t0.5\tseed\t"),
+    ], ids=lambda r: getattr(r, "__name__", None))
+    def test_blank_and_indented_comment_lines_are_skipped(self, reader, row, line):
+        assert outcome(reader, f"{row}\n{line}\n".encode(), "") == outcome(reader, f"{row}\n".encode(), "")
+
+    @pytest.mark.parametrize("conv_id", ["#1", "  #1", "\u2028#"])
+    def test_write_dataset_refuses_a_comment_id(self, conv_id):
+        with pytest.raises(ValueError, match="would not read back"):
+            write_dataset([Conversation(conv_id, "a", "b", "c", lex=LEX)], io.StringIO())
+
+    def test_no_module_but_textfile_tests_for_a_comment(self):
+        offenders = {
+            path.name: hits
+            for path in sorted(SRC.glob("*.py"))
+            if (hits := _comment_tests(ast.parse(path.read_text(encoding="utf-8"))))
+        }
+        assert offenders == {"textfile.py": ["_skipped"]}
+
+
+def _comment_tests(tree: ast.AST) -> list[str]:
+    """The functions of one module that call ``startswith`` with a string
+    starting with ``#``."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "startswith" and node.args
+                    and any(isinstance(c, ast.Constant) and str(c.value).startswith("#")
+                            for c in ast.walk(node.args[0]))):
+                found.append(fn.name)
+    return found
 
 
 def _file_text_violations(tree: ast.AST) -> list[str]:
