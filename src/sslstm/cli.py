@@ -15,7 +15,8 @@ not finite).  A flag left out takes the library's default; a flag that the
 chosen ``train`` algorithm or ``mine`` mode does not read is a usage
 error.  The library has no default emoticon lexicon: each command
 resolves ``--lexicon`` or the packaged one once and passes it to
-everything that reads text.
+everything that reads text.  Commands write their results through
+:mod:`sslstm.textfile` and open no file themselves.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ from .training import (
     split_dataset,
     train,
 )
-from .textfile import DataFormatError, _content_lines, _lines, _open_write, _tsv_rows
+from .textfile import DataFormatError, _content_lines, _lines, _tsv_rows, _write_lines
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -122,12 +123,6 @@ class _Parser(argparse.ArgumentParser):
 
 # ---------------------------------------------------------------------------
 # small I/O helpers
-
-
-def _emit(lines, output: str | None) -> None:
-    """Write each line followed by a newline; no lines write nothing."""
-    with _open_write(output or sys.stdout) as fh:
-        fh.writelines(line + "\n" for line in lines)
 
 
 def _read_lines(path: str) -> list[str]:
@@ -254,7 +249,8 @@ def _warn_missing_tables(args, config: ModelConfig, doing: str) -> None:
 def cmd_normalize(args) -> None:
     lex = _lexicon(args)
     raw_lines, _ = _lines(args.input or getattr(sys.stdin, "buffer", sys.stdin))
-    _emit([serialize_tokens(normalize_utterance(line, lex)) for line in raw_lines], args.output)
+    lines = [serialize_tokens(normalize_utterance(line, lex)) for line in raw_lines]
+    _write_lines(lines, args.output or sys.stdout)
 
 
 def cmd_split(args) -> None:
@@ -330,7 +326,7 @@ def cmd_eval(args) -> None:
             f"\nMcNemar statistic: {statistic:.2f}\n"
             f"significant at p < 0.005: {'yes' if significant else 'no'}"
         )
-    _emit([text], args.output)
+    _write_lines([text], args.output or sys.stdout)
 
 
 def cmd_predict(args) -> None:
@@ -340,7 +336,7 @@ def cmd_predict(args) -> None:
     model = _model_loader(args, lex, _vocab(token_lists))(args.model)
     labels = predict(model, token_lists, lex)
     rows = [f"{conv.id}\t{label}" for conv, label in zip(dataset, labels)]
-    _emit(rows, args.output)
+    _write_lines(rows, args.output or sys.stdout)
 
 
 def cmd_embcos(args) -> None:
@@ -354,7 +350,7 @@ def cmd_embcos(args) -> None:
     for w1, w2 in pairs:
         scores = (f"{cosine(lookup(t, w1), lookup(t, w2)):.4f}" for t in tables.values())
         lines.append(f"{w1}\t{w2}\t" + "\t".join(scores))
-    _emit(lines, args.output)
+    _write_lines(lines, args.output or sys.stdout)
 
 
 def cmd_mine(args) -> None:
@@ -381,23 +377,21 @@ def cmd_mine(args) -> None:
         table = load_embedding_file(args.emb, vocab=_utterance_vocab(utterances, lex))
         kwargs = _given_kwargs(args, "n", "seed")
         negatives = sample_negatives(pool, positive_sets, table, lex, cfg, **kwargs)
-        _emit(negatives, args.output)
+        _write_lines(negatives, args.output or sys.stdout)
         return
     write_judge_queue(candidates, args.output or sys.stdout)
 
 
 def cmd_stats(args) -> None:
     dataset = require_labeled(read_dataset(args.data, _lexicon(args)))
-    _emit([format_stats(dataset_stats(dataset))], args.output)
+    _write_lines([format_stats(dataset_stats(dataset))], args.output or sys.stdout)
 
 
 def cmd_kappa(args) -> None:
     judgments, n_raters = read_judgments(args.judgments)
     kappa = fleiss_kappa(judgments, n_raters)
-    _emit(
-        [f"items: {judgments.shape[0]}\nraters: {n_raters}\nfleiss-kappa: {kappa:.4f}"],
-        args.output,
-    )
+    lines = [f"items: {judgments.shape[0]}", f"raters: {n_raters}", f"fleiss-kappa: {kappa:.4f}"]
+    _write_lines(lines, args.output or sys.stdout)
 
 
 def cmd_gradcheck(args) -> None:

@@ -27,7 +27,7 @@ import numpy as np
 from .textfile import DataFormatError, _tsv_rows, _write_tsv
 from .embeddings import EmbeddingTable, cosines, sentence_embedding
 from .labels import EMOTION_LABELS
-from .text_norm import EmoticonLexicon, emoticon_class, normalize_utterance, serialize_tokens
+from .text_norm import EmoticonLexicon, emoticon_class, normalize_utterance
 
 PRUNE_OPPOSITE_EMOTICON = "opposite-emoticon"
 PRUNE_LENGTH = "length"
@@ -177,11 +177,11 @@ def mine_by_response(
     with equal frequencies in pair order.
     """
     _check_target(target)
-    keys: dict[str, str] = {}  # text -> its normalized, serialized form
+    keys: dict[str, tuple[str, ...]] = {}  # text -> its tokens
 
-    def key(text: str) -> str:
+    def key(text: str) -> tuple[str, ...]:
         if text not in keys:
-            keys[text] = serialize_tokens(normalize_utterance(text, lex))
+            keys[text] = tuple(normalize_utterance(text, lex))
         return keys[text]
 
     rows = [(q, a, key(q), key(a)) for q, a in pairs]
@@ -208,8 +208,7 @@ def mine_by_response(
             continue
         if a_key in frequent:
             seen_questions.add(q_key)
-            # tokens hold no whitespace, so the key splits back into them
-            reason = _prune_reason(q_key.split(), target, lex, config)
+            reason = _prune_reason(q_key, target, lex, config)
             candidates.append(Candidate(q, float(counts[a_key]), first_text[a_key], reason))
     return _queue(candidates)
 

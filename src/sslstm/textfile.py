@@ -8,7 +8,8 @@ rule.  A reader's ``source`` is a path, ``bytes``, or a byte or text stream
 - Skipped lines (:func:`_skipped`): the tab-separated and one-per-line
   formats skip an empty or whitespace-only line and one whose first
   non-blank character is ``#``.  Embedding tables and model files do not.
-- TSV rows (:func:`_write_tsv`): written only when they read back as written.
+- Written lines (:func:`_write_lines`): none ends in ``\\r``.  TSV rows
+  (:func:`_write_tsv`) go through it, and only when they read back as written.
 - Float rows: parsed by :func:`float_matrix`, formatted by :func:`_float_rows`.
 
 Every file the package reads is opened by the one reading opener,
@@ -125,21 +126,29 @@ def _open_write(sink):
         yield sink
 
 
+def _write_lines(lines: list[str], sink) -> None:
+    """Write each line followed by ``\\n``.  A line ending in ``\\r``, which
+    reads back without it, raises ValueError before the sink is opened."""
+    if bad := next((line for line in lines if line.endswith("\r")), None):
+        raise ValueError(f"line would not read back: {bad!r}")
+    with _open_write(sink) as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
 def _write_tsv(rows, sink) -> None:
-    """Write each row of fields to ``sink`` as one tab-joined line.  A field
-    holding a tab or newline, or a line that is :func:`_skipped` or ends in
-    ``\\r``, raises ValueError before the sink is opened: nothing is written."""
+    """Write each row of fields to ``sink`` as one tab-joined line through
+    :func:`_write_lines`.  A field holding a tab or newline, or a line that
+    is :func:`_skipped`, raises ValueError before the sink is opened."""
     lines = []
     for fields in rows:
         for text in fields:
             if "\t" in text or "\n" in text:
                 raise ValueError(f"tabs/newlines in a field are not representable: {text!r}")
         line = "\t".join(fields)
-        if _skipped(line) or line.endswith("\r"):
+        if _skipped(line):
             raise ValueError(f"line would not read back: {line!r}")
-        lines.append(line + "\n")
-    with _open_write(sink) as fh:
-        fh.writelines(lines)
+        lines.append(line)
+    _write_lines(lines, sink)
 
 
 class BadRow(ValueError):

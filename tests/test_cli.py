@@ -780,6 +780,74 @@ class TestMine:
             runs.append(out.read_text())
         assert runs[0] == runs[1]
 
+    def test_negative_mode_refuses_a_line_that_would_not_read_back(self, ws, tmp_path, capsys):
+        pool = tmp_path / "pool.txt"
+        pool.write_bytes(b"sad day\r\r\n")
+        positives = write_lines(tmp_path / "pos.txt", ["alpha"])
+        out = tmp_path / "negatives.txt"
+        assert main(["mine", "--mode", "neg", "--pool", str(pool),
+                     "--positives", positives, "--emb", ws["semantic_emb"],
+                     "--n", "1", "--output", str(out)]) == 1
+        assert capsys.readouterr().err == "error: line would not read back: 'sad day\\r'\n"
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def mining_inputs(tmp_path_factory):
+    """One small pool, seed list, positive list and pair file, and the
+    table they are embedded with."""
+    root = tmp_path_factory.mktemp("mining")
+    table = EmbeddingTable(dim=2, vectors={
+        "good": np.array([1.0, 0.0]), "great": np.array([0.9, 0.2]), "day": np.array([0.5, 0.5]),
+        "bad": np.array([0.0, 1.0]), "awful": np.array([0.1, 0.9]), "rain": np.array([-0.3, 0.8]),
+    })
+    save_embedding_file(table, root / "emb.txt")
+    write_lines(root / "seeds.txt", ["good day :)", "great"])
+    write_lines(root / "pool.txt", ["great day", "bad day", "awful rain", "good good :(",
+                                    "great great :)", "rain", "day"])
+    write_lines(root / "pos.txt", ["good", "great day"])
+    write_lines(root / "pairs.tsv", [
+        "good day\tnice", "great day\tnice", "good news\tyay", "great news\tyay",
+        "fine day :(\tnice", "fine  day :(\tnice", "ok then\tyay", "a b c d e\tnice",
+        "so so\tmeh", "good day\tmeh",
+    ])
+    write_lines(root / "happy.txt", ["good day", "great day", "good news", "great news"])
+    return root
+
+
+# Each mining mode's flags (file names under ``mining_inputs``) and the bytes
+# it writes.
+GOLDEN_MINED = {
+    "t1": (
+        ["--seeds", "seeds.txt", "--pool", "pool.txt", "--emb", "emb.txt",
+         "--threshold", "0.9", "--target", "happy"],
+        b"great great :)\t1\tgreat\t\ngreat day\t0.989949\tgood day :)\t\n"
+        b"good good :(\t0.976187\tgreat\topposite-emoticon\n",
+    ),
+    "neg": (
+        ["--pool", "pool.txt", "--positives", "pos.txt", "--emb", "emb.txt",
+         "--threshold", "0.9", "--n", "2", "--seed", "4"],
+        b"awful rain\nrain\n",
+    ),
+    "t2": (
+        ["--pairs", "pairs.tsv", "--class-utterances", "happy.txt", "--target", "happy",
+         "--max-len", "4"],
+        b"ok then\t2\tyay\t\nfine day :(\t2\tnice\topposite-emoticon\n"
+        b"a b c d e\t2\tnice\tlength\n",
+    ),
+}
+
+
+class TestMinedFileBytes:
+    @pytest.mark.parametrize("mode", GOLDEN_MINED)
+    def test_each_mode_writes_these_bytes(self, mining_inputs, tmp_path, mode):
+        flags, expected = GOLDEN_MINED[mode]
+        argv = [str(mining_inputs / flag) if flag.endswith((".txt", ".tsv")) else flag
+                for flag in flags]
+        out = tmp_path / "mined"
+        assert main(["mine", "--mode", mode, *argv, "--output", str(out)]) == 0
+        assert out.read_bytes() == expected
+
 
 @pytest.fixture(scope="module")
 def wide(tmp_path_factory):

@@ -328,3 +328,15 @@ def test_the_benchmark_generator_still_reads_token_surface():
         "perfbench/gen.py no longer reads .surface: delete the Token subclass "
         "and have normalize_utterance return plain str"
     )
+
+
+def test_the_command_line_opens_and_writes_no_file_itself():
+    # Its results go through textfile's writers, which check that they read back.
+    writes = [
+        f"cli.py:{node.lineno}: {_name(node.func)}"
+        for node in ast.walk(parsed(SRC / "cli.py"))
+        if isinstance(node, ast.Call)
+        and (_name(node.func) in {"open", "_open_write"}
+             or isinstance(node.func, ast.Attribute) and node.func.attr in {"write", "writelines"})
+    ]
+    assert writes == []

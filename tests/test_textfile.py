@@ -25,7 +25,8 @@ from sslstm.dataio import Conversation, read_dataset, read_judgments, write_data
 from sslstm.datamine import Candidate, read_judge_queue, write_judge_queue
 from sslstm.embeddings import load_embedding_file
 from sslstm.text_norm import default_lexicon, load_lexicon, normalize_utterance
-from sslstm.textfile import BLOCK_BYTES, BadRow, DataFormatError, _split_lines, file_sha256, float_matrix
+from sslstm.textfile import (BLOCK_BYTES, BadRow, DataFormatError, _lines, _split_lines, _write_lines,
+                             file_sha256, float_matrix)
 
 SRC = Path(sslstm.__file__).resolve().parent
 
@@ -309,15 +310,24 @@ def files_and_with_a_skipped_line(draw, reader):
     return joined(lines, ends), joined(lines[:k] + [line] + lines[k:], ends[:k] + [end] + ends[k:])
 
 
+# How many fields make one record of each writer; ``_write_lines`` writes
+# lines, which hold no newline.
+WRITER_FIELDS = {write_dataset: 4, write_judge_queue: 3, _write_lines: 1}
+
+
 def record_of(writer, fields, label):
     """The record ``writer`` writes as ``fields``."""
     if writer is write_dataset:
         return Conversation(*fields, label, lex=LEX)
+    if writer is _write_lines:
+        return fields[0]
     return Candidate(fields[0], 0.5, fields[1], fields[2])
 
 
 def reads_back(writer, record) -> bool:
     """Whether the record's fields, tab-joined on one line, read back as it."""
+    if writer is _write_lines:
+        return _lines(io.StringIO(record + "\n"))[0] == [record]
     if writer is write_dataset:
         fields = [record.id, record.turn1, record.turn2, record.turn3]
         fields += [] if record.label is None else [record.label]
@@ -345,13 +355,14 @@ class TestOneSkipRule:
 
         assert result(with_skipped) == result(content)
 
-    @pytest.mark.parametrize("writer", [write_dataset, write_judge_queue], ids=lambda w: w.__name__)
+    @pytest.mark.parametrize("writer", WRITER_FIELDS, ids=lambda w: w.__name__)
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_writer_refuses_exactly_the_rows_that_would_not_read_back(self, writer, data):
-        fields = data.draw(st.lists(st.text(st.sampled_from(CHARS + "\n"), max_size=4),
-                                    min_size=4 if writer is write_dataset else 3,
-                                    max_size=4 if writer is write_dataset else 3))
+        alphabet = CHARS if writer is _write_lines else CHARS + "\n"
+        n_fields = WRITER_FIELDS[writer]
+        fields = data.draw(st.lists(st.text(st.sampled_from(alphabet), max_size=4),
+                                    min_size=n_fields, max_size=n_fields))
         label = data.draw(st.sampled_from([None, "happy"]))
         try:
             record = record_of(writer, fields, label)
