@@ -31,8 +31,12 @@ def write_container(sink, meta: dict[str, str], tensors: dict[str, np.ndarray]) 
     1-D tensors are stored as single-row matrices; floats are written at
     ``repr`` precision, so reading them back gives the exact values.  A meta
     key or value that would not read back raises ValueError before the sink
-    is opened, so an existing file keeps its bytes.  Each row is formatted
-    (:func:`~sslstm.textfile._float_rows`) as it is written."""
+    is opened, so an existing file keeps its bytes.  The values are
+    formatted (:func:`~sslstm.textfile._float_rows`) in blocks of at most
+    :data:`~sslstm.textfile.FORMAT_BLOCK` by a kernel that gives ``repr``'s
+    exact text, with the values it cannot certify through ``repr``, and each
+    row is written as soon as it is formatted.  A tensor of no columns is
+    its header and one empty line per row."""
     meta = {key: str(value) for key, value in meta.items()}
     for key, value in meta.items():
         if " " in key or "=" in key or "\n" in key:
@@ -60,10 +64,11 @@ def read_container(source) -> tuple[dict[str, str], dict[str, np.ndarray]]:
 
     Each tensor block's rows are parsed in one call to
     :func:`~sslstm.textfile.float_matrix`, which finds the first bad row.
-    Nothing is allocated at the size a tensor header declares: a header
-    that declares more rows than the file holds is a missing-rows fault,
-    and one declaring a row wider than any float64 array can hold is
-    malformed.
+    A tensor of no columns reads no row lines: it has the rows its header
+    declares.  Nothing is allocated at the size a tensor header declares: a
+    header that declares more rows than the file holds is a missing-rows
+    fault, and one declaring a row wider than any float64 array can hold,
+    or more rows of no columns than that, is malformed.
     """
     lines = filter(None, _lines(source)[0])
     next_line = partial(next, lines, None)  # next non-empty line, None at the end
@@ -105,8 +110,11 @@ def read_container(source) -> tuple[dict[str, str], dict[str, np.ndarray]]:
                 rows, cols = int(fields[2]), int(fields[3])
             except ValueError:
                 rows = cols = -1  # not numbers: rejected with negative ones
-            if rows < 0 or cols < 0 or 8 * cols > np.iinfo(np.intp).max:
+            if rows < 0 or cols < 0 or 8 * (cols or rows) > np.iinfo(np.intp).max:
                 raise TruncatedCheckpointError(f"malformed tensor dimensions: {line!r}")
+            if not cols:  # its rows are empty lines, which the reader skips
+                tensors[name] = np.zeros((rows, 0))
+                continue
             texts = []
             for _ in range(rows):
                 row_line = next_line()

@@ -26,7 +26,8 @@ from sslstm.container import (
 def reference_read_container(source):
     """The row-by-row reader: every value through ``float``, one row at a
     time.  The oracle for :func:`read_container`, which parses each tensor
-    block with numpy's C parser and falls back to this order of checks."""
+    block with numpy's C parser and falls back to this order of checks.
+    A tensor of no columns reads no row lines."""
     lines = filter(None, [line.rstrip("\r") for line in source.read().split("\n")])
     next_line = partial(next, lines, None)
 
@@ -66,7 +67,7 @@ def reference_read_container(source):
             except ValueError:
                 raise TruncatedCheckpointError(f"malformed tensor dimensions: {line!r}") from None
             mat = np.zeros((rows, cols))
-            for r in range(rows):
+            for r in range(rows if cols else 0):
                 row_line = next_line()
                 if row_line is None or row_line.startswith(("tensor ", "meta ")) or row_line == "end":
                     raise TruncatedCheckpointError(
@@ -115,12 +116,14 @@ FAULTS = ("short row", "long row", "non-numeric", "non-finite", "missing row",
 @st.composite
 def container_files(draw):
     """Container texts: meta lines and tensor blocks with rows split by
-    assorted whitespace, LF or CRLF endings, and up to three faults."""
+    assorted whitespace (a row of no columns is an empty line, as
+    :func:`write_container` writes it), LF or CRLF endings, and up to three
+    faults."""
     lines = [f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}", "meta kind=test"]
     blocks = []
     for t in range(draw(st.integers(1, 3))):
         rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-        body = [draw(SEPARATORS).join(draw(GOOD_VALUES) for _ in range(cols)) or " "
+        body = [draw(SEPARATORS).join(draw(GOOD_VALUES) for _ in range(cols))
                 for _ in range(rows)]
         blocks.append([f"tensor t{t} {rows} {cols}", *body])
     faults = draw(st.lists(st.sampled_from(FAULTS), max_size=3))
@@ -258,6 +261,22 @@ class TestWriteContainer:
         sink = io.StringIO()
         write_container(sink, {}, tensors)
         assert sink.getvalue() == reference_write(tensors)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(tensors(), min_size=1, max_size=3))
+    def test_written_tensors_read_back_bit_for_bit(self, arrays):
+        tensors = {f"t{k}": arr for k, arr in enumerate(arrays)}
+        sink = io.StringIO()
+        write_container(sink, {}, tensors)
+        if not all(np.isfinite(arr).all() for arr in arrays):
+            with pytest.raises(CheckpointError, match="non-finite"):
+                read_container(io.StringIO(sink.getvalue()))
+            return
+        _, back = read_container(io.StringIO(sink.getvalue()))
+        assert list(back) == list(tensors)
+        for name, arr in tensors.items():
+            assert back[name].shape == np.atleast_2d(arr).shape
+            assert back[name].tobytes() == arr.tobytes()  # -0.0 kept
 
     @pytest.mark.parametrize("distinct", range(1, 9))
     def test_values_are_formatted_once_when_at_most_half_are_distinct(self, distinct):

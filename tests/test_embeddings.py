@@ -176,6 +176,20 @@ class TestRoundTrip:
                            for k, row in enumerate(matrix))
         assert table_text(table, header=False) == expected
 
+    def test_a_distinct_table_is_never_held_whole_as_text(self, tmp_path):
+        matrix = np.random.default_rng(0).standard_normal((1000, 256))
+        assert len(np.unique(matrix)) == matrix.size
+        table = EmbeddingTable(256, {f"t{k}": row for k, row in enumerate(matrix)})
+        path = tmp_path / "emb.txt"
+        tracemalloc.start()
+        try:
+            save_embedding_file(table, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        written = path.stat().st_size
+        assert peak < written / 2, f"traced peak {peak / 1e6:.2f} MB for {written / 1e6:.2f} MB"
+
     @pytest.mark.parametrize("token", ["a b", "a\tb", "a\u2028b", "", " a"])
     def test_save_names_the_token_it_refuses(self, token):
         table = EmbeddingTable(2, {"ok": np.zeros(2), token: np.ones(2)})

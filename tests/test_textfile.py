@@ -6,6 +6,7 @@ import ast
 import hashlib
 import io
 import re
+import sys
 import tempfile
 from functools import partial
 from pathlib import Path
@@ -25,8 +26,8 @@ from sslstm.dataio import Conversation, read_dataset, read_judgments, write_data
 from sslstm.datamine import Candidate, read_judge_queue, write_judge_queue
 from sslstm.embeddings import load_embedding_file
 from sslstm.text_norm import default_lexicon, load_lexicon, normalize_utterance
-from sslstm.textfile import (BLOCK_BYTES, BadRow, DataFormatError, _lines, _split_lines, _write_lines,
-                             file_sha256, float_matrix)
+from sslstm.textfile import (BLOCK_BYTES, FORMAT_BLOCK, BadRow, DataFormatError, _float_rows, _lines,
+                             _split_lines, _write_lines, file_sha256, float_matrix)
 
 SRC = Path(sslstm.__file__).resolve().parent
 
@@ -162,6 +163,8 @@ class TestMalformedTensorDimensions:
         # wider than any float64 array can hold
         "tensor w 0 100000000000000000000", "tensor w 2 100000000000000000000",
         "tensor w 0 9223372036854775807", "tensor w 0 1152921504606846976",
+        # more rows of no columns than that
+        "tensor w 100000000000000000000 0", "tensor w 1152921504606846976 0",
     ])
     def test_malformed_dimensions(self, tmp_path, capsys, header):
         text = f"SSLSTM-CKPT 1\n{header}\nend\n"
@@ -198,6 +201,100 @@ class TestFloatMatrix:
         with pytest.raises(BadRow) as caught:
             float_matrix(texts, width)
         assert (caught.value.row, caught.value.values, caught.value.width, caught.value.numeric) == bad
+
+
+def repr_mismatch(mat: np.ndarray):
+    """None when :func:`_float_rows` gives each row of ``mat`` as its values'
+    ``repr``, space-separated, as a line (the oracle); else where it first
+    does not, and the two texts there."""
+    lines = list(_float_rows(mat))
+    if len(lines) != len(mat):
+        return "rows", len(lines), len(mat)
+    for r, (line, row) in enumerate(zip(lines, mat.tolist())):
+        if line != " ".join(map(repr, row)) + "\n":
+            texts = line.removesuffix("\n").split(" ")
+            for c, value in enumerate(row):
+                if c == len(texts) or texts[c] != repr(value):
+                    return (r, c), texts[c:c + 1], repr(value)
+            return (r, "line"), line[-40:]
+    return None
+
+
+@st.composite
+def bit_pattern_matrices(draw):
+    """float64 matrices of more values than one kernel block, from int64 bit
+    patterns: random ones (half of them with exponents near the kernel's
+    range) from a drawn seed, and drawn ones, non-finite values and
+    subnormals among them, at drawn places, the block edges included."""
+    width = draw(st.sampled_from([1, 7, 256, FORMAT_BLOCK - 1, FORMAT_BLOCK + 3]))
+    rows = -(-(FORMAT_BLOCK + draw(st.integers(1, FORMAT_BLOCK))) // width)
+    size = rows * width
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = rng.integers(-2**63, 2**63, size, dtype=np.int64)
+    near = rng.random(size) < 0.5
+    exponents = rng.integers(1023 - 110, 1023 + 60, size, dtype=np.int64) << 52
+    bits[near] = (bits[near] & ~(0x7FF << 52)) | exponents[near]
+    for _ in range(draw(st.integers(0, 30))):
+        place = draw(st.sampled_from([0, FORMAT_BLOCK - 1, FORMAT_BLOCK, size - 1])
+                     | st.integers(0, size - 1))
+        bits[place] = draw(st.integers(-2**63, 2**63 - 1))
+    return bits.view(np.float64).reshape(rows, width)
+
+
+def hard_values() -> list[float]:
+    """Values whose shortest digits are hard to find, with both float
+    neighbours of each: 10**k for k from -30 to 22 and every power of two;
+    1 to 17 significant digits at every decimal exponent from -34 to 21, as
+    a prefix of 98765432109876543 or as 1 0...0 1; exact binary fractions;
+    1e23, the least subnormal, the largest float and -0.0.  Both signs."""
+    values = [float(f"1e{k}") for k in range(-30, 23)]
+    values += [2.0**e for e in range(-1074, 1024)]
+    for digits in range(1, 18):
+        for mantissa in ("98765432109876543"[:digits], "1" + "0" * (digits - 2) + "1"):
+            values += [float(f"{mantissa[:digits]}e{e}") for e in range(-33 - digits, 23 - digits)]
+    values += [0.125, 0.375, 2.5, 0.75, 1.5, 1e23, 5e-324, sys.float_info.max, 0.0]
+    around = np.array(values)
+    with np.errstate(over="ignore"):  # the largest float's upper neighbour is inf
+        around = np.concatenate([around, np.nextafter(around, -np.inf), np.nextafter(around, np.inf)])
+    return [*around.tolist(), *(-around).tolist()]
+
+
+class TestFloatRows:
+    """:func:`_float_rows` gives ``repr``'s text through its kernel."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(mat=bit_pattern_matrices())
+    def test_bit_patterns_match_repr(self, mat):
+        assert repr_mismatch(mat) is None
+
+    @pytest.mark.parametrize("width", [1, 9])
+    def test_hard_values_match_repr(self, width):
+        values = hard_values()
+        mat = np.array(values[:len(values) // width * width]).reshape(-1, width)
+        assert repr_mismatch(mat) is None
+
+    def test_a_large_low_part_is_carried(self):
+        # From 7.2058e16 units up, the product's high part steps by 16 and
+        # its low part reaches 8 either way.
+        mat = np.array([np.linspace(7.2058, 9.9999, 500) * 10.0**e for e in range(-29, 16)])
+        mat = np.concatenate([mat, np.nextafter(mat, 0), np.nextafter(mat, np.inf)])
+        assert repr_mismatch(mat) is None
+
+    def test_just_below_one_digit(self):
+        # d * 10**e lies just above these, farther than half an ulp: their
+        # repr has 16 or 17 digits, not one.
+        ones = np.array([float(f"{d}e{e}") for d in range(1, 10) for e in range(-29, 16)])
+        mat = np.stack([ones, np.nextafter(ones, 0), np.nextafter(np.nextafter(ones, 0), 0)])
+        assert repr_mismatch(mat) is None
+
+    def test_weights_take_the_fast_path(self, monkeypatch):
+        mat = np.random.default_rng(1).normal(0, 0.1, (128, 512))
+        sent = []
+        repr_texts = sslstm.textfile._repr_texts
+        monkeypatch.setattr(sslstm.textfile, "_repr_texts",
+                            lambda values: sent.append(values.size) or repr_texts(values))
+        assert repr_mismatch(mat) is None
+        assert sum(sent) < 0.01 * mat.size
 
 
 class TestEmoticonBeforeCombiningMark:
